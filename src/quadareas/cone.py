@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 from typing import Sequence
 
 from .division import DivisionSpec, fraction_tuple, to_fraction
 from .errors import InvalidInputError, NoValidContinuationError
-from .linalg import solve3
+from .linalg import inverse3
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,26 @@ def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _memoized_on_spec(fn):
+    """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read."""
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def memoized(spec: DivisionSpec):
+        if key not in spec.__dict__:
+            spec.__dict__[key] = fn(spec)
+        return spec.__dict__[key]
+
+    return memoized
+
+
+@_memoized_on_spec
 def frame(spec: DivisionSpec) -> ConeFrame:
     head, tail = cumulants(spec.p, spec.p_prime)
     return ConeFrame(spec.p, spec.p_prime, head, tail)
 
 
+@_memoized_on_spec
 def classify(spec: DivisionSpec) -> CaseLabel:
     """Spatial with the smallest usable pivot, else planar with a proportionality flag."""
     for idx, value in enumerate(discriminants(spec)):
@@ -145,15 +161,16 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
             [q[c] for c in cols],
             [fr.head[c] for c in cols],
         ]
+        inv = inverse3(rows)
+        assert inv is not None, "pivot system is singular despite nonzero discriminant"
         for i in range(n):
             if i in cols:
                 continue
-            sol = solve3(rows, [-p[i], -q[i], -fr.head[i]])
-            assert sol is not None, "pivot system is singular despite nonzero discriminant"
             coeffs = [Fraction(0)] * n
             coeffs[i] = Fraction(1)
-            for c, value in zip(cols, sol):
-                coeffs[c] = value
+            # the pivot coefficients solve rows @ y = -(p[i], q[i], head[i])
+            for c, row in zip(cols, inv):
+                coeffs[c] = -(row[0] * p[i] + row[1] * q[i] + row[2] * fr.head[i])
             planes.append(_normalize_plane(coeffs))
     else:
         for j in range(1, n - 1):

@@ -29,9 +29,13 @@ def to_fraction(value: RationalLike) -> Fraction:
         if not _RATIONAL.match(text):
             raise InvalidInputError(f"malformed rational literal {value!r}")
         try:
-            return Fraction(text.replace(" ", ""))
+            return Fraction(re.sub(r"\s", "", text))
         except ZeroDivisionError:
             raise InvalidInputError(f"zero denominator in {value!r}") from None
+        except ValueError:  # past CPython's int/str digit limit (sys.get_int_max_str_digits)
+            raise InvalidInputError(
+                f"rational literal {text[:12]}... ({len(text)} characters) exceeds the digit limit"
+            ) from None
     raise InvalidInputError(f"cannot interpret {value!r} as a rational")
 
 

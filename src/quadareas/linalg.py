@@ -1,4 +1,4 @@
-"""Tiny exact linear algebra over Fractions: 2x2 and 3x3 solves, determinants, rank."""
+"""Tiny exact linear algebra over Fractions: 2x2 and 3x3 solves, determinants, 3x3 inverse."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -39,24 +39,12 @@ def solve3(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(cols)
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Row rank by fraction-exact Gaussian elimination."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][col]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col] / lead
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+def inverse3(m: Sequence[Sequence[Fraction]]):
+    """The inverse of a 3x3 matrix, its adjugate (cyclic cofactors) over det; None when singular."""
+    d = det3(m)
+    if d == 0:
+        return None
+    return tuple(tuple(
+        (m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+         - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]) / d
+        for j in range(3)) for i in range(3))

@@ -1,5 +1,10 @@
 """Decides whether an area tuple is attainable and produces exact certificates.
 
+A decision is one pivot solve plus an exact componentwise check of the
+solution, O(n) per query; the check alone decides whether x lies on the span,
+so no hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
+``proportional_bounds`` only).
+
 Two semantics are offered for parallel-sided realizations:
 
 * ``audited`` (the default) accepts the whole open face a*ab + b*dc with
@@ -16,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Literal, Optional, Sequence
 
-from .cone import ConeFrame, classify, evaluate_plane, frame, hyperplanes
+from .cone import ConeFrame, classify, frame, hyperplanes
 from .division import DivisionSpec, fraction_tuple
 from .errors import InvalidInputError
 from .linalg import solve2, solve3
@@ -158,42 +164,52 @@ def _redecomposition_interval(fr: ConeFrame, x, a: Fraction, b: Fraction, arm: s
     return _coefficient_interval(fr.ab, fr.dc, arm_vec, x, a, b, arm == "head")
 
 
-def _spatial_verdict(spec: DivisionSpec, fr: ConeFrame, pivot: int, x, mode: Mode) -> Verdict:
-    n = spec.n
-    if n >= 4:
-        for plane in hyperplanes(spec):
-            if evaluate_plane(plane, x) != 0:
-                return Verdict(False, reason=REASON_OFF_SUBSPACE)
+def _coefficient_verdict(
+    a: Fraction,
+    b: Fraction,
+    c: Fraction,
+    total_ab: Fraction,
+    total_dc: Fraction,
+    mode: Mode,
+    prefix_certified: bool = False,
+) -> Verdict:
+    """The verdict for x = a*ab + b*dc + c*head, already checked exactly.
+
+    The q2 coefficients follow from head + tail = total_dc*ab + total_ab*dc.
+    Accepts q1, then q2, then the parallel ray or face by mode; otherwise
+    rejects as boundary when either closed region holds x, else as negative.
+    """
+    verdict = partial(Verdict, prefix_certified=prefix_certified)
+    a2, b2, c2 = a + c * total_dc, b + c * total_ab, -c
+    if a > 0 and b > 0 and c > 0:
+        return verdict(True, Certificate("q1", (a, b, c)))
+    if a2 > 0 and b2 > 0 and c2 > 0:
+        return verdict(True, Certificate("q2", (a2, b2, c2)))
+    if c == 0 and a > 0 and b > 0:
+        if a == b:
+            return verdict(True, Certificate("ray", (a,)))
+        if mode == "audited":
+            return verdict(True, Certificate("face", (a, b)))
+        return verdict(False, reason=REASON_BOUNDARY)
+    closed = (a >= 0 and b >= 0 and c >= 0) or (a2 >= 0 and b2 >= 0 and c2 >= 0)
+    return verdict(False, reason=REASON_BOUNDARY if closed else REASON_NEGATIVE)
+
+
+def _pivot_solution(fr: ConeFrame, pivot: int, x: tuple[Fraction, ...]):
+    """(a, b, c) with x = a*ab + b*dc + c*head exactly, or None when x is off the span.
+
+    The 3x3 solve at the pivot triple is regular whenever the pivot's
+    discriminant is nonzero; the solution is then checked at every coordinate.
+    """
     cols = (pivot - 2, pivot - 1, pivot)
     rows = [[fr.ab[c], fr.dc[c], fr.head[c]] for c in cols]
     sol = solve3(rows, [x[c] for c in cols])
     assert sol is not None, "pivot solve is regular whenever the discriminant is nonzero"
-    a, b, c = sol
-    if _combine(fr, a, b, c, fr.head) != tuple(x):
-        return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    total_ab = sum(fr.ab)
-    total_dc = sum(fr.dc)
-    a2, b2, c2 = a + c * total_dc, b + c * total_ab, -c
-    if a > 0 and b > 0 and c > 0:
-        return Verdict(True, Certificate("q1", (a, b, c)))
-    if a2 > 0 and b2 > 0 and c2 > 0:
-        return Verdict(True, Certificate("q2", (a2, b2, c2)))
-    if c == 0 and a > 0 and b > 0:
-        if a == b:
-            return Verdict(True, Certificate("ray", (a,)))
-        if mode == "audited":
-            return Verdict(True, Certificate("face", (a, b)))
-        return Verdict(False, reason=REASON_BOUNDARY)
-    closed = (a >= 0 and b >= 0 and c >= 0) or (a2 >= 0 and b2 >= 0 and c2 >= 0)
-    return Verdict(False, reason=REASON_BOUNDARY if closed else REASON_NEGATIVE)
+    return sol if _combine(fr, *sol, fr.head) == x else None
 
 
-def _planar_verdict(spec: DivisionSpec, fr: ConeFrame, x) -> Verdict:
-    n = spec.n
-    if n >= 3:
-        for plane in hyperplanes(spec):
-            if evaluate_plane(plane, x) != 0:
-                return Verdict(False, reason=REASON_OFF_SUBSPACE)
+def _planar_verdict(fr: ConeFrame, x) -> Verdict:
+    n = fr.n
     # the (first, last) minor of (head, tail) is provably nonzero
     rows = [[fr.head[0], fr.tail[0]], [fr.head[n - 1], fr.tail[n - 1]]]
     sol = solve2(rows, [x[0], x[n - 1]])
@@ -230,9 +246,12 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
         return Verdict(False, reason=REASON_NON_POSITIVE)
     label = classify(spec)
     fr = frame(spec)
-    if label.spatial:
-        return _spatial_verdict(spec, fr, label.pivot, x, mode)
-    return _planar_verdict(spec, fr, x)
+    if not label.spatial:
+        return _planar_verdict(fr, x)
+    sol = _pivot_solution(fr, label.pivot, x)
+    if sol is None:
+        return Verdict(False, reason=REASON_OFF_SUBSPACE)
+    return _coefficient_verdict(*sol, sum(fr.ab), sum(fr.dc), mode)
 
 
 def proportional_bounds(p: Sequence[Fraction]):

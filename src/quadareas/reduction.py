@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .cone import classify, cumulants, discriminants, evaluate_plane, frame, hyperplanes
+from .cone import classify, cumulants, discriminants, frame
 from .division import DivisionSpec, RationalLike, to_fraction, fraction_tuple
 from .errors import (
     DegenerateCollapseError,
@@ -30,6 +30,10 @@ from .membership import (
     REASON_OFF_SUBSPACE,
     Verdict,
     _coefficient_interval,
+    _coefficient_verdict,
+    _combine,
+    _independent_pair,
+    _pivot_solution,
 )
 
 
@@ -191,7 +195,10 @@ def member_via_collapse(
     itself spatial; a planar fold can cancel a negative coordinate against
     later positive ones and is never trusted.  One injective fold suffices:
     the other basis follows exactly from head + tail = total(dc)*ab +
-    total(ab)*dc.  Only a pivot whose folds are both planar is refused.
+    total(ab)*dc.  The recovered coefficients are checked against every
+    coordinate of the frame, which rejects a tuple off the span.  Only a
+    pivot whose folds are both planar is refused, and only for a tuple on
+    the span.
     """
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
@@ -201,10 +208,6 @@ def member_via_collapse(
     label = classify(spec)
     if not label.spatial:
         raise InvalidInputError("folding applies to spatial specs only")
-    if spec.n >= 4:
-        for plane in hyperplanes(spec):
-            if evaluate_plane(plane, x) != 0:
-                return Verdict(False, reason=REASON_OFF_SUBSPACE)
 
     folded = {}
     for branch in ("q1", "q2"):
@@ -217,33 +220,24 @@ def member_via_collapse(
         sol = solve3(rows, list(instance.x3))
         assert sol is not None
         folded[branch] = sol
-    if not folded:
-        raise DegenerateCollapseError(
-            f"both folds at pivot {pivot} are planar; use another pivot"
-        )
 
+    fr = frame(spec)
     total_ab, total_dc = sum(spec.p), sum(spec.p_prime)
     if "q1" in folded:
         a, b, c = folded["q1"]
-        a2, b2, c2 = a + c * total_dc, b + c * total_ab, -c
-    else:
+    elif "q2" in folded:
         a2, b2, c2 = folded["q2"]
         a, b, c = a2 + c2 * total_dc, b2 + c2 * total_ab, -c2
-    if a > 0 and b > 0 and c > 0:
-        return Verdict(True, Certificate("q1", (a, b, c)))
-    if a2 > 0 and b2 > 0 and c2 > 0:
-        return Verdict(True, Certificate("q2", (a2, b2, c2)))
-    fr = frame(spec)
-    if c == 0 and a > 0 and b > 0:
-        # face of the original instance: confirm componentwise
-        if all(a * u + b * v == xi for u, v, xi in zip(fr.ab, fr.dc, x)):
-            if a == b:
-                return Verdict(True, Certificate("ray", (a,)))
-            if mode == "audited":
-                return Verdict(True, Certificate("face", (a, b)))
-            return Verdict(False, reason=REASON_BOUNDARY)
-    closed = (a >= 0 and b >= 0 and c >= 0) or (a2 >= 0 and b2 >= 0 and c2 >= 0)
-    return Verdict(False, reason=REASON_BOUNDARY if closed else REASON_NEGATIVE)
+    else:
+        # no fold is injective: solve x at the pivot directly, refuse it only on the span
+        if _pivot_solution(fr, pivot, x) is None:
+            return Verdict(False, reason=REASON_OFF_SUBSPACE)
+        raise DegenerateCollapseError(
+            f"both folds at pivot {pivot} are planar; use another pivot"
+        )
+    if _combine(fr, a, b, c, fr.head) != x:
+        return Verdict(False, reason=REASON_OFF_SUBSPACE)
+    return _coefficient_verdict(a, b, c, total_ab, total_dc, mode)
 
 
 def planar_ratio_bounds(
@@ -301,13 +295,10 @@ def member_tail(
     deltas = discriminants(prefix_spec)
 
     if all(d == 0 for d in deltas):
-        for plane in hyperplanes(prefix_spec):
-            if evaluate_plane(plane, x.prefix) != 0:
-                return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)
         ext_head = list(head) + [head_tail]
         ext_tail = list(tail) + [tail_tail]
         ext_x = list(x.prefix) + [x.tail_sum]
-        pair = _independent_pair_ext(ext_head, ext_tail)
+        pair = _independent_pair(ext_head, ext_tail)
         assert pair is not None, "the cumulant vectors are never proportional"
         i, j = pair
         sol = solve2(
@@ -348,30 +339,7 @@ def member_tail(
     ):
         return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)
     # the two bases are linked through head + tail = total(p')*ab + total(p)*dc
-    a2, b2, c2 = a + c * p_prime.total, b + c * p.total, -c
-    if a > 0 and b > 0 and c > 0:
-        return Verdict(True, Certificate("q1", (a, b, c)), prefix_certified=True)
-    if a2 > 0 and b2 > 0 and c2 > 0:
-        return Verdict(True, Certificate("q2", (a2, b2, c2)), prefix_certified=True)
-    if c == 0 and a > 0 and b > 0:
-        if a == b:
-            return Verdict(True, Certificate("ray", (a,)), prefix_certified=True)
-        if mode == "audited":
-            return Verdict(True, Certificate("face", (a, b)), prefix_certified=True)
-        return Verdict(False, reason=REASON_BOUNDARY, prefix_certified=True)
-    closed = (a >= 0 and b >= 0 and c >= 0) or (a2 >= 0 and b2 >= 0 and c2 >= 0)
-    return Verdict(
-        False,
-        reason=REASON_BOUNDARY if closed else REASON_NEGATIVE,
-        prefix_certified=True,
-    )
-
-
-def _independent_pair_ext(u: Sequence[Fraction], v: Sequence[Fraction]):
-    for j in range(1, len(u)):
-        if u[0] * v[j] != u[j] * v[0]:
-            return (0, j)
-    return None
+    return _coefficient_verdict(a, b, c, p.total, p_prime.total, mode, prefix_certified=True)
 
 
 def extend_solution(

@@ -192,7 +192,6 @@ def test_criterion_6_mode_discrepancy_fixture():
     assert audited_accepts == 100
     assert strict_accepts == 0
     assert all(v.reason == "boundary" for v in results["strict"])
-    FIXTURES.mkdir(exist_ok=True)
     fixture = {
         "description": (
             "trapezoids with unequal side scalings on a spatial spec: audited "
@@ -206,7 +205,8 @@ def test_criterion_6_mode_discrepancy_fixture():
         "strict_rejection_reason": "boundary",
         "witness_samples": samples[:5],
     }
-    (FIXTURES / "mode_discrepancy.json").write_text(json.dumps(fixture, indent=2) + "\n")
+    stored = json.loads((FIXTURES / "mode_discrepancy.json").read_text())
+    assert stored == fixture
 
 
 @criterion(7, "fold-based decisions match direct decisions at every usable pivot")

@@ -1,4 +1,5 @@
 import json
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -72,6 +73,16 @@ class TestMemberVerb:
     def test_length_mismatch_is_input_error(self, capsys):
         code, _, err = run(capsys, "member", "--p", "1,1,1", "--pp", "1,1,1", "--x", "1,2")
         assert code == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_oversized_literal_is_input_error(self, capsys):
+        literal = "7" * 5000
+        code, out, err = run(capsys, "member", "--p", "1,1,1", "--pp", "1,1,1", "--x", f"{literal},1,1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: rational literal 777") and err.count("\n") == 1
+        assert literal not in err
 
 
 class TestWitnessVerb:

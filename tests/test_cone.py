@@ -14,7 +14,29 @@ from quadareas import (
     frame,
     hyperplanes,
 )
-from quadareas.linalg import det3, rank, solve2
+from quadareas.linalg import det3, inverse3, solve2
+
+
+def rank(rows):
+    """Row rank by fraction-exact Gaussian elimination."""
+    work = [list(map(F, row)) for row in rows]
+    if not work:
+        return 0
+    r = 0
+    for col in range(len(work[0])):
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        lead = work[r][col]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col] / lead
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return r
 
 
 def rand_spec(rng, n):
@@ -106,6 +128,38 @@ class TestClassify:
     def test_length_two_always_planar(self):
         assert not classify(DivisionSpec.of((1, 2), (2, 1))).spatial
         assert classify(DivisionSpec.of((1, 2), (2, 4))).proportional
+
+
+class TestInverse3:
+    def test_inverse_times_matrix_is_identity(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            m = [[F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
+            inv = inverse3(m)
+            if det3(m) == 0:
+                assert inv is None
+                continue
+            for i in range(3):
+                for j in range(3):
+                    assert sum(inv[i][k] * m[k][j] for k in range(3)) == (i == j)
+
+    def test_singular(self):
+        assert inverse3([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]) is None
+
+
+class TestSpecMemo:
+    def test_frame_and_label_are_built_once_per_spec(self):
+        spec = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
+        fr, label = frame(spec), classify(spec)
+        assert frame(spec) is fr and classify(spec) is label
+
+    def test_memo_is_invisible_to_equality_hash_and_repr(self):
+        warmed = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
+        frame(warmed), classify(warmed), hyperplanes(warmed)
+        fresh = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
+        assert warmed == fresh and hash(warmed) == hash(fresh)
+        assert repr(warmed) == repr(fresh)
+        assert frame(fresh) == frame(warmed) and classify(fresh) == classify(warmed)
 
 
 class TestHyperplanes:

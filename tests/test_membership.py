@@ -7,7 +7,12 @@ from hypothesis import given, strategies as st
 from quadareas import (
     DivisionSpec,
     InvalidInputError,
+    NoValidContinuationError,
+    classify,
+    continue_degenerate,
+    evaluate_plane,
     frame,
+    hyperplanes,
     member,
     parallel_diagnosis,
     proportional_bounds,
@@ -155,6 +160,68 @@ class TestConeProperty:
                 assert scaled.certificate.coeffs == tuple(
                     t_scale * v for v in base.certificate.coeffs
                 )
+
+
+def _grid(rng):
+    return F(rng.randint(1, 64), 8)
+
+
+def _random_spec(rng, family, n):
+    """A random spatial, proportional or skew-planar spec of length n."""
+    while True:
+        if family == "proportional":
+            p = tuple(_grid(rng) for _ in range(n))
+            lam = _grid(rng)
+            return DivisionSpec(p, tuple(lam * v for v in p))
+        if family == "spatial":
+            spec = DivisionSpec(
+                tuple(_grid(rng) for _ in range(n)), tuple(_grid(rng) for _ in range(n))
+            )
+            if classify(spec).spatial:
+                return spec
+            continue
+        p, q = [_grid(rng), _grid(rng)], [_grid(rng), _grid(rng)]
+        try:
+            while len(p) < n:
+                q.append(_grid(rng))
+                p.append(continue_degenerate(p, q[:-1], q[-1]))
+        except NoValidContinuationError:
+            continue
+        spec = DivisionSpec(tuple(p), tuple(q))
+        if not spec.proportional():
+            return spec
+
+
+class TestSpanDecidedComponentwise:
+    """The componentwise check alone rejects every tuple off the span."""
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["spatial", "proportional", "skew"]),
+        st.integers(min_value=3, max_value=12),
+    )
+    def test_plane_violations_are_off_subspace(self, seed, family, n):
+        rng = random.Random(seed)
+        spec = _random_spec(rng, family, n)
+        planes = hyperplanes(spec)
+        fr = frame(spec)
+        arm = fr.head if rng.random() < 0.5 else fr.tail
+        a, b, c = _grid(rng), _grid(rng), _grid(rng)
+        on_span = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
+        bumped = list(on_span)
+        bumped[rng.randrange(n)] += F(rng.randint(1, 8), 8)
+        candidates = [on_span, tuple(bumped), tuple(_grid(rng) for _ in range(n))]
+        for x in candidates:
+            off_span = any(evaluate_plane(plane, x) != 0 for plane in planes)
+            for mode in ("audited", "strict"):
+                verdict = member(spec, x, mode)
+                if off_span:
+                    assert not verdict.attainable and verdict.reason == "off-subspace"
+                else:
+                    assert verdict.reason != "off-subspace"
+        assert all(evaluate_plane(plane, on_span) == 0 for plane in planes)
+        if classify(spec).spatial:
+            assert member(spec, on_span).attainable
 
 
 class TestProportionalBounds:

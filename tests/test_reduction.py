@@ -198,6 +198,28 @@ class TestFoldEquivalence:
         with pytest.raises(DegenerateCollapseError):
             member_via_collapse(spec, x, 3)
 
+    def test_off_span_at_pivot_with_two_planar_folds(self):
+        # no fold decides here, so x is solved at the pivot directly: off the
+        # span it is rejected, on the span the pivot is refused
+        spec = DivisionSpec.of((2, 6, 5, 4, 3), (1, 7, 5, 4, 2))
+        fr = frame(spec)
+        x = [u + v + w for u, v, w in zip(fr.ab, fr.dc, fr.head)]
+        x[4] += 1
+        folded = member_via_collapse(spec, x, 3)
+        assert not folded.attainable and folded.reason == "off-subspace"
+        assert folded == member(spec, x)
+        x[4] -= 1
+        with pytest.raises(DegenerateCollapseError):
+            member_via_collapse(spec, x, 3)
+
+    def test_unusable_pivot_is_refused_for_every_x(self):
+        on_span = (F(3), F(8), F(16), F(27))
+        off_span = (F(3), F(8), F(16), F(28))
+        for x in (on_span, off_span):
+            for pivot in (1, 4):
+                with pytest.raises(InvalidPivotError):
+                    member_via_collapse(self.SPEC, x, pivot)
+
     def test_single_injective_fold_decides_both_branches(self):
         # the tail fold at the minimal pivot of this spec is planar, yet every
         # verdict there matches the direct decision through the head fold

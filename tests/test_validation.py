@@ -55,6 +55,9 @@ class TestRationalParsing:
         with pytest.raises(InvalidInputError):
             to_fraction("a/b")
 
+    def test_any_whitespace_around_the_slash(self):
+        assert to_fraction("3 /\t4") == F(3, 4)
+
 
 class TestSequenceParsing:
     def test_malformed_suffix(self):
