@@ -1,8 +1,10 @@
 """Command line surface: describe, member, witness, areas, sample, reduce.
 
 Results go to stdout (JSON by default, exact rationals rendered as strings),
-diagnostics to stderr.  Exit codes: 0 success, 1 input error, 2 not
-attainable (member/witness), 3 oracle violations (sample).
+diagnostics to stderr.  Exit codes: 0 success, 1 input error (including a
+result too large to print), 2 not attainable (member/witness), 3 oracle
+violations (sample), 4 internal error (a failed invariant: a defect in
+quadareas, never a property of the input).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Optional, Sequence
 
 from .cone import classify, discriminants, frame, hyperplanes
 from .division import DivisionSpec, to_fraction
-from .errors import InvalidInputError, NotAttainableError, QuadAreasError
+from .errors import InternalError, InvalidInputError, NotAttainableError, QuadAreasError
 from .geometry import ConvexQuad, strip_areas
 from .membership import Certificate, Verdict, member
 from .oracle import SampleReport, cross_validate, sample_convex_quads, sample_parallel_family
@@ -384,8 +386,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _run(args)
+    except InternalError as err:
+        print(f"error: internal error, invariant failed: {err}", file=sys.stderr)
+        return 4
     except QuadAreasError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except ValueError as err:
+        # parsing already maps the int/str digit limit to an input error, so this one comes from output
+        if "integer string conversion" not in str(err):
+            raise
+        print("error: the result is too large to print (past Python's int/str digit limit)", file=sys.stderr)
         return 1
 
 

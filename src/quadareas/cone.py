@@ -16,8 +16,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .division import DivisionSpec, fraction_tuple, to_fraction
-from .errors import InvalidInputError, NoValidContinuationError
-from .linalg import inverse3
+from .errors import InvalidInputError, NoValidContinuationError, invariant
+from .linalg import _scaled, inverse3
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,22 @@ class CaseLabel:
         return "planar-proportional" if self.proportional else "planar-skew"
 
 
+def _sided_cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction], sum_p, sum_q):
+    """p[i]*(sum_q + sum(p'[:i])) + p'[i]*(sum_p + sum(p[:i+1])), over running sums kept
+    as (numerator, lcm of denominators so far) pairs, so each entry is normalised once."""
+    out = []
+    sp, dp, sq, dq = sum_p.numerator, sum_p.denominator, sum_q.numerator, sum_q.denominator
+    for a, b in zip(p, p_prime):
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        d = lcm(dp, ad)
+        sp, dp = sp * (d // dp) + an * (d // ad), d
+        # a*sq/dq + b*sp/dp over dq*bd*dp, as ad divides dp
+        out.append(Fraction(an * sq * bd * (dp // ad) + bn * sp * dq, dq * bd * dp))
+        d = lcm(dq, bd)
+        sq, dq = sq * (d // dq) + bn * (d // bd), d
+    return out
+
+
 def cumulants(
     p: Sequence[Fraction],
     p_prime: Sequence[Fraction],
@@ -68,35 +84,32 @@ def cumulants(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Head and tail cumulants of a ratio pair, with optional exact tail sums.
 
-    head[i] = -p[i]*p'[i] + p[i]*sum(p'[:i+1]) + p'[i]*sum(p[:i+1])
-    tail[i] = -p[i]*p'[i] + p[i]*(sum(p'[i:]) + tail_p') + p'[i]*(sum(p[i:]) + tail_p)
+    head[i] = p[i]*sum(p'[:i]) + p'[i]*sum(p[:i+1])
+    tail[i] = p[i]*(sum(p'[i+1:]) + tail_p') + p'[i]*(sum(p[i:]) + tail_p)
     """
-    n = len(p)
-    head = []
-    acc_p, acc_q = Fraction(0), Fraction(0)
-    for i in range(n):
-        acc_p += p[i]
-        acc_q += p_prime[i]
-        head.append(-p[i] * p_prime[i] + p[i] * acc_q + p_prime[i] * acc_p)
-    tail = [Fraction(0)] * n
-    acc_p, acc_q = tail_p, tail_p_prime
-    for i in range(n - 1, -1, -1):
-        acc_p += p[i]
-        acc_q += p_prime[i]
-        tail[i] = -p[i] * p_prime[i] + p[i] * acc_q + p_prime[i] * acc_p
-    return tuple(head), tuple(tail)
+    head = _sided_cumulants(p, p_prime, Fraction(0), Fraction(0))
+    tail = _sided_cumulants(p[::-1], p_prime[::-1], tail_p, tail_p_prime)
+    return tuple(head), tuple(tail[::-1])
+
+
+def _discriminant(p: Sequence[Fraction], q: Sequence[Fraction], j: int) -> Fraction:
+    """The discriminant at interior 0-based index j, over one common denominator:
+    (p[j-1] + p[j] + p[j+1])*q[j-1]*q[j+1]*p[j] - (q[j-1] + q[j] + q[j+1])*p[j-1]*p[j+1]*q[j]."""
+    (a1, b1), (a2, b2), (a3, b3) = ((v.numerator, v.denominator) for v in p[j - 1:j + 2])
+    (c1, d1), (c2, d2), (c3, d3) = ((v.numerator, v.denominator) for v in q[j - 1:j + 2])
+    first = (a1 * b2 * b3 + a2 * b1 * b3 + a3 * b1 * b2) * c1 * c3 * a2 * d2 * d2
+    second = (c1 * d2 * d3 + c2 * d1 * d3 + c3 * d1 * d2) * a1 * a3 * c2 * b2 * b2
+    return Fraction(first - second, b1 * b2 * b3 * d1 * d2 * d3 * b2 * d2)
+
+
+def _first_pivot(p: Sequence[Fraction], q: Sequence[Fraction]) -> int | None:
+    """The smallest 1-based index whose discriminant is nonzero, or None when all vanish."""
+    return next((j + 1 for j in range(1, len(p) - 1) if _discriminant(p, q, j) != 0), None)
 
 
 def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
     """The discriminant chain, one value per interior index (empty for n = 2)."""
-    p, q = spec.p, spec.p_prime
-    out = []
-    for j in range(1, spec.n - 1):
-        out.append(
-            (p[j - 1] + p[j] + p[j + 1]) * q[j - 1] * q[j + 1] * p[j]
-            - (q[j - 1] + q[j] + q[j + 1]) * p[j - 1] * p[j + 1] * q[j]
-        )
-    return tuple(out)
+    return tuple(_discriminant(spec.p, spec.p_prime, j) for j in range(1, spec.n - 1))
 
 
 def _memoized_on_spec(fn):
@@ -121,16 +134,15 @@ def frame(spec: DivisionSpec) -> ConeFrame:
 @_memoized_on_spec
 def classify(spec: DivisionSpec) -> CaseLabel:
     """Spatial with the smallest usable pivot, else planar with a proportionality flag."""
-    for idx, value in enumerate(discriminants(spec)):
-        if value != 0:
-            return CaseLabel(spatial=True, pivot=idx + 2)
+    pivot = _first_pivot(spec.p, spec.p_prime)
+    if pivot is not None:
+        return CaseLabel(spatial=True, pivot=pivot)
     return CaseLabel(spatial=False, proportional=spec.proportional())
 
 
 def _normalize_plane(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
     """Clear denominators and divide by the gcd; the construction's sign is kept."""
-    mult = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * mult) for c in coeffs]
+    ints, _ = _scaled(coeffs)
     g = gcd(*(abs(v) for v in ints))
     if g > 1:
         ints = [v // g for v in ints]
@@ -162,7 +174,7 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
             [fr.head[c] for c in cols],
         ]
         inv = inverse3(rows)
-        assert inv is not None, "pivot system is singular despite nonzero discriminant"
+        invariant(inv is not None, "pivot system is singular despite nonzero discriminant")
         for i in range(n):
             if i in cols:
                 continue

@@ -35,3 +35,13 @@ class NotAttainableError(QuadAreasError):
     def __init__(self, reason: str):
         super().__init__(f"not attainable: {reason}")
         self.reason = reason
+
+
+class InternalError(QuadAreasError):
+    """An internal invariant failed: a defect in this package, never a property of the input."""
+
+
+def invariant(condition: bool, message: str) -> None:
+    """Raise InternalError unless condition holds; unlike assert, kept under python -O."""
+    if not condition:
+        raise InternalError(message)

@@ -13,10 +13,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .division import DivisionSpec, RationalLike, to_fraction
-from .errors import InconsistentQuadError, InvalidInputError
+from .errors import InconsistentQuadError, InvalidInputError, invariant
+from .linalg import _scaled
 
 log = logging.getLogger(__name__)
 
@@ -161,36 +163,35 @@ class ApexFrame:
     scale: Fraction
 
 
-def _cumulative(ratios: Sequence[Fraction]) -> list[Fraction]:
-    sums = [Fraction(0)]
-    for r in ratios:
-        sums.append(sums[-1] + r)
-    return sums
-
-
 def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
-    """Division points at the prescribed consecutive ratios, exact."""
-    sums_ab = _cumulative(spec.p)
-    sums_dc = _cumulative(spec.p_prime)
-    total_ab, total_dc = sums_ab[-1], sums_dc[-1]
-    on_ab = tuple(q.a + (s / total_ab) * (q.b - q.a) for s in sums_ab)
-    on_dc = tuple(q.d + (s / total_dc) * (q.c - q.d) for s in sums_dc)
-    return DivisionPoints(on_ab, on_dc)
+    """Division points at the prescribed consecutive ratios, exact: start + s*(end - start)/total."""
+
+    def side(start: Point, end: Point, ratios) -> tuple[Point, ...]:
+        sums = [Fraction(0), *accumulate(ratios)]
+        dx, dy = (end.x - start.x) / sums[-1], (end.y - start.y) / sums[-1]
+        return tuple(Point(start.x + s * dx, start.y + s * dy) for s in sums)
+
+    return DivisionPoints(side(q.a, q.b, spec.p), side(q.d, q.c, spec.p_prime))
 
 
 def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
-    """Exact areas of the strips between consecutive division lines."""
-    division = subdivide(q, spec)
+    """Exact strip areas in closed form: with u = B - A, w = C - D, e = D - A and
+    side fractions alpha_k = s_k/S (AB) and delta_k = t_k/T (DC), twice strip k is
+    (delta_{k-1} - delta_k)*(e x w) + (alpha_{k-1} - alpha_k)*(e x u)
+    + (alpha_k*delta_k - alpha_{k-1}*delta_{k-1})*(u x w).  The three weights are
+    normalised once per quad, as they share factors with S and T when the quad
+    is built from the spec; each strip is then one Fraction over integer sums s, t.
+    """
+    s, t = ([0, *accumulate(_scaled(ratios)[0])] for ratios in (spec.p, spec.p_prime))
+    u, w, e = q.b - q.a, q.c - q.d, q.d - q.a
+    (ew, eu, uw), den = _scaled(
+        (e.cross(w) / (2 * t[-1]), e.cross(u) / (2 * s[-1]), u.cross(w) / (2 * s[-1] * t[-1]))
+    )
     areas = []
-    for i in range(1, spec.n + 1):
-        strip = (
-            division.on_ab[i - 1],
-            division.on_ab[i],
-            division.on_dc[i],
-            division.on_dc[i - 1],
-        )
-        area = polygon_area(strip)
-        assert area > 0, "strip areas of a convex quadrilateral must be positive"
+    for k in range(1, spec.n + 1):
+        numerator = (t[k - 1] - t[k]) * ew + (s[k - 1] - s[k]) * eu
+        area = Fraction(numerator + (s[k] * t[k] - s[k - 1] * t[k - 1]) * uw, den)
+        invariant(area > 0, "strip areas of a convex quadrilateral must be positive")
         areas.append(area)
     return tuple(areas)
 
@@ -217,16 +218,16 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
     total_dc = sum(spec.p_prime)
     if t < 0:
         # apex beyond A, hence also beyond D on the other side
-        assert r < 0
+        invariant(r < 0, "an apex beyond A on line AB lies beyond D on line DC")
         p0 = -t * total_ab
         p0_prime = -r * total_dc
         tri = polygon_area([apex, q.a, q.d])
         branch = "q1"
     else:
-        assert r > 1
+        invariant(r > 1, "an apex beyond B on line AB lies beyond C on line DC")
         p0 = (t - 1) * total_ab
         p0_prime = (r - 1) * total_dc
         tri = polygon_area([apex, q.c, q.b])
         branch = "q2"
-    assert tri > 0
+    invariant(tri > 0, "the apex triangle has positive area")
     return ApexFrame(apex, branch, p0, p0_prime, tri / (p0 * p0_prime))

@@ -1,12 +1,26 @@
-"""Tiny exact linear algebra over Fractions: 2x2 and 3x3 solves, determinants, 3x3 inverse."""
+"""Tiny exact linear algebra over Fractions: 2x2 and 3x3 solves, determinants, 3x3 inverse.
+
+The solves apply Cramer's rule to integer rows, each scaled by its own lcm of
+denominators, and normalise once per unknown.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
-def det2(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The rationals as ints over the lcm of their denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _cofactors(m: Sequence[Sequence]) -> list[list]:
+    """cof[i][j], the cofactor of entry (i, j) of a 3x3 matrix, in the cyclic form that needs no signs."""
+    return [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+             for j in range(3)] for i in range(3)]
 
 
 def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -19,32 +33,28 @@ def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def solve2(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve a 2x2 system by Cramer's rule; None when singular."""
-    d = det2(m)
-    if d == 0:
+    (a, b, e), (c, d, f) = (_scaled((*row, r))[0] for row, r in zip(m, rhs))
+    det = a * d - b * c
+    if det == 0:
         return None
-    x = (rhs[0] * m[1][1] - m[0][1] * rhs[1]) / d
-    y = (m[0][0] * rhs[1] - rhs[0] * m[1][0]) / d
-    return (x, y)
+    return (Fraction(e * d - b * f, det), Fraction(a * f - e * c, det))
 
 
 def solve3(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve a 3x3 system by Cramer's rule; None when singular."""
-    d = det3(m)
-    if d == 0:
+    rows = [_scaled((*row, r))[0] for row, r in zip(m, rhs)]
+    cof = _cofactors(rows)
+    det = sum(rows[0][j] * cof[0][j] for j in range(3))
+    if det == 0:
         return None
-    cols = []
-    for j in range(3):
-        mj = [[rhs[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]
-        cols.append(det3(mj) / d)
-    return tuple(cols)
+    # replacing column j by the right-hand side gives the determinant sum_i rhs_i * cof[i][j]
+    return tuple(Fraction(sum(rows[i][3] * cof[i][j] for i in range(3)), det) for j in range(3))
 
 
 def inverse3(m: Sequence[Sequence[Fraction]]):
-    """The inverse of a 3x3 matrix, its adjugate (cyclic cofactors) over det; None when singular."""
+    """The inverse of a 3x3 matrix, its adjugate (transposed cofactors) over det; None when singular."""
     d = det3(m)
     if d == 0:
         return None
-    return tuple(tuple(
-        (m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-         - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]) / d
-        for j in range(3)) for i in range(3))
+    cof = _cofactors(m)
+    return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))

@@ -26,7 +26,7 @@ from typing import Literal, Optional, Sequence
 
 from .cone import ConeFrame, classify, frame, hyperplanes
 from .division import DivisionSpec, fraction_tuple
-from .errors import InvalidInputError
+from .errors import InvalidInputError, invariant
 from .linalg import solve2, solve3
 
 Mode = Literal["strict", "audited"]
@@ -113,7 +113,7 @@ def _face_solution(fr: ConeFrame, x: Sequence[Fraction]):
         return None
     i, j = pair
     sol = solve2([[fr.ab[i], fr.dc[i]], [fr.ab[j], fr.dc[j]]], [x[i], x[j]])
-    assert sol is not None
+    invariant(sol is not None, "the independent ratio pair gives a regular face system")
     a, b = sol
     if all(a * u + b * v == xi for u, v, xi in zip(fr.ab, fr.dc, x)):
         return (a, b)
@@ -143,7 +143,7 @@ def _coefficient_interval(
     i, j = pair
     base = solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [x[i], x[j]])
     slope = solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [arm_vec[i], arm_vec[j]])
-    assert base is not None and slope is not None
+    invariant(base is not None and slope is not None, "the independent ratio pair gives a regular system")
     lo = Fraction(0)
     hi: Optional[Fraction] = None
     for coef, intercept in zip(slope, base):
@@ -155,7 +155,7 @@ def _coefficient_interval(
             lo = max(lo, intercept / coef)
         elif intercept <= 0:
             return None
-    assert hi is not None, "the feasible coefficient range is always bounded above"
+    invariant(hi is not None, "the feasible coefficient range is always bounded above")
     return Interval(lo, hi) if lo < hi else None
 
 
@@ -204,7 +204,7 @@ def _pivot_solution(fr: ConeFrame, pivot: int, x: tuple[Fraction, ...]):
     cols = (pivot - 2, pivot - 1, pivot)
     rows = [[fr.ab[c], fr.dc[c], fr.head[c]] for c in cols]
     sol = solve3(rows, [x[c] for c in cols])
-    assert sol is not None, "pivot solve is regular whenever the discriminant is nonzero"
+    invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
     return sol if _combine(fr, *sol, fr.head) == x else None
 
 
@@ -213,7 +213,7 @@ def _planar_verdict(fr: ConeFrame, x) -> Verdict:
     # the (first, last) minor of (head, tail) is provably nonzero
     rows = [[fr.head[0], fr.tail[0]], [fr.head[n - 1], fr.tail[n - 1]]]
     sol = solve2(rows, [x[0], x[n - 1]])
-    assert sol is not None
+    invariant(sol is not None, "the (first, last) minor of the cumulant vectors is nonzero")
     a, b = sol
     if any(a * h + b * t != xi for h, t, xi in zip(fr.head, fr.tail, x)):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)

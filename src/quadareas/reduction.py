@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .cone import classify, cumulants, discriminants, frame
+from .cone import _discriminant, _first_pivot, classify, cumulants, frame
 from .division import DivisionSpec, RationalLike, to_fraction, fraction_tuple
 from .errors import (
     DegenerateCollapseError,
     DegenerateDenominatorError,
     InvalidInputError,
     InvalidPivotError,
+    invariant,
 )
 from .linalg import solve2, solve3
 from .membership import (
@@ -163,8 +164,7 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     if not 2 <= pivot <= m - 1:
         raise InvalidPivotError(f"pivot {pivot} outside the usable range 2..{m - 1}")
-    deltas = discriminants(DivisionSpec(p.prefix, q.prefix))
-    if deltas[pivot - 2] == 0:
+    if _discriminant(p.prefix, q.prefix, pivot - 1) == 0:
         raise InvalidPivotError(f"pivot {pivot} has a zero discriminant")
     k = pivot - 1  # 0-based
     if branch == "q1":
@@ -218,7 +218,7 @@ def member_via_collapse(
         arm = fr3.head if branch == "q1" else fr3.tail
         rows = [[fr3.ab[i], fr3.dc[i], arm[i]] for i in range(3)]
         sol = solve3(rows, list(instance.x3))
-        assert sol is not None
+        invariant(sol is not None, "a spatial fold gives a regular 3x3 system")
         folded[branch] = sol
 
     fr = frame(spec)
@@ -289,22 +289,21 @@ def member_tail(
         # infinitely many strictly positive strips cannot sum to zero
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 
-    prefix_spec = DivisionSpec(p.prefix, p_prime.prefix)
     head, tail = tail_cumulants(p, p_prime)
     head_tail, tail_tail = cumulant_tail_sums(p, p_prime)
-    deltas = discriminants(prefix_spec)
+    pivot = _first_pivot(p.prefix, p_prime.prefix)
 
-    if all(d == 0 for d in deltas):
+    if pivot is None:
         ext_head = list(head) + [head_tail]
         ext_tail = list(tail) + [tail_tail]
         ext_x = list(x.prefix) + [x.tail_sum]
         pair = _independent_pair(ext_head, ext_tail)
-        assert pair is not None, "the cumulant vectors are never proportional"
+        invariant(pair is not None, "the cumulant vectors are never proportional")
         i, j = pair
         sol = solve2(
             [[ext_head[i], ext_tail[i]], [ext_head[j], ext_tail[j]]], [ext_x[i], ext_x[j]]
         )
-        assert sol is not None
+        invariant(sol is not None, "the independent cumulant pair gives a regular system")
         a, b = sol
         if not _verify_combination((head, tail), (head_tail, tail_tail), (a, b), x):
             return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)
@@ -327,12 +326,11 @@ def member_tail(
         reason = REASON_BOUNDARY if (a >= 0 and b >= 0) else REASON_NEGATIVE
         return Verdict(False, reason=reason, prefix_certified=True)
 
-    pivot = next(i for i, d in enumerate(deltas) if d != 0) + 2
     cols = (pivot - 2, pivot - 1, pivot)
     ab, dc = p.prefix, p_prime.prefix
     rows = [[ab[cidx], dc[cidx], head[cidx]] for cidx in cols]
     sol = solve3(rows, [x.prefix[cidx] for cidx in cols])
-    assert sol is not None, "pivot solve is regular whenever the discriminant is nonzero"
+    invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
     a, b, c = sol
     if not _verify_combination(
         (ab, dc, head), (p.tail_sum, p_prime.tail_sum, head_tail), (a, b, c), x

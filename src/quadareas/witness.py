@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .cone import ConeFrame, frame
 from .division import DivisionSpec
-from .errors import InvalidInputError, NotAttainableError
+from .errors import InvalidInputError, NotAttainableError, invariant
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
 from .linalg import solve2
 from .membership import Certificate, Interval, Mode, member, _face_solution, _independent_pair
@@ -98,9 +98,9 @@ def _apex_parameters(fr: ConeFrame, x, interval: Interval, arm: str):
     else:
         i, j = pair
         sol = solve2([[fr.ab[i], fr.dc[i]], [fr.ab[j], fr.dc[j]]], [residual[i], residual[j]])
-        assert sol is not None
+        invariant(sol is not None, "the independent ratio pair gives a regular face system")
         a, b = sol
-    assert a > 0 and b > 0 and c > 0
+    invariant(a > 0 and b > 0 and c > 0, "the canonical re-decomposition is strictly positive")
     return a, b, c
 
 
@@ -141,7 +141,7 @@ def synthesize_witness(
             quad = apex_quad(spec, b / c, a / c, c, "q1")
             construction = "apex-q1"
         else:
-            assert cert.q2_interval is not None, "an attainable planar tuple admits a realization"
+            invariant(cert.q2_interval is not None, "an attainable planar tuple admits a realization")
             a, b, c = _apex_parameters(fr, x, cert.q2_interval, "tail")
             quad = apex_quad(spec, b / c, a / c, c, "q2")
             construction = "apex-q2"

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from quadareas import DivisionSpec, InvalidInputError, member
+import quadareas
+from quadareas import DivisionSpec, InternalError, InvalidInputError, member
 from quadareas.cli import main, parse_tuple
 
 
@@ -202,3 +206,39 @@ class TestOtherVerbs:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["member", "--p", "1,1,1"]) == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_describe_result_past_the_digit_limit_is_an_input_error(self, capsys):
+        # the entries parse, but a discriminant passes 4300 digits
+        big = 10 ** 1500
+        code, out, err = run(
+            capsys, "describe",
+            "--p", ",".join(str(big + k) for k in (1, 2, 3)),
+            "--pp", ",".join(str(big + k) for k in (7, 28, 175)),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: the result is too large to print") and err.count("\n") == 1
+
+
+class TestInvariants:
+    def test_failed_invariant_is_an_internal_error_with_exit_code_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(quadareas.membership, "solve3", lambda m, rhs: None)
+        with pytest.raises(InternalError, match="pivot solve is regular"):
+            member(DivisionSpec.of((1, 2, 3), (1, 1, 1)), (F(3), F(8), F(16)))
+        code, out, err = run(capsys, "member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16")
+        assert code == 4 and out == ""
+        assert err == (
+            "error: internal error, invariant failed: "
+            "pivot solve is regular whenever the discriminant is nonzero\n"
+        )
+
+    @pytest.mark.parametrize("verb", ("member", "witness"))
+    def test_python_O_gives_the_same_bytes(self, verb):
+        env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}
+        argv = ["-m", "quadareas.cli", verb, "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"]
+        plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True)
+        optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, check=True)
+        assert plain.stdout and optimized.stdout == plain.stdout
+        assert optimized.stderr == plain.stderr == b""

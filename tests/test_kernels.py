@@ -1,0 +1,230 @@
+"""The exact kernels against their step-by-step Fraction references.
+
+Each kernel normalises its result once; the references below are the plain
+Fraction forms (one normalisation per operation) they replaced, and every
+property requires identical Fractions.
+"""
+from fractions import Fraction as F
+
+from hypothesis import given, strategies as st
+
+from quadareas import (
+    ConvexQuad,
+    DivisionSpec,
+    NoValidContinuationError,
+    Point,
+    apex_quad,
+    classify,
+    continue_degenerate,
+    cumulants,
+    discriminants,
+    polygon_area,
+    strip_areas,
+    subdivide,
+)
+from quadareas.cone import _first_pivot
+from quadareas.linalg import det3, solve2, solve3
+
+
+# ---- references -------------------------------------------------------------
+
+
+def ref_solve2(m, rhs):
+    d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if d == 0:
+        return None
+    x = (rhs[0] * m[1][1] - m[0][1] * rhs[1]) / d
+    y = (m[0][0] * rhs[1] - rhs[0] * m[1][0]) / d
+    return (x, y)
+
+
+def ref_solve3(m, rhs):
+    d = det3(m)
+    if d == 0:
+        return None
+    cols = []
+    for j in range(3):
+        mj = [[rhs[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]
+        cols.append(det3(mj) / d)
+    return tuple(cols)
+
+
+def ref_cumulants(p, p_prime, tail_p=F(0), tail_p_prime=F(0)):
+    """head[i] = -p[i]*p'[i] + p[i]*sum(p'[:i+1]) + p'[i]*sum(p[:i+1]), tail likewise from the end."""
+    n = len(p)
+    head = []
+    acc_p, acc_q = F(0), F(0)
+    for i in range(n):
+        acc_p += p[i]
+        acc_q += p_prime[i]
+        head.append(-p[i] * p_prime[i] + p[i] * acc_q + p_prime[i] * acc_p)
+    tail = [F(0)] * n
+    acc_p, acc_q = tail_p, tail_p_prime
+    for i in range(n - 1, -1, -1):
+        acc_p += p[i]
+        acc_q += p_prime[i]
+        tail[i] = -p[i] * p_prime[i] + p[i] * acc_q + p_prime[i] * acc_p
+    return tuple(head), tuple(tail)
+
+
+def ref_discriminants(p, q):
+    return tuple(
+        (p[j - 1] + p[j] + p[j + 1]) * q[j - 1] * q[j + 1] * p[j]
+        - (q[j - 1] + q[j] + q[j + 1]) * p[j - 1] * p[j + 1] * q[j]
+        for j in range(1, len(p) - 1)
+    )
+
+
+def ref_first_pivot(p, q):
+    """1-based index of the first nonzero discriminant, or None."""
+    return next((j + 2 for j, d in enumerate(ref_discriminants(p, q)) if d != 0), None)
+
+
+def ref_subdivide(q, spec):
+    def cumulative(ratios):
+        sums = [F(0)]
+        for r in ratios:
+            sums.append(sums[-1] + r)
+        return sums
+
+    sums_ab, sums_dc = cumulative(spec.p), cumulative(spec.p_prime)
+    on_ab = tuple(q.a + (s / sums_ab[-1]) * (q.b - q.a) for s in sums_ab)
+    on_dc = tuple(q.d + (s / sums_dc[-1]) * (q.c - q.d) for s in sums_dc)
+    return on_ab, on_dc
+
+
+def ref_strip_areas(q, spec):
+    """Shoelace over the division points of each strip."""
+    on_ab, on_dc = ref_subdivide(q, spec)
+    return tuple(
+        polygon_area((on_ab[i - 1], on_ab[i], on_dc[i], on_dc[i - 1]))
+        for i in range(1, spec.n + 1)
+    )
+
+
+# ---- strategies -------------------------------------------------------------
+
+
+@st.composite
+def ratios(draw, big=None, signed=False):
+    """A grid rational k/8 or a rational with 30-300 digit numerator and denominator."""
+    if big is None:
+        big = draw(st.booleans())
+    if big:
+        digits = draw(st.integers(30, 300))
+        value = st.integers(10 ** (digits - 1), 10 ** digits - 1)
+        r = F(draw(value), draw(value))
+    else:
+        r = F(draw(st.integers(1, 64)), 8)
+    return -r if signed and draw(st.booleans()) else r
+
+
+@st.composite
+def specs(draw, min_n=2):
+    """Spatial, proportional and planar-prefix specs with n up to 12."""
+    n = draw(st.integers(min_n, 12))
+    big = draw(st.booleans())
+    kind = draw(st.sampled_from(("planar-prefix", "spatial", "proportional")))
+    p = [draw(ratios(big)) for _ in range(n)]
+    if kind == "proportional":
+        scale = draw(ratios(big))
+        q = [scale * v for v in p]
+    else:
+        q = [draw(ratios(big)) for _ in range(n)]
+    if kind == "planar-prefix":
+        # a skew start, then zero discriminants up to a drawn length; a smaller
+        # next ratio always continues
+        q[1] += q[0] * p[1] / p[0]
+        for i in range(2, draw(st.integers(min(3, n), n))):
+            while True:
+                try:
+                    p[i] = continue_degenerate(p[:i], q[:i], q[i])
+                    break
+                except NoValidContinuationError:
+                    q[i] /= 2
+    return DivisionSpec(tuple(p), tuple(q))
+
+
+@st.composite
+def systems(draw, size):
+    """A square system with signed entries; singular (a row a combination of others) a third of the time."""
+    entry = ratios(big=draw(st.booleans()), signed=True)
+    m = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if draw(st.integers(0, 2)) == 0:
+        coeffs = [draw(entry) for _ in range(size - 1)]
+        m[-1] = [sum((c * row[k] for c, row in zip(coeffs, m)), F(0)) for k in range(size)]
+    return m, [draw(entry) for _ in range(size)]
+
+
+@st.composite
+def quads_for(draw, spec):
+    """Apex quads of both branches, their affine images, and trapezoids."""
+    family = draw(st.sampled_from(("apex", "affine", "trapezoid")))
+    grid = ratios(big=False)
+    if family == "trapezoid":
+        offset = draw(ratios(big=False, signed=True))
+        return ConvexQuad(
+            Point(F(0), F(0)),
+            Point(draw(grid) * sum(spec.p), F(0)),
+            Point(offset + draw(grid) * sum(spec.p_prime), F(1)),
+            Point(offset, F(1)),
+        )
+    branch = draw(st.sampled_from(("q1", "q2")))
+    quad = apex_quad(spec, draw(grid), draw(grid), draw(grid), branch)
+    if family == "apex":
+        return quad
+    m11, m12, m21, m22 = (draw(grid) for _ in range(4))
+    if m11 * m22 - m12 * m21 <= 0:
+        m11, m12, m21, m22 = m12, m11, m22, m21  # a column swap flips the sign
+        if m11 * m22 - m12 * m21 == 0:
+            m11 += 1
+    tx, ty = draw(ratios(big=False, signed=True)), draw(ratios(big=False, signed=True))
+    return ConvexQuad(*(
+        Point(m11 * v.x + m12 * v.y + tx, m21 * v.x + m22 * v.y + ty) for v in quad.vertices
+    ))
+
+
+# ---- properties -------------------------------------------------------------
+
+
+@given(systems(2))
+def test_solve2_matches_fraction_cramer(system):
+    m, rhs = system
+    assert solve2(m, rhs) == ref_solve2(m, rhs)
+
+
+@given(systems(3))
+def test_solve3_matches_fraction_cramer(system):
+    m, rhs = system
+    assert solve3(m, rhs) == ref_solve3(m, rhs)
+
+
+def test_singular_systems_return_none():
+    assert solve2([[F(1), F(2)], [F(1, 2), F(1)]], [F(1), F(5)]) is None
+    rows = [[F(1), F(2), F(3)], [F(1, 3), F(0), F(-1)], [F(4, 3), F(2), F(2)]]
+    assert solve3(rows, [F(1), F(1), F(1)]) is None
+
+
+@given(specs(), st.sampled_from((False, True)), st.data())
+def test_cumulants_match_docstring_formula(spec, with_tails, data):
+    tails = (data.draw(ratios()), data.draw(ratios())) if with_tails else (F(0), F(0))
+    assert cumulants(spec.p, spec.p_prime, *tails) == ref_cumulants(spec.p, spec.p_prime, *tails)
+
+
+@given(specs())
+def test_discriminants_and_first_pivot_match_reference(spec):
+    expected = ref_discriminants(spec.p, spec.p_prime)
+    assert discriminants(spec) == expected
+    pivot = ref_first_pivot(spec.p, spec.p_prime)
+    assert _first_pivot(spec.p, spec.p_prime) == pivot
+    label = classify(spec)
+    assert label.spatial == (pivot is not None)
+    assert label.pivot == pivot
+
+
+@given(specs(), st.data())
+def test_strip_areas_and_division_points_match_shoelace(spec, data):
+    quad = data.draw(quads_for(spec))
+    assert strip_areas(quad, spec) == ref_strip_areas(quad, spec)
+    points = subdivide(quad, spec)
+    assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
