@@ -2,9 +2,9 @@
 
 Results go to stdout (JSON by default, exact rationals rendered as strings),
 diagnostics to stderr.  Exit codes: 0 success, 1 input error (including a
-result too large to print), 2 not attainable (member/witness), 3 oracle
-violations (sample), 4 internal error (a failed invariant: a defect in
-quadareas, never a property of the input).
+result too large to print, or an SVG coordinate past float range), 2 not
+attainable (member/witness), 3 oracle violations (sample), 4 internal error
+(a failed invariant: a defect in quadareas, never a property of the input).
 """
 from __future__ import annotations
 
@@ -101,7 +101,10 @@ def _has_tail(*texts: Optional[str]) -> bool:
 
 
 def _float(v: Fraction) -> str:
-    return f"{float(v):.6g}"
+    try:
+        return f"{float(v):.6g}"
+    except OverflowError:
+        raise InvalidInputError("a coordinate is too large to draw as SVG (past float range)") from None
 
 
 def _witness_svg(out: WitnessOutput, spec: DivisionSpec) -> str:

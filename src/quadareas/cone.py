@@ -61,8 +61,13 @@ class CaseLabel:
 
 
 def _sided_cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction], sum_p, sum_q):
-    """p[i]*(sum_q + sum(p'[:i])) + p'[i]*(sum_p + sum(p[:i+1])), over running sums kept
-    as (numerator, lcm of denominators so far) pairs, so each entry is normalised once."""
+    """p[i]*(sum_q + sum(p'[:i])) + p'[i]*(sum_p + sum(p[:i+1])), unnormalised.
+
+    The running sums are kept as (numerator, lcm of denominators so far) pairs.
+    Each entry comes out as a (numerator, denominator) pair whose denominator
+    is a multiple of the denominators of p[i] and p'[i]; the final running
+    sums come out as Fractions.
+    """
     out = []
     sp, dp, sq, dq = sum_p.numerator, sum_p.denominator, sum_q.numerator, sum_q.denominator
     for a, b in zip(p, p_prime):
@@ -70,10 +75,10 @@ def _sided_cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction], sum_p, 
         d = lcm(dp, ad)
         sp, dp = sp * (d // dp) + an * (d // ad), d
         # a*sq/dq + b*sp/dp over dq*bd*dp, as ad divides dp
-        out.append(Fraction(an * sq * bd * (dp // ad) + bn * sp * dq, dq * bd * dp))
+        out.append((an * sq * bd * (dp // ad) + bn * sp * dq, dq * bd * dp))
         d = lcm(dq, bd)
         sq, dq = sq * (d // dq) + bn * (d // bd), d
-    return out
+    return out, Fraction(sp, dp), Fraction(sq, dq)
 
 
 def cumulants(
@@ -87,29 +92,30 @@ def cumulants(
     head[i] = p[i]*sum(p'[:i]) + p'[i]*sum(p[:i+1])
     tail[i] = p[i]*(sum(p'[i+1:]) + tail_p') + p'[i]*(sum(p[i:]) + tail_p)
     """
-    head = _sided_cumulants(p, p_prime, Fraction(0), Fraction(0))
-    tail = _sided_cumulants(p[::-1], p_prime[::-1], tail_p, tail_p_prime)
-    return tuple(head), tuple(tail[::-1])
+    head, _, _ = _sided_cumulants(p, p_prime, Fraction(0), Fraction(0))
+    tail, _, _ = _sided_cumulants(p[::-1], p_prime[::-1], tail_p, tail_p_prime)
+    return tuple(Fraction(*v) for v in head), tuple(Fraction(*v) for v in tail[::-1])
 
 
-def _discriminant(p: Sequence[Fraction], q: Sequence[Fraction], j: int) -> Fraction:
-    """The discriminant at interior 0-based index j, over one common denominator:
+def _discriminant(p: Sequence[Fraction], q: Sequence[Fraction], j: int) -> tuple[int, int]:
+    """The discriminant at interior 0-based index j as an unnormalised (numerator, denominator)
+    pair of ints, the denominator positive:
     (p[j-1] + p[j] + p[j+1])*q[j-1]*q[j+1]*p[j] - (q[j-1] + q[j] + q[j+1])*p[j-1]*p[j+1]*q[j]."""
     (a1, b1), (a2, b2), (a3, b3) = ((v.numerator, v.denominator) for v in p[j - 1:j + 2])
     (c1, d1), (c2, d2), (c3, d3) = ((v.numerator, v.denominator) for v in q[j - 1:j + 2])
     first = (a1 * b2 * b3 + a2 * b1 * b3 + a3 * b1 * b2) * c1 * c3 * a2 * d2 * d2
     second = (c1 * d2 * d3 + c2 * d1 * d3 + c3 * d1 * d2) * a1 * a3 * c2 * b2 * b2
-    return Fraction(first - second, b1 * b2 * b3 * d1 * d2 * d3 * b2 * d2)
+    return first - second, b1 * b2 * b3 * d1 * d2 * d3 * b2 * d2
 
 
 def _first_pivot(p: Sequence[Fraction], q: Sequence[Fraction]) -> int | None:
     """The smallest 1-based index whose discriminant is nonzero, or None when all vanish."""
-    return next((j + 1 for j in range(1, len(p) - 1) if _discriminant(p, q, j) != 0), None)
+    return next((j + 1 for j in range(1, len(p) - 1) if _discriminant(p, q, j)[0] != 0), None)
 
 
 def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
     """The discriminant chain, one value per interior index (empty for n = 2)."""
-    return tuple(_discriminant(spec.p, spec.p_prime, j) for j in range(1, spec.n - 1))
+    return tuple(Fraction(*_discriminant(spec.p, spec.p_prime, j)) for j in range(1, spec.n - 1))
 
 
 def _memoized_on_spec(fn):
@@ -132,6 +138,18 @@ def frame(spec: DivisionSpec) -> ConeFrame:
 
 
 @_memoized_on_spec
+def integer_rows(spec: DivisionSpec) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
+    """One integer row (P, Q, H, L) per coordinate, with ab = P/L, dc = Q/L and
+    head = H/L left unnormalised, plus the totals of ab and dc."""
+    head, total_ab, total_dc = _sided_cumulants(spec.p, spec.p_prime, Fraction(0), Fraction(0))
+    rows = tuple(
+        (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), num, den)
+        for a, b, (num, den) in zip(spec.p, spec.p_prime, head)
+    )
+    return rows, total_ab, total_dc
+
+
+@_memoized_on_spec
 def classify(spec: DivisionSpec) -> CaseLabel:
     """Spatial with the smallest usable pivot, else planar with a proportionality flag."""
     pivot = _first_pivot(spec.p, spec.p_prime)
@@ -140,13 +158,15 @@ def classify(spec: DivisionSpec) -> CaseLabel:
     return CaseLabel(spatial=False, proportional=spec.proportional())
 
 
-def _normalize_plane(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators and divide by the gcd; the construction's sign is kept."""
-    ints, _ = _scaled(coeffs)
-    g = gcd(*(abs(v) for v in ints))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+def _normalize_plane(n: int, coeffs: dict[int, Fraction]) -> tuple[int, ...]:
+    """The plane with coefficient coeffs[i] at index i and zero elsewhere: denominators
+    cleared and divided by the gcd, over the given entries only; the construction's sign is kept."""
+    ints, _ = _scaled(list(coeffs.values()))
+    g = gcd(*ints)
+    plane = [0] * n
+    for i, v in zip(coeffs, ints):
+        plane[i] = v // g if g > 1 else v
+    return tuple(plane)
 
 
 def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
@@ -178,15 +198,14 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
         for i in range(n):
             if i in cols:
                 continue
-            coeffs = [Fraction(0)] * n
-            coeffs[i] = Fraction(1)
+            coeffs = {i: Fraction(1)}
             # the pivot coefficients solve rows @ y = -(p[i], q[i], head[i])
             for c, row in zip(cols, inv):
                 coeffs[c] = -(row[0] * p[i] + row[1] * q[i] + row[2] * fr.head[i])
-            planes.append(_normalize_plane(coeffs))
+            planes.append(_normalize_plane(n, coeffs))
     else:
         for j in range(1, n - 1):
-            coeffs = [Fraction(0)] * n
+            coeffs = {}
             if label.proportional:
                 coeffs[j - 1] = (p[j + 1] + p[j]) / p[j - 1]
                 coeffs[j] = -(p[j - 1] + 2 * p[j] + p[j + 1]) / p[j]
@@ -195,7 +214,7 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
                 coeffs[j - 1] = p[j] * q[j + 1] - p[j + 1] * q[j]
                 coeffs[j] = p[j + 1] * q[j - 1] - p[j - 1] * q[j + 1]
                 coeffs[j + 1] = p[j - 1] * q[j] - p[j] * q[j - 1]
-            planes.append(_normalize_plane(coeffs))
+            planes.append(_normalize_plane(n, coeffs))
     return tuple(planes)
 
 

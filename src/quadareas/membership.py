@@ -1,9 +1,13 @@
 """Decides whether an area tuple is attainable and produces exact certificates.
 
-A decision is one pivot solve plus an exact componentwise check of the
-solution, O(n) per query; the check alone decides whether x lies on the span,
-so no hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
-``proportional_bounds`` only).
+A spatial decision is one pivot solve plus an exact componentwise check of
+the solution, O(n) per query; the check alone decides whether x lies on the
+span, so no hyperplane is evaluated (``cone.hyperplanes`` serves ``describe``
+and ``proportional_bounds`` only).  Both run on the spec's integer rows
+(``cone.integer_rows``, built once per spec): the three coefficients are
+normalised once, and each coordinate is compared in ``int`` with no gcd, so
+a spatial decision computes no tail cumulant and no frame.  The planar case
+and tail-summed decisions check ``Fraction`` combinations of the frame.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -24,10 +28,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Literal, Optional, Sequence
 
-from .cone import ConeFrame, classify, frame, hyperplanes
+from .cone import ConeFrame, classify, frame, hyperplanes, integer_rows
 from .division import DivisionSpec, fraction_tuple
 from .errors import InvalidInputError, invariant
-from .linalg import solve2, solve3
+from .linalg import _scaled, solve2, solve3
 
 Mode = Literal["strict", "audited"]
 
@@ -87,10 +91,6 @@ class Verdict:
     certificate: Optional[Certificate] = None
     reason: Optional[str] = None
     prefix_certified: bool = False
-
-
-def _combine(fr: ConeFrame, a: Fraction, b: Fraction, c: Fraction, arm: Sequence[Fraction]):
-    return tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
 
 
 def _independent_pair(u: Sequence[Fraction], v: Sequence[Fraction]):
@@ -195,17 +195,32 @@ def _coefficient_verdict(
     return verdict(False, reason=REASON_BOUNDARY if closed else REASON_NEGATIVE)
 
 
-def _pivot_solution(fr: ConeFrame, pivot: int, x: tuple[Fraction, ...]):
+def _spans(
+    rows: Sequence[tuple[int, int, int, int]], coeffs: Sequence[Fraction], x: tuple[Fraction, ...]
+) -> bool:
+    """x == a*ab + b*dc + c*head at every coordinate, decided on the spec's integer rows.
+
+    With (A, B, C) the coefficients over their common denominator E, row
+    (P, Q, H, L) and x_i = xn/xd, the test is (A*P + B*Q + C*H)*xd == E*L*xn.
+    """
+    (a, b, c), e = _scaled(coeffs)
+    return all(
+        (a * p + b * q + c * h) * xi.denominator == e * den * xi.numerator
+        for (p, q, h, den), xi in zip(rows, x)
+    )
+
+
+def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tuple[Fraction, ...]):
     """(a, b, c) with x = a*ab + b*dc + c*head exactly, or None when x is off the span.
 
     The 3x3 solve at the pivot triple is regular whenever the pivot's
     discriminant is nonzero; the solution is then checked at every coordinate.
     """
     cols = (pivot - 2, pivot - 1, pivot)
-    rows = [[fr.ab[c], fr.dc[c], fr.head[c]] for c in cols]
-    sol = solve3(rows, [x[c] for c in cols])
+    # row i of the system, scaled by L_i: (P_i, Q_i, H_i) @ (a, b, c) = L_i*x_i
+    sol = solve3([rows[i][:3] for i in cols], [rows[i][3] * x[i] for i in cols])
     invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
-    return sol if _combine(fr, *sol, fr.head) == x else None
+    return sol if _spans(rows, sol, x) else None
 
 
 def _planar_verdict(fr: ConeFrame, x) -> Verdict:
@@ -245,13 +260,13 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     if any(entry <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
     label = classify(spec)
-    fr = frame(spec)
     if not label.spatial:
-        return _planar_verdict(fr, x)
-    sol = _pivot_solution(fr, label.pivot, x)
+        return _planar_verdict(frame(spec), x)
+    rows, total_ab, total_dc = integer_rows(spec)
+    sol = _pivot_solution(rows, label.pivot, x)
     if sol is None:
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    return _coefficient_verdict(*sol, sum(fr.ab), sum(fr.dc), mode)
+    return _coefficient_verdict(*sol, total_ab, total_dc, mode)
 
 
 def proportional_bounds(p: Sequence[Fraction]):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .cone import _discriminant, _first_pivot, classify, cumulants, frame
+from .cone import _discriminant, _first_pivot, classify, cumulants, frame, integer_rows
 from .division import DivisionSpec, RationalLike, to_fraction, fraction_tuple
 from .errors import (
     DegenerateCollapseError,
@@ -32,9 +32,9 @@ from .membership import (
     Verdict,
     _coefficient_interval,
     _coefficient_verdict,
-    _combine,
     _independent_pair,
     _pivot_solution,
+    _spans,
 )
 
 
@@ -164,7 +164,7 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     if not 2 <= pivot <= m - 1:
         raise InvalidPivotError(f"pivot {pivot} outside the usable range 2..{m - 1}")
-    if _discriminant(p.prefix, q.prefix, pivot - 1) == 0:
+    if _discriminant(p.prefix, q.prefix, pivot - 1)[0] == 0:
         raise InvalidPivotError(f"pivot {pivot} has a zero discriminant")
     k = pivot - 1  # 0-based
     if branch == "q1":
@@ -221,8 +221,7 @@ def member_via_collapse(
         invariant(sol is not None, "a spatial fold gives a regular 3x3 system")
         folded[branch] = sol
 
-    fr = frame(spec)
-    total_ab, total_dc = sum(spec.p), sum(spec.p_prime)
+    rows, total_ab, total_dc = integer_rows(spec)
     if "q1" in folded:
         a, b, c = folded["q1"]
     elif "q2" in folded:
@@ -230,12 +229,12 @@ def member_via_collapse(
         a, b, c = a2 + c2 * total_dc, b2 + c2 * total_ab, -c2
     else:
         # no fold is injective: solve x at the pivot directly, refuse it only on the span
-        if _pivot_solution(fr, pivot, x) is None:
+        if _pivot_solution(rows, pivot, x) is None:
             return Verdict(False, reason=REASON_OFF_SUBSPACE)
         raise DegenerateCollapseError(
             f"both folds at pivot {pivot} are planar; use another pivot"
         )
-    if _combine(fr, a, b, c, fr.head) != x:
+    if not _spans(rows, (a, b, c), x):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
     return _coefficient_verdict(a, b, c, total_ab, total_dc, mode)
 

@@ -117,7 +117,6 @@ def synthesize_witness(
         raise NotAttainableError(verdict.reason)
     cert = verdict.certificate
     x = tuple(x)
-    fr = frame(spec)
 
     if cert.branch in ("q1", "q2"):
         a, b, c = cert.coeffs
@@ -132,6 +131,7 @@ def synthesize_witness(
         quad = _trapezoid(spec, t, t)
         construction = "trapezoid-l0"
     else:
+        fr = frame(spec)
         face = _face_solution(fr, x)
         if face is not None and face[0] > 0 and face[1] > 0:
             quad = _trapezoid(spec, *face)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadareas
 from quadareas import DivisionSpec, InternalError, InvalidInputError, member
@@ -130,6 +133,15 @@ class TestWitnessVerb:
         strips = [el for el in root.iter() if el.get("class") == "strip"]
         assert [el.get("data-area") for el in strips] == ["2", "5/2"]
 
+    def test_svg_coordinate_past_float_range_is_an_input_error(self, capsys):
+        fr = quadareas.frame(DivisionSpec.of((1, 2, 3), (3, 1, 2)))
+        x = [10 ** 400 * (a + d + h) for a, d, h in zip(fr.ab, fr.dc, fr.head)]
+        argv = ["witness", "--p", "1,2,3", "--pp", "3,1,2", "--x", ",".join(map(str, x))]
+        assert run(capsys, *argv)[0] == 0  # the exact formats still print
+        code, out, err = run(capsys, *argv, "--format", "svg")
+        assert code == 1 and out == ""
+        assert err == "error: a coordinate is too large to draw as SVG (past float range)\n"
+
 
 class TestOtherVerbs:
     def test_areas(self, capsys):
@@ -242,3 +254,87 @@ class TestInvariants:
         optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, check=True)
         assert plain.stdout and optimized.stdout == plain.stdout
         assert optimized.stderr == plain.stderr == b""
+
+
+# ---- fuzzing ------------------------------------------------------------------
+
+VERBS = ("describe", "member", "witness", "areas", "sample", "reduce")
+BIG = 10 ** 400
+HOSTILE_LITERALS = (
+    "0", "-1", "-2/3", "0/5", "1/0", "", " ", "a", "1e5", "1//2", "+4", "3 / 4", "\t5", "1.5",
+    "0x10", "\u0661", "1" * 5000, str(BIG + 1), f"{BIG}/3", f"1/{BIG}",
+)
+TAIL_SUFFIXES = (" | tail=1", " | tail=0", " | tail=-1", " | tail=1/0", " |", " | t=1")
+HOSTILE_OPTIONS = (
+    ("--pivot", "-1"), ("--pivot", "0"), ("--pivot", "99"), ("--pivot", "x"), ("--branch", "q3"),
+    ("--mode", "loose"), ("--format", "xml"), ("--count", "0"), ("--count", "-2"), ("--seed", "-5"),
+    ("--family", "cross"), ("--quad", "0,0;1,1;0,1;1,0"), ("--quad", "0,0;0,0;0,0;0,0"),
+    ("--quad", "0,0;1,0;1,1"), ("--quad", "a,b;1,0;1,1;0,1"),
+)
+
+
+def _scaled_literal(text, scale):
+    try:
+        return str(F(text) * scale)
+    except (ValueError, ZeroDivisionError):
+        return text
+
+
+@st.composite
+def cli_argvs(draw):
+    """A well-formed argv for one verb (x a scaled combination of the frame), then up to three corruptions."""
+    verb = draw(st.sampled_from(VERBS))
+    n = draw(st.integers(2, 6))
+    ratio = st.builds(F, st.integers(1, 9), st.integers(1, 4))
+    p, pp = ([draw(ratio) for _ in range(n)] for _ in "pq")
+    fr = quadareas.frame(DivisionSpec(tuple(p), tuple(pp)))
+    a, b, c = (draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0, -1))) for _ in range(3))
+    arm = draw(st.sampled_from((fr.head, fr.tail, (0,) * n)))
+    scale = draw(st.sampled_from((1, 1, BIG, F(1, BIG))))
+    x = [scale * (a * u + b * v + c * w) for u, v, w in zip(fr.ab, fr.dc, arm)]
+    fields = {name: [str(v) for v in values] for name, values in (("--p", p), ("--pp", pp), ("--x", x))}
+    opts = {"--mode": draw(st.sampled_from(("strict", "audited"))),
+            "--format": draw(st.sampled_from(("text", "json", "svg")))}
+    if verb == "areas":
+        opts["--quad"] = draw(st.sampled_from(("0,0;4,0;3,2;0,1", "0,0;1,0;1,1;0,1")))
+    if verb == "sample":
+        opts["--count"] = str(draw(st.integers(1, 5)))
+        opts["--seed"] = str(draw(st.integers(0, 2 ** 70)))
+        opts["--family"] = draw(st.sampled_from(("quads", "parallel", "cross")))
+    if verb == "reduce":
+        opts["--pivot"] = str(draw(st.integers(2, max(2, n - 1))))
+        opts["--branch"] = draw(st.sampled_from(("q1", "q2")))
+    suffixes = {}
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        kind = draw(st.sampled_from(("literal", "length", "scale", "tail", "option", "drop")))
+        name = draw(st.sampled_from(tuple(fields)))
+        if kind == "literal":
+            k = draw(st.integers(0, len(fields[name]) - 1))
+            fields[name][k] = draw(st.sampled_from(HOSTILE_LITERALS))
+        elif kind == "length":
+            fields[name] = fields[name][:-1] if draw(st.booleans()) else fields[name] + ["1"]
+        elif kind == "scale":
+            factor = draw(st.sampled_from((BIG, F(1, BIG), 0, -1)))
+            fields[name] = [_scaled_literal(v, factor) for v in fields[name]]
+        elif kind == "tail":
+            suffixes[name] = draw(st.sampled_from(TAIL_SUFFIXES))
+        elif kind == "option":
+            key, value = draw(st.sampled_from(HOSTILE_OPTIONS))
+            opts[key] = value
+        elif len(fields) > 1:
+            del fields[name]
+    argv = [verb]
+    for name, values in fields.items():
+        if name != "--x" or verb in ("member", "witness", "reduce"):
+            argv += [name, ",".join(values) + suffixes.get(name, "")]
+    for key, value in opts.items():
+        argv += [key, value]
+    return argv + (["--full"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=200)
+@given(cli_argvs())
+def test_fuzzed_argv_returns_an_exit_code_and_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)

@@ -6,24 +6,30 @@ property requires identical Fractions.
 """
 from fractions import Fraction as F
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from quadareas import (
     ConvexQuad,
+    DegenerateCollapseError,
     DivisionSpec,
     NoValidContinuationError,
     Point,
+    Verdict,
     apex_quad,
     classify,
     continue_degenerate,
     cumulants,
     discriminants,
+    frame,
+    member,
+    member_via_collapse,
     polygon_area,
     strip_areas,
     subdivide,
 )
-from quadareas.cone import _first_pivot
+from quadareas.cone import _first_pivot, integer_rows
 from quadareas.linalg import det3, solve2, solve3
+from quadareas.membership import _coefficient_verdict, _pivot_solution, _spans
 
 
 # ---- references -------------------------------------------------------------
@@ -78,6 +84,27 @@ def ref_discriminants(p, q):
 def ref_first_pivot(p, q):
     """1-based index of the first nonzero discriminant, or None."""
     return next((j + 2 for j, d in enumerate(ref_discriminants(p, q)) if d != 0), None)
+
+
+def ref_combine(fr, a, b, c):
+    """The Fraction combination a*ab + b*dc + c*head that the span check used to compare with x."""
+    return tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
+
+
+def ref_pivot_solution(spec, pivot, x):
+    fr = frame(spec)
+    cols = (pivot - 2, pivot - 1, pivot)
+    sol = ref_solve3([[fr.ab[c], fr.dc[c], fr.head[c]] for c in cols], [x[c] for c in cols])
+    return sol if ref_combine(fr, *sol) == x else None
+
+
+def ref_member(spec, x, mode):
+    if any(v <= 0 for v in x):
+        return Verdict(False, reason="non-positive-entry")
+    sol = ref_pivot_solution(spec, classify(spec).pivot, x)
+    if sol is None:
+        return Verdict(False, reason="off-subspace")
+    return _coefficient_verdict(*sol, sum(spec.p), sum(spec.p_prime), mode)
 
 
 def ref_subdivide(q, spec):
@@ -143,6 +170,22 @@ def specs(draw, min_n=2):
                 except NoValidContinuationError:
                     q[i] /= 2
     return DivisionSpec(tuple(p), tuple(q))
+
+
+@st.composite
+def spatial_queries(draw):
+    """A spatial spec, x = a*ab + b*dc + c*arm (a, b > 0; arm head, tail or zero) and a bump size."""
+    spec = draw(specs(min_n=3))
+    assume(classify(spec).spatial)
+    fr = frame(spec)
+    arm = draw(st.sampled_from((fr.head, fr.tail, (F(0),) * spec.n)))
+    a, b, c = draw(ratios()), draw(ratios()), draw(ratios(signed=True))
+    x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
+    return spec, x, draw(ratios(signed=True))
+
+
+def bumped(x, k, delta):
+    return x[:k] + (x[k] + delta,) + x[k + 1:]
 
 
 @st.composite
@@ -228,3 +271,47 @@ def test_strip_areas_and_division_points_match_shoelace(spec, data):
     assert strip_areas(quad, spec) == ref_strip_areas(quad, spec)
     points = subdivide(quad, spec)
     assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+
+
+@given(specs())
+def test_integer_rows_match_frame(spec):
+    fr = frame(spec)
+    rows, total_ab, total_dc = integer_rows(spec)
+    assert [(F(p, d), F(q, d), F(h, d)) for p, q, h, d in rows] == list(zip(fr.ab, fr.dc, fr.head))
+    assert all(d > 0 for *_, d in rows)
+    assert (total_ab, total_dc) == (sum(spec.p), sum(spec.p_prime))
+
+
+@given(specs(), st.data())
+def test_span_check_matches_fraction_combination(spec, data):
+    coeffs = tuple(data.draw(ratios(signed=True)) for _ in range(3))
+    x = ref_combine(frame(spec), *coeffs)
+    rows, _, _ = integer_rows(spec)
+    assert _spans(rows, coeffs, x)
+    delta = data.draw(ratios(signed=True))
+    for k in range(spec.n):
+        assert not _spans(rows, coeffs, bumped(x, k, delta))
+
+
+@given(spatial_queries())
+def test_pivot_solution_matches_fraction_reference_at_every_pivot(query):
+    spec, x, delta = query
+    pivots = [j + 2 for j, d in enumerate(discriminants(spec)) if d != 0]
+    for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
+        for pivot in pivots:
+            assert _pivot_solution(integer_rows(spec)[0], pivot, y) == ref_pivot_solution(spec, pivot, y)
+
+
+@given(spatial_queries(), st.sampled_from(("strict", "audited")), st.data())
+def test_member_and_every_fold_match_the_reference(query, mode, data):
+    spec, x, delta = query
+    k = data.draw(st.integers(0, spec.n - 1))
+    pivots = [j + 2 for j, d in enumerate(discriminants(spec)) if d != 0]
+    for y in (x, bumped(x, k, delta)):
+        expected = ref_member(spec, y, mode)
+        assert member(spec, y, mode) == expected
+        for pivot in pivots:
+            try:
+                assert member_via_collapse(spec, y, pivot, mode) == expected
+            except DegenerateCollapseError:
+                assert ref_pivot_solution(spec, pivot, y) is not None
