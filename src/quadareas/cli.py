@@ -2,14 +2,16 @@
 
 Results go to stdout (JSON by default, exact rationals rendered as strings),
 diagnostics to stderr.  Exit codes: 0 success, 1 input error (including a
-result too large to print, or an SVG coordinate past float range), 2 not
-attainable (member/witness), 3 oracle violations (sample), 4 internal error
-(a failed invariant: a defect in quadareas, never a property of the input).
+usage error, a result too large to print, or an SVG coordinate past float
+range), 2 not attainable (member/witness), 3 oracle violations (sample),
+4 internal error (a failed invariant: a defect in quadareas, never a
+property of the input).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,23 +38,6 @@ def parse_tuple(text: str, require_positive: bool = False) -> tuple[Fraction, ..
             raise InvalidInputError(f"entry {i} must be positive")
         values.append(value)
     return tuple(values)
-
-
-def _parse_sequence(text: str, require_positive: bool = False) -> TailSummedSequence:
-    body, _, suffix = text.partition("|")
-    seq = TailSummedSequence(parse_tuple(body, require_positive), _parse_tail(suffix))
-    if require_positive:
-        seq.require_positive("sequence")
-    return seq
-
-
-def _parse_tail(suffix: str) -> Fraction:
-    suffix = suffix.strip()
-    if not suffix:
-        return Fraction(0)
-    if not suffix.startswith("tail="):
-        raise InvalidInputError("the tail suffix is written as '| tail=r'")
-    return to_fraction(suffix[len("tail="):])
 
 
 def _rationals(values) -> list[str]:
@@ -94,6 +79,11 @@ def _member_result(verdict: Verdict) -> dict:
 
 def _spec_from_args(args) -> DivisionSpec:
     return DivisionSpec(parse_tuple(args.p, True), parse_tuple(args.pp, True))
+
+
+def _sequences_from_args(args) -> tuple[TailSummedSequence, ...]:
+    """p, p_prime and x as tail-summed sequences; positivity is checked by the decision."""
+    return tuple(TailSummedSequence.parse(text) for text in (args.p, args.pp, args.x))
 
 
 def _has_tail(*texts: Optional[str]) -> bool:
@@ -208,8 +198,20 @@ def _report_text(report: SampleReport) -> str:
     return "\n".join(rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInputError, so they end in one ``error:`` line with exit 1;
+    an argument that starts with '-' and a digit is a value (``--x -1,2,3``), not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+    def error(self, message: str):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadareas",
         description="Exact attainable-area computations for divided convex quadrilaterals",
     )
@@ -285,10 +287,7 @@ def _run(args) -> int:
 
     if args.verb == "member":
         if _has_tail(args.p, args.pp, args.x):
-            p = _parse_sequence(args.p, True)
-            pp = _parse_sequence(args.pp, True)
-            x = _parse_sequence(args.x)
-            verdict = member_tail(p, pp, x, args.mode)
+            verdict = member_tail(*_sequences_from_args(args), args.mode)
         else:
             spec = _spec_from_args(args)
             x = parse_tuple(args.x)
@@ -356,9 +355,7 @@ def _run(args) -> int:
 
     if args.verb == "reduce":
         if _has_tail(args.p, args.pp, args.x):
-            p = _parse_sequence(args.p, True)
-            pp = _parse_sequence(args.pp, True)
-            x = _parse_sequence(args.x)
+            p, pp, x = _sequences_from_args(args)
             instance = collapse((p, pp), x, args.pivot, args.branch)
         else:
             spec = _spec_from_args(args)
@@ -382,13 +379,10 @@ def _run(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
+    except SystemExit:  # --help, the only way the parser exits
+        return 0
     except InternalError as err:
         print(f"error: internal error, invariant failed: {err}", file=sys.stderr)
         return 4

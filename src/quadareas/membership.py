@@ -6,8 +6,11 @@ span, so no hyperplane is evaluated (``cone.hyperplanes`` serves ``describe``
 and ``proportional_bounds`` only).  Both run on the spec's integer rows
 (``cone.integer_rows``, built once per spec): the three coefficients are
 normalised once, and each coordinate is compared in ``int`` with no gcd, so
-a spatial decision computes no tail cumulant and no frame.  The planar case
-and tail-summed decisions check ``Fraction`` combinations of the frame.
+a spatial decision computes no tail cumulant and no frame.  The tail-summed
+decision (``reduction.member_tail``) and the fold decider run on the same
+kernels: tail sums are one more row, checked like any coordinate, and each
+spatial fold is a pivot solve on its own rows.  Only planar decisions check
+``Fraction`` combinations (of the frame, or of vectors extended by tail sums).
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -159,11 +162,6 @@ def _coefficient_interval(
     return Interval(lo, hi) if lo < hi else None
 
 
-def _redecomposition_interval(fr: ConeFrame, x, a: Fraction, b: Fraction, arm: str):
-    arm_vec = fr.head if arm == "head" else fr.tail
-    return _coefficient_interval(fr.ab, fr.dc, arm_vec, x, a, b, arm == "head")
-
-
 def _coefficient_verdict(
     a: Fraction,
     b: Fraction,
@@ -223,26 +221,36 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     return sol if _spans(rows, sol, x) else None
 
 
-def _planar_verdict(fr: ConeFrame, x) -> Verdict:
-    n = fr.n
-    # the (first, last) minor of (head, tail) is provably nonzero
-    rows = [[fr.head[0], fr.tail[0]], [fr.head[n - 1], fr.tail[n - 1]]]
-    sol = solve2(rows, [x[0], x[n - 1]])
-    invariant(sol is not None, "the (first, last) minor of the cumulant vectors is nonzero")
+def _planar_verdict(
+    ab: Sequence[Fraction],
+    dc: Sequence[Fraction],
+    head: Sequence[Fraction],
+    tail: Sequence[Fraction],
+    x: Sequence[Fraction],
+    prefix_certified: bool = False,
+) -> Verdict:
+    """The planar verdict: x = a*head + b*tail with a, b > 0, checked at every coordinate.
+
+    The vectors may carry an extra virtual coordinate holding exact tail sums.
+    """
+    verdict = partial(Verdict, prefix_certified=prefix_certified)
+    pair = _independent_pair(head, tail)
+    invariant(pair is not None, "the cumulant vectors are never proportional")
+    i, j = pair
+    sol = solve2([[head[i], tail[i]], [head[j], tail[j]]], [x[i], x[j]])
+    invariant(sol is not None, "the independent cumulant pair gives a regular system")
     a, b = sol
-    if any(a * h + b * t != xi for h, t, xi in zip(fr.head, fr.tail, x)):
-        return Verdict(False, reason=REASON_OFF_SUBSPACE)
+    if any(a * h + b * t != xi for h, t, xi in zip(head, tail, x)):
+        return verdict(False, reason=REASON_OFF_SUBSPACE)
     if a > 0 and b > 0:
         cert = Certificate(
             "degenerate",
             (a, b),
-            q1_interval=_redecomposition_interval(fr, x, a, b, "head"),
-            q2_interval=_redecomposition_interval(fr, x, a, b, "tail"),
+            q1_interval=_coefficient_interval(ab, dc, head, x, a, b, True),
+            q2_interval=_coefficient_interval(ab, dc, tail, x, a, b, False),
         )
-        return Verdict(True, cert)
-    if a >= 0 and b >= 0:
-        return Verdict(False, reason=REASON_BOUNDARY)
-    return Verdict(False, reason=REASON_NEGATIVE)
+        return verdict(True, cert)
+    return verdict(False, reason=REASON_BOUNDARY if a >= 0 and b >= 0 else REASON_NEGATIVE)
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:
@@ -261,7 +269,8 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
         return Verdict(False, reason=REASON_NON_POSITIVE)
     label = classify(spec)
     if not label.spatial:
-        return _planar_verdict(frame(spec), x)
+        fr = frame(spec)
+        return _planar_verdict(fr.ab, fr.dc, fr.head, fr.tail, x)
     rows, total_ab, total_dc = integer_rows(spec)
     sol = _pivot_solution(rows, label.pivot, x)
     if sol is None:

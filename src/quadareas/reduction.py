@@ -12,28 +12,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .cone import _discriminant, _first_pivot, classify, cumulants, frame, integer_rows
+from .cone import _discriminant, classify, cumulants, integer_rows
 from .division import DivisionSpec, RationalLike, to_fraction, fraction_tuple
 from .errors import (
     DegenerateCollapseError,
     DegenerateDenominatorError,
     InvalidInputError,
     InvalidPivotError,
-    invariant,
 )
-from .linalg import solve2, solve3
+from .linalg import _scaled
 from .membership import (
-    Certificate,
     Mode,
     REASON_BOUNDARY,
     REASON_NEGATIVE,
     REASON_NON_POSITIVE,
     REASON_OFF_SUBSPACE,
     Verdict,
-    _coefficient_interval,
     _coefficient_verdict,
-    _independent_pair,
     _pivot_solution,
+    _planar_verdict,
     _spans,
 )
 
@@ -66,12 +63,11 @@ class TailSummedSequence:
 
     @classmethod
     def parse(cls, text: str) -> "TailSummedSequence":
-        """Parse the text format "a,b,c | tail=r" (the suffix is optional)."""
+        """Parse the text format "a,b,c | tail=r"; a missing or empty suffix means tail 0."""
         tail = Fraction(0)
-        body = text
-        if "|" in text:
-            body, _, suffix = text.partition("|")
-            suffix = suffix.strip()
+        body, _, suffix = text.partition("|")
+        suffix = suffix.strip()
+        if suffix:
             if not suffix.startswith("tail="):
                 raise InvalidInputError("the tail suffix is written as '| tail=r'")
             tail = to_fraction(suffix[len("tail="):])
@@ -212,14 +208,13 @@ def member_via_collapse(
     folded = {}
     for branch in ("q1", "q2"):
         instance = collapse(spec, x, pivot, branch)
-        if not classify(instance.spec3).spatial:
+        spec3, x3 = instance.spec3, instance.x3
+        if not classify(spec3).spatial:
             continue
-        fr3 = frame(instance.spec3)
-        arm = fr3.head if branch == "q1" else fr3.tail
-        rows = [[fr3.ab[i], fr3.dc[i], arm[i]] for i in range(3)]
-        sol = solve3(rows, list(instance.x3))
-        invariant(sol is not None, "a spatial fold gives a regular 3x3 system")
-        folded[branch] = sol
+        if branch == "q2":
+            # the tail arm of a triple is the reversed head arm of its reversal
+            spec3, x3 = spec3.reversed(), x3[::-1]
+        folded[branch] = _pivot_solution(integer_rows(spec3)[0], 2, x3)
 
     rows, total_ab, total_dc = integer_rows(spec)
     if "q1" in folded:
@@ -247,19 +242,6 @@ def planar_ratio_bounds(
     return tail[1] / tail[0], head[1] / head[0]
 
 
-def _verify_combination(
-    vectors: Sequence[Sequence[Fraction]],
-    tails: Sequence[Fraction],
-    coeffs: Sequence[Fraction],
-    x: TailSummedSequence,
-) -> bool:
-    for idx in range(x.m):
-        if sum((c * vec[idx] for c, vec in zip(coeffs, vectors)), Fraction(0)) != x.prefix[idx]:
-            return False
-    forced_tail = sum((c * t for c, t in zip(coeffs, tails)), Fraction(0))
-    return forced_tail == x.tail_sum
-
-
 def member_tail(
     p: TailSummedSequence,
     p_prime: TailSummedSequence,
@@ -277,8 +259,7 @@ def member_tail(
         raise InvalidInputError("all three sequences must share a prefix length")
     if p.m < 3:
         raise InvalidInputError("tail-summed decisions need a prefix of length at least 3")
-    p.require_positive("p")
-    p_prime.require_positive("p_prime")
+    spec = DivisionSpec(p.prefix, p_prime.prefix)
     if any(entry <= 0 for entry in x.prefix):
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
     ratios_finite = p.finite and p_prime.finite
@@ -288,55 +269,27 @@ def member_tail(
         # infinitely many strictly positive strips cannot sum to zero
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 
-    head, tail = tail_cumulants(p, p_prime)
+    # the tail sums enter as one more, virtual, coordinate
     head_tail, tail_tail = cumulant_tail_sums(p, p_prime)
-    pivot = _first_pivot(p.prefix, p_prime.prefix)
-
-    if pivot is None:
-        ext_head = list(head) + [head_tail]
-        ext_tail = list(tail) + [tail_tail]
-        ext_x = list(x.prefix) + [x.tail_sum]
-        pair = _independent_pair(ext_head, ext_tail)
-        invariant(pair is not None, "the cumulant vectors are never proportional")
-        i, j = pair
-        sol = solve2(
-            [[ext_head[i], ext_tail[i]], [ext_head[j], ext_tail[j]]], [ext_x[i], ext_x[j]]
+    ext_x = x.prefix + (x.tail_sum,)
+    label = classify(spec)
+    if not label.spatial:
+        head, tail = tail_cumulants(p, p_prime)
+        return _planar_verdict(
+            p.prefix + (p.tail_sum,),
+            p_prime.prefix + (p_prime.tail_sum,),
+            head + (head_tail,),
+            tail + (tail_tail,),
+            ext_x,
+            prefix_certified=True,
         )
-        invariant(sol is not None, "the independent cumulant pair gives a regular system")
-        a, b = sol
-        if not _verify_combination((head, tail), (head_tail, tail_tail), (a, b), x):
-            return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)
-        if a > 0 and b > 0:
-            # re-decomposition intervals over the prefix plus the virtual
-            # tail-sum coordinate, so inconsistent tails are caught too
-            ext_ab = list(p.prefix) + [p.tail_sum]
-            ext_dc = list(p_prime.prefix) + [p_prime.tail_sum]
-            cert = Certificate(
-                "degenerate",
-                (a, b),
-                q1_interval=_coefficient_interval(
-                    ext_ab, ext_dc, ext_head, ext_x, a, b, True
-                ),
-                q2_interval=_coefficient_interval(
-                    ext_ab, ext_dc, ext_tail, ext_x, a, b, False
-                ),
-            )
-            return Verdict(True, cert, prefix_certified=True)
-        reason = REASON_BOUNDARY if (a >= 0 and b >= 0) else REASON_NEGATIVE
-        return Verdict(False, reason=reason, prefix_certified=True)
-
-    cols = (pivot - 2, pivot - 1, pivot)
-    ab, dc = p.prefix, p_prime.prefix
-    rows = [[ab[cidx], dc[cidx], head[cidx]] for cidx in cols]
-    sol = solve3(rows, [x.prefix[cidx] for cidx in cols])
-    invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
-    a, b, c = sol
-    if not _verify_combination(
-        (ab, dc, head), (p.tail_sum, p_prime.tail_sum, head_tail), (a, b, c), x
-    ):
+    ints, den = _scaled((p.tail_sum, p_prime.tail_sum, head_tail))
+    rows = integer_rows(spec)[0] + ((*ints, den),)
+    sol = _pivot_solution(rows, label.pivot, ext_x)
+    if sol is None:
         return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)
     # the two bases are linked through head + tail = total(p')*ab + total(p)*dc
-    return _coefficient_verdict(a, b, c, p.total, p_prime.total, mode, prefix_certified=True)
+    return _coefficient_verdict(*sol, p.total, p_prime.total, mode, prefix_certified=True)
 
 
 def extend_solution(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadareas
-from quadareas import DivisionSpec, InternalError, InvalidInputError, member
+from quadareas import DivisionSpec, InternalError, InvalidInputError, TailSummedSequence, member, member_tail
 from quadareas.cli import main, parse_tuple
 
 
@@ -72,6 +72,12 @@ class TestMemberVerb:
         assert code == 0
         assert payload["attainable"] and payload["prefix_certified"]
         assert payload["coeffs"] == ["1", "1"]
+
+    def test_empty_tail_suffix_reads_as_tail_zero(self, capsys):
+        finite = run(capsys, "member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16")
+        code, out, _ = run(capsys, "member", "--p", "1,2,3 |", "--pp", "1,1,1", "--x", "3,8,16 |")
+        assert code == finite[0] == 0
+        assert json.loads(out) == {**json.loads(finite[1]), "prefix_certified": True}
 
     def test_input_error_exit_code(self, capsys):
         code, _, err = run(capsys, "member", "--p", "1,-2,3", "--pp", "1,1,1", "--x", "1,2,3")
@@ -217,7 +223,24 @@ class TestOtherVerbs:
         }
 
     def test_usage_error_exit_code(self, capsys):
-        assert main(["member", "--p", "1,1,1"]) == 1
+        # one error line, not a usage block
+        code, out, err = run(capsys, "member", "--p", "1,1,1")
+        assert code == 1 and out == ""
+        assert err == "error: the following arguments are required: --pp, --x\n"
+        code, out, err = run(capsys, "member", "--p", "1,1,1", "--pp", "1,1,1", "--x", "1,2,3", "--mode", "loose")
+        assert code == 1 and out == "" and err.startswith("error: argument --mode: invalid choice")
+        assert err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(capsys, "member", "--help")
+        assert code == 0 and out.startswith("usage: quadareas member") and err == ""
+
+    def test_value_starting_with_minus_and_a_digit_is_the_option_value(self, capsys):
+        code, out, _ = run(capsys, "member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "-1,2,3")
+        assert code == 2 and out == '{"attainable":false,"reason":"non-positive-entry"}\n'
+        assert run(capsys, "member", "--p", "1,2,3", "--pp", "1,1,1", "--x=-1,2,3")[:2] == (code, out)
+        code, out, err = run(capsys, "member", "--p", "-1,2,3", "--pp", "1,1,1", "--x", "1,2,3")
+        assert code == 1 and out == "" and err == "error: entry 1 must be positive\n"
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
@@ -234,22 +257,38 @@ class TestOtherVerbs:
         assert err.startswith("error: the result is too large to print") and err.count("\n") == 1
 
 
+TAILED = ("--p", "1,1/2,1/4 | tail=1/4", "--pp", "1,1/2,1/4 | tail=1/4", "--x", "4,2,1 | tail=1")
+SPATIAL_TAILED = ("--p", "1,2,3 | tail=1", "--pp", "1,1,1 | tail=1", "--x", "3,8,16 | tail=5")
+
+
 class TestInvariants:
     def test_failed_invariant_is_an_internal_error_with_exit_code_4(self, capsys, monkeypatch):
         monkeypatch.setattr(quadareas.membership, "solve3", lambda m, rhs: None)
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member(DivisionSpec.of((1, 2, 3), (1, 1, 1)), (F(3), F(8), F(16)))
-        code, out, err = run(capsys, "member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16")
-        assert code == 4 and out == ""
-        assert err == (
-            "error: internal error, invariant failed: "
-            "pivot solve is regular whenever the discriminant is nonzero\n"
-        )
+        p, pp, x = (TailSummedSequence.parse(text) for text in SPATIAL_TAILED[1::2])
+        with pytest.raises(InternalError, match="pivot solve is regular"):
+            member_tail(p, pp, x)
+        for argv in (("--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"), SPATIAL_TAILED):
+            code, out, err = run(capsys, "member", *argv)
+            assert code == 4 and out == ""
+            assert err == (
+                "error: internal error, invariant failed: "
+                "pivot solve is regular whenever the discriminant is nonzero\n"
+            )
 
-    @pytest.mark.parametrize("verb", ("member", "witness"))
-    def test_python_O_gives_the_same_bytes(self, verb):
+    @pytest.mark.parametrize("argv", (
+        pytest.param(("member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"), id="member"),
+        pytest.param(("witness", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"), id="witness"),
+        pytest.param(("member", *TAILED), id="member-tail"),
+        pytest.param(
+            ("reduce", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--x", "1,2,3,4", "--pivot", "2", "--branch", "q2"),
+            id="reduce",
+        ),
+    ))
+    def test_python_O_gives_the_same_bytes(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}
-        argv = ["-m", "quadareas.cli", verb, "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"]
+        argv = ["-m", "quadareas.cli", *argv]
         plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True)
         optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, check=True)
         assert plain.stdout and optimized.stdout == plain.stdout

@@ -5,31 +5,44 @@ Fraction forms (one normalisation per operation) they replaced, and every
 property requires identical Fractions.
 """
 from fractions import Fraction as F
+from functools import partial
 
 from hypothesis import assume, given, strategies as st
 
 from quadareas import (
+    Certificate,
     ConvexQuad,
     DegenerateCollapseError,
     DivisionSpec,
     NoValidContinuationError,
     Point,
+    TailSummedSequence,
     Verdict,
     apex_quad,
     classify,
+    collapse,
     continue_degenerate,
+    cumulant_tail_sums,
     cumulants,
     discriminants,
     frame,
     member,
+    member_tail,
     member_via_collapse,
     polygon_area,
     strip_areas,
     subdivide,
+    tail_cumulants,
 )
 from quadareas.cone import _first_pivot, integer_rows
 from quadareas.linalg import det3, solve2, solve3
-from quadareas.membership import _coefficient_verdict, _pivot_solution, _spans
+from quadareas.membership import (
+    _coefficient_interval,
+    _coefficient_verdict,
+    _independent_pair,
+    _pivot_solution,
+    _spans,
+)
 
 
 # ---- references -------------------------------------------------------------
@@ -107,6 +120,83 @@ def ref_member(spec, x, mode):
     return _coefficient_verdict(*sol, sum(spec.p), sum(spec.p_prime), mode)
 
 
+def ref_fold_solutions(spec, x, pivot):
+    """The fold solve as it was: the frame of each spatial fold, its arm, a Fraction 3x3 solve."""
+    folded = {}
+    for branch in ("q1", "q2"):
+        instance = collapse(spec, x, pivot, branch)
+        if classify(instance.spec3).spatial:
+            fr3 = frame(instance.spec3)
+            arm = fr3.head if branch == "q1" else fr3.tail
+            rows = [[fr3.ab[i], fr3.dc[i], arm[i]] for i in range(3)]
+            folded[branch] = ref_solve3(rows, list(instance.x3))
+    return folded
+
+
+def ref_member_via_collapse(spec, x, pivot, mode):
+    if any(v <= 0 for v in x):
+        return Verdict(False, reason="non-positive-entry")
+    folded = ref_fold_solutions(spec, x, pivot)
+    total_ab, total_dc = sum(spec.p), sum(spec.p_prime)
+    if "q1" in folded:
+        a, b, c = folded["q1"]
+    elif "q2" in folded:
+        a2, b2, c2 = folded["q2"]
+        a, b, c = a2 + c2 * total_dc, b2 + c2 * total_ab, -c2
+    elif ref_pivot_solution(spec, pivot, x) is None:
+        return Verdict(False, reason="off-subspace")
+    else:
+        raise DegenerateCollapseError("both folds are planar")
+    if ref_combine(frame(spec), a, b, c) != x:
+        return Verdict(False, reason="off-subspace")
+    return _coefficient_verdict(a, b, c, total_ab, total_dc, mode)
+
+
+def ref_verify_combination(vectors, tails, coeffs, x):
+    """Every prefix coordinate, then the tail sum the combination forces."""
+    for idx in range(x.m):
+        if sum((c * vec[idx] for c, vec in zip(coeffs, vectors)), F(0)) != x.prefix[idx]:
+            return False
+    return sum((c * t for c, t in zip(coeffs, tails)), F(0)) == x.tail_sum
+
+
+def ref_member_tail(p, p_prime, x, mode):
+    """member_tail as it was: a Fraction pivot solve, or the planar block on an independent pair."""
+    verdict = partial(Verdict, prefix_certified=True)
+    if any(entry <= 0 for entry in x.prefix):
+        return verdict(False, reason="non-positive-entry")
+    ratios_finite = p.finite and p_prime.finite
+    if ratios_finite and x.tail_sum != 0:
+        return verdict(False, reason="off-subspace")
+    if not ratios_finite and x.tail_sum == 0:
+        return verdict(False, reason="non-positive-entry")
+    head, tail = tail_cumulants(p, p_prime)
+    head_tail, tail_tail = cumulant_tail_sums(p, p_prime)
+    pivot = ref_first_pivot(p.prefix, p_prime.prefix)
+    if pivot is None:
+        ext_head, ext_tail = head + (head_tail,), tail + (tail_tail,)
+        ext_x = x.prefix + (x.tail_sum,)
+        i, j = _independent_pair(ext_head, ext_tail)
+        a, b = ref_solve2([[ext_head[i], ext_tail[i]], [ext_head[j], ext_tail[j]]], [ext_x[i], ext_x[j]])
+        if not ref_verify_combination((head, tail), (head_tail, tail_tail), (a, b), x):
+            return verdict(False, reason="off-subspace")
+        if a > 0 and b > 0:
+            ext_ab, ext_dc = p.prefix + (p.tail_sum,), p_prime.prefix + (p_prime.tail_sum,)
+            return verdict(True, Certificate(
+                "degenerate",
+                (a, b),
+                _coefficient_interval(ext_ab, ext_dc, ext_head, ext_x, a, b, True),
+                _coefficient_interval(ext_ab, ext_dc, ext_tail, ext_x, a, b, False),
+            ))
+        return verdict(False, reason="boundary" if a >= 0 and b >= 0 else "negative-coefficient")
+    ab, dc = p.prefix, p_prime.prefix
+    cols = (pivot - 2, pivot - 1, pivot)
+    a, b, c = ref_solve3([[ab[k], dc[k], head[k]] for k in cols], [x.prefix[k] for k in cols])
+    if not ref_verify_combination((ab, dc, head), (p.tail_sum, p_prime.tail_sum, head_tail), (a, b, c), x):
+        return verdict(False, reason="off-subspace")
+    return _coefficient_verdict(a, b, c, p.total, p_prime.total, mode, prefix_certified=True)
+
+
 def ref_subdivide(q, spec):
     def cumulative(ratios):
         sums = [F(0)]
@@ -182,6 +272,25 @@ def spatial_queries(draw):
     a, b, c = draw(ratios()), draw(ratios()), draw(ratios(signed=True))
     x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
     return spec, x, draw(ratios(signed=True))
+
+
+@st.composite
+def tail_queries(draw):
+    """Ratio sequences over a drawn spec with zero or nonzero tail sums, and x extended by its
+    tail sum: a combination on the face, head, tail or planar basis of the extended vectors."""
+    spec = draw(specs(min_n=3))
+    tails = draw(st.sampled_from(("zero", "both", "p only")))
+    p = TailSummedSequence(spec.p, F(0) if tails == "zero" else draw(ratios()))
+    q = TailSummedSequence(spec.p_prime, draw(ratios()) if tails == "both" else F(0))
+    head, tail = tail_cumulants(p, q)
+    head_tail, tail_tail = cumulant_tail_sums(p, q)
+    ab, dc = p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,)
+    head, tail = head + (head_tail,), tail + (tail_tail,)
+    a, b, c = draw(ratios()), draw(ratios()), draw(ratios(signed=True))
+    u, v, w = draw(st.sampled_from(((ab, dc, head), (ab, dc, tail), (ab, dc, (F(0),) * len(ab)),
+                                    (head, tail, (F(0),) * len(ab)))))
+    x = tuple(a * e + b * f + c * g for e, f, g in zip(u, v, w))
+    return p, q, x, draw(ratios(signed=True))
 
 
 def bumped(x, k, delta):
@@ -315,3 +424,33 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
                 assert member_via_collapse(spec, y, pivot, mode) == expected
             except DegenerateCollapseError:
                 assert ref_pivot_solution(spec, pivot, y) is not None
+
+
+@given(tail_queries())
+def test_member_tail_matches_the_fraction_reference(query):
+    p, q, x, delta = query
+    for y in (x, *(bumped(x, k, delta) for k in range(len(x)))):
+        xs = TailSummedSequence(y[:-1], abs(y[-1]))
+        for mode in ("strict", "audited"):
+            assert member_tail(p, q, xs, mode) == ref_member_tail(p, q, xs, mode)
+
+
+@given(spatial_queries(), st.sampled_from(("strict", "audited")), st.data())
+def test_every_fold_matches_the_frame_based_reference(query, mode, data):
+    spec, x, delta = query
+    pivot = data.draw(st.sampled_from([j + 2 for j, d in enumerate(discriminants(spec)) if d != 0]))
+    for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
+        folds = ref_fold_solutions(spec, y, pivot)
+        if "q2" in folds:
+            # the tail arm of a triple is the reversed head arm of its reversal
+            instance = collapse(spec, y, pivot, "q2")
+            rows = integer_rows(instance.spec3.reversed())[0]
+            assert _pivot_solution(rows, 2, instance.x3[::-1]) == folds["q2"]
+        try:
+            expected = ref_member_via_collapse(spec, y, pivot, mode)
+        except DegenerateCollapseError:
+            expected = DegenerateCollapseError
+        try:
+            assert member_via_collapse(spec, y, pivot, mode) == expected
+        except DegenerateCollapseError:
+            assert expected is DegenerateCollapseError

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +11,11 @@ from quadareas import (
     DivisionSpec,
     InvalidInputError,
     InvalidPivotError,
+    NoValidContinuationError,
     TailSummedSequence,
     classify,
     collapse,
+    continue_degenerate,
     cumulant_tail_sums,
     discriminants,
     extend_solution,
@@ -30,6 +33,24 @@ GEO = TailSummedSequence.of((1, F(1, 2), F(1, 4)), F(1, 4))
 UNIT3 = TailSummedSequence.of((1, 1, 1))
 
 
+def random_spec(rng, kind, n):
+    """A spatial, planar-proportional or planar-skew spec with grid entries k/8."""
+    p = [F(rng.randint(1, 64), 8) for _ in range(n)]
+    if kind == "proportional":
+        return DivisionSpec(tuple(p), tuple(F(3, 2) * v for v in p))
+    q = [F(rng.randint(1, 64), 8) for _ in range(n)]
+    if kind == "skew":
+        q[1] += q[0] * p[1] / p[0]
+        for i in range(2, n):
+            while True:  # a smaller next ratio always continues the zero discriminants
+                try:
+                    p[i] = continue_degenerate(p[:i], q[:i], q[i])
+                    break
+                except NoValidContinuationError:
+                    q[i] /= 2
+    return DivisionSpec(tuple(p), tuple(q))
+
+
 def seq_combo(p, pp, a, b):
     """A tail-summed sequence a*head + b*tail for the given ratio sequences."""
     head, tail = tail_cumulants(p, pp)
@@ -44,6 +65,10 @@ class TestTailSummedSequence:
         assert seq.prefix == (F(1), F(1, 2)) and seq.tail_sum == F(1, 2)
         assert TailSummedSequence.parse(seq.text()) == seq
         assert TailSummedSequence.parse("1,2,3").tail_sum == 0
+
+    def test_empty_suffix_means_tail_zero(self):
+        assert TailSummedSequence.parse("1,2 |") == TailSummedSequence.parse("1,2") == TailSummedSequence.of((1, 2))
+        assert TailSummedSequence.parse("1,2 |  ").tail_sum == 0
 
     def test_negative_tail_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -240,21 +265,22 @@ class TestFoldEquivalence:
 
 class TestMemberTail:
     def test_finite_embed_matches_member(self):
+        # with zero tail sums member_tail is member, flagged prefix-certified
         rng = random.Random(21)
-        spec = DivisionSpec.of((1, 1, 1), (1, 1, 1))
-        for _ in range(100):
-            x = tuple(F(rng.randint(1, 40), 8) for _ in range(3))
-            direct = member(spec, x)
-            tailed = member_tail(
-                TailSummedSequence.of((1, 1, 1)),
-                TailSummedSequence.of((1, 1, 1)),
-                TailSummedSequence(x),
-            )
-            assert tailed.attainable == direct.attainable
-            assert tailed.reason == direct.reason
-            if direct.attainable:
-                assert tailed.certificate.coeffs == direct.certificate.coeffs
-            assert tailed.prefix_certified
+        for kind in ("spatial", "proportional", "skew"):
+            for n in range(3, 13):
+                spec = random_spec(rng, kind, n)
+                assert classify(spec).kind == ("spatial" if kind == "spatial" else f"planar-{kind}")
+                fr = frame(spec)
+                p, pp = TailSummedSequence(spec.p), TailSummedSequence(spec.p_prime)
+                for arm in (fr.head, fr.tail, fr.parallel):
+                    a, b, c = (F(rng.randint(-8, 40), 8) for _ in range(3))
+                    combo = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
+                    for x in (combo, combo[:-1] + (combo[-1] + 1,)):
+                        for mode in ("strict", "audited"):
+                            tailed = member_tail(p, pp, TailSummedSequence(x), mode)
+                            assert tailed.prefix_certified
+                            assert replace(tailed, prefix_certified=False) == member(spec, x, mode)
 
     def test_geometric_bounds(self):
         p = TailSummedSequence.of((1, F(1, 2)), F(1, 2))
