@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .division import DivisionSpec, fraction_tuple, to_fraction
 from .errors import InvalidInputError, NoValidContinuationError, invariant
-from .linalg import _scaled, inverse3
+from .linalg import _cofactors, _scaled
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,10 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     """Linearly independent hyperplanes cutting out the span of the attainable set.
 
     Spatial case: n-3 planes, one per coordinate away from the pivot triple,
-    each supported on that coordinate plus the pivot triple, built by solving
-    the 3x3 system that makes the plane contain both ratio vectors and the
-    head-cumulant vector.  Planar case: n-2 planes supported on consecutive
-    coordinate triples.
+    each supported on that coordinate plus the pivot triple and containing
+    both ratio vectors and the head-cumulant vector, read in ``int`` from the
+    adjugate of the integer pivot block.  Planar case: n-2 planes supported on
+    consecutive coordinate triples.
     """
     n = spec.n
     if n < 3:
@@ -185,24 +185,26 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     p, q = spec.p, spec.p_prime
     planes: list[tuple[int, ...]] = []
     if label.spatial:
-        k = label.pivot
-        fr = frame(spec)
-        cols = (k - 2, k - 1, k)  # 0-based pivot triple
-        rows = [
-            [p[c] for c in cols],
-            [q[c] for c in cols],
-            [fr.head[c] for c in cols],
-        ]
-        inv = inverse3(rows)
-        invariant(inv is not None, "pivot system is singular despite nonzero discriminant")
-        for i in range(n):
+        rows = integer_rows(spec)[0]
+        cols = (label.pivot - 2, label.pivot - 1, label.pivot)  # 0-based pivot triple
+        # the plane at i is L_i*det(N)*x_i - sum over pivot columns c of L_c*(adj(N) R_i)_c*x_c,
+        # with N the pivot block whose columns are the rows R_c = (P_c, Q_c, H_c)
+        block = [rows[c][:3] for c in cols]
+        adj = _cofactors(block)  # the cofactors of N's transpose are the adjugate of N
+        det = sum(e * f for e, f in zip(block[0], adj[0]))
+        invariant(det != 0, "pivot system is singular despite nonzero discriminant")
+        sign = 1 if det > 0 else -1
+        for i, (p_i, q_i, h_i, l_i) in enumerate(rows):
             if i in cols:
                 continue
-            coeffs = {i: Fraction(1)}
-            # the pivot coefficients solve rows @ y = -(p[i], q[i], head[i])
-            for c, row in zip(cols, inv):
-                coeffs[c] = -(row[0] * p[i] + row[1] * q[i] + row[2] * fr.head[i])
-            planes.append(_normalize_plane(n, coeffs))
+            coeffs = [l_i * abs(det)] + [
+                -sign * rows[c][3] * (a[0] * p_i + a[1] * q_i + a[2] * h_i) for c, a in zip(cols, adj)
+            ]
+            g = gcd(*coeffs)
+            plane = [0] * n
+            for c, v in zip((i, *cols), coeffs):
+                plane[c] = v // g
+            planes.append(tuple(plane))
     else:
         for j in range(1, n - 1):
             coeffs = {}

@@ -10,7 +10,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -19,8 +18,6 @@ from typing import Sequence
 from .division import DivisionSpec, RationalLike, to_fraction
 from .errors import InconsistentQuadError, InvalidInputError, invariant
 from .linalg import _scaled
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ class ConvexQuad:
         if is_convex_ccw(a, b, c, d):
             return cls(a, b, c, d)
         if is_convex_ccw(a, d, c, b):
-            log.info("clockwise quadrilateral input; swapped B and D to restore orientation")
             return cls(a, d, c, b)
         raise InvalidInputError("vertices do not form a strictly convex quadrilateral")
 

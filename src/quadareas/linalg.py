@@ -1,4 +1,4 @@
-"""Tiny exact linear algebra over Fractions: 2x2 and 3x3 solves, determinants, 3x3 inverse.
+"""Tiny exact linear algebra over Fractions: 2x2 and 3x3 solves.
 
 The solves apply Cramer's rule to integer rows, each scaled by its own lcm of
 denominators, and normalise once per unknown.
@@ -23,14 +23,6 @@ def _cofactors(m: Sequence[Sequence]) -> list[list]:
              for j in range(3)] for i in range(3)]
 
 
-def det3(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def solve2(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve a 2x2 system by Cramer's rule; None when singular."""
     (a, b, e), (c, d, f) = (_scaled((*row, r))[0] for row, r in zip(m, rhs))
@@ -50,11 +42,3 @@ def solve3(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     # replacing column j by the right-hand side gives the determinant sum_i rhs_i * cof[i][j]
     return tuple(Fraction(sum(rows[i][3] * cof[i][j] for i in range(3)), det) for j in range(3))
 
-
-def inverse3(m: Sequence[Sequence[Fraction]]):
-    """The inverse of a 3x3 matrix, its adjugate (transposed cofactors) over det; None when singular."""
-    d = det3(m)
-    if d == 0:
-        return None
-    cof = _cofactors(m)
-    return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))

@@ -9,8 +9,9 @@ normalised once, and each coordinate is compared in ``int`` with no gcd, so
 a spatial decision computes no tail cumulant and no frame.  The tail-summed
 decision (``reduction.member_tail``) and the fold decider run on the same
 kernels: tail sums are one more row, checked like any coordinate, and each
-spatial fold is a pivot solve on its own rows.  Only planar decisions check
-``Fraction`` combinations (of the frame, or of vectors extended by tail sums).
+fold is a solve on sums of the spec's rows.  A planar decision solves for the
+cumulant coefficients at the first two coordinates and checks them with the
+same componentwise check, so it computes no frame either.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Literal, Optional, Sequence
 
-from .cone import ConeFrame, classify, frame, hyperplanes, integer_rows
+from .cone import classify, hyperplanes, integer_rows
 from .division import DivisionSpec, fraction_tuple
 from .errors import InvalidInputError, invariant
 from .linalg import _scaled, solve2, solve3
@@ -96,56 +97,32 @@ class Verdict:
     prefix_certified: bool = False
 
 
-def _independent_pair(u: Sequence[Fraction], v: Sequence[Fraction]):
-    """Two coordinate indices where (u, v) has a nonzero 2x2 minor, or None."""
-    for j in range(1, len(u)):
-        if u[0] * v[j] != u[j] * v[0]:
-            return (0, j)
-    return None
-
-
-def _face_solution(fr: ConeFrame, x: Sequence[Fraction]):
-    """(a, b) with x = a*ab + b*dc exactly, or None."""
-    pair = _independent_pair(fr.ab, fr.dc)
-    if pair is None:
-        # proportional ratio vectors: x must be a positive multiple of ab + dc
-        direction = fr.parallel
-        t = x[0] / direction[0]
-        if all(t * d == xi for d, xi in zip(direction, x)):
-            return (t, t)
-        return None
-    i, j = pair
-    sol = solve2([[fr.ab[i], fr.dc[i]], [fr.ab[j], fr.dc[j]]], [x[i], x[j]])
-    invariant(sol is not None, "the independent ratio pair gives a regular face system")
-    a, b = sol
-    if all(a * u + b * v == xi for u, v, xi in zip(fr.ab, fr.dc, x)):
-        return (a, b)
-    return None
+def _face_solution(rows: Sequence[tuple[int, int, int, int]], x: tuple[Fraction, ...], proportional: bool):
+    """(a, b) with x = a*ab + b*dc exactly, or None; rows are the integer rows of a planar spec."""
+    if proportional:
+        # proportional ratio vectors: x must be a multiple of ab + dc
+        p0, q0, _, l0 = rows[0]
+        t = l0 * x[0] / (p0 + q0)
+        sol = (t, t)
+    else:
+        # a planar spec whose first two ratio pairs are proportional is proportional throughout
+        sol = solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
+        invariant(sol is not None, "the independent ratio pair gives a regular face system")
+    return sol if _spans(rows, (*sol, 0), x) else None
 
 
 def _coefficient_interval(
-    ab: Sequence[Fraction],
-    dc: Sequence[Fraction],
-    arm_vec: Sequence[Fraction],
-    x: Sequence[Fraction],
-    a: Fraction,
-    b: Fraction,
-    arm_is_head: bool,
+    face: Sequence[Sequence[int]], base_rhs: Sequence[Fraction], arm_rhs: Sequence[Fraction]
 ):
-    """Feasible cumulant coefficients for x = A*ab + B*dc + c*arm with A, B, c > 0.
+    """Feasible cumulant coefficients c for x = A*ab + B*dc + c*arm with A, B, c > 0.
 
-    Only meaningful in the planar case, where (a, b) is the canonical
-    decomposition of x on (head, tail).  The vectors may carry an extra
-    virtual coordinate holding exact tail sums.  Returns an Interval or None.
+    Only meaningful in the planar case, for skew ratio vectors.  face holds ab
+    and dc at two coordinates where they are independent, and base_rhs and
+    arm_rhs hold x and the arm there, each row scaled by its L.  Returns an
+    Interval or None.
     """
-    pair = _independent_pair(ab, dc)
-    if pair is None:
-        # proportional: x = g*(ab-direction) + c*arm with g, c pinned uniquely
-        c = a - b if arm_is_head else b - a
-        return Interval(c, c) if c > 0 else None
-    i, j = pair
-    base = solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [x[i], x[j]])
-    slope = solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [arm_vec[i], arm_vec[j]])
+    base = solve2(face, base_rhs)
+    slope = solve2(face, arm_rhs)
     invariant(base is not None and slope is not None, "the independent ratio pair gives a regular system")
     lo = Fraction(0)
     hi: Optional[Fraction] = None
@@ -222,35 +199,47 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
 
 
 def _planar_verdict(
-    ab: Sequence[Fraction],
-    dc: Sequence[Fraction],
-    head: Sequence[Fraction],
-    tail: Sequence[Fraction],
-    x: Sequence[Fraction],
+    rows: Sequence[tuple[int, int, int, int]],
+    total_ab: Fraction,
+    total_dc: Fraction,
+    proportional: bool,
+    x: tuple[Fraction, ...],
     prefix_certified: bool = False,
 ) -> Verdict:
     """The planar verdict: x = a*head + b*tail with a, b > 0, checked at every coordinate.
 
-    The vectors may carry an extra virtual coordinate holding exact tail sums.
+    tail = total_dc*ab + total_ab*dc - head, so L_i*tail_i is read from row i
+    and a*head + b*tail is the span combination (b*total_dc, b*total_ab, a - b).
+    The cumulant vectors are independent at the first two coordinates: their
+    2x2 minor there is strictly negative.  proportional says whether ab and dc
+    are proportional over all rows, which may end in a row of exact tail sums.
     """
     verdict = partial(Verdict, prefix_certified=prefix_certified)
-    pair = _independent_pair(head, tail)
-    invariant(pair is not None, "the cumulant vectors are never proportional")
-    i, j = pair
-    sol = solve2([[head[i], tail[i]], [head[j], tail[j]]], [x[i], x[j]])
-    invariant(sol is not None, "the independent cumulant pair gives a regular system")
+
+    def arms(i: int) -> tuple[int, Fraction]:
+        """L_i*head_i and L_i*tail_i."""
+        p, q, h, _ = rows[i]
+        return h, total_dc * p + total_ab * q - h
+
+    scaled_x = [rows[i][3] * x[i] for i in (0, 1)]
+    sol = solve2([arms(0), arms(1)], scaled_x)
+    invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
     a, b = sol
-    if any(a * h + b * t != xi for h, t, xi in zip(head, tail, x)):
+    if not _spans(rows, (b * total_dc, b * total_ab, a - b), x):
         return verdict(False, reason=REASON_OFF_SUBSPACE)
-    if a > 0 and b > 0:
-        cert = Certificate(
-            "degenerate",
-            (a, b),
-            q1_interval=_coefficient_interval(ab, dc, head, x, a, b, True),
-            q2_interval=_coefficient_interval(ab, dc, tail, x, a, b, False),
-        )
-        return verdict(True, cert)
-    return verdict(False, reason=REASON_BOUNDARY if a >= 0 and b >= 0 else REASON_NEGATIVE)
+    if not (a > 0 and b > 0):
+        return verdict(False, reason=REASON_BOUNDARY if a >= 0 and b >= 0 else REASON_NEGATIVE)
+    if proportional:
+        # x = g*(ab-direction) + c*arm pins c uniquely: a - b on the head, b - a on the tail
+        intervals = [Interval(c, c) if c > 0 else None for c in (a - b, b - a)]
+    else:
+        # row 1, unless a proportional prefix is made skew by its row of tail sums only
+        p0, q0 = rows[0][:2]
+        j = next(j for j in range(1, len(rows)) if p0 * rows[j][1] != rows[j][0] * q0)
+        face = [rows[0][:2], rows[j][:2]]
+        base_rhs = [scaled_x[0], rows[j][3] * x[j]]
+        intervals = [_coefficient_interval(face, base_rhs, arm) for arm in zip(arms(0), arms(j))]
+    return verdict(True, Certificate("degenerate", (a, b), *intervals))
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:
@@ -268,10 +257,9 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     if any(entry <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
     label = classify(spec)
-    if not label.spatial:
-        fr = frame(spec)
-        return _planar_verdict(fr.ab, fr.dc, fr.head, fr.tail, x)
     rows, total_ab, total_dc = integer_rows(spec)
+    if not label.spatial:
+        return _planar_verdict(rows, total_ab, total_dc, label.proportional, x)
     sol = _pivot_solution(rows, label.pivot, x)
     if sol is None:
         return Verdict(False, reason=REASON_OFF_SUBSPACE)

@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     InvalidPivotError,
 )
-from .linalg import _scaled
+from .linalg import _scaled, solve3
 from .membership import (
     Mode,
     REASON_BOUNDARY,
@@ -134,6 +134,15 @@ def cumulant_tail_sums(
     return head_total - pm * qm, p.tail_sum * p_prime.tail_sum
 
 
+def _check_pivot(p: Sequence[Fraction], q: Sequence[Fraction], pivot: int) -> None:
+    """Refuse a pivot outside 2..m-1 or with a zero discriminant."""
+    m = len(p)
+    if not 2 <= pivot <= m - 1:
+        raise InvalidPivotError(f"pivot {pivot} outside the usable range 2..{m - 1}")
+    if _discriminant(p, q, pivot - 1)[0] == 0:
+        raise InvalidPivotError(f"pivot {pivot} has a zero discriminant")
+
+
 @dataclass(frozen=True)
 class CollapsedInstance:
     """A three-coordinate instance equivalent to a long one at a usable pivot."""
@@ -158,10 +167,7 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
         raise InvalidInputError("x must share the prefix length of the ratio sequences")
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
-    if not 2 <= pivot <= m - 1:
-        raise InvalidPivotError(f"pivot {pivot} outside the usable range 2..{m - 1}")
-    if _discriminant(p.prefix, q.prefix, pivot - 1)[0] == 0:
-        raise InvalidPivotError(f"pivot {pivot} has a zero discriminant")
+    _check_pivot(p.prefix, q.prefix, pivot)
     k = pivot - 1  # 0-based
     if branch == "q1":
         spec3 = DivisionSpec(
@@ -187,51 +193,51 @@ def member_via_collapse(
 ) -> Verdict:
     """Decide a finite spatial instance through its three-coordinate folds.
 
-    A fold is injective on the relevant span only when the folded triple is
-    itself spatial; a planar fold can cancel a negative coordinate against
-    later positive ones and is never trusted.  One injective fold suffices:
-    the other basis follows exactly from head + tail = total(dc)*ab +
-    total(ab)*dc.  The recovered coefficients are checked against every
-    coordinate of the frame, which rejects a tuple off the span.  Only a
-    pivot whose folds are both planar is refused, and only for a tuple on
-    the span.
+    A fold sums coordinates, so its system is a sum of the spec's integer
+    rows, solved in the head basis: the q1 fold sums the rows before the
+    pivot (their head entries telescope to P*Q, the products of the ratio
+    sums there), the q2 fold the rows after it (their head entries sum to
+    total(ab)*total(dc) minus P*Q up to the pivot).  A fold is injective on
+    the relevant span exactly when its system is regular; a singular fold can
+    cancel a negative coordinate against later positive ones and is never
+    trusted.  One injective fold suffices: the q1 fold is tried first.  The
+    recovered coefficients are checked against every coordinate, which
+    rejects a tuple off the span.  Only a pivot whose folds are both singular
+    is refused, and only for a tuple on the span.
     """
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
     x = fraction_tuple(x)
     if any(entry <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
-    label = classify(spec)
-    if not label.spatial:
+    if not classify(spec).spatial:
         raise InvalidInputError("folding applies to spatial specs only")
-
-    folded = {}
-    for branch in ("q1", "q2"):
-        instance = collapse(spec, x, pivot, branch)
-        spec3, x3 = instance.spec3, instance.x3
-        if not classify(spec3).spatial:
-            continue
-        if branch == "q2":
-            # the tail arm of a triple is the reversed head arm of its reversal
-            spec3, x3 = spec3.reversed(), x3[::-1]
-        folded[branch] = _pivot_solution(integer_rows(spec3)[0], 2, x3)
+    _check_pivot(spec.p, spec.p_prime, pivot)
 
     rows, total_ab, total_dc = integer_rows(spec)
-    if "q1" in folded:
-        a, b, c = folded["q1"]
-    elif "q2" in folded:
-        a2, b2, c2 = folded["q2"]
-        a, b, c = a2 + c2 * total_dc, b2 + c2 * total_ab, -c2
-    else:
+    k = pivot - 1  # 0-based
+    # each row of a system is (P, Q, H) with right-hand side L*x, or a summed row and summed x
+    sp, sq = sum(spec.p[:k], Fraction(0)), sum(spec.p_prime[:k], Fraction(0))
+    sol = solve3(
+        [(sp, sq, sp * sq), rows[k][:3], rows[k + 1][:3]],
+        [sum(x[:k], Fraction(0)), rows[k][3] * x[k], rows[k + 1][3] * x[k + 1]],
+    )
+    if sol is None:
+        sp, sq = sp + spec.p[k], sq + spec.p_prime[k]
+        sol = solve3(
+            [rows[k - 1][:3], rows[k][:3], (total_ab - sp, total_dc - sq, total_ab * total_dc - sp * sq)],
+            [rows[k - 1][3] * x[k - 1], rows[k][3] * x[k], sum(x[k + 1:], Fraction(0))],
+        )
+    if sol is None:
         # no fold is injective: solve x at the pivot directly, refuse it only on the span
         if _pivot_solution(rows, pivot, x) is None:
             return Verdict(False, reason=REASON_OFF_SUBSPACE)
         raise DegenerateCollapseError(
             f"both folds at pivot {pivot} are planar; use another pivot"
         )
-    if not _spans(rows, (a, b, c), x):
+    if not _spans(rows, sol, x):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    return _coefficient_verdict(a, b, c, total_ab, total_dc, mode)
+    return _coefficient_verdict(*sol, total_ab, total_dc, mode)
 
 
 def planar_ratio_bounds(
@@ -270,21 +276,17 @@ def member_tail(
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 
     # the tail sums enter as one more, virtual, coordinate
-    head_tail, tail_tail = cumulant_tail_sums(p, p_prime)
+    head_tail, _ = cumulant_tail_sums(p, p_prime)
+    ints, den = _scaled((p.tail_sum, p_prime.tail_sum, head_tail))
+    rows = integer_rows(spec)[0] + ((*ints, den),)
     ext_x = x.prefix + (x.tail_sum,)
     label = classify(spec)
     if not label.spatial:
-        head, tail = tail_cumulants(p, p_prime)
-        return _planar_verdict(
-            p.prefix + (p.tail_sum,),
-            p_prime.prefix + (p_prime.tail_sum,),
-            head + (head_tail,),
-            tail + (tail_tail,),
-            ext_x,
-            prefix_certified=True,
+        # the extended ratio vectors stay proportional only with tail sums in the prefix's ratio
+        proportional = label.proportional and (
+            p.tail_sum * p_prime.prefix[0] == p_prime.tail_sum * p.prefix[0]
         )
-    ints, den = _scaled((p.tail_sum, p_prime.tail_sum, head_tail))
-    rows = integer_rows(spec)[0] + ((*ints, den),)
+        return _planar_verdict(rows, p.total, p_prime.total, proportional, ext_x, prefix_certified=True)
     sol = _pivot_solution(rows, label.pivot, ext_x)
     if sol is None:
         return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import ConeFrame, frame
-from .division import DivisionSpec
+from .cone import ConeFrame, classify, frame, integer_rows
+from .division import DivisionSpec, fraction_tuple
 from .errors import InvalidInputError, NotAttainableError, invariant
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
 from .linalg import solve2
-from .membership import Certificate, Interval, Mode, member, _face_solution, _independent_pair
+from .membership import Certificate, Interval, Mode, member, _face_solution
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,17 @@ def _split_face_coefficient(fr: ConeFrame, g: Fraction) -> tuple[Fraction, Fract
     return g / 2, g / (2 * lam)
 
 
-def _apex_parameters(fr: ConeFrame, x, interval: Interval, arm: str):
+def _apex_parameters(fr: ConeFrame, x, interval: Interval, arm: str, proportional: bool):
     """Resolve a planar re-decomposition at the canonical interior coefficient."""
     c = interval.lo if interval.is_point else interval.midpoint
     arm_vec = fr.head if arm == "head" else fr.tail
     residual = tuple(xi - c * w for xi, w in zip(x, arm_vec))
-    pair = _independent_pair(fr.ab, fr.dc)
-    if pair is None:
+    if proportional:
         g = residual[0] / fr.ab[0]
         a, b = _split_face_coefficient(fr, g)
     else:
-        i, j = pair
-        sol = solve2([[fr.ab[i], fr.dc[i]], [fr.ab[j], fr.dc[j]]], [residual[i], residual[j]])
+        # a planar spec whose first two ratio pairs are proportional is proportional throughout
+        sol = solve2([[fr.ab[0], fr.dc[0]], [fr.ab[1], fr.dc[1]]], [residual[0], residual[1]])
         invariant(sol is not None, "the independent ratio pair gives a regular face system")
         a, b = sol
     invariant(a > 0 and b > 0 and c > 0, "the canonical re-decomposition is strictly positive")
@@ -116,7 +115,7 @@ def synthesize_witness(
     if not verdict.attainable:
         raise NotAttainableError(verdict.reason)
     cert = verdict.certificate
-    x = tuple(x)
+    x = fraction_tuple(x)
 
     if cert.branch in ("q1", "q2"):
         a, b, c = cert.coeffs
@@ -132,17 +131,18 @@ def synthesize_witness(
         construction = "trapezoid-l0"
     else:
         fr = frame(spec)
-        face = _face_solution(fr, x)
+        proportional = classify(spec).proportional
+        face = _face_solution(integer_rows(spec)[0], x, proportional)
         if face is not None and face[0] > 0 and face[1] > 0:
             quad = _trapezoid(spec, *face)
             construction = "trapezoid-l0" if face[0] == face[1] else "trapezoid"
         elif cert.q1_interval is not None:
-            a, b, c = _apex_parameters(fr, x, cert.q1_interval, "head")
+            a, b, c = _apex_parameters(fr, x, cert.q1_interval, "head", proportional)
             quad = apex_quad(spec, b / c, a / c, c, "q1")
             construction = "apex-q1"
         else:
             invariant(cert.q2_interval is not None, "an attainable planar tuple admits a realization")
-            a, b, c = _apex_parameters(fr, x, cert.q2_interval, "tail")
+            a, b, c = _apex_parameters(fr, x, cert.q2_interval, "tail", proportional)
             quad = apex_quad(spec, b / c, a / c, c, "q2")
             construction = "apex-q2"
 

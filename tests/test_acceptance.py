@@ -32,7 +32,7 @@ from quadareas import (
     tail_cumulants,
 )
 from quadareas.cli import main as cli_main
-from quadareas.linalg import det3
+from test_kernels import det3
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -285,6 +285,11 @@ class TestInvariants:
             ("reduce", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--x", "1,2,3,4", "--pivot", "2", "--branch", "q2"),
             id="reduce",
         ),
+        pytest.param(("describe", "--p", "1,2,3,4,5", "--pp", "1,1,1,1,1"), id="describe-spatial"),
+        pytest.param(
+            ("member", "--p", "1,2,3", "--pp", "2,4,6", "--x", "46,80,90", "--full"),
+            id="member-proportional",
+        ),
     ))
     def test_python_O_gives_the_same_bytes(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}

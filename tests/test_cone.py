@@ -14,7 +14,8 @@ from quadareas import (
     frame,
     hyperplanes,
 )
-from quadareas.linalg import det3, inverse3, solve2
+from quadareas.linalg import solve2
+from test_kernels import det3
 
 
 def rank(rows):
@@ -128,23 +129,6 @@ class TestClassify:
     def test_length_two_always_planar(self):
         assert not classify(DivisionSpec.of((1, 2), (2, 1))).spatial
         assert classify(DivisionSpec.of((1, 2), (2, 4))).proportional
-
-
-class TestInverse3:
-    def test_inverse_times_matrix_is_identity(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            m = [[F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
-            inv = inverse3(m)
-            if det3(m) == 0:
-                assert inv is None
-                continue
-            for i in range(3):
-                for j in range(3):
-                    assert sum(inv[i][k] * m[k][j] for k in range(3)) == (i == j)
-
-    def test_singular(self):
-        assert inverse3([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]) is None
 
 
 class TestSpecMemo:

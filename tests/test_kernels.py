@@ -2,10 +2,14 @@
 
 Each kernel normalises its result once; the references below are the plain
 Fraction forms (one normalisation per operation) they replaced, and every
-property requires identical Fractions.
+property requires identical Fractions.  The stored fixture holds outputs of
+the Fraction implementations and is compared, never rewritten.
 """
+import json
+import random
 from fractions import Fraction as F
 from functools import partial
+from pathlib import Path
 
 from hypothesis import assume, given, strategies as st
 
@@ -22,10 +26,12 @@ from quadareas import (
     classify,
     collapse,
     continue_degenerate,
+    cross_validate,
     cumulant_tail_sums,
     cumulants,
     discriminants,
     frame,
+    hyperplanes,
     member,
     member_tail,
     member_via_collapse,
@@ -34,18 +40,35 @@ from quadareas import (
     subdivide,
     tail_cumulants,
 )
-from quadareas.cone import _first_pivot, integer_rows
-from quadareas.linalg import det3, solve2, solve3
-from quadareas.membership import (
-    _coefficient_interval,
-    _coefficient_verdict,
-    _independent_pair,
-    _pivot_solution,
-    _spans,
-)
+from quadareas.cli import _describe_payload
+from quadareas.cone import _first_pivot, _normalize_plane, integer_rows
+from quadareas.division import fraction_tuple
+from quadareas.linalg import solve2, solve3
+from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _spans
+
+FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
 
 
 # ---- references -------------------------------------------------------------
+
+
+def det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def inverse3(m):
+    """The inverse of a 3x3 matrix, its adjugate (transposed cofactors) over det; None when singular."""
+    d = det3(m)
+    if d == 0:
+        return None
+    cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))
 
 
 def ref_solve2(m, rhs):
@@ -152,6 +175,34 @@ def ref_member_via_collapse(spec, x, pivot, mode):
     return _coefficient_verdict(a, b, c, total_ab, total_dc, mode)
 
 
+def ref_independent_pair(u, v):
+    """Two coordinate indices where (u, v) has a nonzero 2x2 minor, or None."""
+    for j in range(1, len(u)):
+        if u[0] * v[j] != u[j] * v[0]:
+            return (0, j)
+    return None
+
+
+def ref_coefficient_interval(ab, dc, arm_vec, x, a, b, arm_is_head):
+    """The planar re-decomposition interval, proportional when ref_independent_pair(ab, dc) is None."""
+    pair = ref_independent_pair(ab, dc)
+    if pair is None:
+        c = a - b if arm_is_head else b - a
+        return Interval(c, c) if c > 0 else None
+    i, j = pair
+    base = ref_solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [x[i], x[j]])
+    slope = ref_solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [arm_vec[i], arm_vec[j]])
+    lo, hi = F(0), None
+    for coef, intercept in zip(slope, base):
+        if coef > 0:
+            hi = intercept / coef if hi is None else min(hi, intercept / coef)
+        elif coef < 0:
+            lo = max(lo, intercept / coef)
+        elif intercept <= 0:
+            return None
+    return Interval(lo, hi) if lo < hi else None
+
+
 def ref_verify_combination(vectors, tails, coeffs, x):
     """Every prefix coordinate, then the tail sum the combination forces."""
     for idx in range(x.m):
@@ -176,7 +227,7 @@ def ref_member_tail(p, p_prime, x, mode):
     if pivot is None:
         ext_head, ext_tail = head + (head_tail,), tail + (tail_tail,)
         ext_x = x.prefix + (x.tail_sum,)
-        i, j = _independent_pair(ext_head, ext_tail)
+        i, j = ref_independent_pair(ext_head, ext_tail)
         a, b = ref_solve2([[ext_head[i], ext_tail[i]], [ext_head[j], ext_tail[j]]], [ext_x[i], ext_x[j]])
         if not ref_verify_combination((head, tail), (head_tail, tail_tail), (a, b), x):
             return verdict(False, reason="off-subspace")
@@ -185,8 +236,8 @@ def ref_member_tail(p, p_prime, x, mode):
             return verdict(True, Certificate(
                 "degenerate",
                 (a, b),
-                _coefficient_interval(ext_ab, ext_dc, ext_head, ext_x, a, b, True),
-                _coefficient_interval(ext_ab, ext_dc, ext_tail, ext_x, a, b, False),
+                ref_coefficient_interval(ext_ab, ext_dc, ext_head, ext_x, a, b, True),
+                ref_coefficient_interval(ext_ab, ext_dc, ext_tail, ext_x, a, b, False),
             ))
         return verdict(False, reason="boundary" if a >= 0 and b >= 0 else "negative-coefficient")
     ab, dc = p.prefix, p_prime.prefix
@@ -195,6 +246,42 @@ def ref_member_tail(p, p_prime, x, mode):
     if not ref_verify_combination((ab, dc, head), (p.tail_sum, p_prime.tail_sum, head_tail), (a, b, c), x):
         return verdict(False, reason="off-subspace")
     return _coefficient_verdict(a, b, c, p.total, p_prime.total, mode, prefix_certified=True)
+
+
+def ref_member_planar(spec, x):
+    """The planar verdict as it was: a Fraction solve on the frame's head and tail, checked
+    as a Fraction combination at every coordinate."""
+    if any(v <= 0 for v in x):
+        return Verdict(False, reason="non-positive-entry")
+    fr = frame(spec)
+    i, j = ref_independent_pair(fr.head, fr.tail)
+    a, b = ref_solve2([[fr.head[i], fr.tail[i]], [fr.head[j], fr.tail[j]]], [x[i], x[j]])
+    if any(a * h + b * t != xi for h, t, xi in zip(fr.head, fr.tail, x)):
+        return Verdict(False, reason="off-subspace")
+    if a > 0 and b > 0:
+        return Verdict(True, Certificate(
+            "degenerate",
+            (a, b),
+            ref_coefficient_interval(fr.ab, fr.dc, fr.head, x, a, b, True),
+            ref_coefficient_interval(fr.ab, fr.dc, fr.tail, x, a, b, False),
+        ))
+    return Verdict(False, reason="boundary" if a >= 0 and b >= 0 else "negative-coefficient")
+
+
+def ref_hyperplanes(spec):
+    """The spatial hyperplanes as they were: the frame's Fraction pivot block through inverse3."""
+    fr = frame(spec)
+    k = classify(spec).pivot
+    cols = (k - 2, k - 1, k)
+    inv = inverse3([[vec[c] for c in cols] for vec in (fr.ab, fr.dc, fr.head)])
+    planes = []
+    for i in range(spec.n):
+        if i not in cols:
+            coeffs = {i: F(1)}
+            for c, row in zip(cols, inv):
+                coeffs[c] = -(row[0] * fr.ab[i] + row[1] * fr.dc[i] + row[2] * fr.head[i])
+            planes.append(_normalize_plane(spec.n, coeffs))
+    return tuple(planes)
 
 
 def ref_subdivide(q, spec):
@@ -237,22 +324,22 @@ def ratios(draw, big=None, signed=False):
 
 
 @st.composite
-def specs(draw, min_n=2):
-    """Spatial, proportional and planar-prefix specs with n up to 12."""
-    n = draw(st.integers(min_n, 12))
+def specs(draw, min_n=2, max_n=12, kinds=("planar-prefix", "spatial", "proportional")):
+    """Specs of the given kinds (spatial, proportional, planar-prefix, planar-skew), n = min_n..max_n."""
+    n = draw(st.integers(min_n, max_n))
     big = draw(st.booleans())
-    kind = draw(st.sampled_from(("planar-prefix", "spatial", "proportional")))
+    kind = draw(st.sampled_from(kinds))
     p = [draw(ratios(big)) for _ in range(n)]
     if kind == "proportional":
         scale = draw(ratios(big))
         q = [scale * v for v in p]
     else:
         q = [draw(ratios(big)) for _ in range(n)]
-    if kind == "planar-prefix":
-        # a skew start, then zero discriminants up to a drawn length; a smaller
-        # next ratio always continues
+    if kind in ("planar-prefix", "planar-skew"):
+        # a skew start, then zero discriminants up to a drawn length (all of it
+        # for planar-skew); a smaller next ratio always continues
         q[1] += q[0] * p[1] / p[0]
-        for i in range(2, draw(st.integers(min(3, n), n))):
+        for i in range(2, n if kind == "planar-skew" else draw(st.integers(min(3, n), n))):
             while True:
                 try:
                     p[i] = continue_degenerate(p[:i], q[:i], q[i])
@@ -275,22 +362,68 @@ def spatial_queries(draw):
 
 
 @st.composite
-def tail_queries(draw):
-    """Ratio sequences over a drawn spec with zero or nonzero tail sums, and x extended by its
-    tail sum: a combination on the face, head, tail or planar basis of the extended vectors."""
-    spec = draw(specs(min_n=3))
-    tails = draw(st.sampled_from(("zero", "both", "p only")))
+def tail_queries(draw, planar=False):
+    """Ratio sequences over a drawn spec with zero, nonzero (independent or in the ratio of the
+    first entries) or one-sided tail sums, and x extended by its tail sum: a combination on the
+    face, head, tail or planar basis of the extended vectors (planar: a planar spec with n = 3-14
+    and the planar basis)."""
+    spec = draw(specs(min_n=3, max_n=14, kinds=("proportional", "planar-skew")) if planar else specs(min_n=3))
+    tails = draw(st.sampled_from(("zero", "both", "in ratio", "p only")))
     p = TailSummedSequence(spec.p, F(0) if tails == "zero" else draw(ratios()))
-    q = TailSummedSequence(spec.p_prime, draw(ratios()) if tails == "both" else F(0))
+    q_tail = {"both": draw(ratios()), "in ratio": p.tail_sum * spec.p_prime[0] / spec.p[0]}
+    q = TailSummedSequence(spec.p_prime, q_tail.get(tails, F(0)))
     head, tail = tail_cumulants(p, q)
     head_tail, tail_tail = cumulant_tail_sums(p, q)
     ab, dc = p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,)
     head, tail = head + (head_tail,), tail + (tail_tail,)
     a, b, c = draw(ratios()), draw(ratios()), draw(ratios(signed=True))
-    u, v, w = draw(st.sampled_from(((ab, dc, head), (ab, dc, tail), (ab, dc, (F(0),) * len(ab)),
-                                    (head, tail, (F(0),) * len(ab)))))
+    zero = (F(0),) * len(ab)
+    bases = ((ab, dc, head), (ab, dc, tail), (ab, dc, zero), (head, tail, zero))
+    if planar:
+        bases = bases[3:]
+    u, v, w = draw(st.sampled_from(bases))
     x = tuple(a * e + b * f + c * g for e, f, g in zip(u, v, w))
     return p, q, x, draw(ratios(signed=True))
+
+
+@st.composite
+def singular_q1_fold_queries(draw):
+    """A spatial spec whose q1 fold at the returned pivot is singular, so that its q2 fold decides,
+    x = a*ab + b*dc + c*arm and a bump size."""
+    spec = draw(specs(min_n=4, kinds=("spatial",)))
+    p, q = list(spec.p), list(spec.p_prime)
+    k = draw(st.integers(1, spec.n - 2))  # 0-based pivot
+    # the fold (sum before k, k, k + 1) is planar when p[k + 1] continues it degenerately
+    fold_p, fold_q = (sum(p[:k], F(0)), p[k]), (sum(q[:k], F(0)), q[k])
+    while True:
+        try:
+            p[k + 1] = continue_degenerate(fold_p, fold_q, q[k + 1])
+            break
+        except NoValidContinuationError:
+            q[k + 1] /= 2
+    spec = DivisionSpec(tuple(p), tuple(q))
+    assume(discriminants(spec)[k - 1] != 0)
+    fr = frame(spec)
+    arm = draw(st.sampled_from((fr.head, fr.tail, (F(0),) * spec.n)))
+    a, b, c = draw(ratios()), draw(ratios()), draw(ratios(signed=True))
+    x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
+    return spec, k + 1, x, draw(ratios(signed=True))
+
+
+@st.composite
+def planar_queries(draw):
+    """A planar spec (proportional or skew, n = 3-14), x on the cumulant, face, ray or one-vector
+    basis (the second coefficient sometimes negative with every entry positive) and a bump size."""
+    spec = draw(specs(min_n=3, max_n=14, kinds=("proportional", "planar-skew")))
+    fr = frame(spec)
+    zero = (F(0),) * spec.n
+    u, v = draw(st.sampled_from(((fr.head, fr.tail), (fr.ab, fr.dc), (fr.parallel, zero),
+                                 (fr.head, zero), (fr.tail, zero))))
+    a, b = draw(ratios()), draw(ratios())
+    if v is not zero and draw(st.booleans()):
+        b = -a * min(e / f for e, f in zip(u, v)) / 2
+    x = tuple(a * e + b * f for e, f in zip(u, v))
+    return spec, x, draw(ratios(signed=True))
 
 
 def bumped(x, k, delta):
@@ -337,6 +470,23 @@ def quads_for(draw, spec):
 
 
 # ---- properties -------------------------------------------------------------
+
+
+class TestInverse3:
+    def test_inverse_times_matrix_is_identity(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            m = [[F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
+            inv = inverse3(m)
+            if det3(m) == 0:
+                assert inv is None
+                continue
+            for i in range(3):
+                for j in range(3):
+                    assert sum(inv[i][k] * m[k][j] for k in range(3)) == (i == j)
+
+    def test_singular(self):
+        assert inverse3([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]) is None
 
 
 @given(systems(2))
@@ -426,13 +576,22 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
                 assert ref_pivot_solution(spec, pivot, y) is not None
 
 
-@given(tail_queries())
-def test_member_tail_matches_the_fraction_reference(query):
+def assert_member_tail_matches_the_reference(query):
     p, q, x, delta = query
     for y in (x, *(bumped(x, k, delta) for k in range(len(x)))):
         xs = TailSummedSequence(y[:-1], abs(y[-1]))
         for mode in ("strict", "audited"):
             assert member_tail(p, q, xs, mode) == ref_member_tail(p, q, xs, mode)
+
+
+@given(tail_queries())
+def test_member_tail_matches_the_fraction_reference(query):
+    assert_member_tail_matches_the_reference(query)
+
+
+@given(tail_queries(planar=True))
+def test_planar_member_tail_matches_the_fraction_reference(query):
+    assert_member_tail_matches_the_reference(query)
 
 
 @given(spatial_queries(), st.sampled_from(("strict", "audited")), st.data())
@@ -454,3 +613,54 @@ def test_every_fold_matches_the_frame_based_reference(query, mode, data):
             assert member_via_collapse(spec, y, pivot, mode) == expected
         except DegenerateCollapseError:
             assert expected is DegenerateCollapseError
+
+
+@given(specs(min_n=3, max_n=14, kinds=("spatial", "planar-prefix")))
+def test_hyperplanes_match_the_inverse_reference(spec):
+    assume(classify(spec).spatial)
+    assert hyperplanes(spec) == ref_hyperplanes(spec)
+
+
+@given(planar_queries())
+def test_planar_member_matches_the_fraction_reference(query):
+    spec, x, delta = query
+    for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
+        expected = ref_member_planar(spec, y)
+        for mode in ("strict", "audited"):
+            assert member(spec, y, mode) == expected
+
+
+@given(singular_q1_fold_queries(), st.sampled_from(("strict", "audited")))
+def test_q2_fold_decides_where_the_q1_fold_is_singular(query, mode):
+    spec, pivot, x, delta = query
+    assert "q1" not in ref_fold_solutions(spec, x, pivot)
+    for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
+        try:
+            expected = ref_member_via_collapse(spec, y, pivot, mode)
+        except DegenerateCollapseError:
+            expected = DegenerateCollapseError
+        try:
+            assert member_via_collapse(spec, y, pivot, mode) == expected
+        except DegenerateCollapseError:
+            assert expected is DegenerateCollapseError
+
+
+def test_describe_payloads_match_the_fixture():
+    for case in FIXTURE["describe"]:
+        assert _describe_payload(DivisionSpec.of(case["p"], case["pp"])) == case["payload"]
+
+
+def test_cross_validate_reports_match_the_fixture():
+    for case in FIXTURE["cross_validate"]:
+        report = case["report"]
+        spec = DivisionSpec.of(report["p"], report["pp"])
+        assert cross_validate(spec, case["count"], report["seed"]).to_jsonable() == report
+
+
+def test_planar_verdicts_match_the_fixture():
+    for case in FIXTURE["member"]:
+        spec = DivisionSpec.of(case["p"], case["pp"])
+        assert repr(member(spec, fraction_tuple(case["x"]), case["mode"])) == case["verdict"]
+    for case in FIXTURE["member_tail"]:
+        p, q, x = (TailSummedSequence.parse(case[key]) for key in ("p", "pp", "x"))
+        assert repr(member_tail(p, q, x, case["mode"])) == case["verdict"]

@@ -381,7 +381,7 @@ class TestExtendSolution:
         assert extend_solution(self.P, self.PP, F(11), F(10), 2) == 6
 
     def test_determinant_vanishes(self):
-        from quadareas.linalg import det3
+        from test_kernels import det3
 
         x1, x2 = F(3), F(7)
         x3 = extend_solution(self.P, self.PP, x1, x2, 2)

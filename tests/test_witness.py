@@ -44,6 +44,15 @@ class TestCanonicalConstructions:
         out = assert_round_trip(UNIT, (F(1), F(1), F(1)))
         assert out.quad == ConvexQuad.of(pt(0, 0), pt(3, 0), pt(3, 1), pt(0, 1))
         assert out.construction == "trapezoid-l0"
+        # proportional ratios with denominators: x = ab + dc
+        spec = DivisionSpec.of(("1/2", 1, "3/2"), ("1/3", "2/3", 1))
+        assert assert_round_trip(spec, (F(5, 6), F(5, 3), F(5, 2))).construction == "trapezoid-l0"
+
+    def test_rational_literals_are_read_as_member_reads_them(self):
+        # the planar branch builds from x itself, not only from the certificate
+        out = synthesize_witness(UNIT, ("3", "5", "7"))
+        assert out == synthesize_witness(UNIT, (F(3), F(5), F(7)))
+        assert synthesize_witness(UNIT, ("1", "1", "1")).construction == "trapezoid-l0"
 
     def test_refusal_echoes_reason(self):
         with pytest.raises(NotAttainableError) as info:
