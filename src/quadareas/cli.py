@@ -26,18 +26,12 @@ from .reduction import TailSummedSequence, collapse, member_tail
 from .witness import WitnessOutput, synthesize_witness
 
 
-def parse_tuple(text: str, require_positive: bool = False) -> tuple[Fraction, ...]:
+def parse_tuple(text: str) -> tuple[Fraction, ...]:
     """Parse a comma-separated rational tuple, normalized to lowest terms."""
     parts = [part for part in text.split(",") if part.strip()]
     if not parts:
         raise InvalidInputError("empty tuple")
-    values = []
-    for i, part in enumerate(parts, start=1):
-        value = to_fraction(part)
-        if require_positive and value <= 0:
-            raise InvalidInputError(f"entry {i} must be positive")
-        values.append(value)
-    return tuple(values)
+    return tuple(to_fraction(part) for part in parts)
 
 
 def _rationals(values) -> list[str]:
@@ -78,16 +72,16 @@ def _member_result(verdict: Verdict) -> dict:
 
 
 def _spec_from_args(args) -> DivisionSpec:
-    return DivisionSpec(parse_tuple(args.p, True), parse_tuple(args.pp, True))
+    return DivisionSpec(parse_tuple(args.p), parse_tuple(args.pp))
 
 
 def _sequences_from_args(args) -> tuple[TailSummedSequence, ...]:
-    """p, p_prime and x as tail-summed sequences; positivity is checked by the decision."""
+    """p, p_prime and x as tail-summed sequences; positivity is checked by the decision or the fold."""
     return tuple(TailSummedSequence.parse(text) for text in (args.p, args.pp, args.x))
 
 
-def _has_tail(*texts: Optional[str]) -> bool:
-    return any(t is not None and "|" in t for t in texts)
+def _has_tail(*texts: str) -> bool:
+    return any("|" in t for t in texts)
 
 
 def _float(v: Fraction) -> str:
@@ -354,13 +348,8 @@ def _run(args) -> int:
         return 3 if report.violations else 0
 
     if args.verb == "reduce":
-        if _has_tail(args.p, args.pp, args.x):
-            p, pp, x = _sequences_from_args(args)
-            instance = collapse((p, pp), x, args.pivot, args.branch)
-        else:
-            spec = _spec_from_args(args)
-            x = parse_tuple(args.x)
-            instance = collapse(spec, x, args.pivot, args.branch)
+        p, pp, x = _sequences_from_args(args)
+        instance = collapse((p, pp), x, args.pivot, args.branch)
         payload = {
             "p3": _rationals(instance.spec3.p),
             "pp3": _rationals(instance.spec3.p_prime),

@@ -233,22 +233,19 @@ def continue_degenerate(
 ) -> Fraction:
     """The unique positive next AB ratio keeping the discriminant chain at zero.
 
-    Given equal-length prefixes whose discriminants all vanish and the next DC
-    ratio, returns the forced next AB ratio; raises when no positive value
-    works.
+    Given equal-length prefixes of positive ratios with no pivot (every
+    discriminant vanishes) and the next DC ratio, returns the forced next AB
+    ratio; raises InvalidInputError for any other prefixes and
+    NoValidContinuationError when no positive value works.
     """
     p = fraction_tuple(p)
     p_prime = fraction_tuple(p_prime)
     next_p_prime = to_fraction(next_p_prime)
-    m = len(p)
-    if m < 2 or len(p_prime) != m:
-        raise InvalidInputError("prefixes must have equal length at least 2")
+    DivisionSpec(p, p_prime)  # positive prefixes of one length, at least two
     if next_p_prime <= 0:
         raise InvalidInputError("the next ratio must be positive")
-    if m >= 3:
-        probe = DivisionSpec(p, p_prime)
-        if any(d != 0 for d in discriminants(probe)):
-            raise InvalidInputError("prefix discriminants must all vanish")
+    if _first_pivot(p, p_prime) is not None:
+        raise InvalidInputError("prefix discriminants must all vanish")
     numerator = p_prime[-2] * next_p_prime * p[-1] * (p[-2] + p[-1])
     denominator = (p_prime[-2] + p_prime[-1] + next_p_prime) * p[-2] * p_prime[-1] \
         - p_prime[-2] * next_p_prime * p[-1]

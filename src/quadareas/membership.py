@@ -198,6 +198,14 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     return sol if _spans(rows, sol, x) else None
 
 
+def _arms(
+    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, i: int
+) -> tuple[int, Fraction]:
+    """L_i*head_i and L_i*tail_i, as tail = total_dc*ab + total_ab*dc - head."""
+    p, q, h, _ = rows[i]
+    return h, total_dc * p + total_ab * q - h
+
+
 def _planar_verdict(
     rows: Sequence[tuple[int, int, int, int]],
     total_ab: Fraction,
@@ -208,19 +216,14 @@ def _planar_verdict(
 ) -> Verdict:
     """The planar verdict: x = a*head + b*tail with a, b > 0, checked at every coordinate.
 
-    tail = total_dc*ab + total_ab*dc - head, so L_i*tail_i is read from row i
-    and a*head + b*tail is the span combination (b*total_dc, b*total_ab, a - b).
+    L_i*tail_i is read from row i (``_arms``), and a*head + b*tail is the span
+    combination (b*total_dc, b*total_ab, a - b).
     The cumulant vectors are independent at the first two coordinates: their
     2x2 minor there is strictly negative.  proportional says whether ab and dc
     are proportional over all rows, which may end in a row of exact tail sums.
     """
     verdict = partial(Verdict, prefix_certified=prefix_certified)
-
-    def arms(i: int) -> tuple[int, Fraction]:
-        """L_i*head_i and L_i*tail_i."""
-        p, q, h, _ = rows[i]
-        return h, total_dc * p + total_ab * q - h
-
+    arms = partial(_arms, rows, total_ab, total_dc)
     scaled_x = [rows[i][3] * x[i] for i in (0, 1)]
     sol = solve2([arms(0), arms(1)], scaled_x)
     invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")

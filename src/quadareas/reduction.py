@@ -23,8 +23,6 @@ from .errors import (
 from .linalg import _scaled, solve3
 from .membership import (
     Mode,
-    REASON_BOUNDARY,
-    REASON_NEGATIVE,
     REASON_NON_POSITIVE,
     REASON_OFF_SUBSPACE,
     Verdict,
@@ -244,6 +242,7 @@ def planar_ratio_bounds(
     p: TailSummedSequence, p_prime: TailSummedSequence
 ) -> tuple[Fraction, Fraction]:
     """Open window for x2/x1 in the planar case: (tail2/tail1, head2/head1)."""
+    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     head, tail = tail_cumulants(p, p_prime)
     return tail[1] / tail[0], head[1] / head[0]
 
@@ -310,7 +309,8 @@ def extend_solution(
     p = fraction_tuple(p)
     p_prime = fraction_tuple(p_prime)
     x1, x2 = to_fraction(x1), to_fraction(x2)
-    if i < 2 or i >= len(p) or i >= len(p_prime):
+    DivisionSpec(p, p_prime)  # positive ratio tuples of one length
+    if i < 2 or i >= len(p):
         raise InvalidInputError("index out of range for the extension formula")
     denom = p[1] * p_prime[0] - p[0] * p_prime[1]
     if denom == 0:
@@ -361,29 +361,25 @@ def station_coefficients(p: TailSummedSequence) -> StationCoefficients:
 
 
 def station_check(p: TailSummedSequence, x: TailSummedSequence) -> StationReport:
-    """Check a candidate sequence against the proportional-case progression law.
+    """Report a candidate sequence against the proportional-case progression law.
 
-    Applies when both sides carry the same ratio sequence p.  The scaled
-    values x_i/p_i must advance as an exact arithmetic progression in the
-    stations, and the ratio of the second to the first must fall strictly
-    inside the open bounds.
+    Applies when both sides carry the same ratio sequence p.  The law: the
+    scaled values x_i/p_i advance as an exact arithmetic progression in the
+    stations (``progression_ok``), and the ratio of the second to the first
+    falls strictly inside the open bounds.  The verdict (``accepted`` and
+    ``reason``) is ``member_tail(p, p, x)``'s, which also checks the tail sum
+    of x and every prefix entry; on a positive x with a consistent tail sum
+    it holds exactly when the law does.
     """
-    if x.m != p.m:
-        raise InvalidInputError("sequences must share a prefix length")
     coeffs = station_coefficients(p)
+    verdict = member_tail(p, p, x)
     scaled = tuple(xi / pi for xi, pi in zip(x.prefix, p.prefix))
     if scaled[0] <= 0:
-        return StationReport(coeffs, scaled, Fraction(0), False, False, REASON_NON_POSITIVE)
+        return StationReport(coeffs, scaled, Fraction(0), False, False, verdict.reason)
     step = scaled[1] - scaled[0]
     progression_ok = all(
         scaled[i] == scaled[0] + coeffs.sigma[i - 2] * step for i in range(2, p.m)
     )
-    ratio = scaled[1] / scaled[0]
-    lower, upper = coeffs.bounds
-    if not progression_ok:
-        return StationReport(coeffs, scaled, ratio, False, False, REASON_OFF_SUBSPACE)
-    if ratio == lower or ratio == upper:
-        return StationReport(coeffs, scaled, ratio, True, False, REASON_BOUNDARY)
-    if not lower < ratio < upper:
-        return StationReport(coeffs, scaled, ratio, True, False, REASON_NEGATIVE)
-    return StationReport(coeffs, scaled, ratio, True, True, None)
+    return StationReport(
+        coeffs, scaled, scaled[1] / scaled[0], progression_ok, verdict.attainable, verdict.reason
+    )

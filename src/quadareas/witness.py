@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import ConeFrame, classify, frame, integer_rows
+from .cone import classify, frame, integer_rows
 from .division import DivisionSpec, fraction_tuple
 from .errors import InvalidInputError, NotAttainableError, invariant
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
 from .linalg import solve2
-from .membership import Certificate, Interval, Mode, member, _face_solution
+from .membership import Certificate, Interval, Mode, member, _arms, _face_solution
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,22 @@ def apex_quad(
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     if p0 <= 0 or p0_prime <= 0 or scale <= 0:
         raise InvalidInputError("apex parameters must be strictly positive")
+    total_ab = sum(spec.p)
+    total_dc = sum(spec.p_prime)
     if branch == "q1":
-        total_ab = sum(spec.p)
-        total_dc = sum(spec.p_prime)
-        a = pt(2 * p0, 0)
-        b = pt(2 * (p0 + total_ab), 0)
-        c = Point(Fraction(0), scale * (p0_prime + total_dc))
-        d = Point(Fraction(0), scale * p0_prime)
-        return ConvexQuad(a, b, c, d)
-    base = apex_quad(spec.reversed(), p0, p0_prime, scale, "q1")
-
-    def swap(v: Point) -> Point:
-        return Point(v.y, v.x)
-
-    return ConvexQuad(swap(base.b), swap(base.a), swap(base.d), swap(base.c))
+        return ConvexQuad(
+            pt(2 * p0, 0),
+            pt(2 * (p0 + total_ab), 0),
+            Point(Fraction(0), scale * (p0_prime + total_dc)),
+            Point(Fraction(0), scale * p0_prime),
+        )
+    # the q1 quad of the reversed spec with its axes swapped
+    return ConvexQuad(
+        Point(Fraction(0), 2 * (p0 + total_ab)),
+        Point(Fraction(0), 2 * p0),
+        pt(scale * p0_prime, 0),
+        pt(scale * (p0_prime + total_dc), 0),
+    )
 
 
 def _trapezoid(spec: DivisionSpec, a: Fraction, b: Fraction) -> ConvexQuad:
@@ -80,23 +82,23 @@ def _trapezoid(spec: DivisionSpec, a: Fraction, b: Fraction) -> ConvexQuad:
     )
 
 
-def _split_face_coefficient(fr: ConeFrame, g: Fraction) -> tuple[Fraction, Fraction]:
-    """Split g into A + (dc1/ab1)*B with A, B > 0 for proportional ratio vectors."""
-    lam = fr.dc[0] / fr.ab[0]
-    return g / 2, g / (2 * lam)
+def _apex_parameters(spec: DivisionSpec, x: tuple[Fraction, ...], interval: Interval, arm: int):
+    """Resolve a planar re-decomposition at the canonical interior coefficient.
 
-
-def _apex_parameters(fr: ConeFrame, x, interval: Interval, arm: str, proportional: bool):
-    """Resolve a planar re-decomposition at the canonical interior coefficient."""
+    arm 0 is the head (q1), arm 1 the tail (q2); the residual x - c*arm is
+    solved on the ratio vectors at the spec's first two integer rows.
+    """
+    rows, total_ab, total_dc = integer_rows(spec)
     c = interval.lo if interval.is_point else interval.midpoint
-    arm_vec = fr.head if arm == "head" else fr.tail
-    residual = tuple(xi - c * w for xi, w in zip(x, arm_vec))
-    if proportional:
-        g = residual[0] / fr.ab[0]
-        a, b = _split_face_coefficient(fr, g)
+    # L_i*(x_i - c*arm_i) at the first two rows
+    residual = [rows[i][3] * x[i] - c * _arms(rows, total_ab, total_dc, i)[arm] for i in (0, 1)]
+    if classify(spec).proportional:
+        # split the residual evenly between the proportional ratio vectors: a*P_0 = b*Q_0
+        (p0, q0), r = rows[0][:2], residual[0]
+        a, b = r / (2 * p0), r / (2 * q0)
     else:
         # a planar spec whose first two ratio pairs are proportional is proportional throughout
-        sol = solve2([[fr.ab[0], fr.dc[0]], [fr.ab[1], fr.dc[1]]], [residual[0], residual[1]])
+        sol = solve2([rows[0][:2], rows[1][:2]], residual)
         invariant(sol is not None, "the independent ratio pair gives a regular face system")
         a, b = sol
     invariant(a > 0 and b > 0 and c > 0, "the canonical re-decomposition is strictly positive")
@@ -130,20 +132,17 @@ def synthesize_witness(
         quad = _trapezoid(spec, t, t)
         construction = "trapezoid-l0"
     else:
-        fr = frame(spec)
-        proportional = classify(spec).proportional
-        face = _face_solution(integer_rows(spec)[0], x, proportional)
+        face = _face_solution(integer_rows(spec)[0], x, classify(spec).proportional)
         if face is not None and face[0] > 0 and face[1] > 0:
             quad = _trapezoid(spec, *face)
             construction = "trapezoid-l0" if face[0] == face[1] else "trapezoid"
-        elif cert.q1_interval is not None:
-            a, b, c = _apex_parameters(fr, x, cert.q1_interval, "head", proportional)
-            quad = apex_quad(spec, b / c, a / c, c, "q1")
-            construction = "apex-q1"
         else:
-            invariant(cert.q2_interval is not None, "an attainable planar tuple admits a realization")
-            a, b, c = _apex_parameters(fr, x, cert.q2_interval, "tail", proportional)
-            quad = apex_quad(spec, b / c, a / c, c, "q2")
-            construction = "apex-q2"
+            # arm 0 is the head (q1), arm 1 the tail (q2)
+            arm = 0 if cert.q1_interval is not None else 1
+            branch, interval = ("q1", "q2")[arm], (cert.q1_interval, cert.q2_interval)[arm]
+            invariant(interval is not None, "an attainable planar tuple admits a realization")
+            a, b, c = _apex_parameters(spec, x, interval, arm)
+            quad = apex_quad(spec, b / c, a / c, c, branch)
+            construction = f"apex-{branch}"
 
     return WitnessOutput(quad, subdivide(quad, spec), cert, construction)

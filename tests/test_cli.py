@@ -29,10 +29,14 @@ class TestParseTuple:
     def test_normalization(self):
         assert parse_tuple("4/6,1") == (F(2, 3), F(1))
 
-    def test_positivity_error_names_entry(self):
-        with pytest.raises(InvalidInputError) as info:
-            parse_tuple("1,-2", require_positive=True)
-        assert str(info.value) == "entry 2 must be positive"
+    def test_positivity_error_names_entry(self, capsys):
+        # parse_tuple reads any sign; DivisionSpec names the tuple and the entry
+        fold = ("--x", "1,2,3", "--pivot", "2", "--branch", "q1")
+        for verb, extra in (("describe", ()), ("member", ("--x", "1,2,3")), ("reduce", fold)):
+            code, out, err = run(capsys, verb, "--p", "1,-2,3", "--pp", "1,1,1", *extra)
+            assert (code, out, err) == (1, "", "error: p entry 2 must be positive\n")
+            code, out, err = run(capsys, verb, "--p", "1,1,1", "--pp", "1,1,-1", *extra)
+            assert (code, out, err) == (1, "", "error: p_prime entry 3 must be positive\n")
 
     def test_malformed_literal(self):
         with pytest.raises(InvalidInputError):
@@ -240,7 +244,7 @@ class TestOtherVerbs:
         assert code == 2 and out == '{"attainable":false,"reason":"non-positive-entry"}\n'
         assert run(capsys, "member", "--p", "1,2,3", "--pp", "1,1,1", "--x=-1,2,3")[:2] == (code, out)
         code, out, err = run(capsys, "member", "--p", "-1,2,3", "--pp", "1,1,1", "--x", "1,2,3")
-        assert code == 1 and out == "" and err == "error: entry 1 must be positive\n"
+        assert code == 1 and out == "" and err == "error: p entry 1 must be positive\n"
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
@@ -280,6 +284,8 @@ class TestInvariants:
     @pytest.mark.parametrize("argv", (
         pytest.param(("member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"), id="member"),
         pytest.param(("witness", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"), id="witness"),
+        pytest.param(("witness", "--p", "1,1,1", "--pp", "1,1,1", "--x", "3,5,7"), id="witness-planar"),
+        pytest.param(("witness", "--p", "1,2,3", "--pp", "1,1,1", "--x", "10,10,7"), id="witness-q2"),
         pytest.param(("member", *TAILED), id="member-tail"),
         pytest.param(
             ("reduce", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--x", "1,2,3,4", "--pivot", "2", "--branch", "q2"),

@@ -263,6 +263,10 @@ class TestContinueDegenerate:
         with pytest.raises(NoValidContinuationError):
             continue_degenerate((F(1), F(8)), (F(8), F(1)), F(100))
 
+    def test_rejects_a_negative_ratio_at_any_length(self):
+        with pytest.raises(InvalidInputError):
+            continue_degenerate((1, 2), (-1, 1), 1)
+
     def test_rejects_non_degenerate_prefix(self):
         with pytest.raises(InvalidInputError):
             continue_degenerate((F(1), F(2), F(3)), (F(1), F(1), F(1)), F(1))

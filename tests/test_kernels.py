@@ -36,8 +36,10 @@ from quadareas import (
     member_tail,
     member_via_collapse,
     polygon_area,
+    station_check,
     strip_areas,
     subdivide,
+    synthesize_witness,
     tail_cumulants,
 )
 from quadareas.cli import _describe_payload
@@ -45,8 +47,13 @@ from quadareas.cone import _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
 from quadareas.linalg import solve2, solve3
 from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _spans
+from quadareas.witness import _apex_parameters
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
+# planar witnesses (proportional and skew specs, n = 3-14, grid and 30-digit entries; 30-digit skew
+# specs stop at n = 6, as a skew chain's continued entries grow with n), q2 apex quads, and station
+# reports for positive x with a consistent tail sum, written once by the frame-based constructions
+CONSTRUCTIONS = json.loads((Path(__file__).parent / "fixtures" / "construction_outputs.json").read_text())
 
 
 # ---- references -------------------------------------------------------------
@@ -282,6 +289,30 @@ def ref_hyperplanes(spec):
                 coeffs[c] = -(row[0] * fr.ab[i] + row[1] * fr.dc[i] + row[2] * fr.head[i])
             planes.append(_normalize_plane(spec.n, coeffs))
     return tuple(planes)
+
+
+def ref_apex_parameters(fr, x, interval, arm, proportional):
+    """The planar re-decomposition as it was: a Fraction residual on the frame, split evenly on
+    proportional ratio vectors, else solved at the first two coordinates."""
+    c = interval.lo if interval.is_point else interval.midpoint
+    arm_vec = fr.head if arm == "head" else fr.tail
+    residual = tuple(xi - c * w for xi, w in zip(x, arm_vec))
+    if proportional:
+        g = residual[0] / fr.ab[0]
+        lam = fr.dc[0] / fr.ab[0]
+        return g / 2, g / (2 * lam), c
+    a, b = ref_solve2([[fr.ab[0], fr.dc[0]], [fr.ab[1], fr.dc[1]]], [residual[0], residual[1]])
+    return a, b, c
+
+
+def ref_apex_quad_q2(spec, p0, p0_prime, scale):
+    """The q2 apex quad as it was: the q1 quad of the reversed spec, its axes swapped."""
+    base = apex_quad(spec.reversed(), p0, p0_prime, scale, "q1")
+
+    def swap(v):
+        return Point(v.y, v.x)
+
+    return ConvexQuad(swap(base.b), swap(base.a), swap(base.d), swap(base.c))
 
 
 def ref_subdivide(q, spec):
@@ -664,3 +695,40 @@ def test_planar_verdicts_match_the_fixture():
     for case in FIXTURE["member_tail"]:
         p, q, x = (TailSummedSequence.parse(case[key]) for key in ("p", "pp", "x"))
         assert repr(member_tail(p, q, x, case["mode"])) == case["verdict"]
+
+
+@given(specs(min_n=3, max_n=14, kinds=("proportional", "planar-skew")), ratios(), ratios())
+def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
+    fr, proportional = frame(spec), classify(spec).proportional
+    x = tuple(a * h + b * t for h, t in zip(fr.head, fr.tail))
+    cert = member(spec, x).certificate
+    for arm, interval in enumerate((cert.q1_interval, cert.q2_interval)):
+        if interval is not None:
+            expected = ref_apex_parameters(fr, x, interval, ("head", "tail")[arm], proportional)
+            assert _apex_parameters(spec, x, interval, arm) == expected
+
+
+@given(specs(), ratios(), ratios(), ratios())
+def test_q2_apex_quad_matches_the_reversed_reference(spec, p0, p0_prime, scale):
+    assert apex_quad(spec, p0, p0_prime, scale, "q2") == ref_apex_quad_q2(spec, p0, p0_prime, scale)
+
+
+def test_planar_witnesses_match_the_fixture():
+    for case in CONSTRUCTIONS["synthesize_witness"]:
+        out = synthesize_witness(DivisionSpec.of(case["p"], case["pp"]), fraction_tuple(case["x"]))
+        assert (out.construction, out.quad.text(), repr(out.certificate)) == (
+            case["construction"], case["quad"], case["certificate"]
+        )
+
+
+def test_q2_apex_quads_match_the_fixture():
+    for case in CONSTRUCTIONS["apex_quad_q2"]:
+        spec = DivisionSpec.of(case["p"], case["pp"])
+        params = fraction_tuple((case["p0"], case["p0_prime"], case["scale"]))
+        assert apex_quad(spec, *params, "q2").text() == case["quad"]
+
+
+def test_station_reports_match_the_fixture():
+    for case in CONSTRUCTIONS["station_check"]:
+        p, x = TailSummedSequence.parse(case["p"]), TailSummedSequence.parse(case["x"])
+        assert repr(station_check(p, x)) == case["report"]

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from quadareas import (
     Interval,
@@ -286,6 +287,14 @@ class TestMemberTail:
         p = TailSummedSequence.of((1, F(1, 2)), F(1, 2))
         assert planar_ratio_bounds(p, p) == (F(1, 4), F(5, 4))
 
+    def test_bounds_refuse_a_single_entry_prefix(self):
+        with pytest.raises(InvalidInputError):
+            planar_ratio_bounds(TailSummedSequence.of((1,)), TailSummedSequence.of((1,)))
+
+    def test_bounds_refuse_a_negative_ratio(self):
+        with pytest.raises(InvalidInputError):
+            planar_ratio_bounds(TailSummedSequence.of((1, -1, 2)), TailSummedSequence.of((1, 1, 1)))
+
     def test_bounds_consistent_with_station_normalization(self):
         # scaling the ratio window by p1/p2 reproduces the station bounds
         lo, hi = planar_ratio_bounds(GEO, GEO)
@@ -391,6 +400,10 @@ class TestExtendSolution:
         with pytest.raises(DegenerateDenominatorError):
             extend_solution((F(1), F(2), F(3)), (F(2), F(4), F(6)), F(1), F(1), 2)
 
+    def test_negative_ratio_rejected(self):
+        with pytest.raises(InvalidInputError):
+            extend_solution((1, 2, 3), (1, -1, 2), 1, 2, 2)
+
 
 class TestStations:
     def test_geometric_sigma_and_bounds(self):
@@ -409,6 +422,38 @@ class TestStations:
         rep = station_check(UNIT3, TailSummedSequence.of((1, 3, 5)))
         assert rep.progression_ok and rep.ratio == 3
         assert not rep.accepted and rep.reason == "boundary"
+
+    def test_finite_ratios_with_a_tail_sum_are_off_subspace(self):
+        # the prefix obeys the law, but finite ratios force a zero tail sum
+        rep = station_check(UNIT3, TailSummedSequence.of((2, 3, 4), 1))
+        assert rep.progression_ok and rep.coefficients.bounds[0] < rep.ratio < rep.coefficients.bounds[1]
+        assert not rep.accepted and rep.reason == "off-subspace"
+
+    def test_every_entry_is_screened(self):
+        rep = station_check(TailSummedSequence.of((1, 2, 3)), TailSummedSequence.of((1, 0, 2)))
+        assert not rep.accepted and rep.reason == "non-positive-entry"
+
+    @given(st.data())
+    def test_law_holds_exactly_when_member_tail_accepts(self, data):
+        # for positive x with a consistent tail sum the law decides on its own
+        ratio = st.builds(F, st.integers(1, 64), st.integers(1, 8))
+        p = TailSummedSequence(
+            tuple(data.draw(ratio) for _ in range(data.draw(st.integers(3, 8)))),
+            data.draw(st.sampled_from((F(0), data.draw(ratio)))),
+        )
+        coeff = st.one_of(st.just(F(0)), st.builds(F, st.integers(-16, 64), st.integers(1, 8)))
+        a, b = data.draw(coeff), data.draw(coeff)
+        head, tail = tail_cumulants(p, p)
+        head_rest, tail_rest = cumulant_tail_sums(p, p)
+        prefix = [a * h + b * t for h, t in zip(head, tail)]
+        if data.draw(st.booleans()):
+            prefix[data.draw(st.integers(0, p.m - 1))] += data.draw(ratio)
+        rest = a * head_rest + b * tail_rest
+        assume(all(v > 0 for v in prefix) and (rest > 0) == (p.tail_sum > 0))
+        x = TailSummedSequence(tuple(prefix), rest)
+        rep = station_check(p, x)
+        lo, hi = rep.coefficients.bounds
+        assert (rep.progression_ok and lo < rep.ratio < hi) == member_tail(p, p, x).attainable == rep.accepted
 
     def test_sigma_strictly_increasing(self):
         rng = random.Random(33)
