@@ -17,21 +17,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cone import classify, discriminants, frame, hyperplanes
-from .division import DivisionSpec, to_fraction
+from .division import DivisionSpec
 from .errors import InternalError, InvalidInputError, NotAttainableError, QuadAreasError
 from .geometry import ConvexQuad, strip_areas
 from .membership import Certificate, Verdict, member
 from .oracle import SampleReport, cross_validate, sample_convex_quads, sample_parallel_family
 from .reduction import TailSummedSequence, collapse, member_tail
 from .witness import WitnessOutput, synthesize_witness
-
-
-def parse_tuple(text: str) -> tuple[Fraction, ...]:
-    """Parse a comma-separated rational tuple, normalized to lowest terms."""
-    parts = [part for part in text.split(",") if part.strip()]
-    if not parts:
-        raise InvalidInputError("empty tuple")
-    return tuple(to_fraction(part) for part in parts)
 
 
 def _rationals(values) -> list[str]:
@@ -71,17 +63,24 @@ def _member_result(verdict: Verdict) -> dict:
     return result
 
 
+def _has_tail(*texts: str) -> bool:
+    return any("|" in t for t in texts)
+
+
+def _plain(text: str) -> tuple[Fraction, ...]:
+    """A finite tuple for a verb that reads no tail sum; a '|' suffix is refused."""
+    if _has_tail(text):
+        raise InvalidInputError("only member and reduce read a '| tail=r' suffix")
+    return TailSummedSequence.parse(text).prefix
+
+
 def _spec_from_args(args) -> DivisionSpec:
-    return DivisionSpec(parse_tuple(args.p), parse_tuple(args.pp))
+    return DivisionSpec(_plain(args.p), _plain(args.pp))
 
 
 def _sequences_from_args(args) -> tuple[TailSummedSequence, ...]:
     """p, p_prime and x as tail-summed sequences; positivity is checked by the decision or the fold."""
     return tuple(TailSummedSequence.parse(text) for text in (args.p, args.pp, args.x))
-
-
-def _has_tail(*texts: str) -> bool:
-    return any("|" in t for t in texts)
 
 
 def _float(v: Fraction) -> str:
@@ -174,10 +173,6 @@ def _describe_payload(spec: DivisionSpec) -> dict:
         },
         "hyperplanes": [[str(c) for c in plane] for plane in (hyperplanes(spec) if spec.n >= 3 else ())],
     }
-
-
-def _report_payload(report: SampleReport) -> dict:
-    return report.to_jsonable()
 
 
 def _report_text(report: SampleReport) -> str:
@@ -283,11 +278,7 @@ def _run(args) -> int:
         if _has_tail(args.p, args.pp, args.x):
             verdict = member_tail(*_sequences_from_args(args), args.mode)
         else:
-            spec = _spec_from_args(args)
-            x = parse_tuple(args.x)
-            if len(x) != spec.n:
-                raise InvalidInputError("x must have the same length as the ratio tuples")
-            verdict = member(spec, x, args.mode)
+            verdict = member(_spec_from_args(args), _plain(args.x), args.mode)
         payload = _member_result(verdict)
         if verdict.attainable and args.full:
             payload["certificate"] = _certificate_payload(verdict.certificate)
@@ -303,7 +294,7 @@ def _run(args) -> int:
 
     if args.verb == "witness":
         spec = _spec_from_args(args)
-        x = parse_tuple(args.x)
+        x = _plain(args.x)
         try:
             out = synthesize_witness(spec, x, args.mode)
         except NotAttainableError as err:
@@ -344,7 +335,7 @@ def _run(args) -> int:
             report = sample_parallel_family(spec, args.count, args.seed, args.mode)
         else:
             report = cross_validate(spec, args.count, args.seed)
-        _emit(args, _report_payload(report), _report_text(report))
+        _emit(args, report.to_jsonable(), _report_text(report))
         return 3 if report.violations else 0
 
     if args.verb == "reduce":

@@ -97,20 +97,6 @@ class Verdict:
     prefix_certified: bool = False
 
 
-def _face_solution(rows: Sequence[tuple[int, int, int, int]], x: tuple[Fraction, ...], proportional: bool):
-    """(a, b) with x = a*ab + b*dc exactly, or None; rows are the integer rows of a planar spec."""
-    if proportional:
-        # proportional ratio vectors: x must be a multiple of ab + dc
-        p0, q0, _, l0 = rows[0]
-        t = l0 * x[0] / (p0 + q0)
-        sol = (t, t)
-    else:
-        # a planar spec whose first two ratio pairs are proportional is proportional throughout
-        sol = solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
-        invariant(sol is not None, "the independent ratio pair gives a regular face system")
-    return sol if _spans(rows, (*sol, 0), x) else None
-
-
 def _coefficient_interval(
     face: Sequence[Sequence[int]], base_rhs: Sequence[Fraction], arm_rhs: Sequence[Fraction]
 ):
@@ -276,7 +262,7 @@ def proportional_bounds(p: Sequence[Fraction]):
     the returned plane and x3/x1 falls strictly inside the returned window.
     """
     p = fraction_tuple(p)
-    if len(p) != 3 or any(v <= 0 for v in p):
+    if len(p) != 3:
         raise InvalidInputError("expects three positive ratios")
     spec = DivisionSpec(p, p)
     plane = hyperplanes(spec)[0]

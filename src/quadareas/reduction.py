@@ -37,9 +37,10 @@ from .membership import (
 class TailSummedSequence:
     """A summable sequence as an exact prefix plus the exact sum of its tail.
 
-    Ratio sequences must be strictly positive (use require_positive); candidate
-    area sequences may carry any prefix values and are screened by the
-    membership deciders.  A zero tail sum embeds a plain finite tuple.
+    Ratio sequences must be strictly positive (their prefixes are validated as
+    a ``DivisionSpec``); candidate area sequences may carry any prefix values
+    and are screened by the membership deciders.  A zero tail sum embeds a
+    plain finite tuple.
     """
 
     prefix: tuple[Fraction, ...]
@@ -88,11 +89,6 @@ class TailSummedSequence:
     def finite(self) -> bool:
         return self.tail_sum == 0
 
-    def require_positive(self, name: str) -> None:
-        for i, entry in enumerate(self.prefix, start=1):
-            if entry <= 0:
-                raise InvalidInputError(f"{name} entry {i} must be positive")
-
 
 SpecLike = Union[DivisionSpec, tuple[TailSummedSequence, TailSummedSequence]]
 
@@ -101,10 +97,7 @@ def _as_sequences(spec: SpecLike) -> tuple[TailSummedSequence, TailSummedSequenc
     if isinstance(spec, DivisionSpec):
         return TailSummedSequence(spec.p), TailSummedSequence(spec.p_prime)
     p, q = spec
-    if p.m != q.m:
-        raise InvalidInputError("ratio sequences must share a prefix length")
-    p.require_positive("p")
-    q.require_positive("p_prime")
+    DivisionSpec(p.prefix, q.prefix)  # positive prefixes of one length, at least two
     return p, q
 
 
@@ -112,8 +105,7 @@ def tail_cumulants(
     p: TailSummedSequence, p_prime: TailSummedSequence
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Head and tail cumulants over the shared prefix, with tail-exact tail sums."""
-    if p.m != p_prime.m:
-        raise InvalidInputError("sequences must share a prefix length")
+    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     return cumulants(p.prefix, p_prime.prefix, p.tail_sum, p_prime.tail_sum)
 
 
@@ -242,7 +234,6 @@ def planar_ratio_bounds(
     p: TailSummedSequence, p_prime: TailSummedSequence
 ) -> tuple[Fraction, Fraction]:
     """Open window for x2/x1 in the planar case: (tail2/tail1, head2/head1)."""
-    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     head, tail = tail_cumulants(p, p_prime)
     return tail[1] / tail[0], head[1] / head[0]
 
@@ -260,11 +251,11 @@ def member_tail(
     forces through the exact cumulant tail sums.  Constraints at individual
     indices beyond the prefix are not representable and are not checked.
     """
-    if not (p.m == p_prime.m == x.m):
-        raise InvalidInputError("all three sequences must share a prefix length")
+    spec = DivisionSpec(p.prefix, p_prime.prefix)
+    if x.m != p.m:
+        raise InvalidInputError("x must share the prefix length of the ratio sequences")
     if p.m < 3:
         raise InvalidInputError("tail-summed decisions need a prefix of length at least 3")
-    spec = DivisionSpec(p.prefix, p_prime.prefix)
     if any(entry <= 0 for entry in x.prefix):
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
     ratios_finite = p.finite and p_prime.finite
@@ -347,7 +338,7 @@ class StationReport:
 def station_coefficients(p: TailSummedSequence) -> StationCoefficients:
     if p.m < 3:
         raise InvalidInputError("stations need a prefix of length at least 3")
-    p.require_positive("p")
+    DivisionSpec(p.prefix, p.prefix)  # positive entries
     base = p.prefix[0] + p.prefix[1]
     sigma = []
     running = Fraction(0)

@@ -17,7 +17,7 @@ from .division import DivisionSpec, fraction_tuple
 from .errors import InvalidInputError, NotAttainableError, invariant
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
 from .linalg import solve2
-from .membership import Certificate, Interval, Mode, member, _arms, _face_solution
+from .membership import Certificate, Interval, Mode, member, _arms
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,26 @@ def _trapezoid(spec: DivisionSpec, a: Fraction, b: Fraction) -> ConvexQuad:
     )
 
 
+def _face_solution(spec: DivisionSpec, x: tuple[Fraction, ...], coeffs: tuple[Fraction, Fraction]):
+    """(a, b) with x = a*ab + b*dc, or None, for x = coeffs[0]*head + coeffs[1]*tail on a planar spec.
+
+    Skew ratio vectors span the certificate's plane, so the solve at the first
+    two rows is exact at every coordinate; proportional ones span only the
+    line of ab + dc, which holds x exactly when the two coefficients agree.
+    """
+    rows = integer_rows(spec)[0]
+    if classify(spec).proportional:
+        if coeffs[0] != coeffs[1]:
+            return None
+        p0, q0, _, l0 = rows[0]
+        t = l0 * x[0] / (p0 + q0)
+        return t, t
+    # a planar spec whose first two ratio pairs are proportional is proportional throughout
+    sol = solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
+    invariant(sol is not None, "the independent ratio pair gives a regular face system")
+    return sol
+
+
 def _apex_parameters(spec: DivisionSpec, x: tuple[Fraction, ...], interval: Interval, arm: int):
     """Resolve a planar re-decomposition at the canonical interior coefficient.
 
@@ -132,7 +152,7 @@ def synthesize_witness(
         quad = _trapezoid(spec, t, t)
         construction = "trapezoid-l0"
     else:
-        face = _face_solution(integer_rows(spec)[0], x, classify(spec).proportional)
+        face = _face_solution(spec, x, cert.coeffs)
         if face is not None and face[0] > 0 and face[1] > 0:
             quad = _trapezoid(spec, *face)
             construction = "trapezoid-l0" if face[0] == face[1] else "trapezoid"

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadareas
-from quadareas import DivisionSpec, InternalError, InvalidInputError, TailSummedSequence, member, member_tail
-from quadareas.cli import main, parse_tuple
+from quadareas import DivisionSpec, InternalError, TailSummedSequence, member, member_tail
+from quadareas.cli import main
 
 
 def run(capsys, *args):
@@ -23,14 +23,8 @@ def run(capsys, *args):
 
 
 class TestParseTuple:
-    def test_plain(self):
-        assert parse_tuple("1,2,3") == (F(1), F(2), F(3))
-
-    def test_normalization(self):
-        assert parse_tuple("4/6,1") == (F(2, 3), F(1))
-
     def test_positivity_error_names_entry(self, capsys):
-        # parse_tuple reads any sign; DivisionSpec names the tuple and the entry
+        # tuples are read with any sign; DivisionSpec names the tuple and the entry
         fold = ("--x", "1,2,3", "--pivot", "2", "--branch", "q1")
         for verb, extra in (("describe", ()), ("member", ("--x", "1,2,3")), ("reduce", fold)):
             code, out, err = run(capsys, verb, "--p", "1,-2,3", "--pp", "1,1,1", *extra)
@@ -38,12 +32,29 @@ class TestParseTuple:
             code, out, err = run(capsys, verb, "--p", "1,1,1", "--pp", "1,1,-1", *extra)
             assert (code, out, err) == (1, "", "error: p_prime entry 3 must be positive\n")
 
-    def test_malformed_literal(self):
-        with pytest.raises(InvalidInputError):
-            parse_tuple("1,2.5")
 
-    def test_negatives_allowed_when_not_required_positive(self):
-        assert parse_tuple("1,-2") == (F(1), F(-2))
+class TestInputErrors:
+    """Every tuple is read by TailSummedSequence.parse and every ratio pair is validated by DivisionSpec."""
+
+    @pytest.mark.parametrize("argv, err", (
+        (("member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "1,2"),
+         "area tuple length does not match the division spec"),
+        (("describe", "--p", ",", "--pp", "1,1"), "a sequence needs a nonempty prefix"),
+        (("witness", "--p", "1,1,1", "--pp", "1,1,1", "--x", "3,5,7 | tail=1"),
+         "only member and reduce read a '| tail=r' suffix"),
+        (("areas", "--p", "1,1,1 |", "--pp", "1,1,1", "--quad", "2,0;8,0;0,4;0,1"),
+         "only member and reduce read a '| tail=r' suffix"),
+        (("reduce", "--p", "1", "--pp", "1", "--x", "1", "--pivot", "2", "--branch", "q1"),
+         "need at least two segments per side"),
+        (("reduce", "--p", "1,2,3", "--pp", "1,1", "--x", "1,2,3", "--pivot", "2", "--branch", "q1"),
+         "ratio tuples must have the same length"),
+        (("member", "--p", "1,2,3 | tail=1", "--pp", "1,1", "--x", "1,2,3"),
+         "ratio tuples must have the same length"),
+        (("member", "--p", "1,2,3 | tail=1", "--pp", "1,1,1", "--x", "1,2"),
+         "x must share the prefix length of the ratio sequences"),
+    ))
+    def test_error_line(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
 
 
 class TestMemberVerb:
@@ -385,6 +396,12 @@ def cli_argvs(draw):
 @settings(max_examples=200)
 @given(cli_argvs())
 def test_fuzzed_argv_returns_an_exit_code_and_never_raises(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    if code == 4:
+        assert err.getvalue().startswith("error: internal error")

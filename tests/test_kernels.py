@@ -47,7 +47,7 @@ from quadareas.cone import _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
 from quadareas.linalg import solve2, solve3
 from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _spans
-from quadareas.witness import _apex_parameters
+from quadareas.witness import _apex_parameters, _face_solution
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
 # planar witnesses (proportional and skew specs, n = 3-14, grid and 30-digit entries; 30-digit skew
@@ -303,6 +303,17 @@ def ref_apex_parameters(fr, x, interval, arm, proportional):
         return g / 2, g / (2 * lam), c
     a, b = ref_solve2([[fr.ab[0], fr.dc[0]], [fr.ab[1], fr.dc[1]]], [residual[0], residual[1]])
     return a, b, c
+
+
+def ref_face_solution(rows, x, proportional):
+    """(a, b) with x = a*ab + b*dc as it was: solved at the first rows, then checked at every row."""
+    if proportional:
+        p0, q0, _, l0 = rows[0]
+        t = l0 * x[0] / (p0 + q0)
+        sol = (t, t)
+    else:
+        sol = solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
+    return sol if _spans(rows, (*sol, 0), x) else None
 
 
 def ref_apex_quad_q2(spec, p0, p0_prime, scale):
@@ -706,6 +717,17 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
         if interval is not None:
             expected = ref_apex_parameters(fr, x, interval, ("head", "tail")[arm], proportional)
             assert _apex_parameters(spec, x, interval, arm) == expected
+
+
+@given(planar_queries())
+def test_face_solution_matches_the_span_checked_reference(query):
+    # x on the planar span, on the face (ab, dc and parallel bases) or off it; its
+    # coefficients on head and tail are the ones a certificate would carry
+    spec, x, _ = query
+    fr = frame(spec)
+    coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x[0], x[1]])
+    expected = ref_face_solution(integer_rows(spec)[0], x, classify(spec).proportional)
+    assert _face_solution(spec, x, coeffs) == expected
 
 
 @given(specs(), ratios(), ratios(), ratios())

@@ -238,6 +238,13 @@ class TestProportionalBounds:
         _, window = proportional_bounds((F(1), F(1), F(2)))
         assert window == (F(4, 7), F(12))
 
+    def test_non_positive_ratio_is_named(self):
+        for p, message in (((1, -1, 2), "p entry 2 must be positive"), ((0, 1, 1), "p entry 1 must be positive")):
+            with pytest.raises(InvalidInputError, match=message):
+                proportional_bounds(p)
+        with pytest.raises(InvalidInputError, match="expects three positive ratios"):
+            proportional_bounds((1, 2))
+
     def test_equivalence_with_membership(self):
         p = (F(1), F(2), F(3))
         spec = DivisionSpec.of(p, p)

@@ -78,6 +78,24 @@ class TestTailSummedSequence:
     def test_totals(self):
         assert GEO.total == 2
 
+    def test_plain(self):
+        assert TailSummedSequence.parse("1,2,3").prefix == (F(1), F(2), F(3))
+
+    def test_normalization(self):
+        assert TailSummedSequence.parse("4/6,1").prefix == (F(2, 3), F(1))
+
+    def test_malformed_literal(self):
+        with pytest.raises(InvalidInputError, match="malformed rational literal '2.5'"):
+            TailSummedSequence.parse("1,2.5")
+
+    def test_negative_entries_are_read_with_their_sign(self):
+        assert TailSummedSequence.parse("1,-2").prefix == (F(1), F(-2))
+
+    def test_empty_prefix_rejected(self):
+        for text in ("", ",", " , | tail=1"):
+            with pytest.raises(InvalidInputError, match="a sequence needs a nonempty prefix"):
+                TailSummedSequence.parse(text)
+
 
 class TestTailCumulants:
     def test_geometric(self):
@@ -93,6 +111,16 @@ class TestTailCumulants:
     def test_finite_unit(self):
         head, tail = tail_cumulants(UNIT3, UNIT3)
         assert head == (F(1), F(3), F(5)) and tail == (F(5), F(3), F(1))
+
+    def test_ratios_are_validated_as_a_division_spec(self):
+        for p, q, message in (
+            ((1, 0, 2), (1, 1, 1), "p entry 2 must be positive"),
+            ((1, 1, 1), (1, 1, F(-1, 2)), "p_prime entry 3 must be positive"),
+            ((1, 2, 3), (1, 1), "ratio tuples must have the same length"),
+            ((1,), (1,), "need at least two segments per side"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                tail_cumulants(TailSummedSequence.of(p, 1), TailSummedSequence.of(q))
 
     def test_component_sum_identity_with_tails(self):
         rng = random.Random(6)
