@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from typing import Sequence
 
 from .division import DivisionSpec, RationalLike, to_fraction
@@ -74,15 +75,39 @@ def polygon_area(vertices: Sequence[Point]) -> Fraction:
     return twice / 2
 
 
+def _edge(p: Point, r: Point) -> tuple[int, int, int, int]:
+    """r - p as (x numerator, x denominator, y numerator, y denominator), unnormalised: no gcd."""
+    px, py, rx, ry = p.x, p.y, r.x, r.y
+    return (
+        rx.numerator * px.denominator - px.numerator * rx.denominator,
+        rx.denominator * px.denominator,
+        ry.numerator * py.denominator - py.numerator * ry.denominator,
+        ry.denominator * py.denominator,
+    )
+
+
+def _cross(e: tuple[int, int, int, int], f: tuple[int, int, int, int]) -> tuple[int, int]:
+    """e x f as (numerator, denominator) over the edges' positive denominators, unnormalised.
+
+    When one of the two products is zero (an axis-parallel edge, as in every
+    apex quad), the other keeps only its own two denominators, so the ints,
+    and the one gcd that normalises the cross in strip_areas, stay smaller.
+    """
+    if e[2] == 0 or f[0] == 0:
+        return e[0] * f[2], e[1] * f[3]
+    if e[0] == 0 or f[2] == 0:
+        return -e[2] * f[0], e[3] * f[1]
+    return e[0] * f[2] * e[3] * f[1] - e[2] * f[0] * e[1] * f[3], e[1] * e[3] * f[1] * f[3]
+
+
 def is_convex_ccw(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the four consecutive cross products are all strictly positive."""
-    quad = (a, b, c, d)
-    for i in range(4):
-        u = quad[(i + 1) % 4] - quad[i]
-        v = quad[(i + 2) % 4] - quad[(i + 1) % 4]
-        if u.cross(v) <= 0:
-            return False
-    return True
+    """True iff the four consecutive cross products are all strictly positive.
+
+    Each edge is built once; a cross's sign is its numerator's, as every
+    denominator is positive, so no Fraction is built.
+    """
+    ab, bc, cd, da = _edge(a, b), _edge(b, c), _edge(c, d), _edge(d, a)
+    return all(_cross(e, f)[0] > 0 for e, f in ((ab, bc), (bc, cd), (cd, da), (da, ab)))
 
 
 @dataclass(frozen=True)
@@ -170,19 +195,28 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
     return DivisionPoints(side(q.a, q.b, spec.p), side(q.d, q.c, spec.p_prime))
 
 
+def _quotient(cross: tuple[int, int], scale: int) -> Fraction:
+    """cross / scale as one Fraction.  The numerator's common factor with scale
+    is divided out first: it is large when the quad is built from the spec, and
+    the gcd that normalises the rest then runs on smaller ints."""
+    num, den = cross
+    g = gcd(num, scale)
+    return Fraction(num // g, den * (scale // g))
+
+
 def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
     """Exact strip areas in closed form: with u = B - A, w = C - D, e = D - A and
     side fractions alpha_k = s_k/S (AB) and delta_k = t_k/T (DC), twice strip k is
     (delta_{k-1} - delta_k)*(e x w) + (alpha_{k-1} - alpha_k)*(e x u)
-    + (alpha_k*delta_k - alpha_{k-1}*delta_{k-1})*(u x w).  The three weights are
-    normalised once per quad, as they share factors with S and T when the quad
-    is built from the spec; each strip is then one Fraction over integer sums s, t.
+    + (alpha_k*delta_k - alpha_{k-1}*delta_{k-1})*(u x w).  Each weight is one
+    Fraction from a cross of the integer edges over its side totals, normalised
+    once per quad, as the crosses share factors with S and T when the quad is
+    built from the spec; each strip is then one Fraction over integer sums s, t.
     """
     s, t = ([0, *accumulate(_scaled(ratios)[0])] for ratios in (spec.p, spec.p_prime))
-    u, w, e = q.b - q.a, q.c - q.d, q.d - q.a
-    (ew, eu, uw), den = _scaled(
-        (e.cross(w) / (2 * t[-1]), e.cross(u) / (2 * s[-1]), u.cross(w) / (2 * s[-1] * t[-1]))
-    )
+    u, w, e = _edge(q.a, q.b), _edge(q.d, q.c), _edge(q.a, q.d)
+    crosses = ((_cross(e, w), 2 * t[-1]), (_cross(e, u), 2 * s[-1]), (_cross(u, w), 2 * s[-1] * t[-1]))
+    (ew, eu, uw), den = _scaled([_quotient(cross, scale) for cross, scale in crosses])
     areas = []
     for k in range(1, spec.n + 1):
         numerator = (t[k - 1] - t[k]) * ew + (s[k - 1] - s[k]) * eu

@@ -154,7 +154,7 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
     xs = x if isinstance(x, TailSummedSequence) else TailSummedSequence(fraction_tuple(x))
     m = p.m
     if xs.m != m:
-        raise InvalidInputError("x must share the prefix length of the ratio sequences")
+        raise InvalidInputError("area tuple length does not match the division spec")
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     _check_pivot(p.prefix, q.prefix, pivot)
@@ -253,7 +253,7 @@ def member_tail(
     """
     spec = DivisionSpec(p.prefix, p_prime.prefix)
     if x.m != p.m:
-        raise InvalidInputError("x must share the prefix length of the ratio sequences")
+        raise InvalidInputError("area tuple length does not match the division spec")
     if p.m < 3:
         raise InvalidInputError("tail-summed decisions need a prefix of length at least 3")
     if any(entry <= 0 for entry in x.prefix):

@@ -51,7 +51,7 @@ class TestInputErrors:
         (("member", "--p", "1,2,3 | tail=1", "--pp", "1,1", "--x", "1,2,3"),
          "ratio tuples must have the same length"),
         (("member", "--p", "1,2,3 | tail=1", "--pp", "1,1,1", "--x", "1,2"),
-         "x must share the prefix length of the ratio sequences"),
+         "area tuple length does not match the division spec"),
     ))
     def test_error_line(self, capsys, argv, err):
         assert run(capsys, *argv) == (1, "", f"error: {err}\n")
@@ -307,6 +307,8 @@ class TestInvariants:
             ("member", "--p", "1,2,3", "--pp", "2,4,6", "--x", "46,80,90", "--full"),
             id="member-proportional",
         ),
+        pytest.param(("areas", "--p", "1,2,3", "--pp", "2,1,1", "--quad", "0,0;1,3;5,4;6,1"), id="areas"),
+        pytest.param(("sample", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--count", "6", "--seed", "2"), id="sample"),
     ))
     def test_python_O_gives_the_same_bytes(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -22,6 +24,13 @@ from quadareas import (
 )
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
+# Outputs of the Point-based geometry, written once and compared, never rewritten: apex quads of
+# both branches, their oracle affine images, rotations (grid specs only) and trapezoids, plus
+# collinear, midpoint, reflex, duplicate-vertex and one-line vertex sets, over grid, 30-digit and
+# 300-digit specs with n = 2-12.  Each case holds is_convex_ccw and the orientation or error of
+# ConvexQuad.of for the six vertex orders starting at A (the three orders, each both ways round),
+# and for convex cases strip_areas and apex_of.
+GEOMETRY = json.loads((Path(__file__).parent / "fixtures" / "geometry_outputs.json").read_text())
 
 
 class TestPolygonArea:
@@ -66,6 +75,36 @@ class TestConvexity:
     def test_direct_constructor_requires_ccw(self):
         with pytest.raises(InvalidInputError):
             ConvexQuad(pt(0, 0), pt(0, 1), pt(3, 1), pt(6, 0))
+
+
+def _of_outcome(vertices):
+    try:
+        quad = ConvexQuad.of(*vertices)
+    except InvalidInputError as exc:
+        return f"error: {exc}"
+    if quad.vertices == tuple(vertices):
+        return "as given"
+    assert quad.vertices == (vertices[0], vertices[3], vertices[2], vertices[1])
+    return "reflected"
+
+
+def _apex_outcome(geo):
+    if isinstance(geo, ParallelMarker):
+        return "parallel"
+    return {"apex": geo.apex.text(), "branch": geo.branch, "p0": str(geo.p0),
+            "p0_prime": str(geo.p0_prime), "scale": str(geo.scale)}
+
+
+def test_outputs_match_the_fixture():
+    for case in GEOMETRY["cases"]:
+        labelled = dict(zip("abcd", (Point.parse(v) for v in case["vertices"])))
+        orders = [[labelled[c] for c in order] for order in GEOMETRY["orders"]]
+        assert [is_convex_ccw(*vertices) for vertices in orders] == case["is_convex_ccw"]
+        assert [_of_outcome(vertices) for vertices in orders] == case["of"]
+        if "strip_areas" in case:
+            spec, quad = DivisionSpec.of(case["p"], case["pp"]), ConvexQuad(*orders[0])
+            assert [str(a) for a in strip_areas(quad, spec)] == case["strip_areas"]
+            assert _apex_outcome(apex_of(quad, spec)) == case["apex_of"]
 
 
 class TestSubdivide:

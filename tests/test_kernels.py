@@ -9,9 +9,10 @@ import json
 import random
 from fractions import Fraction as F
 from functools import partial
+from itertools import accumulate, permutations
 from pathlib import Path
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quadareas import (
     Certificate,
@@ -32,6 +33,7 @@ from quadareas import (
     discriminants,
     frame,
     hyperplanes,
+    is_convex_ccw,
     member,
     member_tail,
     member_via_collapse,
@@ -45,7 +47,7 @@ from quadareas import (
 from quadareas.cli import _describe_payload
 from quadareas.cone import _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
-from quadareas.linalg import solve2, solve3
+from quadareas.linalg import _scaled, solve2, solve3
 from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _spans
 from quadareas.witness import _apex_parameters, _face_solution
 
@@ -348,6 +350,30 @@ def ref_strip_areas(q, spec):
     )
 
 
+def ref_is_convex_ccw(a, b, c, d):
+    """is_convex_ccw on Points: four Fraction crosses, each edge built twice."""
+    quad = (a, b, c, d)
+    for i in range(4):
+        u = quad[(i + 1) % 4] - quad[i]
+        v = quad[(i + 2) % 4] - quad[(i + 1) % 4]
+        if u.cross(v) <= 0:
+            return False
+    return True
+
+
+def ref_point_strip_areas(q, spec):
+    """strip_areas with its three weights from Point crosses; the integer strip loop is the same."""
+    s, t = ([0, *accumulate(_scaled(ratios)[0])] for ratios in (spec.p, spec.p_prime))
+    u, w, e = q.b - q.a, q.c - q.d, q.d - q.a
+    (ew, eu, uw), den = _scaled(
+        (e.cross(w) / (2 * t[-1]), e.cross(u) / (2 * s[-1]), u.cross(w) / (2 * s[-1] * t[-1]))
+    )
+    return tuple(
+        F((t[k - 1] - t[k]) * ew + (s[k - 1] - s[k]) * eu + (s[k] * t[k] - s[k - 1] * t[k - 1]) * uw, den)
+        for k in range(1, spec.n + 1)
+    )
+
+
 # ---- strategies -------------------------------------------------------------
 
 
@@ -511,6 +537,27 @@ def quads_for(draw, spec):
     ))
 
 
+@st.composite
+def vertex_sets(draw):
+    """Four points: a quad from quads_for, in its own order or any other, with one vertex possibly
+    moved onto the line through two others or onto another vertex; or four points of a small grid,
+    where coincident and collinear points are common, in a convex counterclockwise order if any."""
+    if draw(st.booleans()):
+        coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+        points = [Point(draw(coord), draw(coord)) for _ in range(4)]
+        return next((list(order) for order in permutations(points) if ref_is_convex_ccw(*order)), points)
+    vertices = list(draw(specs().flatmap(quads_for)).vertices)
+    if draw(st.booleans()):
+        vertices = draw(st.permutations(vertices))
+    i, j, k = draw(st.permutations(range(4)))[:3]
+    move = draw(st.sampled_from(("none", "collinear", "duplicate")))
+    if move == "collinear":
+        vertices[k] = vertices[i] + draw(ratios(big=False, signed=True)) * (vertices[j] - vertices[i])
+    elif move == "duplicate":
+        vertices[k] = vertices[i]
+    return vertices
+
+
 # ---- properties -------------------------------------------------------------
 
 
@@ -569,9 +616,15 @@ def test_discriminants_and_first_pivot_match_reference(spec):
 @given(specs(), st.data())
 def test_strip_areas_and_division_points_match_shoelace(spec, data):
     quad = data.draw(quads_for(spec))
-    assert strip_areas(quad, spec) == ref_strip_areas(quad, spec)
+    assert strip_areas(quad, spec) == ref_strip_areas(quad, spec) == ref_point_strip_areas(quad, spec)
     points = subdivide(quad, spec)
     assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+
+
+@settings(max_examples=200)  # a mutated edge denominator flips few signs
+@given(vertex_sets())
+def test_convexity_matches_the_point_reference(vertices):
+    assert is_convex_ccw(*vertices) == ref_is_convex_ccw(*vertices)
 
 
 @given(specs())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -84,6 +85,26 @@ class TestCrossValidate:
     def test_deterministic(self):
         spec = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
         assert cross_validate(spec, 25, 9) == cross_validate(spec, 25, 9)
+
+
+def digit_spec(digits, n):
+    """A spec with n digits-long numerators and denominators per side, pinned by (digits, n)."""
+    rng = random.Random(f"oracle/{digits}/{n}")
+    lo, hi = 10 ** (digits - 1), 10 ** digits
+    return DivisionSpec(*(tuple(F(rng.randrange(lo, hi), rng.randrange(lo, hi)) for _ in range(n)) for _ in "pq"))
+
+
+class TestBigDigitSpecs:
+    @pytest.mark.parametrize("digits, n", ((100, 8), (100, 32), (30, 64)))
+    def test_sampler_runs_are_clean(self, digits, n):
+        spec = digit_spec(digits, n)
+        for report in (sample_convex_quads(spec, 6, 1), sample_parallel_family(spec, 6, 1)):
+            assert report.accepted == 6 and report.violations == ()
+
+    def test_cross_validation_is_clean(self):
+        # n = 8 only: the fold decisions take seconds at n = 32
+        report = cross_validate(digit_spec(100, 8), 6, 1)
+        assert report.accepted == 6 and report.violations == ()
 
 
 class TestCoverage:
