@@ -108,30 +108,20 @@ def _witness_svg(out: WitnessOutput, spec: DivisionSpec) -> str:
         )
     ]
     fills = ("#dbe9ff", "#f4dcc8")
-    for i in range(1, spec.n + 1):
-        corners = (
-            out.division.on_ab[i - 1],
-            out.division.on_ab[i],
-            out.division.on_dc[i],
-            out.division.on_dc[i - 1],
-        )
+    on_ab, on_dc = out.division.on_ab, out.division.on_dc
+    strips = list(zip(on_ab, on_ab[1:], on_dc[1:], on_dc))
+    for i, (corners, area) in enumerate(zip(strips, areas), start=1):
         points = " ".join(f"{_float(p.x)},{_float(p.y)}" for p in corners)
         lines.append(
-            f'<polygon class="strip" data-index="{i}" data-area="{areas[i - 1]}" '
+            f'<polygon class="strip" data-index="{i}" data-area="{area}" '
             f'points="{points}" fill="{fills[(i - 1) % 2]}" stroke="#333" stroke-width="{_float(margin / 8)}"/>'
         )
-    for a, d in zip(out.division.on_ab, out.division.on_dc):
+    for a, d in zip(on_ab, on_dc):
         lines.append(
             f'<line x1="{_float(a.x)}" y1="{_float(a.y)}" x2="{_float(d.x)}" y2="{_float(d.y)}" '
             f'stroke="#000" stroke-width="{_float(margin / 8)}"/>'
         )
-    for i, area in enumerate(areas, start=1):
-        corners = (
-            out.division.on_ab[i - 1],
-            out.division.on_ab[i],
-            out.division.on_dc[i],
-            out.division.on_dc[i - 1],
-        )
+    for corners, area in zip(strips, areas):
         cx = sum(p.x for p in corners) / 4
         cy = sum(p.y for p in corners) / 4
         lines.append(
@@ -193,7 +183,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = re.compile(r"^-[0-9]")
 
     def error(self, message: str):
         raise InvalidInputError(message)

@@ -15,7 +15,7 @@ from .errors import InvalidInputError
 
 RationalLike = Union[int, str, Fraction]
 
-_RATIONAL = re.compile(r"^[+-]?\d+(?:\s*/\s*[0-9]+)?$")
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(?:\s*/\s*[0-9]+)?$")
 
 
 def to_fraction(value: RationalLike) -> Fraction:

@@ -11,7 +11,10 @@ decision (``reduction.member_tail``) and the fold decider run on the same
 kernels: tail sums are one more row, checked like any coordinate, and each
 fold is a solve on sums of the spec's rows.  A planar decision solves for the
 cumulant coefficients at the first two coordinates and checks them with the
-same componentwise check, so it computes no frame either.
+same componentwise check, so it computes no frame either.  On skew ratio
+vectors its re-decompositions, like the planar witness, read one face solve
+(``_face``): head = alpha*ab + beta*dc, from which the face coordinates of
+the tail and of x follow through the totals.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -97,19 +100,34 @@ class Verdict:
     prefix_certified: bool = False
 
 
-def _coefficient_interval(
-    face: Sequence[Sequence[int]], base_rhs: Sequence[Fraction], arm_rhs: Sequence[Fraction]
+def _face(
+    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, a: Fraction, b: Fraction
 ):
+    """The coordinates over (ab, dc) of x = a*head + b*tail, of head and of tail, for skew ratio vectors.
+
+    head = alpha*ab + beta*dc is solved once at row 0 and the first row j where
+    ab and dc are independent: row 1, unless a proportional prefix is made skew
+    by its row of tail sums only.  The cumulants of a skew planar spec lie in
+    span(ab, dc), so the solve holds at every one of its rows; a row of nonzero
+    tail sums need not lie on it.  tail = (total_dc - alpha)*ab +
+    (total_ab - beta)*dc follows from head + tail, and x's coordinates are
+    linear in the arms', as x = a*head + b*tail.
+    """
+    p0, q0, h0, _ = rows[0]
+    pj, qj, hj, _ = next(row for row in rows[1:] if p0 * row[1] != row[0] * q0)
+    det = p0 * qj - pj * q0
+    head = (Fraction(h0 * qj - hj * q0, det), Fraction(p0 * hj - pj * h0, det))
+    tail = (total_dc - head[0], total_ab - head[1])
+    return (a * head[0] + b * tail[0], a * head[1] + b * tail[1]), head, tail
+
+
+def _coefficient_interval(base: Sequence[Fraction], slope: Sequence[Fraction]):
     """Feasible cumulant coefficients c for x = A*ab + B*dc + c*arm with A, B, c > 0.
 
-    Only meaningful in the planar case, for skew ratio vectors.  face holds ab
-    and dc at two coordinates where they are independent, and base_rhs and
-    arm_rhs hold x and the arm there, each row scaled by its L.  Returns an
-    Interval or None.
+    Only meaningful in the planar case, for skew ratio vectors: base and slope
+    are the face coordinates of x and of the arm (``_face``), and (A, B) is
+    base - c*slope.  Returns an Interval or None.
     """
-    base = solve2(face, base_rhs)
-    slope = solve2(face, arm_rhs)
-    invariant(base is not None and slope is not None, "the independent ratio pair gives a regular system")
     lo = Fraction(0)
     hi: Optional[Fraction] = None
     for coef, intercept in zip(slope, base):
@@ -209,9 +227,8 @@ def _planar_verdict(
     are proportional over all rows, which may end in a row of exact tail sums.
     """
     verdict = partial(Verdict, prefix_certified=prefix_certified)
-    arms = partial(_arms, rows, total_ab, total_dc)
-    scaled_x = [rows[i][3] * x[i] for i in (0, 1)]
-    sol = solve2([arms(0), arms(1)], scaled_x)
+    arms = [_arms(rows, total_ab, total_dc, i) for i in (0, 1)]
+    sol = solve2(arms, [rows[i][3] * x[i] for i in (0, 1)])
     invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
     a, b = sol
     if not _spans(rows, (b * total_dc, b * total_ab, a - b), x):
@@ -222,12 +239,8 @@ def _planar_verdict(
         # x = g*(ab-direction) + c*arm pins c uniquely: a - b on the head, b - a on the tail
         intervals = [Interval(c, c) if c > 0 else None for c in (a - b, b - a)]
     else:
-        # row 1, unless a proportional prefix is made skew by its row of tail sums only
-        p0, q0 = rows[0][:2]
-        j = next(j for j in range(1, len(rows)) if p0 * rows[j][1] != rows[j][0] * q0)
-        face = [rows[0][:2], rows[j][:2]]
-        base_rhs = [scaled_x[0], rows[j][3] * x[j]]
-        intervals = [_coefficient_interval(face, base_rhs, arm) for arm in zip(arms(0), arms(j))]
+        base, *slopes = _face(rows, total_ab, total_dc, a, b)
+        intervals = [_coefficient_interval(base, slope) for slope in slopes]
     return verdict(True, Certificate("degenerate", (a, b), *intervals))
 
 

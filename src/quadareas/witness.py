@@ -16,8 +16,7 @@ from .cone import classify, frame, integer_rows
 from .division import DivisionSpec, fraction_tuple
 from .errors import InvalidInputError, NotAttainableError, invariant
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
-from .linalg import solve2
-from .membership import Certificate, Interval, Mode, member, _arms
+from .membership import Certificate, Mode, member, _arms, _face
 
 
 @dataclass(frozen=True)
@@ -82,49 +81,6 @@ def _trapezoid(spec: DivisionSpec, a: Fraction, b: Fraction) -> ConvexQuad:
     )
 
 
-def _face_solution(spec: DivisionSpec, x: tuple[Fraction, ...], coeffs: tuple[Fraction, Fraction]):
-    """(a, b) with x = a*ab + b*dc, or None, for x = coeffs[0]*head + coeffs[1]*tail on a planar spec.
-
-    Skew ratio vectors span the certificate's plane, so the solve at the first
-    two rows is exact at every coordinate; proportional ones span only the
-    line of ab + dc, which holds x exactly when the two coefficients agree.
-    """
-    rows = integer_rows(spec)[0]
-    if classify(spec).proportional:
-        if coeffs[0] != coeffs[1]:
-            return None
-        p0, q0, _, l0 = rows[0]
-        t = l0 * x[0] / (p0 + q0)
-        return t, t
-    # a planar spec whose first two ratio pairs are proportional is proportional throughout
-    sol = solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
-    invariant(sol is not None, "the independent ratio pair gives a regular face system")
-    return sol
-
-
-def _apex_parameters(spec: DivisionSpec, x: tuple[Fraction, ...], interval: Interval, arm: int):
-    """Resolve a planar re-decomposition at the canonical interior coefficient.
-
-    arm 0 is the head (q1), arm 1 the tail (q2); the residual x - c*arm is
-    solved on the ratio vectors at the spec's first two integer rows.
-    """
-    rows, total_ab, total_dc = integer_rows(spec)
-    c = interval.lo if interval.is_point else interval.midpoint
-    # L_i*(x_i - c*arm_i) at the first two rows
-    residual = [rows[i][3] * x[i] - c * _arms(rows, total_ab, total_dc, i)[arm] for i in (0, 1)]
-    if classify(spec).proportional:
-        # split the residual evenly between the proportional ratio vectors: a*P_0 = b*Q_0
-        (p0, q0), r = rows[0][:2], residual[0]
-        a, b = r / (2 * p0), r / (2 * q0)
-    else:
-        # a planar spec whose first two ratio pairs are proportional is proportional throughout
-        sol = solve2([rows[0][:2], rows[1][:2]], residual)
-        invariant(sol is not None, "the independent ratio pair gives a regular face system")
-        a, b = sol
-    invariant(a > 0 and b > 0 and c > 0, "the canonical re-decomposition is strictly positive")
-    return a, b, c
-
-
 def synthesize_witness(
     spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited"
 ) -> WitnessOutput:
@@ -152,16 +108,31 @@ def synthesize_witness(
         quad = _trapezoid(spec, t, t)
         construction = "trapezoid-l0"
     else:
-        face = _face_solution(spec, x, cert.coeffs)
+        rows, total_ab, total_dc = integer_rows(spec)
+        p0, q0, _, l0 = rows[0]
+        proportional = classify(spec).proportional
+        if proportional:
+            # the ratio vectors span only the line of ab + dc, which holds x when the coefficients agree
+            face = (l0 * x[0] / (p0 + q0),) * 2 if cert.coeffs[0] == cert.coeffs[1] else None
+        else:
+            # skew ratio vectors span the certificate's plane
+            face, *slopes = _face(rows, total_ab, total_dc, *cert.coeffs)
         if face is not None and face[0] > 0 and face[1] > 0:
             quad = _trapezoid(spec, *face)
             construction = "trapezoid-l0" if face[0] == face[1] else "trapezoid"
         else:
-            # arm 0 is the head (q1), arm 1 the tail (q2)
+            # arm 0 is the head (q1), arm 1 the tail (q2), resolved at the canonical interior coefficient
             arm = 0 if cert.q1_interval is not None else 1
             branch, interval = ("q1", "q2")[arm], (cert.q1_interval, cert.q2_interval)[arm]
             invariant(interval is not None, "an attainable planar tuple admits a realization")
-            a, b, c = _apex_parameters(spec, x, interval, arm)
+            c = interval.lo if interval.is_point else interval.midpoint
+            if proportional:
+                # split the residual L_0*(x_0 - c*arm_0) evenly between the ratio vectors: a*P_0 = b*Q_0
+                r = l0 * x[0] - c * _arms(rows, total_ab, total_dc, 0)[arm]
+                a, b = r / (2 * p0), r / (2 * q0)
+            else:
+                a, b = (f - c * s for f, s in zip(face, slopes[arm]))
+            invariant(a > 0 and b > 0 and c > 0, "the canonical re-decomposition is strictly positive")
             quad = apex_quad(spec, b / c, a / c, c, branch)
             construction = f"apex-{branch}"
 

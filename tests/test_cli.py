@@ -297,6 +297,8 @@ class TestInvariants:
         pytest.param(("witness", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"), id="witness"),
         pytest.param(("witness", "--p", "1,1,1", "--pp", "1,1,1", "--x", "3,5,7"), id="witness-planar"),
         pytest.param(("witness", "--p", "1,2,3", "--pp", "1,1,1", "--x", "10,10,7"), id="witness-q2"),
+        pytest.param(("witness", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "58/7,130/7,68/7"), id="witness-skew-apex"),
+        pytest.param(("witness", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "51/7,95/7,46/7"), id="witness-skew-face"),
         pytest.param(("member", *TAILED), id="member-tail"),
         pytest.param(
             ("reduce", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--x", "1,2,3,4", "--pivot", "2", "--branch", "q2"),

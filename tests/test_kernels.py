@@ -48,8 +48,8 @@ from quadareas.cli import _describe_payload
 from quadareas.cone import _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
 from quadareas.linalg import _scaled, solve2, solve3
-from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _spans
-from quadareas.witness import _apex_parameters, _face_solution
+from quadareas.membership import Interval, _coefficient_verdict, _face, _pivot_solution, _spans
+from quadareas.witness import _trapezoid
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
 # planar witnesses (proportional and skew specs, n = 3-14, grid and 30-digit entries; 30-digit skew
@@ -763,13 +763,25 @@ def test_planar_verdicts_match_the_fixture():
 
 @given(specs(min_n=3, max_n=14, kinds=("proportional", "planar-skew")), ratios(), ratios())
 def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
+    # both skew arms through the face coordinates, and the arm the witness resolves on either kind
     fr, proportional = frame(spec), classify(spec).proportional
     x = tuple(a * h + b * t for h, t in zip(fr.head, fr.tail))
     cert = member(spec, x).certificate
-    for arm, interval in enumerate((cert.q1_interval, cert.q2_interval)):
-        if interval is not None:
-            expected = ref_apex_parameters(fr, x, interval, ("head", "tail")[arm], proportional)
-            assert _apex_parameters(spec, x, interval, arm) == expected
+    intervals = (cert.q1_interval, cert.q2_interval)
+    expected = [None if interval is None else ref_apex_parameters(fr, x, interval, arm, proportional)
+                for interval, arm in zip(intervals, ("head", "tail"))]
+    if not proportional:
+        base, *slopes = _face(*integer_rows(spec), *cert.coeffs)
+        for interval, slope, params in zip(intervals, slopes, expected):
+            if interval is not None:
+                c = interval.lo if interval.is_point else interval.midpoint
+                assert (*(f - c * s for f, s in zip(base, slope)), c) == params
+    out = synthesize_witness(spec, x)
+    if out.construction.startswith("apex"):
+        arm = 0 if intervals[0] is not None else 1
+        a, b, c = expected[arm]
+        assert out.construction == ("apex-q1", "apex-q2")[arm]
+        assert out.quad == apex_quad(spec, b / c, a / c, c, ("q1", "q2")[arm])
 
 
 @given(planar_queries())
@@ -777,10 +789,45 @@ def test_face_solution_matches_the_span_checked_reference(query):
     # x on the planar span, on the face (ab, dc and parallel bases) or off it; its
     # coefficients on head and tail are the ones a certificate would carry
     spec, x, _ = query
-    fr = frame(spec)
+    fr, proportional = frame(spec), classify(spec).proportional
+    rows, total_ab, total_dc = integer_rows(spec)
     coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x[0], x[1]])
-    expected = ref_face_solution(integer_rows(spec)[0], x, classify(spec).proportional)
-    assert _face_solution(spec, x, coeffs) == expected
+    expected = ref_face_solution(rows, x, proportional)
+    if not proportional and expected is not None:
+        assert _face(rows, total_ab, total_dc, *coeffs)[0] == expected
+    if member(spec, x).attainable:
+        out = synthesize_witness(spec, x)
+        on_face = expected is not None and expected[0] > 0 and expected[1] > 0
+        assert out.construction.startswith("trapezoid") == on_face
+        if on_face:
+            assert out.quad == _trapezoid(spec, *expected)
+
+
+@given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), tail_queries(planar=True))
+def test_face_coordinates_reproduce_the_cumulants(spec, query):
+    fr = frame(spec)
+    _, *arms = _face(*integer_rows(spec), F(0), F(0))
+    for vec, (alpha, beta) in zip((fr.head, fr.tail), arms):
+        assert vec == tuple(alpha * u + beta * v for u, v in zip(fr.ab, fr.dc))
+    # member_tail's extended rows, wherever the tail sums leave or make the ratio vectors skew
+    p, q, _, _ = query
+    ext_ab, ext_dc = p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,)
+    if ref_independent_pair(ext_ab, ext_dc) is None:
+        return
+    head, tail = tail_cumulants(p, q)
+    head_tail, tail_tail = cumulant_tail_sums(p, q)
+    ints, den = _scaled((p.tail_sum, q.tail_sum, head_tail))
+    prefix = DivisionSpec(p.prefix, q.prefix)
+    rows = integer_rows(prefix)[0] + ((*ints, den),)
+    _, *arms = _face(rows, p.total, q.total, F(0), F(0))
+    for vec, (alpha, beta) in zip((head + (head_tail,), tail + (tail_tail,)), arms):
+        on_face = [w == alpha * u + beta * v for u, v, w in zip(ext_ab, ext_dc, vec)]
+        if classify(prefix).proportional:
+            # made skew by the tail row alone: the face is solved at row 0 and the tail row
+            assert on_face[0] and on_face[-1]
+        else:
+            # the prefix's face; nonzero tail sums put the tail row off it
+            assert all(on_face[:-1]) and (on_face[-1] or p.tail_sum or q.tail_sum)
 
 
 @given(specs(), ratios(), ratios(), ratios())

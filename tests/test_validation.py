@@ -17,6 +17,7 @@ from quadareas import (
     synthesize_witness,
     to_fraction,
 )
+from quadareas.cli import main
 
 
 class TestDivisionSpecValidation:
@@ -57,6 +58,15 @@ class TestRationalParsing:
 
     def test_any_whitespace_around_the_slash(self):
         assert to_fraction("3 /\t4") == F(3, 4)
+
+    @pytest.mark.parametrize("text", ("\u0661", "\u0661/1", "1/\u0661", "-\u0661", "\uff13/4"))
+    def test_ascii_digits_only(self, text):
+        with pytest.raises(InvalidInputError, match="malformed rational literal"):
+            to_fraction(text)
+
+    def test_non_ascii_digits_exit_1_on_the_command_line(self, capsys):
+        assert main(["member", "--p", "\u0661,2,3", "--pp", "1,2,3", "--x", "1,2,3"]) == 1
+        assert capsys.readouterr().err == "error: malformed rational literal '\u0661'\n"
 
 
 class TestSequenceParsing:
