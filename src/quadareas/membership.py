@@ -6,15 +6,15 @@ span, so no hyperplane is evaluated (``cone.hyperplanes`` serves ``describe``
 and ``proportional_bounds`` only).  Both run on the spec's integer rows
 (``cone.integer_rows``, built once per spec): the three coefficients are
 normalised once, and each coordinate is compared in ``int`` with no gcd, so
-a spatial decision computes no tail cumulant and no frame.  The tail-summed
-decision (``reduction.member_tail``) and the fold decider run on the same
-kernels: tail sums are one more row, checked like any coordinate, and each
-fold is a solve on sums of the spec's rows.  A planar decision solves for the
-cumulant coefficients at the first two coordinates and checks them with the
-same componentwise check, so it computes no frame either.  On skew ratio
-vectors its re-decompositions, like the planar witness, read one face solve
-(``_face``): head = alpha*ab + beta*dc, from which the face coordinates of
-the tail and of x follow through the totals.
+a spatial decision computes no tail cumulant and no frame.  ``_decide`` holds
+the one planar / pivot-solve dispatch: ``member`` runs it on the spec's rows
+and ``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the
+tail sums; each fold is a solve on sums of the spec's rows.  A planar decision
+solves for the cumulant coefficients at the first two coordinates and checks
+them with the same componentwise check, so it computes no frame either.  On
+skew ratio vectors its re-decompositions, like the planar witness, read one
+face solve at rows 0 and 1 (``_face``): head = alpha*ab + beta*dc, from which
+the face coordinates of the tail and of x follow through the totals.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -105,18 +105,15 @@ def _face(
 ):
     """The coordinates over (ab, dc) of x = a*head + b*tail, of head and of tail, for skew ratio vectors.
 
-    head = alpha*ab + beta*dc is solved once at row 0 and the first row j where
-    ab and dc are independent: row 1, unless a proportional prefix is made skew
-    by its row of tail sums only.  The cumulants of a skew planar spec lie in
-    span(ab, dc), so the solve holds at every one of its rows; a row of nonzero
-    tail sums need not lie on it.  tail = (total_dc - alpha)*ab +
+    head = alpha*ab + beta*dc is solved once at rows 0 and 1, where the ratio
+    vectors of a skew planar spec are independent; its cumulants lie in
+    span(ab, dc), so the solve holds at every row.  tail = (total_dc - alpha)*ab +
     (total_ab - beta)*dc follows from head + tail, and x's coordinates are
     linear in the arms', as x = a*head + b*tail.
     """
-    p0, q0, h0, _ = rows[0]
-    pj, qj, hj, _ = next(row for row in rows[1:] if p0 * row[1] != row[0] * q0)
-    det = p0 * qj - pj * q0
-    head = (Fraction(h0 * qj - hj * q0, det), Fraction(p0 * hj - pj * h0, det))
+    (p0, q0, h0, _), (p1, q1, h1, _) = rows[:2]
+    det = p0 * q1 - p1 * q0
+    head = (Fraction(h0 * q1 - h1 * q0, det), Fraction(p0 * h1 - p1 * h0, det))
     tail = (total_dc - head[0], total_ab - head[1])
     return (a * head[0] + b * tail[0], a * head[1] + b * tail[1]), head, tail
 
@@ -154,24 +151,25 @@ def _coefficient_verdict(
 ) -> Verdict:
     """The verdict for x = a*ab + b*dc + c*head, already checked exactly.
 
-    The q2 coefficients follow from head + tail = total_dc*ab + total_ab*dc.
-    Accepts q1, then q2, then the parallel ray or face by mode; otherwise
-    rejects as boundary when either closed region holds x, else as negative.
+    The q2 coefficients (a2, b2, -c) follow from head + tail = total_dc*ab +
+    total_ab*dc.  The attainable set is the open cone whose four facet values
+    are a, b, a2 and b2: inside it, the sign of c picks q1, q2 or the parallel
+    ray or face (by mode); on its boundary x is rejected as boundary, outside
+    it as negative.
     """
     verdict = partial(Verdict, prefix_certified=prefix_certified)
-    a2, b2, c2 = a + c * total_dc, b + c * total_ab, -c
-    if a > 0 and b > 0 and c > 0:
-        return verdict(True, Certificate("q1", (a, b, c)))
-    if a2 > 0 and b2 > 0 and c2 > 0:
-        return verdict(True, Certificate("q2", (a2, b2, c2)))
-    if c == 0 and a > 0 and b > 0:
+    a2, b2 = a + c * total_dc, b + c * total_ab
+    low = min(a, b, a2, b2)
+    if low > 0:
+        if c > 0:
+            return verdict(True, Certificate("q1", (a, b, c)))
+        if c < 0:
+            return verdict(True, Certificate("q2", (a2, b2, -c)))
         if a == b:
             return verdict(True, Certificate("ray", (a,)))
         if mode == "audited":
             return verdict(True, Certificate("face", (a, b)))
-        return verdict(False, reason=REASON_BOUNDARY)
-    closed = (a >= 0 and b >= 0 and c >= 0) or (a2 >= 0 and b2 >= 0 and c2 >= 0)
-    return verdict(False, reason=REASON_BOUNDARY if closed else REASON_NEGATIVE)
+    return verdict(False, reason=REASON_BOUNDARY if low >= 0 else REASON_NEGATIVE)
 
 
 def _spans(
@@ -214,7 +212,6 @@ def _planar_verdict(
     rows: Sequence[tuple[int, int, int, int]],
     total_ab: Fraction,
     total_dc: Fraction,
-    proportional: bool,
     x: tuple[Fraction, ...],
     prefix_certified: bool = False,
 ) -> Verdict:
@@ -223,8 +220,8 @@ def _planar_verdict(
     L_i*tail_i is read from row i (``_arms``), and a*head + b*tail is the span
     combination (b*total_dc, b*total_ab, a - b).
     The cumulant vectors are independent at the first two coordinates: their
-    2x2 minor there is strictly negative.  proportional says whether ab and dc
-    are proportional over all rows, which may end in a row of exact tail sums.
+    2x2 minor there is strictly negative.  With every discriminant zero, ab
+    and dc are proportional at every row exactly when they are at rows 0 and 1.
     """
     verdict = partial(Verdict, prefix_certified=prefix_certified)
     arms = [_arms(rows, total_ab, total_dc, i) for i in (0, 1)]
@@ -235,13 +232,33 @@ def _planar_verdict(
         return verdict(False, reason=REASON_OFF_SUBSPACE)
     if not (a > 0 and b > 0):
         return verdict(False, reason=REASON_BOUNDARY if a >= 0 and b >= 0 else REASON_NEGATIVE)
-    if proportional:
+    (p0, q0, _, _), (p1, q1, _, _) = rows[:2]
+    if p0 * q1 == p1 * q0:
         # x = g*(ab-direction) + c*arm pins c uniquely: a - b on the head, b - a on the tail
         intervals = [Interval(c, c) if c > 0 else None for c in (a - b, b - a)]
     else:
         base, *slopes = _face(rows, total_ab, total_dc, a, b)
         intervals = [_coefficient_interval(base, slope) for slope in slopes]
     return verdict(True, Certificate("degenerate", (a, b), *intervals))
+
+
+def _decide(
+    rows: Sequence[tuple[int, int, int, int]],
+    total_ab: Fraction,
+    total_dc: Fraction,
+    pivot: Optional[int],
+    x: tuple[Fraction, ...],
+    mode: Mode,
+    prefix_certified: bool = False,
+) -> Verdict:
+    """The verdict for a positive x on a spec's integer rows: planar when pivot is None, else
+    the pivot solve, its componentwise check and the coefficient verdict."""
+    if pivot is None:
+        return _planar_verdict(rows, total_ab, total_dc, x, prefix_certified)
+    sol = _pivot_solution(rows, pivot, x)
+    if sol is None:
+        return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=prefix_certified)
+    return _coefficient_verdict(*sol, total_ab, total_dc, mode, prefix_certified)
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:
@@ -258,14 +275,7 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     x = fraction_tuple(x)
     if any(entry <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
-    label = classify(spec)
-    rows, total_ab, total_dc = integer_rows(spec)
-    if not label.spatial:
-        return _planar_verdict(rows, total_ab, total_dc, label.proportional, x)
-    sol = _pivot_solution(rows, label.pivot, x)
-    if sol is None:
-        return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    return _coefficient_verdict(*sol, total_ab, total_dc, mode)
+    return _decide(*integer_rows(spec), classify(spec).pivot, x, mode)
 
 
 def proportional_bounds(p: Sequence[Fraction]):

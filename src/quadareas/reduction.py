@@ -1,10 +1,11 @@
 """Tail-summed sequences and the fold of long instances down to three coordinates.
 
 A summable infinite sequence is represented by an exact finite prefix plus the
-exact sum of everything after it.  Verdicts produced from such data are
-"prefix-certified": linear constraints living entirely beyond the prefix
-cannot be checked from a tail sum alone and remain the caller's
-responsibility.
+exact sum of everything after it, so cutting both sides at the prefix makes
+each tail one more segment: ``member_tail`` decides as ``member`` on that
+(m+1)-spec's integer rows.  Its verdicts are "prefix-certified": linear
+constraints living entirely beyond the prefix cannot be checked from a tail
+sum alone and remain the caller's responsibility.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from .membership import (
     REASON_OFF_SUBSPACE,
     Verdict,
     _coefficient_verdict,
+    _decide,
     _pivot_solution,
-    _planar_verdict,
     _spans,
 )
 
@@ -246,42 +247,29 @@ def member_tail(
 ) -> Verdict:
     """Decide attainability for tail-summed sequences; the verdict is prefix-certified.
 
-    The prefix coordinates are checked exactly against the certified
-    combination, and the tail sum of x must equal the value the combination
-    forces through the exact cumulant tail sums.  Constraints at individual
-    indices beyond the prefix are not representable and are not checked.
+    It is ``member``'s verdict on the (m+1)-spec that ends in the tail sums: its
+    case label is the prefix's unless the tail triple's discriminant ends the
+    zero chain.  Constraints at individual indices beyond the prefix are not
+    representable and are not checked.
     """
     spec = DivisionSpec(p.prefix, p_prime.prefix)
     if x.m != p.m:
         raise InvalidInputError("area tuple length does not match the division spec")
     if p.m < 3:
         raise InvalidInputError("tail-summed decisions need a prefix of length at least 3")
-    if any(entry <= 0 for entry in x.prefix):
-        return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
-    ratios_finite = p.finite and p_prime.finite
-    if ratios_finite and x.tail_sum != 0:
-        return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)
-    if not ratios_finite and x.tail_sum == 0:
+    if any(entry <= 0 for entry in x.prefix) or (x.finite and not (p.finite and p_prime.finite)):
         # infinitely many strictly positive strips cannot sum to zero
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 
-    # the tail sums enter as one more, virtual, coordinate
-    head_tail, _ = cumulant_tail_sums(p, p_prime)
-    ints, den = _scaled((p.tail_sum, p_prime.tail_sum, head_tail))
-    rows = integer_rows(spec)[0] + ((*ints, den),)
-    ext_x = x.prefix + (x.tail_sum,)
-    label = classify(spec)
-    if not label.spatial:
-        # the extended ratio vectors stay proportional only with tail sums in the prefix's ratio
-        proportional = label.proportional and (
-            p.tail_sum * p_prime.prefix[0] == p_prime.tail_sum * p.prefix[0]
-        )
-        return _planar_verdict(rows, p.total, p_prime.total, proportional, ext_x, prefix_certified=True)
-    sol = _pivot_solution(rows, label.pivot, ext_x)
-    if sol is None:
-        return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=True)
-    # the two bases are linked through head + tail = total(p')*ab + total(p)*dc
-    return _coefficient_verdict(*sol, p.total, p_prime.total, mode, prefix_certified=True)
+    # the last row holds the tail sums of ab, dc and the head cumulants; two zero tails make it zero
+    rows, total_ab, total_dc = integer_rows(spec)
+    t_p, t_q = p.tail_sum, p_prime.tail_sum
+    ints, den = _scaled((t_p, t_q, t_p * total_dc + t_q * total_ab + t_p * t_q))
+    pivot = classify(spec).pivot
+    if pivot is None and _discriminant(p.prefix[-2:] + (t_p,), p_prime.prefix[-2:] + (t_q,), 1)[0] != 0:
+        pivot = p.m
+    extended = rows + ((*ints, den),), total_ab + t_p, total_dc + t_q
+    return _decide(*extended, pivot, x.prefix + (x.tail_sum,), mode, prefix_certified=True)
 
 
 def extend_solution(

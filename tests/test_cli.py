@@ -88,6 +88,13 @@ class TestMemberVerb:
         assert payload["attainable"] and payload["prefix_certified"]
         assert payload["coeffs"] == ["1", "1"]
 
+    def test_tail_row_ending_the_zero_chain_decides_on_the_extended_rows(self, capsys):
+        # the prefix strips and tail region of the quad (2,0),(10,0),(0,6),(0,1): the prefix is
+        # planar, the rows with the tail sums are not
+        code, out, _ = run(capsys, "member", *PLANAR_PREFIX_TAILED)
+        assert code == 0
+        assert out.strip() == '{"attainable":true,"branch":"q1","coeffs":["1","1","1"],"prefix_certified":true}'
+
     def test_empty_tail_suffix_reads_as_tail_zero(self, capsys):
         finite = run(capsys, "member", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16")
         code, out, _ = run(capsys, "member", "--p", "1,2,3 |", "--pp", "1,1,1", "--x", "3,8,16 |")
@@ -274,6 +281,7 @@ class TestOtherVerbs:
 
 TAILED = ("--p", "1,1/2,1/4 | tail=1/4", "--pp", "1,1/2,1/4 | tail=1/4", "--x", "4,2,1 | tail=1")
 SPATIAL_TAILED = ("--p", "1,2,3 | tail=1", "--pp", "1,1,1 | tail=1", "--x", "3,8,16 | tail=5")
+PLANAR_PREFIX_TAILED = ("--p", "1,1,1 | tail=1", "--pp", "1,1,1 | tail=2", "--x", "3,5,7 | tail=14")
 
 
 class TestInvariants:
@@ -300,6 +308,7 @@ class TestInvariants:
         pytest.param(("witness", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "58/7,130/7,68/7"), id="witness-skew-apex"),
         pytest.param(("witness", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "51/7,95/7,46/7"), id="witness-skew-face"),
         pytest.param(("member", *TAILED), id="member-tail"),
+        pytest.param(("member", *PLANAR_PREFIX_TAILED), id="member-tail-planar-prefix"),
         pytest.param(
             ("reduce", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--x", "1,2,3,4", "--pivot", "2", "--branch", "q2"),
             id="reduce",

@@ -7,10 +7,12 @@ the Fraction implementations and is compared, never rewritten.
 """
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 from itertools import accumulate, permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -45,7 +47,7 @@ from quadareas import (
     tail_cumulants,
 )
 from quadareas.cli import _describe_payload
-from quadareas.cone import _first_pivot, _normalize_plane, integer_rows
+from quadareas.cone import _discriminant, _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
 from quadareas.linalg import _scaled, solve2, solve3
 from quadareas.membership import Interval, _coefficient_verdict, _face, _pivot_solution, _spans
@@ -143,13 +145,32 @@ def ref_pivot_solution(spec, pivot, x):
     return sol if ref_combine(fr, *sol) == x else None
 
 
+def ref_coefficient_verdict(a, b, c, total_ab, total_dc, mode, prefix_certified=False):
+    """The coefficient verdict as it was: q1, then q2, then the parallel ray or face by mode;
+    otherwise boundary when either closed region holds x, else negative."""
+    verdict = partial(Verdict, prefix_certified=prefix_certified)
+    a2, b2, c2 = a + c * total_dc, b + c * total_ab, -c
+    if a > 0 and b > 0 and c > 0:
+        return verdict(True, Certificate("q1", (a, b, c)))
+    if a2 > 0 and b2 > 0 and c2 > 0:
+        return verdict(True, Certificate("q2", (a2, b2, c2)))
+    if c == 0 and a > 0 and b > 0:
+        if a == b:
+            return verdict(True, Certificate("ray", (a,)))
+        if mode == "audited":
+            return verdict(True, Certificate("face", (a, b)))
+        return verdict(False, reason="boundary")
+    closed = (a >= 0 and b >= 0 and c >= 0) or (a2 >= 0 and b2 >= 0 and c2 >= 0)
+    return verdict(False, reason="boundary" if closed else "negative-coefficient")
+
+
 def ref_member(spec, x, mode):
     if any(v <= 0 for v in x):
         return Verdict(False, reason="non-positive-entry")
     sol = ref_pivot_solution(spec, classify(spec).pivot, x)
     if sol is None:
         return Verdict(False, reason="off-subspace")
-    return _coefficient_verdict(*sol, sum(spec.p), sum(spec.p_prime), mode)
+    return ref_coefficient_verdict(*sol, sum(spec.p), sum(spec.p_prime), mode)
 
 
 def ref_fold_solutions(spec, x, pivot):
@@ -181,7 +202,7 @@ def ref_member_via_collapse(spec, x, pivot, mode):
         raise DegenerateCollapseError("both folds are planar")
     if ref_combine(frame(spec), a, b, c) != x:
         return Verdict(False, reason="off-subspace")
-    return _coefficient_verdict(a, b, c, total_ab, total_dc, mode)
+    return ref_coefficient_verdict(a, b, c, total_ab, total_dc, mode)
 
 
 def ref_independent_pair(u, v):
@@ -220,8 +241,17 @@ def ref_verify_combination(vectors, tails, coeffs, x):
     return sum((c * t for c, t in zip(coeffs, tails)), F(0)) == x.tail_sum
 
 
+def extended_rows(p, p_prime):
+    """The integer rows of the prefix spec and one row of tail sums (ab, dc, head) over their
+    common denominator: the rows of the (m+1)-spec that cuts both sides at the prefix."""
+    head_tail, _ = cumulant_tail_sums(p, p_prime)
+    ints, den = _scaled((p.tail_sum, p_prime.tail_sum, head_tail))
+    return integer_rows(DivisionSpec(p.prefix, p_prime.prefix))[0] + ((*ints, den),)
+
+
 def ref_member_tail(p, p_prime, x, mode):
-    """member_tail as it was: a Fraction pivot solve, or the planar block on an independent pair."""
+    """member_tail on the extended sequences (each tail sum one more entry): a Fraction pivot solve
+    at their first nonzero discriminant, or the planar block on an independent pair."""
     verdict = partial(Verdict, prefix_certified=True)
     if any(entry <= 0 for entry in x.prefix):
         return verdict(False, reason="non-positive-entry")
@@ -232,16 +262,16 @@ def ref_member_tail(p, p_prime, x, mode):
         return verdict(False, reason="non-positive-entry")
     head, tail = tail_cumulants(p, p_prime)
     head_tail, tail_tail = cumulant_tail_sums(p, p_prime)
-    pivot = ref_first_pivot(p.prefix, p_prime.prefix)
+    ext_ab, ext_dc = p.prefix + (p.tail_sum,), p_prime.prefix + (p_prime.tail_sum,)
+    ext_head, ext_tail = head + (head_tail,), tail + (tail_tail,)
+    ext_x = x.prefix + (x.tail_sum,)
+    pivot = ref_first_pivot(ext_ab, ext_dc)
     if pivot is None:
-        ext_head, ext_tail = head + (head_tail,), tail + (tail_tail,)
-        ext_x = x.prefix + (x.tail_sum,)
         i, j = ref_independent_pair(ext_head, ext_tail)
         a, b = ref_solve2([[ext_head[i], ext_tail[i]], [ext_head[j], ext_tail[j]]], [ext_x[i], ext_x[j]])
         if not ref_verify_combination((head, tail), (head_tail, tail_tail), (a, b), x):
             return verdict(False, reason="off-subspace")
         if a > 0 and b > 0:
-            ext_ab, ext_dc = p.prefix + (p.tail_sum,), p_prime.prefix + (p_prime.tail_sum,)
             return verdict(True, Certificate(
                 "degenerate",
                 (a, b),
@@ -249,12 +279,12 @@ def ref_member_tail(p, p_prime, x, mode):
                 ref_coefficient_interval(ext_ab, ext_dc, ext_tail, ext_x, a, b, False),
             ))
         return verdict(False, reason="boundary" if a >= 0 and b >= 0 else "negative-coefficient")
-    ab, dc = p.prefix, p_prime.prefix
     cols = (pivot - 2, pivot - 1, pivot)
-    a, b, c = ref_solve3([[ab[k], dc[k], head[k]] for k in cols], [x.prefix[k] for k in cols])
-    if not ref_verify_combination((ab, dc, head), (p.tail_sum, p_prime.tail_sum, head_tail), (a, b, c), x):
+    a, b, c = ref_solve3([[ext_ab[k], ext_dc[k], ext_head[k]] for k in cols], [ext_x[k] for k in cols])
+    if not ref_verify_combination((p.prefix, p_prime.prefix, head), (p.tail_sum, p_prime.tail_sum, head_tail),
+                                  (a, b, c), x):
         return verdict(False, reason="off-subspace")
-    return _coefficient_verdict(a, b, c, p.total, p_prime.total, mode, prefix_certified=True)
+    return ref_coefficient_verdict(a, b, c, p.total, p_prime.total, mode, prefix_certified=True)
 
 
 def ref_member_planar(spec, x):
@@ -452,6 +482,41 @@ def tail_queries(draw, planar=False):
     u, v, w = draw(st.sampled_from(bases))
     x = tuple(a * e + b * f + c * g for e, f, g in zip(u, v, w))
     return p, q, x, draw(ratios(signed=True))
+
+
+@st.composite
+def tailed_ratios(draw, spec, kinds=("both", "in ratio", "continued", "p only", "q only")):
+    """The spec's ratios as sequences with positive tail sums on both sides (independent, in the
+    ratio of the first entries, or, on a planar spec, continuing its zero discriminant chain) or
+    on one side only."""
+    kind = draw(st.sampled_from(kinds))
+    t_p, t_q = draw(ratios()), draw(ratios())
+    if kind == "in ratio":
+        t_q = t_p * spec.p_prime[0] / spec.p[0]
+    elif kind == "continued" and not classify(spec).spatial:
+        while True:
+            try:
+                t_p = continue_degenerate(spec.p, spec.p_prime, t_q)
+                break
+            except NoValidContinuationError:
+                t_q /= 2
+    elif kind == "p only":
+        t_q = F(0)
+    elif kind == "q only":
+        t_p = F(0)
+    return TailSummedSequence(spec.p, t_p), TailSummedSequence(spec.p_prime, t_q)
+
+
+@st.composite
+def coefficient_triples(draw):
+    """(a, b, c, total_ab, total_dc): signed or zero grid coefficients, a and b sometimes on the
+    facet where a + c*total_dc or b + c*total_ab vanishes, b sometimes equal to a."""
+    total_ab, total_dc = draw(ratios(big=False)), draw(ratios(big=False))
+    coefficient = st.one_of(st.just(F(0)), ratios(big=False, signed=True))
+    c = draw(coefficient)
+    a = draw(st.one_of(coefficient, st.just(-c * total_dc)))
+    b = draw(st.one_of(coefficient, st.just(-c * total_ab), st.just(a)))
+    return a, b, c, total_ab, total_dc
 
 
 @st.composite
@@ -671,6 +736,13 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
                 assert ref_pivot_solution(spec, pivot, y) is not None
 
 
+@given(coefficient_triples(), st.sampled_from(("strict", "audited")), st.booleans())
+def test_coefficient_verdict_matches_the_two_region_reference(triple, mode, prefix_certified):
+    assert _coefficient_verdict(*triple, mode, prefix_certified) == ref_coefficient_verdict(
+        *triple, mode, prefix_certified
+    )
+
+
 def assert_member_tail_matches_the_reference(query):
     p, q, x, delta = query
     for y in (x, *(bumped(x, k, delta) for k in range(len(x)))):
@@ -687,6 +759,50 @@ def test_member_tail_matches_the_fraction_reference(query):
 @given(tail_queries(planar=True))
 def test_planar_member_tail_matches_the_fraction_reference(query):
     assert_member_tail_matches_the_reference(query)
+
+
+@given(specs(min_n=3, kinds=("spatial", "proportional", "planar-skew")).flatmap(
+    lambda spec: st.tuples(tailed_ratios(spec), quads_for(spec))
+))
+def test_member_tail_accepts_the_strips_and_tail_region_of_a_convex_quad(sequences_and_quad):
+    # AB and DC divided by the prefix ratios and then the tail sums, measured by shoelace; a zero
+    # tail sum on one side makes the tail region a triangle (a ratio pair no DivisionSpec holds)
+    (p, q), quad = sequences_and_quad
+    ext = SimpleNamespace(p=p.prefix + (p.tail_sum,), p_prime=q.prefix + (q.tail_sum,), n=p.m + 1)
+    *prefix, tail = ref_strip_areas(quad, ext)
+    verdict = member_tail(p, q, TailSummedSequence(tuple(prefix), tail))
+    assert verdict.attainable and verdict.prefix_certified
+
+
+@given(specs(min_n=3, kinds=("spatial", "proportional", "planar-skew")).flatmap(lambda spec: st.tuples(
+    tailed_ratios(spec, kinds=("both", "in ratio", "continued")), st.data()
+)))
+def test_two_sided_member_tail_is_member_on_the_extended_spec(sequences_and_data):
+    (p, q), data = sequences_and_data
+    ext_spec = DivisionSpec(p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,))
+    fr = frame(ext_spec)
+    zero = (F(0),) * ext_spec.n
+    u, v, w = data.draw(st.sampled_from(((fr.ab, fr.dc, fr.head), (fr.ab, fr.dc, fr.tail),
+                                         (fr.ab, fr.dc, zero), (fr.head, fr.tail, zero))))
+    a, b, c = data.draw(ratios()), data.draw(ratios()), data.draw(ratios(signed=True))
+    x = tuple(a * e + b * f + c * g for e, f, g in zip(u, v, w))
+    delta = data.draw(ratios(signed=True))
+    for y in (x, *(bumped(x, k, delta) for k in range(len(x)))):
+        xs = TailSummedSequence(y[:-1], abs(y[-1]))
+        for mode in ("strict", "audited"):
+            expected = replace(member(ext_spec, xs.prefix + (xs.tail_sum,), mode), prefix_certified=True)
+            assert member_tail(p, q, xs, mode) == expected
+
+
+@given(specs(min_n=3, kinds=("spatial", "proportional", "planar-skew")).flatmap(tailed_ratios))
+def test_tail_triple_discriminant_is_the_extended_rows_determinant(sequences):
+    # the discriminant at the tail triple, where a tail sum may be zero, against -det(rows m-2..m)/(L*L*L)
+    p, q = sequences
+    ext_p, ext_q = p.prefix[-2:] + (p.tail_sum,), q.prefix[-2:] + (q.tail_sum,)
+    disc = F(*_discriminant(ext_p, ext_q, 1))
+    assert disc == ref_discriminants(ext_p, ext_q)[0]
+    rows = extended_rows(p, q)[-3:]
+    assert disc == -F(det3([row[:3] for row in rows]), rows[0][3] * rows[1][3] * rows[2][3])
 
 
 @given(spatial_queries(), st.sampled_from(("strict", "audited")), st.data())
@@ -803,31 +919,25 @@ def test_face_solution_matches_the_span_checked_reference(query):
             assert out.quad == _trapezoid(spec, *expected)
 
 
-@given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), tail_queries(planar=True))
-def test_face_coordinates_reproduce_the_cumulants(spec, query):
+@given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), st.data())
+def test_face_coordinates_reproduce_the_cumulants(spec, data):
     fr = frame(spec)
     _, *arms = _face(*integer_rows(spec), F(0), F(0))
     for vec, (alpha, beta) in zip((fr.head, fr.tail), arms):
         assert vec == tuple(alpha * u + beta * v for u, v in zip(fr.ab, fr.dc))
-    # member_tail's extended rows, wherever the tail sums leave or make the ratio vectors skew
-    p, q, _, _ = query
+    # member_tail's extended rows where they stay planar: zero tail sums, or tail sums that
+    # continue the zero chain; the face then holds at every extended row, the tail row included
+    p, q = data.draw(st.one_of(
+        st.just((TailSummedSequence(spec.p), TailSummedSequence(spec.p_prime))),
+        tailed_ratios(spec, kinds=("continued",)),
+    ))
     ext_ab, ext_dc = p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,)
-    if ref_independent_pair(ext_ab, ext_dc) is None:
-        return
+    assert ref_first_pivot(ext_ab, ext_dc) is None
     head, tail = tail_cumulants(p, q)
     head_tail, tail_tail = cumulant_tail_sums(p, q)
-    ints, den = _scaled((p.tail_sum, q.tail_sum, head_tail))
-    prefix = DivisionSpec(p.prefix, q.prefix)
-    rows = integer_rows(prefix)[0] + ((*ints, den),)
-    _, *arms = _face(rows, p.total, q.total, F(0), F(0))
+    _, *arms = _face(extended_rows(p, q), p.total, q.total, F(0), F(0))
     for vec, (alpha, beta) in zip((head + (head_tail,), tail + (tail_tail,)), arms):
-        on_face = [w == alpha * u + beta * v for u, v, w in zip(ext_ab, ext_dc, vec)]
-        if classify(prefix).proportional:
-            # made skew by the tail row alone: the face is solved at row 0 and the tail row
-            assert on_face[0] and on_face[-1]
-        else:
-            # the prefix's face; nonzero tail sums put the tail row off it
-            assert all(on_face[:-1]) and (on_face[-1] or p.tail_sum or q.tail_sum)
+        assert vec == tuple(alpha * u + beta * v for u, v in zip(ext_ab, ext_dc))
 
 
 @given(specs(), ratios(), ratios(), ratios())

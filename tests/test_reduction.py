@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from quadareas import (
-    Interval,
+    Certificate,
+    ConvexQuad,
     DegenerateCollapseError,
     DegenerateDenominatorError,
     DivisionSpec,
@@ -14,6 +15,7 @@ from quadareas import (
     InvalidPivotError,
     NoValidContinuationError,
     TailSummedSequence,
+    Verdict,
     classify,
     collapse,
     continue_degenerate,
@@ -25,8 +27,10 @@ from quadareas import (
     member_tail,
     member_via_collapse,
     planar_ratio_bounds,
+    pt,
     station_check,
     station_coefficients,
+    strip_areas,
     tail_cumulants,
 )
 
@@ -391,17 +395,18 @@ class TestMemberTail:
         with pytest.raises(InvalidInputError):
             member_tail(UNIT3, UNIT3, TailSummedSequence.of((1, 2)))
 
-    def test_tail_inconsistent_proportional_prefix_gets_open_intervals(self):
-        # prefixes proportional but tails not: the re-decomposition intervals
-        # must come from the extended coordinates, not a pinned point
+    def test_tail_inconsistent_proportional_prefix_gets_an_exact_q1_certificate(self):
+        # prefixes proportional but tails not: the tail row ends the zero chain, so the
+        # extended rows are spatial and x = 1/3*head + 1/4*tail = 5/4*ab + 7/8*dc + 1/12*head
+        # pins c = 1/12; its apex quad (21,0),(28,0),(0,5/3),(0,5/4) cuts exactly these strips
         p = TailSummedSequence.of((1, 1, 1), F(1, 2))
         q = TailSummedSequence.of((1, 1, 1), F(2))
         x = seq_combo(p, q, F(1, 3), F(1, 4))
         verdict = member_tail(p, q, x)
-        assert verdict.attainable and verdict.certificate.coeffs == (F(1, 3), F(1, 4))
-        cert = verdict.certificate
-        assert cert.q1_interval == Interval(F(0), F(95, 384))
-        assert cert.q2_interval == Interval(F(0), F(2, 21))
+        assert verdict == Verdict(True, Certificate("q1", (F(5, 4), F(7, 8), F(1, 12))), prefix_certified=True)
+        ext = DivisionSpec(p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,))
+        quad = ConvexQuad(pt(21, 0), pt(28, 0), pt(0, F(5, 3)), pt(0, F(5, 4)))
+        assert strip_areas(quad, ext) == x.prefix + (x.tail_sum,)
 
 
 class TestExtendSolution:
