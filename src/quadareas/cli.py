@@ -90,8 +90,7 @@ def _float(v: Fraction) -> str:
         raise InvalidInputError("a coordinate is too large to draw as SVG (past float range)") from None
 
 
-def _witness_svg(out: WitnessOutput, spec: DivisionSpec) -> str:
-    areas = strip_areas(out.quad, spec)
+def _witness_svg(out: WitnessOutput, areas: Sequence[Fraction]) -> str:
     xs = [v.x for v in out.quad.vertices]
     ys = [v.y for v in out.quad.vertices]
     span = max(max(xs) - min(xs), max(ys) - min(ys))
@@ -293,7 +292,7 @@ def _run(args) -> int:
             return 2
         areas = strip_areas(out.quad, spec)
         if args.format == "svg":
-            print(_witness_svg(out, spec))
+            print(_witness_svg(out, areas))
             return 0
         payload = {
             "A": out.quad.a.text(),

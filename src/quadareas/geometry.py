@@ -246,18 +246,19 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
     apex = q.a + t * u
     total_ab = sum(spec.p)
     total_dc = sum(spec.p_prime)
+    # twice the apex triangle's area, scale*p0*p0_prime, is t*r*denom (q1) or -(t-1)*(r-1)*denom (q2)
     if t < 0:
         # apex beyond A, hence also beyond D on the other side
         invariant(r < 0, "an apex beyond A on line AB lies beyond D on line DC")
         p0 = -t * total_ab
         p0_prime = -r * total_dc
-        tri = polygon_area([apex, q.a, q.d])
+        scale = denom / (2 * total_ab * total_dc)
         branch = "q1"
     else:
         invariant(r > 1, "an apex beyond B on line AB lies beyond C on line DC")
         p0 = (t - 1) * total_ab
         p0_prime = (r - 1) * total_dc
-        tri = polygon_area([apex, q.c, q.b])
+        scale = -denom / (2 * total_ab * total_dc)
         branch = "q2"
-    invariant(tri > 0, "the apex triangle has positive area")
-    return ApexFrame(apex, branch, p0, p0_prime, tri / (p0 * p0_prime))
+    invariant(scale > 0, "the apex triangle has positive area")
+    return ApexFrame(apex, branch, p0, p0_prime, scale)

@@ -12,9 +12,10 @@ and ``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the
 tail sums; each fold is a solve on sums of the spec's rows.  A planar decision
 solves for the cumulant coefficients at the first two coordinates and checks
 them with the same componentwise check, so it computes no frame either.  On
-skew ratio vectors its re-decompositions, like the planar witness, read one
-face solve at rows 0 and 1 (``_face``): head = alpha*ab + beta*dc, from which
-the face coordinates of the tail and of x follow through the totals.
+skew ratio vectors its re-decompositions read one face solve at rows 0 and 1
+(``_face``): head = alpha*ab + beta*dc, from which the face coordinates of the
+tail and of x follow through the totals.  ``_realization`` picks one of them
+and returns its q1, q2, face or ray certificate, the witness's only input.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Literal, Optional, Sequence
 
 from .cone import classify, hyperplanes, integer_rows
@@ -141,13 +141,7 @@ def _coefficient_interval(base: Sequence[Fraction], slope: Sequence[Fraction]):
 
 
 def _coefficient_verdict(
-    a: Fraction,
-    b: Fraction,
-    c: Fraction,
-    total_ab: Fraction,
-    total_dc: Fraction,
-    mode: Mode,
-    prefix_certified: bool = False,
+    a: Fraction, b: Fraction, c: Fraction, total_ab: Fraction, total_dc: Fraction, mode: Mode
 ) -> Verdict:
     """The verdict for x = a*ab + b*dc + c*head, already checked exactly.
 
@@ -157,19 +151,18 @@ def _coefficient_verdict(
     ray or face (by mode); on its boundary x is rejected as boundary, outside
     it as negative.
     """
-    verdict = partial(Verdict, prefix_certified=prefix_certified)
     a2, b2 = a + c * total_dc, b + c * total_ab
     low = min(a, b, a2, b2)
     if low > 0:
         if c > 0:
-            return verdict(True, Certificate("q1", (a, b, c)))
+            return Verdict(True, Certificate("q1", (a, b, c)))
         if c < 0:
-            return verdict(True, Certificate("q2", (a2, b2, -c)))
+            return Verdict(True, Certificate("q2", (a2, b2, -c)))
         if a == b:
-            return verdict(True, Certificate("ray", (a,)))
+            return Verdict(True, Certificate("ray", (a,)))
         if mode == "audited":
-            return verdict(True, Certificate("face", (a, b)))
-    return verdict(False, reason=REASON_BOUNDARY if low >= 0 else REASON_NEGATIVE)
+            return Verdict(True, Certificate("face", (a, b)))
+    return Verdict(False, reason=REASON_BOUNDARY if low >= 0 else REASON_NEGATIVE)
 
 
 def _spans(
@@ -200,38 +193,25 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     return sol if _spans(rows, sol, x) else None
 
 
-def _arms(
-    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, i: int
-) -> tuple[int, Fraction]:
-    """L_i*head_i and L_i*tail_i, as tail = total_dc*ab + total_ab*dc - head."""
-    p, q, h, _ = rows[i]
-    return h, total_dc * p + total_ab * q - h
-
-
 def _planar_verdict(
-    rows: Sequence[tuple[int, int, int, int]],
-    total_ab: Fraction,
-    total_dc: Fraction,
-    x: tuple[Fraction, ...],
-    prefix_certified: bool = False,
+    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, x: tuple[Fraction, ...]
 ) -> Verdict:
     """The planar verdict: x = a*head + b*tail with a, b > 0, checked at every coordinate.
 
-    L_i*tail_i is read from row i (``_arms``), and a*head + b*tail is the span
-    combination (b*total_dc, b*total_ab, a - b).
+    L_i*tail_i is read from row i, as tail = total_dc*ab + total_ab*dc - head,
+    and a*head + b*tail is the span combination (b*total_dc, b*total_ab, a - b).
     The cumulant vectors are independent at the first two coordinates: their
     2x2 minor there is strictly negative.  With every discriminant zero, ab
     and dc are proportional at every row exactly when they are at rows 0 and 1.
     """
-    verdict = partial(Verdict, prefix_certified=prefix_certified)
-    arms = [_arms(rows, total_ab, total_dc, i) for i in (0, 1)]
+    arms = [(h, total_dc * p + total_ab * q - h) for p, q, h, _ in rows[:2]]
     sol = solve2(arms, [rows[i][3] * x[i] for i in (0, 1)])
     invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
     a, b = sol
     if not _spans(rows, (b * total_dc, b * total_ab, a - b), x):
-        return verdict(False, reason=REASON_OFF_SUBSPACE)
+        return Verdict(False, reason=REASON_OFF_SUBSPACE)
     if not (a > 0 and b > 0):
-        return verdict(False, reason=REASON_BOUNDARY if a >= 0 and b >= 0 else REASON_NEGATIVE)
+        return Verdict(False, reason=REASON_BOUNDARY if a >= 0 and b >= 0 else REASON_NEGATIVE)
     (p0, q0, _, _), (p1, q1, _, _) = rows[:2]
     if p0 * q1 == p1 * q0:
         # x = g*(ab-direction) + c*arm pins c uniquely: a - b on the head, b - a on the tail
@@ -239,7 +219,39 @@ def _planar_verdict(
     else:
         base, *slopes = _face(rows, total_ab, total_dc, a, b)
         intervals = [_coefficient_interval(base, slope) for slope in slopes]
-    return verdict(True, Certificate("degenerate", (a, b), *intervals))
+    return Verdict(True, Certificate("degenerate", (a, b), *intervals))
+
+
+def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
+    """The q1, q2, face or ray certificate of one re-decomposition of a degenerate certificate.
+
+    x = a*head + b*tail is the span triple (A, B, c) = (b*total_dc, b*total_ab, a - b).
+    On skew ratio vectors it moves along (alpha, beta, -1), as head = alpha*ab +
+    beta*dc, to c = 0 when x's face coordinates are positive, else to the q1
+    interval's midpoint, else to minus the q2 interval's.  On proportional ones
+    c = a - b is pinned and the triple is the even split A*P_0 = B*Q_0, as
+    total_dc/total_ab = Q_0/P_0; at c = 0 the face is split equally instead.
+    Planar verdicts ignore the mode, so the branch is named in audited mode.
+    """
+    rows, total_ab, total_dc = integer_rows(spec)
+    a, b = cert.coeffs
+    (p0, q0, _, _), (p1, q1, _, _) = rows[:2]
+    if p0 * q1 == p1 * q0:
+        big_a, big_b, c = b * total_dc, b * total_ab, a - b
+        if c == 0:
+            big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
+    else:
+        face, (alpha, beta), _ = _face(rows, total_ab, total_dc, a, b)
+        c = Fraction(0)
+        if not (face[0] > 0 and face[1] > 0):
+            if cert.q1_interval is not None:
+                c = cert.q1_interval.midpoint
+            elif cert.q2_interval is not None:
+                c = -cert.q2_interval.midpoint
+        big_a, big_b = face[0] - c * alpha, face[1] - c * beta
+    verdict = _coefficient_verdict(big_a, big_b, c, total_ab, total_dc, "audited")
+    invariant(verdict.attainable, "an attainable planar tuple admits a realization")
+    return verdict.certificate
 
 
 def _decide(
@@ -249,16 +261,15 @@ def _decide(
     pivot: Optional[int],
     x: tuple[Fraction, ...],
     mode: Mode,
-    prefix_certified: bool = False,
 ) -> Verdict:
     """The verdict for a positive x on a spec's integer rows: planar when pivot is None, else
     the pivot solve, its componentwise check and the coefficient verdict."""
     if pivot is None:
-        return _planar_verdict(rows, total_ab, total_dc, x, prefix_certified)
+        return _planar_verdict(rows, total_ab, total_dc, x)
     sol = _pivot_solution(rows, pivot, x)
     if sol is None:
-        return Verdict(False, reason=REASON_OFF_SUBSPACE, prefix_certified=prefix_certified)
-    return _coefficient_verdict(*sol, total_ab, total_dc, mode, prefix_certified)
+        return Verdict(False, reason=REASON_OFF_SUBSPACE)
+    return _coefficient_verdict(*sol, total_ab, total_dc, mode)
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:

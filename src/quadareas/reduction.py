@@ -9,7 +9,7 @@ sum alone and remain the caller's responsibility.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -269,7 +269,7 @@ def member_tail(
     if pivot is None and _discriminant(p.prefix[-2:] + (t_p,), p_prime.prefix[-2:] + (t_q,), 1)[0] != 0:
         pivot = p.m
     extended = rows + ((*ints, den),), total_ab + t_p, total_dc + t_q
-    return _decide(*extended, pivot, x.prefix + (x.tail_sum,), mode, prefix_certified=True)
+    return replace(_decide(*extended, pivot, x.prefix + (x.tail_sum,), mode), prefix_certified=True)
 
 
 def extend_solution(

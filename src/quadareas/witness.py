@@ -4,7 +4,9 @@ The canonical apex construction puts the apex at the origin, the divided side
 AB on the positive x axis at twice the ratio scale, and DC on the positive y
 axis scaled by the area unit; it is convex for every choice of positive
 parameters and reproduces the requested areas exactly.  Parallel-face tuples
-get a height-one trapezoid instead.
+get a height-one trapezoid instead.  Every quad is built from a q1, q2, face
+or ray certificate: a planar (degenerate) certificate is first re-decomposed
+by ``membership._realization``, so no decision logic is repeated here.
 """
 from __future__ import annotations
 
@@ -12,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import classify, frame, integer_rows
-from .division import DivisionSpec, fraction_tuple
-from .errors import InvalidInputError, NotAttainableError, invariant
+from .cone import frame
+from .division import DivisionSpec
+from .errors import InvalidInputError, NotAttainableError
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
-from .membership import Certificate, Mode, member, _arms, _face
+from .membership import Certificate, Mode, member, _realization
 
 
 @dataclass(frozen=True)
@@ -93,47 +95,18 @@ def synthesize_witness(
     if not verdict.attainable:
         raise NotAttainableError(verdict.reason)
     cert = verdict.certificate
-    x = fraction_tuple(x)
+    realized = _realization(spec, cert) if cert.branch == "degenerate" else cert
 
-    if cert.branch in ("q1", "q2"):
-        a, b, c = cert.coeffs
-        quad = apex_quad(spec, b / c, a / c, c, cert.branch)
-        construction = f"apex-{cert.branch}"
-    elif cert.branch == "face":
-        a, b = cert.coeffs
-        quad = _trapezoid(spec, a, b)
+    if realized.branch in ("q1", "q2"):
+        a, b, c = realized.coeffs
+        quad = apex_quad(spec, b / c, a / c, c, realized.branch)
+        construction = f"apex-{realized.branch}"
+    elif realized.branch == "face":
+        quad = _trapezoid(spec, *realized.coeffs)
         construction = "trapezoid"
-    elif cert.branch == "ray":
-        t = cert.coeffs[0]
+    else:
+        t = realized.coeffs[0]
         quad = _trapezoid(spec, t, t)
         construction = "trapezoid-l0"
-    else:
-        rows, total_ab, total_dc = integer_rows(spec)
-        p0, q0, _, l0 = rows[0]
-        proportional = classify(spec).proportional
-        if proportional:
-            # the ratio vectors span only the line of ab + dc, which holds x when the coefficients agree
-            face = (l0 * x[0] / (p0 + q0),) * 2 if cert.coeffs[0] == cert.coeffs[1] else None
-        else:
-            # skew ratio vectors span the certificate's plane
-            face, *slopes = _face(rows, total_ab, total_dc, *cert.coeffs)
-        if face is not None and face[0] > 0 and face[1] > 0:
-            quad = _trapezoid(spec, *face)
-            construction = "trapezoid-l0" if face[0] == face[1] else "trapezoid"
-        else:
-            # arm 0 is the head (q1), arm 1 the tail (q2), resolved at the canonical interior coefficient
-            arm = 0 if cert.q1_interval is not None else 1
-            branch, interval = ("q1", "q2")[arm], (cert.q1_interval, cert.q2_interval)[arm]
-            invariant(interval is not None, "an attainable planar tuple admits a realization")
-            c = interval.lo if interval.is_point else interval.midpoint
-            if proportional:
-                # split the residual L_0*(x_0 - c*arm_0) evenly between the ratio vectors: a*P_0 = b*Q_0
-                r = l0 * x[0] - c * _arms(rows, total_ab, total_dc, 0)[arm]
-                a, b = r / (2 * p0), r / (2 * q0)
-            else:
-                a, b = (f - c * s for f, s in zip(face, slopes[arm]))
-            invariant(a > 0 and b > 0 and c > 0, "the canonical re-decomposition is strictly positive")
-            quad = apex_quad(spec, b / c, a / c, c, branch)
-            construction = f"apex-{branch}"
 
     return WitnessOutput(quad, subdivide(quad, spec), cert, construction)

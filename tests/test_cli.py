@@ -307,6 +307,8 @@ class TestInvariants:
         pytest.param(("witness", "--p", "1,2,3", "--pp", "1,1,1", "--x", "10,10,7"), id="witness-q2"),
         pytest.param(("witness", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "58/7,130/7,68/7"), id="witness-skew-apex"),
         pytest.param(("witness", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "51/7,95/7,46/7"), id="witness-skew-face"),
+        pytest.param(("witness", "--p", "1,2,4", "--pp", "2,4,8", "--x", "54,96,144"), id="witness-proportional-q2"),
+        pytest.param(("witness", "--p", "1,2,4", "--pp", "2,4,8", "--x", "3,6,12"), id="witness-proportional-ray"),
         pytest.param(("member", *TAILED), id="member-tail"),
         pytest.param(("member", *PLANAR_PREFIX_TAILED), id="member-tail-planar-prefix"),
         pytest.param(

@@ -260,3 +260,23 @@ class TestApexOf:
             af = apex_of(q, spec)
             assert (af.branch, af.p0, af.p0_prime, af.scale) == (branch, p0, p0p, s)
             assert apex_areas(af, spec) == strip_areas(q, spec)
+
+    @given(affine_maps(), st.sampled_from(("q1", "q2")), st.integers(min_value=1, max_value=40))
+    def test_scale_is_the_apex_triangle_area_unit(self, mapping, branch, seed):
+        # apex_of reads the scale from the side cross; the triangle cut off at the apex by the
+        # nearest division corners has area scale*p0*p0_prime, on both branches and their images
+        (m11, m12, m21, m22), (tx, ty) = mapping
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        spec = DivisionSpec.of(
+            [F(rng.randint(1, 12), 2) for _ in range(n)], [F(rng.randint(1, 12), 2) for _ in range(n)]
+        )
+        q = apex_quad(spec, *(F(rng.randint(1, 64), 8) for _ in range(3)), branch)
+        image = ConvexQuad(
+            *(Point(m11 * v.x + m12 * v.y + tx, m21 * v.x + m22 * v.y + ty) for v in q.vertices)
+        )
+        for quad in (q, image):
+            af = apex_of(quad, spec)
+            corners = (quad.a, quad.d) if branch == "q1" else (quad.c, quad.b)
+            assert af.branch == branch
+            assert af.scale == polygon_area([af.apex, *corners]) / (af.p0 * af.p0_prime)

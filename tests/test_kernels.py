@@ -50,7 +50,7 @@ from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
 from quadareas.linalg import _scaled, solve2, solve3
-from quadareas.membership import Interval, _coefficient_verdict, _face, _pivot_solution, _spans
+from quadareas.membership import Interval, _coefficient_verdict, _face, _pivot_solution, _realization, _spans
 from quadareas.witness import _trapezoid
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
@@ -738,9 +738,9 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
 
 @given(coefficient_triples(), st.sampled_from(("strict", "audited")), st.booleans())
 def test_coefficient_verdict_matches_the_two_region_reference(triple, mode, prefix_certified):
-    assert _coefficient_verdict(*triple, mode, prefix_certified) == ref_coefficient_verdict(
-        *triple, mode, prefix_certified
-    )
+    # member_tail sets prefix_certified on the kernel's verdict; the reference still takes it
+    verdict = replace(_coefficient_verdict(*triple, mode), prefix_certified=prefix_certified)
+    assert verdict == ref_coefficient_verdict(*triple, mode, prefix_certified)
 
 
 def assert_member_tail_matches_the_reference(query):
@@ -917,6 +917,22 @@ def test_face_solution_matches_the_span_checked_reference(query):
         assert out.construction.startswith("trapezoid") == on_face
         if on_face:
             assert out.quad == _trapezoid(spec, *expected)
+
+
+@given(planar_queries())
+def test_realization_reproduces_x_on_its_branch(query):
+    # the certificate the witness builds from: strictly positive coefficients over the frame
+    # vectors of its branch, summing to x exactly
+    spec, x, _ = query
+    verdict = member(spec, x)
+    if not verdict.attainable:
+        return
+    cert = _realization(spec, verdict.certificate)
+    fr = frame(spec)
+    vectors = {"q1": (fr.ab, fr.dc, fr.head), "q2": (fr.ab, fr.dc, fr.tail), "face": (fr.ab, fr.dc),
+               "ray": (fr.parallel,)}[cert.branch]
+    assert min(cert.coeffs) > 0
+    assert tuple(sum(c * v[i] for c, v in zip(cert.coeffs, vectors)) for i in range(spec.n)) == x
 
 
 @given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), st.data())

@@ -49,7 +49,7 @@ class TestCanonicalConstructions:
         assert assert_round_trip(spec, (F(5, 6), F(5, 3), F(5, 2))).construction == "trapezoid-l0"
 
     def test_rational_literals_are_read_as_member_reads_them(self):
-        # the planar branch builds from x itself, not only from the certificate
+        # literals reach the witness only through member's certificate
         out = synthesize_witness(UNIT, ("3", "5", "7"))
         assert out == synthesize_witness(UNIT, (F(3), F(5), F(7)))
         assert synthesize_witness(UNIT, ("1", "1", "1")).construction == "trapezoid-l0"
@@ -64,6 +64,20 @@ class TestCanonicalConstructions:
             synthesize_witness(SPATIAL, (F(3), F(5), F(7)), "strict")
         assert info.value.reason == "boundary"
         assert_round_trip(SPATIAL, (F(3), F(5), F(7)), "audited")
+
+
+class TestProportionalSplits:
+    # lambda = 2, where the even split a*P_0 = b*Q_0 of an apex re-decomposition and the
+    # equal split a = b of the ray differ
+    LAMBDA2 = DivisionSpec.of((1, 2, 4), (2, 4, 8))
+
+    def test_apex_q2_splits_the_ratio_vectors_evenly(self):
+        out = assert_round_trip(self.LAMBDA2, (F(54), F(96), F(144)))
+        assert (out.construction, out.quad.text()) == ("apex-q2", "0,28;0,14;14,0;28,0")
+
+    def test_the_ray_splits_the_face_equally(self):
+        out = assert_round_trip(self.LAMBDA2, (F(3), F(6), F(12)))
+        assert (out.construction, out.quad.text()) == ("trapezoid-l0", "0,0;14,0;28,1;0,1")
 
 
 class TestBranchFidelity:
