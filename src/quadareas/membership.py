@@ -10,12 +10,16 @@ a spatial decision computes no tail cumulant and no frame.  ``_decide`` holds
 the one planar / pivot-solve dispatch: ``member`` runs it on the spec's rows
 and ``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the
 tail sums; each fold is a solve on sums of the spec's rows.  A planar decision
-solves for the cumulant coefficients at the first two coordinates and checks
-them with the same componentwise check, so it computes no frame either.  On
-skew ratio vectors its re-decompositions read one face solve at rows 0 and 1
-(``_face``): head = alpha*ab + beta*dc, from which the face coordinates of the
-tail and of x follow through the totals.  ``_realization`` picks one of them
-and returns its q1, q2, face or ray certificate, the witness's only input.
+solves x = a*head + b*tail at the first two coordinates, checks its span triple
+(b*total_dc, b*total_ab, a - b) with the same componentwise check and rejects
+through the same ``_coefficient_verdict``, so it computes no frame either.
+Every re-decomposition of x lies on one segment of span triples (``_segment``):
+on skew ratio vectors the triple moves along (alpha, beta, -1), head =
+alpha*ab + beta*dc solved once at rows 0 and 1, clipped by the four facets to
+one open range of the head coefficient, from which both intervals follow; on
+proportional ones the range is the point a - b.  ``_realization`` moves to one
+point of it and returns its q1, q2, face or ray certificate, the witness's
+only input.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -100,46 +104,6 @@ class Verdict:
     prefix_certified: bool = False
 
 
-def _face(
-    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, a: Fraction, b: Fraction
-):
-    """The coordinates over (ab, dc) of x = a*head + b*tail, of head and of tail, for skew ratio vectors.
-
-    head = alpha*ab + beta*dc is solved once at rows 0 and 1, where the ratio
-    vectors of a skew planar spec are independent; its cumulants lie in
-    span(ab, dc), so the solve holds at every row.  tail = (total_dc - alpha)*ab +
-    (total_ab - beta)*dc follows from head + tail, and x's coordinates are
-    linear in the arms', as x = a*head + b*tail.
-    """
-    (p0, q0, h0, _), (p1, q1, h1, _) = rows[:2]
-    det = p0 * q1 - p1 * q0
-    head = (Fraction(h0 * q1 - h1 * q0, det), Fraction(p0 * h1 - p1 * h0, det))
-    tail = (total_dc - head[0], total_ab - head[1])
-    return (a * head[0] + b * tail[0], a * head[1] + b * tail[1]), head, tail
-
-
-def _coefficient_interval(base: Sequence[Fraction], slope: Sequence[Fraction]):
-    """Feasible cumulant coefficients c for x = A*ab + B*dc + c*arm with A, B, c > 0.
-
-    Only meaningful in the planar case, for skew ratio vectors: base and slope
-    are the face coordinates of x and of the arm (``_face``), and (A, B) is
-    base - c*slope.  Returns an Interval or None.
-    """
-    lo = Fraction(0)
-    hi: Optional[Fraction] = None
-    for coef, intercept in zip(slope, base):
-        # constraint: intercept - c*coef > 0
-        if coef > 0:
-            bound = intercept / coef
-            hi = bound if hi is None else min(hi, bound)
-        elif coef < 0:
-            lo = max(lo, intercept / coef)
-        elif intercept <= 0:
-            return None
-    invariant(hi is not None, "the feasible coefficient range is always bounded above")
-    return Interval(lo, hi) if lo < hi else None
-
-
 def _coefficient_verdict(
     a: Fraction, b: Fraction, c: Fraction, total_ab: Fraction, total_dc: Fraction, mode: Mode
 ) -> Verdict:
@@ -193,62 +157,51 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     return sol if _spans(rows, sol, x) else None
 
 
-def _planar_verdict(
-    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, x: tuple[Fraction, ...]
-) -> Verdict:
-    """The planar verdict: x = a*head + b*tail with a, b > 0, checked at every coordinate.
+def _segment(
+    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, triple: Sequence[Fraction]
+):
+    """(lo, hi, at): the open range of head coefficients over x's span triples, and the triple at each.
 
-    L_i*tail_i is read from row i, as tail = total_dc*ab + total_ab*dc - head,
-    and a*head + b*tail is the span combination (b*total_dc, b*total_ab, a - b).
-    The cumulant vectors are independent at the first two coordinates: their
-    2x2 minor there is strictly negative.  With every discriminant zero, ab
-    and dc are proportional at every row exactly when they are at rows 0 and 1.
+    x = A*ab + B*dc + c*head.  On skew ratio vectors head = alpha*ab + beta*dc is
+    solved once at rows 0 and 1 (its cumulants lie in span(ab, dc), so the solve
+    holds at every row), and x's span triples are the line (A + s*alpha, B +
+    s*beta, c - s).  With (F_A, F_B) x's face coordinates, the four facets of
+    ``_coefficient_verdict`` at head coefficient t are F_A - t*alpha, F_B - t*beta,
+    F_A + t*(total_dc - alpha) and F_B + t*(total_ab - beta); head and tail have
+    positive entries, so some facet bounds t above and some below.  On
+    proportional ones c is pinned: lo = hi = c.  With every discriminant zero,
+    ab and dc are proportional at every row exactly when they are at rows 0 and 1.
     """
-    arms = [(h, total_dc * p + total_ab * q - h) for p, q, h, _ in rows[:2]]
-    sol = solve2(arms, [rows[i][3] * x[i] for i in (0, 1)])
-    invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
-    a, b = sol
-    if not _spans(rows, (b * total_dc, b * total_ab, a - b), x):
-        return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    if not (a > 0 and b > 0):
-        return Verdict(False, reason=REASON_BOUNDARY if a >= 0 and b >= 0 else REASON_NEGATIVE)
-    (p0, q0, _, _), (p1, q1, _, _) = rows[:2]
-    if p0 * q1 == p1 * q0:
-        # x = g*(ab-direction) + c*arm pins c uniquely: a - b on the head, b - a on the tail
-        intervals = [Interval(c, c) if c > 0 else None for c in (a - b, b - a)]
-    else:
-        base, *slopes = _face(rows, total_ab, total_dc, a, b)
-        intervals = [_coefficient_interval(base, slope) for slope in slopes]
-    return Verdict(True, Certificate("degenerate", (a, b), *intervals))
+    big_a, big_b, c = triple
+    (p0, q0, h0, _), (p1, q1, h1, _) = rows[:2]
+    det = p0 * q1 - p1 * q0
+    if det == 0:
+        return c, c, lambda _: triple
+    alpha, beta = Fraction(h0 * q1 - h1 * q0, det), Fraction(p0 * h1 - p1 * h0, det)
+    face = (big_a + c * alpha, big_b + c * beta)
+    facets = tuple(zip(face * 2, (-alpha, -beta, total_dc - alpha, total_ab - beta)))
+    lo = max(-f / k for f, k in facets if k > 0)
+    hi = min(-f / k for f, k in facets if k < 0)
+    return lo, hi, lambda t: (face[0] - t * alpha, face[1] - t * beta, t)
 
 
 def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     """The q1, q2, face or ray certificate of one re-decomposition of a degenerate certificate.
 
-    x = a*head + b*tail is the span triple (A, B, c) = (b*total_dc, b*total_ab, a - b).
-    On skew ratio vectors it moves along (alpha, beta, -1), as head = alpha*ab +
-    beta*dc, to c = 0 when x's face coordinates are positive, else to the q1
-    interval's midpoint, else to minus the q2 interval's.  On proportional ones
-    c = a - b is pinned and the triple is the even split A*P_0 = B*Q_0, as
-    total_dc/total_ab = Q_0/P_0; at c = 0 the face is split equally instead.
-    Planar verdicts ignore the mode, so the branch is named in audited mode.
+    x = a*head + b*tail is the span triple (b*total_dc, b*total_ab, a - b); it moves
+    along its segment to c = 0 when that is inside, else to the segment's midpoint.
+    On proportional ratio vectors c = a - b is pinned and the triple is the even
+    split A*P_0 = B*Q_0, as total_dc/total_ab = Q_0/P_0; at c = 0 the face is split
+    equally instead.  Planar verdicts ignore the mode, so the branch is named in
+    audited mode.
     """
     rows, total_ab, total_dc = integer_rows(spec)
     a, b = cert.coeffs
-    (p0, q0, _, _), (p1, q1, _, _) = rows[:2]
-    if p0 * q1 == p1 * q0:
-        big_a, big_b, c = b * total_dc, b * total_ab, a - b
-        if c == 0:
-            big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
-    else:
-        face, (alpha, beta), _ = _face(rows, total_ab, total_dc, a, b)
-        c = Fraction(0)
-        if not (face[0] > 0 and face[1] > 0):
-            if cert.q1_interval is not None:
-                c = cert.q1_interval.midpoint
-            elif cert.q2_interval is not None:
-                c = -cert.q2_interval.midpoint
-        big_a, big_b = face[0] - c * alpha, face[1] - c * beta
+    lo, hi, at = _segment(rows, total_ab, total_dc, (b * total_dc, b * total_ab, a - b))
+    big_a, big_b, c = at(Fraction(0) if lo < 0 < hi else (lo + hi) / 2)
+    if lo == hi == 0:
+        p0, q0, _, _ = rows[0]
+        big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
     verdict = _coefficient_verdict(big_a, big_b, c, total_ab, total_dc, "audited")
     invariant(verdict.attainable, "an attainable planar tuple admits a realization")
     return verdict.certificate
@@ -262,14 +215,33 @@ def _decide(
     x: tuple[Fraction, ...],
     mode: Mode,
 ) -> Verdict:
-    """The verdict for a positive x on a spec's integer rows: planar when pivot is None, else
-    the pivot solve, its componentwise check and the coefficient verdict."""
-    if pivot is None:
-        return _planar_verdict(rows, total_ab, total_dc, x)
-    sol = _pivot_solution(rows, pivot, x)
-    if sol is None:
+    """The verdict for a positive x on a spec's integer rows: the pivot solve, its componentwise
+    check and the coefficient verdict, or in the planar case (pivot None) the same on the span
+    triple of x = a*head + b*tail, certified by (a, b) and its segment's two intervals.
+
+    L_i*tail_i is read from row i, as tail = total_dc*ab + total_ab*dc - head, and the
+    cumulant vectors are independent at the first two coordinates: their 2x2 minor
+    there is strictly negative.  Planar verdicts ignore the mode.
+    """
+    if pivot is not None:
+        sol = _pivot_solution(rows, pivot, x)
+        if sol is None:
+            return Verdict(False, reason=REASON_OFF_SUBSPACE)
+        return _coefficient_verdict(*sol, total_ab, total_dc, mode)
+    arms = [(h, total_dc * p + total_ab * q - h) for p, q, h, _ in rows[:2]]
+    sol = solve2(arms, [rows[i][3] * x[i] for i in (0, 1)])
+    invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
+    a, b = sol
+    triple = (b * total_dc, b * total_ab, a - b)
+    if not _spans(rows, triple, x):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    return _coefficient_verdict(*sol, total_ab, total_dc, mode)
+    verdict = _coefficient_verdict(*triple, total_ab, total_dc, "audited")
+    if not verdict.attainable:
+        return verdict
+    lo, hi, _ = _segment(rows, total_ab, total_dc, triple)
+    q1 = Interval(max(lo, Fraction(0)), hi) if hi > 0 else None
+    q2 = Interval(max(-hi, Fraction(0)), -lo) if lo < 0 else None
+    return Verdict(True, Certificate("degenerate", (a, b), q1, q2))
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:
@@ -318,10 +290,5 @@ def parallel_diagnosis(spec: DivisionSpec, x: Sequence[Fraction]) -> str:
     if not verdict.attainable:
         return "not-attainable"
     cert = verdict.certificate
-    if cert.branch in ("q1", "q2"):
-        return "not-forced"
-    if cert.branch == "degenerate":
-        if cert.q1_interval is not None or cert.q2_interval is not None:
-            return "not-forced"
-        return "forced-parallel"
-    return "forced-parallel"
+    apex = cert.branch in ("q1", "q2") or cert.q1_interval is not None or cert.q2_interval is not None
+    return "not-forced" if apex else "forced-parallel"

@@ -119,6 +119,7 @@ def cumulant_tail_sums(
     of partial ratio sums, partial tail sums of tail cumulants are products of
     ratio tail sums.
     """
+    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     head_total = p.total * p_prime.total
     pm = sum(p.prefix, Fraction(0))
     qm = sum(p_prime.prefix, Fraction(0))

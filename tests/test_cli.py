@@ -309,6 +309,14 @@ class TestInvariants:
         pytest.param(("witness", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "51/7,95/7,46/7"), id="witness-skew-face"),
         pytest.param(("witness", "--p", "1,2,4", "--pp", "2,4,8", "--x", "54,96,144"), id="witness-proportional-q2"),
         pytest.param(("witness", "--p", "1,2,4", "--pp", "2,4,8", "--x", "3,6,12"), id="witness-proportional-ray"),
+        pytest.param(
+            ("member", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "51/7,95/7,46/7", "--full"),
+            id="member-skew-both-intervals",
+        ),
+        pytest.param(
+            ("member", "--p", "1,1,2/7", "--pp", "1,2,1", "--x", "192/7,160/7,32/7", "--full"),
+            id="member-skew-q2-only",
+        ),
         pytest.param(("member", *TAILED), id="member-tail"),
         pytest.param(("member", *PLANAR_PREFIX_TAILED), id="member-tail-planar-prefix"),
         pytest.param(

@@ -50,7 +50,7 @@ from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
 from quadareas.linalg import _scaled, solve2, solve3
-from quadareas.membership import Interval, _coefficient_verdict, _face, _pivot_solution, _realization, _spans
+from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _realization, _segment, _spans
 from quadareas.witness import _trapezoid
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
@@ -346,6 +346,17 @@ def ref_face_solution(rows, x, proportional):
     else:
         sol = solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
     return sol if _spans(rows, (*sol, 0), x) else None
+
+
+def span_triple(total_ab, total_dc, a, b):
+    """x = a*head + b*tail as a*ab + b*dc + c*head coefficients: (b*total_dc, b*total_ab, a - b)."""
+    return b * total_dc, b * total_ab, a - b
+
+
+def face_coordinates(rows, total_ab, total_dc):
+    """head's and tail's coordinates over (ab, dc): their span triples moved to c = 0; for head, (alpha, beta)."""
+    return [_segment(rows, total_ab, total_dc, span_triple(total_ab, total_dc, *coeffs))[2](F(0))[:2]
+            for coeffs in ((F(1), F(0)), (F(0), F(1)))]
 
 
 def ref_apex_quad_q2(spec, p0, p0_prime, scale):
@@ -887,11 +898,13 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
     expected = [None if interval is None else ref_apex_parameters(fr, x, interval, arm, proportional)
                 for interval, arm in zip(intervals, ("head", "tail"))]
     if not proportional:
-        base, *slopes = _face(*integer_rows(spec), *cert.coeffs)
-        for interval, slope, params in zip(intervals, slopes, expected):
+        # the segment's triple at head coefficient c, or -c on the tail arm, in its verdict's coefficients
+        rows, total_ab, total_dc = integer_rows(spec)
+        at = _segment(rows, total_ab, total_dc, span_triple(total_ab, total_dc, *cert.coeffs))[2]
+        for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else interval.midpoint
-                assert (*(f - c * s for f, s in zip(base, slope)), c) == params
+                assert _coefficient_verdict(*at(sign * c), total_ab, total_dc, "audited").certificate.coeffs == params
     out = synthesize_witness(spec, x)
     if out.construction.startswith("apex"):
         arm = 0 if intervals[0] is not None else 1
@@ -910,7 +923,9 @@ def test_face_solution_matches_the_span_checked_reference(query):
     coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x[0], x[1]])
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
-        assert _face(rows, total_ab, total_dc, *coeffs)[0] == expected
+        # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
+        at = _segment(rows, total_ab, total_dc, span_triple(total_ab, total_dc, *coeffs))[2]
+        assert at(F(0)) == (*expected, 0)
     if member(spec, x).attainable:
         out = synthesize_witness(spec, x)
         on_face = expected is not None and expected[0] > 0 and expected[1] > 0
@@ -938,8 +953,7 @@ def test_realization_reproduces_x_on_its_branch(query):
 @given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), st.data())
 def test_face_coordinates_reproduce_the_cumulants(spec, data):
     fr = frame(spec)
-    _, *arms = _face(*integer_rows(spec), F(0), F(0))
-    for vec, (alpha, beta) in zip((fr.head, fr.tail), arms):
+    for vec, (alpha, beta) in zip((fr.head, fr.tail), face_coordinates(*integer_rows(spec))):
         assert vec == tuple(alpha * u + beta * v for u, v in zip(fr.ab, fr.dc))
     # member_tail's extended rows where they stay planar: zero tail sums, or tail sums that
     # continue the zero chain; the face then holds at every extended row, the tail row included
@@ -951,7 +965,7 @@ def test_face_coordinates_reproduce_the_cumulants(spec, data):
     assert ref_first_pivot(ext_ab, ext_dc) is None
     head, tail = tail_cumulants(p, q)
     head_tail, tail_tail = cumulant_tail_sums(p, q)
-    _, *arms = _face(extended_rows(p, q), p.total, q.total, F(0), F(0))
+    arms = face_coordinates(extended_rows(p, q), p.total, q.total)
     for vec, (alpha, beta) in zip((head + (head_tail,), tail + (tail_tail,)), arms):
         assert vec == tuple(alpha * u + beta * v for u, v in zip(ext_ab, ext_dc))
 

@@ -117,14 +117,16 @@ class TestTailCumulants:
         assert head == (F(1), F(3), F(5)) and tail == (F(5), F(3), F(1))
 
     def test_ratios_are_validated_as_a_division_spec(self):
-        for p, q, message in (
-            ((1, 0, 2), (1, 1, 1), "p entry 2 must be positive"),
-            ((1, 1, 1), (1, 1, F(-1, 2)), "p_prime entry 3 must be positive"),
-            ((1, 2, 3), (1, 1), "ratio tuples must have the same length"),
-            ((1,), (1,), "need at least two segments per side"),
-        ):
-            with pytest.raises(InvalidInputError, match=message):
-                tail_cumulants(TailSummedSequence.of(p, 1), TailSummedSequence.of(q))
+        # all three validate their prefixes as one DivisionSpec
+        for helper in (tail_cumulants, cumulant_tail_sums, planar_ratio_bounds):
+            for p, q, message in (
+                ((1, 0, 2), (1, 1, 1), "p entry 2 must be positive"),
+                ((1, 1, 1), (1, 1, F(-1, 2)), "p_prime entry 3 must be positive"),
+                ((1, 2, 3), (1, 1), "ratio tuples must have the same length"),
+                ((1,), (1,), "need at least two segments per side"),
+            ):
+                with pytest.raises(InvalidInputError, match=message):
+                    helper(TailSummedSequence.of(p, 1), TailSummedSequence.of(q))
 
     def test_component_sum_identity_with_tails(self):
         rng = random.Random(6)
