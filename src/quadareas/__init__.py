@@ -1,129 +1,55 @@
 """Exact characterization, decision, and witnessing of the area tuples cut from
 a convex quadrilateral by lines through prescribed division ratios of two
-opposite sides."""
+opposite sides.
 
-from .cone import (
-    CaseLabel,
-    ConeFrame,
-    classify,
-    continue_degenerate,
-    cumulants,
-    discriminants,
-    evaluate_plane,
-    frame,
-    hyperplanes,
-)
-from .division import DivisionSpec, to_fraction
-from .errors import (
-    DegenerateCollapseError,
-    DegenerateDenominatorError,
-    InconsistentQuadError,
-    InternalError,
-    InvalidInputError,
-    InvalidPivotError,
-    NotAttainableError,
-    NoValidContinuationError,
-    QuadAreasError,
-)
-from .geometry import (
-    ApexFrame,
-    ConvexQuad,
-    DivisionPoints,
-    ParallelMarker,
-    Point,
-    apex_of,
-    is_convex_ccw,
-    polygon_area,
-    pt,
-    strip_areas,
-    subdivide,
-)
-from .membership import (
-    Certificate,
-    Interval,
-    Verdict,
-    member,
-    parallel_diagnosis,
-    proportional_bounds,
-)
-from .oracle import SampleReport, Violation, cross_validate, sample_convex_quads, sample_parallel_family
-from .reduction import (
-    CollapsedInstance,
-    StationCoefficients,
-    StationReport,
-    TailSummedSequence,
-    collapse,
-    cumulant_tail_sums,
-    extend_solution,
-    member_tail,
-    member_via_collapse,
-    planar_ratio_bounds,
-    station_check,
-    station_coefficients,
-    tail_cumulants,
-)
-from .witness import WitnessOutput, apex_areas, apex_quad, synthesize_witness
+The namespace is lazy (PEP 562): ``import quadareas`` loads no submodule, and
+each public name imports its home module on first access.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApexFrame",
-    "CaseLabel",
-    "Certificate",
-    "CollapsedInstance",
-    "ConeFrame",
-    "ConvexQuad",
-    "DegenerateCollapseError",
-    "DegenerateDenominatorError",
-    "DivisionPoints",
-    "DivisionSpec",
-    "InconsistentQuadError",
-    "InternalError",
-    "Interval",
-    "InvalidInputError",
-    "InvalidPivotError",
-    "NotAttainableError",
-    "NoValidContinuationError",
-    "ParallelMarker",
-    "Point",
-    "QuadAreasError",
-    "SampleReport",
-    "StationCoefficients",
-    "StationReport",
-    "TailSummedSequence",
-    "Verdict",
-    "Violation",
-    "WitnessOutput",
-    "apex_areas",
-    "apex_of",
-    "apex_quad",
-    "classify",
-    "collapse",
-    "continue_degenerate",
-    "cross_validate",
-    "cumulant_tail_sums",
-    "cumulants",
-    "discriminants",
-    "evaluate_plane",
-    "extend_solution",
-    "frame",
-    "hyperplanes",
-    "is_convex_ccw",
-    "member",
-    "member_tail",
-    "member_via_collapse",
-    "parallel_diagnosis",
-    "planar_ratio_bounds",
-    "polygon_area",
-    "proportional_bounds",
-    "pt",
-    "sample_convex_quads",
-    "sample_parallel_family",
-    "station_check",
-    "station_coefficients",
-    "strip_areas",
-    "subdivide",
-    "synthesize_witness",
-    "tail_cumulants",
-    "to_fraction",
-]
+# every submodule, with the public names it is home to
+_PUBLIC = {
+    "cli": (),
+    "cone": (
+        "CaseLabel", "ConeFrame", "classify", "continue_degenerate", "cumulants", "discriminants",
+        "evaluate_plane", "frame", "hyperplanes",
+    ),
+    "division": ("DivisionSpec", "TailSummedSequence", "to_fraction"),
+    "errors": (
+        "DegenerateCollapseError", "DegenerateDenominatorError", "InconsistentQuadError", "InternalError",
+        "InvalidInputError", "InvalidPivotError", "NotAttainableError", "NoValidContinuationError",
+        "QuadAreasError",
+    ),
+    "geometry": (
+        "ApexFrame", "ConvexQuad", "DivisionPoints", "ParallelMarker", "Point", "apex_of", "is_convex_ccw",
+        "polygon_area", "pt", "strip_areas", "subdivide",
+    ),
+    "linalg": (),
+    "membership": ("Certificate", "Interval", "Verdict", "member", "parallel_diagnosis", "proportional_bounds"),
+    "oracle": ("SampleReport", "Violation", "cross_validate", "sample_convex_quads", "sample_parallel_family"),
+    "reduction": (
+        "CollapsedInstance", "StationCoefficients", "StationReport", "collapse", "cumulant_tail_sums",
+        "extend_solution", "member_tail", "member_via_collapse", "planar_ratio_bounds", "station_check",
+        "station_coefficients", "tail_cumulants",
+    ),
+    "witness": ("WitnessOutput", "apex_areas", "apex_quad", "synthesize_witness"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

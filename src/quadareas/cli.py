@@ -6,6 +6,9 @@ usage error, a result too large to print, or an SVG coordinate past float
 range), 2 not attainable (member/witness), 3 oracle violations (sample),
 4 internal error (a failed invariant: a defect in quadareas, never a
 property of the input).
+
+Each verb imports only the layers it runs, so a fresh process loads (and,
+without cached bytecode, compiles) no module that the verb does not call.
 """
 from __future__ import annotations
 
@@ -16,14 +19,8 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cone import classify, discriminants, frame, hyperplanes
-from .division import DivisionSpec
+from .division import DivisionSpec, TailSummedSequence
 from .errors import InternalError, InvalidInputError, NotAttainableError, QuadAreasError
-from .geometry import ConvexQuad, strip_areas
-from .membership import Certificate, Verdict, member
-from .oracle import SampleReport, cross_validate, sample_convex_quads, sample_parallel_family
-from .reduction import TailSummedSequence, collapse, member_tail
-from .witness import WitnessOutput, synthesize_witness
 
 
 def _rationals(values) -> list[str]:
@@ -143,6 +140,8 @@ def _witness_text(out: WitnessOutput, areas) -> str:
 
 
 def _describe_payload(spec: DivisionSpec) -> dict:
+    from .cone import classify, discriminants, frame, hyperplanes
+
     label = classify(spec)
     fr = frame(spec)
     case: dict = {"kind": "spatial" if label.spatial else "planar"}
@@ -265,8 +264,12 @@ def _run(args) -> int:
 
     if args.verb == "member":
         if _has_tail(args.p, args.pp, args.x):
+            from .reduction import member_tail
+
             verdict = member_tail(*_sequences_from_args(args), args.mode)
         else:
+            from .membership import member
+
             verdict = member(_spec_from_args(args), _plain(args.x), args.mode)
         payload = _member_result(verdict)
         if verdict.attainable and args.full:
@@ -282,6 +285,9 @@ def _run(args) -> int:
         return 0 if verdict.attainable else 2
 
     if args.verb == "witness":
+        from .geometry import strip_areas
+        from .witness import synthesize_witness
+
         spec = _spec_from_args(args)
         x = _plain(args.x)
         try:
@@ -309,6 +315,8 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "areas":
+        from .geometry import ConvexQuad, strip_areas
+
         spec = _spec_from_args(args)
         quad = ConvexQuad.parse(args.quad)
         areas = strip_areas(quad, spec)
@@ -317,6 +325,8 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "sample":
+        from .oracle import cross_validate, sample_convex_quads, sample_parallel_family
+
         spec = _spec_from_args(args)
         if args.family == "quads":
             report = sample_convex_quads(spec, args.count, args.seed)
@@ -328,6 +338,8 @@ def _run(args) -> int:
         return 3 if report.violations else 0
 
     if args.verb == "reduce":
+        from .reduction import collapse
+
         p, pp, x = _sequences_from_args(args)
         instance = collapse((p, pp), x, args.pivot, args.branch)
         payload = {

@@ -1,4 +1,4 @@
-"""Division ratio tuples and the exact rational text format.
+"""Division ratio tuples, tail-summed sequences and the exact rational text format.
 
 Rationals are stdlib ``fractions.Fraction`` values everywhere: arbitrary
 precision, stored in lowest terms with a positive denominator, so every
@@ -77,3 +77,62 @@ class DivisionSpec:
 
     def reversed(self) -> "DivisionSpec":
         return DivisionSpec(self.p[::-1], self.p_prime[::-1])
+
+
+@dataclass(frozen=True)
+class TailSummedSequence:
+    """A summable sequence as an exact prefix plus the exact sum of its tail.
+
+    Ratio sequences must be strictly positive (their prefixes are validated as
+    a ``DivisionSpec``); candidate area sequences may carry any prefix values
+    and are screened by the membership deciders.  A zero tail sum embeds a
+    plain finite tuple.
+    """
+
+    prefix: tuple[Fraction, ...]
+    tail_sum: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        if not all(isinstance(v, Fraction) for v in self.prefix):
+            object.__setattr__(self, "prefix", fraction_tuple(self.prefix))
+        if not isinstance(self.tail_sum, Fraction):
+            object.__setattr__(self, "tail_sum", to_fraction(self.tail_sum))
+        if len(self.prefix) < 1:
+            raise InvalidInputError("a sequence needs a nonempty prefix")
+        if self.tail_sum < 0:
+            raise InvalidInputError("a tail sum cannot be negative")
+
+    @classmethod
+    def of(cls, prefix: Iterable[RationalLike], tail: RationalLike = 0) -> "TailSummedSequence":
+        return cls(fraction_tuple(prefix), to_fraction(tail))
+
+    @classmethod
+    def parse(cls, text: str) -> "TailSummedSequence":
+        """Parse the text format "a,b,c | tail=r"; a missing or empty suffix means tail 0."""
+        tail = Fraction(0)
+        body, _, suffix = text.partition("|")
+        suffix = suffix.strip()
+        if suffix:
+            if not suffix.startswith("tail="):
+                raise InvalidInputError("the tail suffix is written as '| tail=r'")
+            tail = to_fraction(suffix[len("tail="):])
+        fields = body.split(",")
+        # a body with no literal at all is an empty prefix; an empty field between literals is malformed
+        prefix = fraction_tuple(fields) if any(f.strip() for f in fields) else ()
+        return cls(prefix, tail)
+
+    def text(self) -> str:
+        body = ",".join(str(v) for v in self.prefix)
+        return body if self.tail_sum == 0 else f"{body} | tail={self.tail_sum}"
+
+    @property
+    def m(self) -> int:
+        return len(self.prefix)
+
+    @property
+    def total(self) -> Fraction:
+        return sum(self.prefix, Fraction(0)) + self.tail_sum
+
+    @property
+    def finite(self) -> bool:
+        return self.tail_sum == 0

@@ -136,7 +136,7 @@ class ConvexQuad:
 
     @classmethod
     def parse(cls, text: str) -> "ConvexQuad":
-        points = [Point.parse(part) for part in text.split(";") if part.strip()]
+        points = [Point.parse(part) for part in text.split(";")]
         if len(points) != 4:
             raise InvalidInputError("a quadrilateral is written as four ';'-separated points")
         return cls.of(*points)

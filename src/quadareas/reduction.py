@@ -1,9 +1,9 @@
-"""Tail-summed sequences and the fold of long instances down to three coordinates.
+"""Tail-summed decisions and the fold of long instances down to three coordinates.
 
-A summable infinite sequence is represented by an exact finite prefix plus the
-exact sum of everything after it, so cutting both sides at the prefix makes
-each tail one more segment: ``member_tail`` decides as ``member`` on that
-(m+1)-spec's integer rows.  Its verdicts are "prefix-certified": linear
+A summable infinite sequence (``division.TailSummedSequence``) is an exact
+finite prefix plus the exact sum of everything after it, so cutting both
+sides at the prefix makes each tail one more segment: ``member_tail`` decides
+as ``member`` on that (m+1)-spec's integer rows.  Its verdicts are "prefix-certified": linear
 constraints living entirely beyond the prefix cannot be checked from a tail
 sum alone and remain the caller's responsibility.
 """
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .cone import _discriminant, classify, cumulants, integer_rows
-from .division import DivisionSpec, RationalLike, to_fraction, fraction_tuple
+from .division import DivisionSpec, TailSummedSequence, fraction_tuple, to_fraction
 from .errors import (
     DegenerateCollapseError,
     DegenerateDenominatorError,
@@ -32,63 +32,6 @@ from .membership import (
     _pivot_solution,
     _spans,
 )
-
-
-@dataclass(frozen=True)
-class TailSummedSequence:
-    """A summable sequence as an exact prefix plus the exact sum of its tail.
-
-    Ratio sequences must be strictly positive (their prefixes are validated as
-    a ``DivisionSpec``); candidate area sequences may carry any prefix values
-    and are screened by the membership deciders.  A zero tail sum embeds a
-    plain finite tuple.
-    """
-
-    prefix: tuple[Fraction, ...]
-    tail_sum: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if not all(isinstance(v, Fraction) for v in self.prefix):
-            object.__setattr__(self, "prefix", fraction_tuple(self.prefix))
-        if not isinstance(self.tail_sum, Fraction):
-            object.__setattr__(self, "tail_sum", to_fraction(self.tail_sum))
-        if len(self.prefix) < 1:
-            raise InvalidInputError("a sequence needs a nonempty prefix")
-        if self.tail_sum < 0:
-            raise InvalidInputError("a tail sum cannot be negative")
-
-    @classmethod
-    def of(cls, prefix: Iterable[RationalLike], tail: RationalLike = 0) -> "TailSummedSequence":
-        return cls(fraction_tuple(prefix), to_fraction(tail))
-
-    @classmethod
-    def parse(cls, text: str) -> "TailSummedSequence":
-        """Parse the text format "a,b,c | tail=r"; a missing or empty suffix means tail 0."""
-        tail = Fraction(0)
-        body, _, suffix = text.partition("|")
-        suffix = suffix.strip()
-        if suffix:
-            if not suffix.startswith("tail="):
-                raise InvalidInputError("the tail suffix is written as '| tail=r'")
-            tail = to_fraction(suffix[len("tail="):])
-        prefix = fraction_tuple(part for part in body.split(",") if part.strip())
-        return cls(prefix, tail)
-
-    def text(self) -> str:
-        body = ",".join(str(v) for v in self.prefix)
-        return body if self.tail_sum == 0 else f"{body} | tail={self.tail_sum}"
-
-    @property
-    def m(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.prefix, Fraction(0)) + self.tail_sum
-
-    @property
-    def finite(self) -> bool:
-        return self.tail_sum == 0
 
 
 SpecLike = Union[DivisionSpec, tuple[TailSummedSequence, TailSummedSequence]]

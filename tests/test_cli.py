@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -338,6 +340,120 @@ class TestInvariants:
         optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, check=True)
         assert plain.stdout and optimized.stdout == plain.stdout
         assert optimized.stderr == plain.stderr == b""
+
+
+# ---- start-up and the package namespace ---------------------------------------
+
+_LOADED_BY = """
+import contextlib, io, json, sys
+import quadareas.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = quadareas.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("quadareas."))]))
+"""
+_BASE = {"cli", "division", "errors"}
+_DECIDE = _BASE | {"cone", "linalg", "membership"}
+
+
+class TestLoadedModules:
+    """Each verb, run in a fresh process, loads exactly the layers it calls."""
+
+    @pytest.mark.parametrize("argv, code, layers", (
+        (("describe", "--p", "1,2,3", "--pp", "1,1,1"), 0, _BASE | {"cone", "linalg"}),
+        (("member", "--p", "1,1,1", "--pp", "1,1,1", "--x", "1,2,3"), 0, _DECIDE),
+        (("member", *TAILED), 0, _DECIDE | {"reduction"}),
+        (("reduce", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--x", "1,2,3,4", "--pivot", "2", "--branch", "q2"),
+         0, _DECIDE | {"reduction"}),
+        (("witness", "--p", "1,1,1", "--pp", "1,1,1", "--x", "3,5,7"), 0, _DECIDE | {"geometry", "witness"}),
+        (("areas", "--p", "1,1,1", "--pp", "1,1,1", "--quad", "2,0;8,0;0,4;0,1"), 0, _BASE | {"geometry", "linalg"}),
+        (("sample", "--p", "1,2,3", "--pp", "1,1,1", "--count", "2"), 0,
+         _DECIDE | {"geometry", "oracle", "reduction", "witness"}),
+    ), ids=("describe", "member", "member-tail", "reduce", "witness", "areas", "sample"))
+    def test_modules_loaded_by_each_verb(self, argv, code, layers):
+        env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], capture_output=True, env=env, check=True)
+        assert json.loads(done.stdout) == [code, sorted(f"quadareas.{layer}" for layer in layers)]
+
+
+PUBLIC_NAMES = [
+    "ApexFrame", "CaseLabel", "Certificate", "CollapsedInstance", "ConeFrame", "ConvexQuad",
+    "DegenerateCollapseError", "DegenerateDenominatorError", "DivisionPoints", "DivisionSpec",
+    "InconsistentQuadError", "InternalError", "Interval", "InvalidInputError", "InvalidPivotError",
+    "NoValidContinuationError", "NotAttainableError", "ParallelMarker", "Point", "QuadAreasError",
+    "SampleReport", "StationCoefficients", "StationReport", "TailSummedSequence", "Verdict", "Violation",
+    "WitnessOutput", "apex_areas", "apex_of", "apex_quad", "classify", "collapse", "continue_degenerate",
+    "cross_validate", "cumulant_tail_sums", "cumulants", "discriminants", "evaluate_plane",
+    "extend_solution", "frame", "hyperplanes", "is_convex_ccw", "member", "member_tail",
+    "member_via_collapse", "parallel_diagnosis", "planar_ratio_bounds", "polygon_area",
+    "proportional_bounds", "pt", "sample_convex_quads", "sample_parallel_family", "station_check",
+    "station_coefficients", "strip_areas", "subdivide", "synthesize_witness", "tail_cumulants",
+    "to_fraction",
+]
+
+
+class TestNamespace:
+    """``import quadareas`` is lazy, and its public names are the ones it always had."""
+
+    def test_public_names_are_unchanged(self):
+        assert len(PUBLIC_NAMES) == 59
+        assert sorted(quadareas.__all__) == PUBLIC_NAMES
+
+    def test_each_name_is_its_home_modules_object(self):
+        for name in quadareas.__all__:
+            value = getattr(quadareas, name)
+            assert value.__module__.startswith("quadareas.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from quadareas import *", namespace)
+        assert {name: namespace[name] for name in PUBLIC_NAMES} == {
+            name: getattr(quadareas, name) for name in PUBLIC_NAMES}
+
+    def test_dir_lists_every_name(self):
+        assert set(quadareas.__all__) <= set(dir(quadareas))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'quadareas' has no attribute 'nope'"):
+            quadareas.nope
+
+    def test_tail_summed_sequence_lives_in_division(self):
+        import quadareas.division
+        import quadareas.reduction
+
+        assert quadareas.reduction.TailSummedSequence is quadareas.division.TailSummedSequence
+        assert quadareas.TailSummedSequence is quadareas.division.TailSummedSequence
+
+
+class TestReadmeQuickStart:
+    """Every ``quadareas ...`` line of the README's CLI quick start exits 0 and prints what the README shows."""
+
+    @staticmethod
+    def commands():
+        """(argv, the output comment right after the command or None) per command; ``> file`` is dropped."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        return [
+            (shlex.split(line.split(" > ", 1)[0])[1:], after[2:] if after.startswith("# ") else None)
+            for line, after in zip(lines, [*lines[1:], ""])
+            if line.startswith("quadareas ")
+        ]
+
+    def test_quick_start(self, capsys):
+        commands = self.commands()
+        assert len(commands) == 8
+        shown = 0
+        for argv, comment in commands:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            if comment:
+                shown += 1
+                if comment.endswith(" ..."):
+                    assert out.startswith(comment[:-3])
+                else:
+                    assert out == comment + "\n"
+        assert shown == 3
 
 
 # ---- fuzzing ------------------------------------------------------------------

@@ -79,6 +79,28 @@ class TestSequenceParsing:
             TailSummedSequence.parse(" | tail=1")
 
 
+class TestEmptyFields:
+    """An empty field is a malformed literal, never a dropped one; a body with no literal is an empty prefix."""
+
+    @pytest.mark.parametrize("tup", ("1,,2", ",1,2", "1,2,", "1,,2 | tail=1"))
+    @pytest.mark.parametrize("option", ("--p", "--pp", "--x"))
+    def test_empty_tuple_entry_is_an_input_error(self, capsys, option, tup):
+        argv = {"--p": "1,1,1", "--pp": "1,1,1", "--x": "1,2,3", option: tup}
+        for verb in ("member", "reduce"):
+            folding = ("--pivot", "2", "--branch", "q1") if verb == "reduce" else ()
+            code = main([verb, *(part for item in argv.items() for part in item), *folding])
+            assert (code, *capsys.readouterr()) == (1, "", "error: malformed rational literal ''\n")
+
+    def test_trailing_semicolon_in_quad_is_an_input_error(self, capsys):
+        code = main(["areas", "--p", "1,1,1", "--pp", "1,1,1", "--quad", "0,0;1,0;1,1;0,1;"])
+        assert (code, *capsys.readouterr()) == (1, "", "error: a point is written as 'x,y', got ''\n")
+
+    @pytest.mark.parametrize("text", ("", " | tail=1"))
+    def test_empty_prefix_is_still_a_clean_error(self, capsys, text):
+        code = main(["member", "--p", text, "--pp", "1,1,1", "--x", "1,2,3"])
+        assert (code, *capsys.readouterr()) == (1, "", "error: a sequence needs a nonempty prefix\n")
+
+
 class TestQuadParsing:
     def test_wrong_point_count(self):
         with pytest.raises(InvalidInputError):
