@@ -9,19 +9,17 @@ collapses into a plane.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 from typing import Sequence
 
-from .division import DivisionSpec, fraction_tuple, to_fraction
+from .division import DivisionSpec, _Frozen, fraction_tuple, to_fraction
 from .errors import InvalidInputError, NoValidContinuationError, invariant
 from .linalg import _cofactors, _scaled
 
 
-@dataclass(frozen=True)
-class ConeFrame:
+class ConeFrame(_Frozen):
     """The frame vectors spanning the attainable set.
 
     ``ab`` and ``dc`` are the ratio tuples; ``head`` and ``tail`` are the
@@ -35,6 +33,9 @@ class ConeFrame:
     head: tuple[Fraction, ...]
     tail: tuple[Fraction, ...]
 
+    def __init__(self, ab, dc, head, tail):
+        self.__dict__.update(ab=ab, dc=dc, head=head, tail=tail)
+
     @property
     def n(self) -> int:
         return len(self.ab)
@@ -45,13 +46,15 @@ class ConeFrame:
         return tuple(a + d for a, d in zip(self.ab, self.dc))
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(_Frozen):
     """Shape of the attainable set: spatial (two trihedral angles) or planar."""
 
     spatial: bool
-    pivot: int | None = None          # smallest 1-based index with nonzero discriminant
-    proportional: bool | None = None  # for the planar case
+    pivot: int | None          # smallest 1-based index with nonzero discriminant
+    proportional: bool | None  # for the planar case
+
+    def __init__(self, spatial, pivot=None, proportional=None):
+        self.__dict__.update(spatial=spatial, pivot=pivot, proportional=proportional)
 
     @property
     def kind(self) -> str:

@@ -10,28 +10,29 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 from typing import Sequence
 
-from .division import DivisionSpec, RationalLike, to_fraction
+from .division import DivisionSpec, RationalLike, _Frozen, to_fraction
 from .errors import InconsistentQuadError, InvalidInputError, invariant
 from .linalg import _scaled
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Frozen):
+    """A point of the plane with exact rational coordinates."""
+
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
+    def __init__(self, x, y):
         # coerce so that downstream divisions never fall back to floats
-        if not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", to_fraction(self.x))
-        if not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", to_fraction(self.y))
+        if not isinstance(x, Fraction):
+            x = to_fraction(x)
+        if not isinstance(y, Fraction):
+            y = to_fraction(y)
+        self.__dict__.update(x=x, y=y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -110,14 +111,17 @@ def is_convex_ccw(a: Point, b: Point, c: Point, d: Point) -> bool:
     return all(_cross(e, f)[0] > 0 for e, f in ((ab, bc), (bc, cd), (cd, da), (da, ab)))
 
 
-@dataclass(frozen=True)
-class ConvexQuad:
+class ConvexQuad(_Frozen):
     """A strictly convex quadrilateral with counterclockwise vertex order."""
 
     a: Point
     b: Point
     c: Point
     d: Point
+
+    def __init__(self, a, b, c, d):
+        self.__dict__.update(a=a, b=b, c=c, d=d)
+        self.__post_init__()  # a method of its own, so a tracer can wrap the convexity check
 
     def __post_init__(self):
         if not is_convex_ccw(self.a, self.b, self.c, self.d):
@@ -153,21 +157,21 @@ class ConvexQuad:
         return ";".join(v.text() for v in self.vertices)
 
 
-@dataclass(frozen=True)
-class DivisionPoints:
+class DivisionPoints(_Frozen):
     """Division points along AB and DC, endpoints included."""
 
     on_ab: tuple[Point, ...]
     on_dc: tuple[Point, ...]
 
+    def __init__(self, on_ab, on_dc):
+        self.__dict__.update(on_ab=on_ab, on_dc=on_dc)
 
-@dataclass(frozen=True)
-class ParallelMarker:
+
+class ParallelMarker(_Frozen):
     """Marker returned by apex_of when AB and DC are parallel."""
 
 
-@dataclass(frozen=True)
-class ApexFrame:
+class ApexFrame(_Frozen):
     """Apex data for a non-parallel quad.
 
     ``branch`` is "q1" when A lies between the apex and B, "q2" when B lies
@@ -182,6 +186,9 @@ class ApexFrame:
     p0: Fraction
     p0_prime: Fraction
     scale: Fraction
+
+    def __init__(self, apex, branch, p0, p0_prime, scale):
+        self.__dict__.update(apex=apex, branch=branch, p0=p0, p0_prime=p0_prime, scale=scale)
 
 
 def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:

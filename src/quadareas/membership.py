@@ -35,12 +35,11 @@ vectors.  Boundary points of these open regions are rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 from .cone import classify, hyperplanes, integer_rows
-from .division import DivisionSpec, fraction_tuple
+from .division import DivisionSpec, _Frozen, fraction_tuple
 from .errors import InvalidInputError, invariant
 from .linalg import _scaled, solve2, solve3
 
@@ -52,8 +51,7 @@ REASON_NEGATIVE = "negative-coefficient"
 REASON_NON_POSITIVE = "non-positive-entry"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """Feasible values for the cumulant coefficient of a re-decomposition.
 
     Open interval when lo < hi; the single point lo when lo == hi (the
@@ -62,6 +60,9 @@ class Interval:
 
     lo: Fraction
     hi: Fraction
+
+    def __init__(self, lo, hi):
+        self.__dict__.update(lo=lo, hi=hi)
 
     @property
     def is_point(self) -> bool:
@@ -77,8 +78,7 @@ class Interval:
         return self.lo < value < self.hi
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Frozen):
     """Exact positive coefficients expressing the tuple in a frame basis.
 
     branch "q1": coeffs (a, b, c) with x = a*ab + b*dc + c*head
@@ -92,16 +92,25 @@ class Certificate:
 
     branch: str
     coeffs: tuple[Fraction, ...]
-    q1_interval: Optional[Interval] = None
-    q2_interval: Optional[Interval] = None
+    q1_interval: Optional[Interval]
+    q2_interval: Optional[Interval]
+
+    def __init__(self, branch, coeffs, q1_interval=None, q2_interval=None):
+        self.__dict__.update(branch=branch, coeffs=coeffs, q1_interval=q1_interval, q2_interval=q2_interval)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
+    """Whether a tuple is attainable, with its certificate or the reason it is not."""
+
     attainable: bool
-    certificate: Optional[Certificate] = None
-    reason: Optional[str] = None
-    prefix_certified: bool = False
+    certificate: Optional[Certificate]
+    reason: Optional[str]
+    prefix_certified: bool
+
+    def __init__(self, attainable, certificate=None, reason=None, prefix_certified=False):
+        self.__dict__.update(
+            attainable=attainable, certificate=certificate, reason=reason, prefix_certified=prefix_certified
+        )
 
 
 def _coefficient_verdict(

@@ -17,12 +17,11 @@ Draw stream contract (reproducible across implementations):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .cone import classify, discriminants, frame
-from .division import DivisionSpec
+from .division import DivisionSpec, _Frozen
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
 from .membership import Mode, Verdict, member
@@ -53,21 +52,31 @@ class _Stream:
         return Fraction(k, 8)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
+    """A sampled tuple that failed its cross-check: the quad it came from (if any) and why."""
+
     quad: Optional[ConvexQuad]
     x: tuple[Fraction, ...]
     reason: str
 
+    def __init__(self, quad, x, reason):
+        self.__dict__.update(quad=quad, x=x, reason=reason)
 
-@dataclass(frozen=True)
-class SampleReport:
+
+class SampleReport(_Frozen):
+    """One seeded sampling run: how many tuples were drawn and accepted, and every violation."""
+
     spec: DivisionSpec
     mode: str
     total: int
     accepted: int
     violations: tuple[Violation, ...]
     seed: int
+
+    def __init__(self, spec, mode, total, accepted, violations, seed):
+        self.__dict__.update(
+            spec=spec, mode=mode, total=total, accepted=accepted, violations=violations, seed=seed
+        )
 
     def to_jsonable(self) -> dict:
         return {

@@ -9,12 +9,11 @@ sum alone and remain the caller's responsibility.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .cone import _discriminant, classify, cumulants, integer_rows
-from .division import DivisionSpec, TailSummedSequence, fraction_tuple, to_fraction
+from .division import DivisionSpec, TailSummedSequence, _Frozen, fraction_tuple, to_fraction
 from .errors import (
     DegenerateCollapseError,
     DegenerateDenominatorError,
@@ -78,14 +77,16 @@ def _check_pivot(p: Sequence[Fraction], q: Sequence[Fraction], pivot: int) -> No
         raise InvalidPivotError(f"pivot {pivot} has a zero discriminant")
 
 
-@dataclass(frozen=True)
-class CollapsedInstance:
+class CollapsedInstance(_Frozen):
     """A three-coordinate instance equivalent to a long one at a usable pivot."""
 
     spec3: DivisionSpec
     x3: tuple[Fraction, ...]
     pivot: int
     branch: str
+
+    def __init__(self, spec3, x3, pivot, branch):
+        self.__dict__.update(spec3=spec3, x3=x3, pivot=pivot, branch=branch)
 
 
 def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
@@ -213,7 +214,8 @@ def member_tail(
     if pivot is None and _discriminant(p.prefix[-2:] + (t_p,), p_prime.prefix[-2:] + (t_q,), 1)[0] != 0:
         pivot = p.m
     extended = rows + ((*ints, den),), total_ab + t_p, total_dc + t_q
-    return replace(_decide(*extended, pivot, x.prefix + (x.tail_sum,), mode), prefix_certified=True)
+    verdict = _decide(*extended, pivot, x.prefix + (x.tail_sum,), mode)
+    return Verdict(verdict.attainable, verdict.certificate, verdict.reason, prefix_certified=True)
 
 
 def extend_solution(
@@ -244,8 +246,7 @@ def extend_solution(
     return numer / denom
 
 
-@dataclass(frozen=True)
-class StationCoefficients:
+class StationCoefficients(_Frozen):
     """Arithmetic-progression stations for proportional sequences.
 
     sigma[i] places the i-th scaled coordinate on the affine line through the
@@ -256,15 +257,25 @@ class StationCoefficients:
     sigma: tuple[Fraction, ...]
     bounds: tuple[Fraction, Fraction]
 
+    def __init__(self, sigma, bounds):
+        self.__dict__.update(sigma=sigma, bounds=bounds)
 
-@dataclass(frozen=True)
-class StationReport:
+
+class StationReport(_Frozen):
+    """The station law applied to one tuple, with member_tail's verdict on it."""
+
     coefficients: StationCoefficients
     scaled: tuple[Fraction, ...]
     ratio: Fraction
     progression_ok: bool
     accepted: bool
-    reason: str | None = None
+    reason: str | None
+
+    def __init__(self, coefficients, scaled, ratio, progression_ok, accepted, reason=None):
+        self.__dict__.update(
+            coefficients=coefficients, scaled=scaled, ratio=ratio,
+            progression_ok=progression_ok, accepted=accepted, reason=reason,
+        )
 
 
 def station_coefficients(p: TailSummedSequence) -> StationCoefficients:

@@ -10,23 +10,26 @@ by ``membership._realization``, so no decision logic is repeated here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .cone import frame
-from .division import DivisionSpec
+from .division import DivisionSpec, _Frozen
 from .errors import InvalidInputError, NotAttainableError
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
 from .membership import Certificate, Mode, member, _realization
 
 
-@dataclass(frozen=True)
-class WitnessOutput:
+class WitnessOutput(_Frozen):
+    """A convex quad realizing a tuple, its division points and the certificate it was built from."""
+
     quad: ConvexQuad
     division: DivisionPoints
     certificate: Certificate
     construction: str  # apex-q1 | apex-q2 | trapezoid | trapezoid-l0
+
+    def __init__(self, quad, division, certificate, construction):
+        self.__dict__.update(quad=quad, division=division, certificate=certificate, construction=construction)
 
 
 def apex_areas(frame_data: ApexFrame, spec: DivisionSpec) -> tuple[Fraction, ...]:

@@ -344,19 +344,23 @@ class TestInvariants:
 
 # ---- start-up and the package namespace ---------------------------------------
 
-_LOADED_BY = """
+# stdlib modules that a bare interpreter does not load and no verb needs (dataclasses pulls in inspect)
+_HEAVY = ("dataclasses", "inspect")
+_HEAVY_LOADED = f"[m for m in {_HEAVY!r} if m in sys.modules]"
+_LOADED_BY = f"""
 import contextlib, io, json, sys
 import quadareas.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = quadareas.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("quadareas."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("quadareas.")), {_HEAVY_LOADED}]))
 """
 _BASE = {"cli", "division", "errors"}
 _DECIDE = _BASE | {"cone", "linalg", "membership"}
 
 
 class TestLoadedModules:
-    """Each verb, run in a fresh process, loads exactly the layers it calls."""
+    """Each verb, run in a fresh process, loads exactly the layers it calls, and neither
+    ``dataclasses`` nor ``inspect``."""
 
     @pytest.mark.parametrize("argv, code, layers", (
         (("describe", "--p", "1,2,3", "--pp", "1,1,1"), 0, _BASE | {"cone", "linalg"}),
@@ -372,7 +376,15 @@ class TestLoadedModules:
     def test_modules_loaded_by_each_verb(self, argv, code, layers):
         env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], capture_output=True, env=env, check=True)
-        assert json.loads(done.stdout) == [code, sorted(f"quadareas.{layer}" for layer in layers)]
+        assert json.loads(done.stdout) == [code, sorted(f"quadareas.{layer}" for layer in layers), []]
+
+    def test_reading_every_public_name_loads_neither_dataclasses_nor_inspect(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}
+        bare = f"import sys; print({_HEAVY_LOADED})"
+        every = f"import sys, quadareas; [getattr(quadareas, n) for n in quadareas.__all__]; print({_HEAVY_LOADED})"
+        for script in (bare, every):
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
+            assert done.stdout == b"[]\n"
 
 
 PUBLIC_NAMES = [

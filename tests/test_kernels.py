@@ -7,7 +7,6 @@ the Fraction implementations and is compared, never rewritten.
 """
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 from itertools import accumulate, permutations
@@ -750,7 +749,8 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
 @given(coefficient_triples(), st.sampled_from(("strict", "audited")), st.booleans())
 def test_coefficient_verdict_matches_the_two_region_reference(triple, mode, prefix_certified):
     # member_tail sets prefix_certified on the kernel's verdict; the reference still takes it
-    verdict = replace(_coefficient_verdict(*triple, mode), prefix_certified=prefix_certified)
+    kernel = _coefficient_verdict(*triple, mode)
+    verdict = Verdict(kernel.attainable, kernel.certificate, kernel.reason, prefix_certified=prefix_certified)
     assert verdict == ref_coefficient_verdict(*triple, mode, prefix_certified)
 
 
@@ -801,7 +801,8 @@ def test_two_sided_member_tail_is_member_on_the_extended_spec(sequences_and_data
     for y in (x, *(bumped(x, k, delta) for k in range(len(x)))):
         xs = TailSummedSequence(y[:-1], abs(y[-1]))
         for mode in ("strict", "audited"):
-            expected = replace(member(ext_spec, xs.prefix + (xs.tail_sum,), mode), prefix_certified=True)
+            plain = member(ext_spec, xs.prefix + (xs.tail_sum,), mode)
+            expected = Verdict(plain.attainable, plain.certificate, plain.reason, prefix_certified=True)
             assert member_tail(p, q, xs, mode) == expected
 
 
