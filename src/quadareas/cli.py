@@ -5,7 +5,8 @@ diagnostics to stderr.  Exit codes: 0 success, 1 input error (including a
 usage error, a result too large to print, or an SVG coordinate past float
 range), 2 not attainable (member/witness), 3 oracle violations (sample),
 4 internal error (a failed invariant: a defect in quadareas, never a
-property of the input).
+property of the input).  When the reader closes stdout early
+(``quadareas ... | head -c 300``), the process exits quietly with 1.
 
 Each verb imports only the layers it runs, so a fresh process loads (and,
 without cached bytecode, compiles) no module that the verb does not call.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -361,9 +363,16 @@ def _run(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return _run(build_parser().parse_args(argv))
-    except SystemExit:  # --help, the only way the parser exits
-        return 0
+        try:
+            code = _run(build_parser().parse_args(argv))
+        except SystemExit:  # --help, the only way the parser exits
+            code = 0
+        sys.stdout.flush()  # so that a reader that closed stdout early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as Python's note on SIGPIPE advises: point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InternalError as err:
         print(f"error: internal error, invariant failed: {err}", file=sys.stderr)
         return 4

@@ -10,11 +10,10 @@ collapses into a plane.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
 from math import gcd, lcm
 from typing import Sequence
 
-from .division import DivisionSpec, _Frozen, fraction_tuple, to_fraction
+from .division import DivisionSpec, _Frozen, _memoized_on_spec, fraction_tuple, to_fraction
 from .errors import InvalidInputError, NoValidContinuationError, invariant
 from .linalg import _cofactors, _scaled
 
@@ -119,19 +118,6 @@ def _first_pivot(p: Sequence[Fraction], q: Sequence[Fraction]) -> int | None:
 def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
     """The discriminant chain, one value per interior index (empty for n = 2)."""
     return tuple(Fraction(*_discriminant(spec.p, spec.p_prime, j)) for j in range(1, spec.n - 1))
-
-
-def _memoized_on_spec(fn):
-    """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read."""
-    key = f"_{fn.__name__}"
-
-    @wraps(fn)
-    def memoized(spec: DivisionSpec):
-        if key not in spec.__dict__:
-            spec.__dict__[key] = fn(spec)
-        return spec.__dict__[key]
-
-    return memoized
 
 
 @_memoized_on_spec

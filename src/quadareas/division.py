@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
+from itertools import accumulate
 from typing import Iterable, Union
 
 from .errors import InvalidInputError
@@ -117,6 +119,26 @@ class DivisionSpec(_Frozen):
 
     def reversed(self) -> "DivisionSpec":
         return DivisionSpec(self.p[::-1], self.p_prime[::-1])
+
+
+def _memoized_on_spec(fn):
+    """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read."""
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def memoized(spec: DivisionSpec):
+        if key not in spec.__dict__:
+            spec.__dict__[key] = fn(spec)
+        return spec.__dict__[key]
+
+    return memoized
+
+
+@_memoized_on_spec
+def _side_sums(spec: DivisionSpec) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The partial sums of the AB ratios and of the DC ratios, each from 0 to the side total:
+    the division points of each side, measured from A and from D in units of the ratios."""
+    return tuple((Fraction(0), *accumulate(side)) for side in (spec.p, spec.p_prime))
 
 
 class TailSummedSequence(_Frozen):

@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import gcd
 from typing import Sequence
 
-from .division import DivisionSpec, RationalLike, _Frozen, to_fraction
+from .division import DivisionSpec, RationalLike, _Frozen, _memoized_on_spec, _side_sums, to_fraction
 from .errors import InconsistentQuadError, InvalidInputError, invariant
 from .linalg import _scaled
 
@@ -192,14 +192,22 @@ class ApexFrame(_Frozen):
 
 
 def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
-    """Division points at the prescribed consecutive ratios, exact: start + s*(end - start)/total."""
+    """Division points at the prescribed consecutive ratios, exact: start + s*(end - start)/total
+    over the spec's memoized partial sums s.  Each (end - start)/total is normalised once per side
+    and coordinate; a coordinate fixed along a side (one per side of every apex quad and trapezoid)
+    is one shared Fraction."""
 
-    def side(start: Point, end: Point, ratios) -> tuple[Point, ...]:
-        sums = [Fraction(0), *accumulate(ratios)]
-        dx, dy = (end.x - start.x) / sums[-1], (end.y - start.y) / sums[-1]
-        return tuple(Point(start.x + s * dx, start.y + s * dy) for s in sums)
+    def coordinate(start: Fraction, end: Fraction, sums) -> Sequence[Fraction]:
+        if start == end:
+            return (start,) * len(sums)
+        step = (end - start) / sums[-1]
+        return [start + s * step for s in sums]
 
-    return DivisionPoints(side(q.a, q.b, spec.p), side(q.d, q.c, spec.p_prime))
+    def side(start: Point, end: Point, sums) -> tuple[Point, ...]:
+        return tuple(map(Point, coordinate(start.x, end.x, sums), coordinate(start.y, end.y, sums)))
+
+    ab, dc = _side_sums(spec)
+    return DivisionPoints(side(q.a, q.b, ab), side(q.d, q.c, dc))
 
 
 def _quotient(cross: tuple[int, int], scale: int) -> Fraction:
@@ -211,6 +219,12 @@ def _quotient(cross: tuple[int, int], scale: int) -> Fraction:
     return Fraction(num // g, den * (scale // g))
 
 
+@_memoized_on_spec
+def _integer_side_sums(spec: DivisionSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each side's partial ratio sums as ints, from 0 to the total, over the lcm of its ratios' denominators."""
+    return tuple((0, *accumulate(_scaled(ratios)[0])) for ratios in (spec.p, spec.p_prime))
+
+
 def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
     """Exact strip areas in closed form: with u = B - A, w = C - D, e = D - A and
     side fractions alpha_k = s_k/S (AB) and delta_k = t_k/T (DC), twice strip k is
@@ -220,7 +234,7 @@ def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
     once per quad, as the crosses share factors with S and T when the quad is
     built from the spec; each strip is then one Fraction over integer sums s, t.
     """
-    s, t = ([0, *accumulate(_scaled(ratios)[0])] for ratios in (spec.p, spec.p_prime))
+    s, t = _integer_side_sums(spec)
     u, w, e = _edge(q.a, q.b), _edge(q.d, q.c), _edge(q.a, q.d)
     crosses = ((_cross(e, w), 2 * t[-1]), (_cross(e, u), 2 * s[-1]), (_cross(u, w), 2 * s[-1] * t[-1]))
     (ew, eu, uw), den = _scaled([_quotient(cross, scale) for cross, scale in crosses])
@@ -251,8 +265,7 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
     if 0 <= t <= 1 or 0 <= r <= 1:
         raise InconsistentQuadError("side lines meet inside a divided segment")
     apex = q.a + t * u
-    total_ab = sum(spec.p)
-    total_dc = sum(spec.p_prime)
+    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
     # twice the apex triangle's area, scale*p0*p0_prime, is t*r*denom (q1) or -(t-1)*(r-1)*denom (q2)
     if t < 0:
         # apex beyond A, hence also beyond D on the other side

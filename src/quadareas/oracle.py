@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cone import classify, discriminants, frame
-from .division import DivisionSpec, _Frozen
+from .division import DivisionSpec, _Frozen, _side_sums
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
 from .membership import Mode, Verdict, member
@@ -177,6 +177,7 @@ def sample_parallel_family(
     """
     if count < 1:
         raise InvalidInputError("count must be at least 1")
+    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
     violations = []
     for index in range(count):
         stream = _Stream(seed, index)
@@ -184,8 +185,8 @@ def sample_parallel_family(
         offset = stream.signed_grid()
         quad = ConvexQuad(
             Point(Fraction(0), Fraction(0)),
-            Point(mu * sum(spec.p), Fraction(0)),
-            Point(offset + mu_prime * sum(spec.p_prime), Fraction(1)),
+            Point(mu * total_ab, Fraction(0)),
+            Point(offset + mu_prime * total_dc, Fraction(1)),
             Point(offset, Fraction(1)),
         )
         x = strip_areas(quad, spec)

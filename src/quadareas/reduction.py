@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .cone import _discriminant, classify, cumulants, integer_rows
-from .division import DivisionSpec, TailSummedSequence, _Frozen, fraction_tuple, to_fraction
+from .division import DivisionSpec, TailSummedSequence, _Frozen, _side_sums, fraction_tuple, to_fraction
 from .errors import (
     DegenerateCollapseError,
     DegenerateDenominatorError,
@@ -153,13 +153,14 @@ def member_via_collapse(
     rows, total_ab, total_dc = integer_rows(spec)
     k = pivot - 1  # 0-based
     # each row of a system is (P, Q, H) with right-hand side L*x, or a summed row and summed x
-    sp, sq = sum(spec.p[:k], Fraction(0)), sum(spec.p_prime[:k], Fraction(0))
+    sums_ab, sums_dc = _side_sums(spec)
+    sp, sq = sums_ab[k], sums_dc[k]
     sol = solve3(
         [(sp, sq, sp * sq), rows[k][:3], rows[k + 1][:3]],
         [sum(x[:k], Fraction(0)), rows[k][3] * x[k], rows[k + 1][3] * x[k + 1]],
     )
     if sol is None:
-        sp, sq = sp + spec.p[k], sq + spec.p_prime[k]
+        sp, sq = sums_ab[k + 1], sums_dc[k + 1]
         sol = solve3(
             [rows[k - 1][:3], rows[k][:3], (total_ab - sp, total_dc - sq, total_ab * total_dc - sp * sq)],
             [rows[k - 1][3] * x[k - 1], rows[k][3] * x[k], sum(x[k + 1:], Fraction(0))],

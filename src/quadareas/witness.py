@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cone import frame
-from .division import DivisionSpec, _Frozen
+from .division import DivisionSpec, _Frozen, _side_sums
 from .errors import InvalidInputError, NotAttainableError
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
 from .membership import Certificate, Mode, member, _realization
@@ -58,8 +58,7 @@ def apex_quad(
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     if p0 <= 0 or p0_prime <= 0 or scale <= 0:
         raise InvalidInputError("apex parameters must be strictly positive")
-    total_ab = sum(spec.p)
-    total_dc = sum(spec.p_prime)
+    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
     if branch == "q1":
         return ConvexQuad(
             pt(2 * p0, 0),
@@ -78,10 +77,11 @@ def apex_quad(
 
 def _trapezoid(spec: DivisionSpec, a: Fraction, b: Fraction) -> ConvexQuad:
     """Height-one trapezoid with side scalings 2a and 2b; strips a*ab_i + b*dc_i."""
+    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
     return ConvexQuad(
         pt(0, 0),
-        Point(2 * a * sum(spec.p), Fraction(0)),
-        Point(2 * b * sum(spec.p_prime), Fraction(1)),
+        Point(2 * a * total_ab, Fraction(0)),
+        Point(2 * b * total_dc, Fraction(1)),
         pt(0, 1),
     )
 

@@ -342,6 +342,37 @@ class TestInvariants:
         assert optimized.stderr == plain.stderr == b""
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early (``quadareas ... | head -c 300``) ends the process
+    quietly with exit 1, whether the result is written during the verb (unbuffered, or past the
+    buffer) or flushed at the end."""
+
+    @pytest.mark.parametrize("buffered", (False, True), ids=("unbuffered", "buffered"))
+    @pytest.mark.parametrize("argv", (
+        pytest.param(("member", "--p", "1,1,1", "--pp", "1,1,1", f"--x={','.join([str(10 ** 400)] * 3)}"),
+                     id="member-big"),
+        pytest.param(("describe", "--p", "1,2,3", "--pp", "1,1,1"), id="describe-small"),
+        pytest.param(("witness", "--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16", "--format", "svg"),
+                     id="witness-svg"),
+        pytest.param(("--help",), id="help"),
+    ))
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv, buffered):
+        env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the child's stdout now fails with EPIPE
+        try:
+            done = subprocess.run([sys.executable, "-m", "quadareas.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        # argparse ignores a help text that it cannot write, so only a buffered one reaches the flush
+        code = 0 if argv == ("--help",) and not buffered else 1
+        assert (done.returncode, done.stderr) == (code, b"")
+
+
 # ---- start-up and the package namespace ---------------------------------------
 
 # stdlib modules that a bare interpreter does not load and no verb needs (dataclasses pulls in inspect)

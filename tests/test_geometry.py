@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 from fractions import Fraction as F
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -16,12 +18,16 @@ from quadareas import (
     apex_areas,
     apex_of,
     apex_quad,
+    frame,
     is_convex_ccw,
     polygon_area,
     pt,
+    sample_parallel_family,
     strip_areas,
     subdivide,
+    synthesize_witness,
 )
+from quadareas.division import _side_sums
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
 # Outputs of the Point-based geometry, written once and compared, never rewritten: apex quads of
@@ -150,6 +156,41 @@ class TestSubdivide:
             sums = [sum(bumped[:j], F(0)) for j in range(len(p) + 1)]
             assert sums[: i + 1] == base[: i + 1]
             assert all(s != b for s, b in zip(sums[i + 1 :], base[i + 1 :]))
+
+
+class TestSideSumsMemo:
+    """The per-spec partial sums are computed once and change no result, equality, hash or repr."""
+
+    @staticmethod
+    def results(spec, x):
+        out = synthesize_witness(spec, x)
+        return (out, strip_areas(out.quad, spec), apex_of(out.quad, spec),
+                sample_parallel_family(spec, 4, 7, "strict"))
+
+    @pytest.mark.parametrize("p, pp, coeffs", (
+        ((1, 2, 3, 4), (1, 1, 1, 1), (1, 1, 1)),  # spatial: an apex quad
+        ((1, 1, 1), (1, 1, 1), (1, 1, 0)),  # planar: a trapezoid
+    ))
+    def test_computed_once_and_invisible(self, p, pp, coeffs):
+        spec = DivisionSpec.of(p, pp)
+        fr = frame(spec)
+        x = tuple(coeffs[0] * a + coeffs[1] * d + coeffs[2] * h for a, d, h in zip(fr.ab, fr.dc, fr.head))
+        body, runs = _side_sums.__wrapped__.__code__, []
+
+        def count(call, event, arg):
+            if event == "call" and call.f_code is body and call.f_locals["spec"] is spec:
+                runs.append(spec)
+
+        sys.setprofile(count)
+        try:
+            warmed = self.results(spec, x)
+        finally:
+            sys.setprofile(None)
+        assert len(runs) == 1
+        fresh = DivisionSpec.of(p, pp)
+        assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+        assert warmed == self.results(fresh, x)
+        assert _side_sums(spec) == ((F(0), *accumulate(spec.p)), (F(0), *accumulate(spec.p_prime)))
 
 
 class TestStripAreas:

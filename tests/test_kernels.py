@@ -418,12 +418,13 @@ def ref_point_strip_areas(q, spec):
 
 
 @st.composite
-def ratios(draw, big=None, signed=False):
-    """A grid rational k/8 or a rational with 30-300 digit numerator and denominator."""
+def ratios(draw, big=None, signed=False, digits=(30, 300)):
+    """A grid rational k/8 or a rational whose numerator and denominator have as many digits as
+    drawn from the digits range."""
     if big is None:
         big = draw(st.booleans())
     if big:
-        digits = draw(st.integers(30, 300))
+        digits = draw(st.integers(*digits))
         value = st.integers(10 ** (digits - 1), 10 ** digits - 1)
         r = F(draw(value), draw(value))
     else:
@@ -694,6 +695,23 @@ def test_strip_areas_and_division_points_match_shoelace(spec, data):
     assert strip_areas(quad, spec) == ref_strip_areas(quad, spec) == ref_point_strip_areas(quad, spec)
     points = subdivide(quad, spec)
     assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 8), st.data())
+def test_division_points_match_the_reference_at_100_to_300_digits(n, data):
+    """Apex quads and trapezoids keep one coordinate fixed along each divided side (one shared
+    Fraction per side); their image under a map that tilts both axes changes both coordinates."""
+    spec = DivisionSpec(*(tuple(data.draw(ratios(big=True, digits=(100, 300))) for _ in range(n)) for _ in "ab"))
+    grid = ratios(big=False)
+    quads = [apex_quad(spec, data.draw(grid), data.draw(grid), data.draw(grid), branch) for branch in ("q1", "q2")]
+    quads.append(_trapezoid(spec, data.draw(grid), data.draw(grid)))
+    for quad in quads:
+        tilted = ConvexQuad(*(Point(2 * v.x + v.y + F(1, 3), v.x + 3 * v.y - F(1, 5)) for v in quad.vertices))
+        for q, fixed in ((quad, 1), (tilted, 0)):
+            assert [(a.x == b.x) + (a.y == b.y) for a, b in ((q.a, q.b), (q.d, q.c))] == [fixed, fixed]
+            points = subdivide(q, spec)
+            assert (points.on_ab, points.on_dc) == ref_subdivide(q, spec)
 
 
 @settings(max_examples=200)  # a mutated edge denominator flips few signs

@@ -271,6 +271,24 @@ class TestFoldEquivalence:
         with pytest.raises(DegenerateCollapseError):
             member_via_collapse(spec, x, 3)
 
+    def test_both_folds_singular_pinned(self):
+        # pivot 3 of this spec has a nonzero discriminant, but both of its folds are planar:
+        # on the span the pivot is refused, one unit off it the tuple is rejected
+        spec = DivisionSpec.of((6, 3, 5, 4, 6), (4, 4, 4, 3, 1))
+        assert discriminants(spec) == (F(-768), F(192), F(-480))
+        fr = frame(spec)
+        x = tuple(u + v + w for u, v, w in zip(fr.ab, fr.dc, fr.head))
+        assert x == (F(34), F(55), F(105), F(109), F(121))
+        with pytest.raises(DegenerateCollapseError, match="both folds at pivot 3 are planar"):
+            member_via_collapse(spec, x, 3)
+        assert member_via_collapse(spec, (x[0] + 1, *x[1:]), 3) == Verdict(False, reason="off-subspace")
+        assert [collapse(spec, x, 3, branch).spec3 for branch in ("q1", "q2")] == [
+            DivisionSpec.of((9, 5, 4), (8, 4, 3)), DivisionSpec.of((3, 5, 10), (4, 4, 4)),
+        ]
+        for branch in ("q1", "q2"):
+            assert not classify(collapse(spec, x, 3, branch).spec3).spatial
+        assert member(spec, x) == Verdict(True, Certificate("q1", (F(1), F(1), F(1))))
+
     def test_unusable_pivot_is_refused_for_every_x(self):
         on_span = (F(3), F(8), F(16), F(27))
         off_span = (F(3), F(8), F(16), F(28))
