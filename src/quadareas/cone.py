@@ -39,11 +39,6 @@ class ConeFrame(_Frozen):
     def n(self) -> int:
         return len(self.ab)
 
-    @property
-    def parallel(self) -> tuple[Fraction, ...]:
-        """Direction of the equal-scaling parallel ray: ab + dc componentwise."""
-        return tuple(a + d for a, d in zip(self.ab, self.dc))
-
 
 class CaseLabel(_Frozen):
     """Shape of the attainable set: spatial (two trihedral angles) or planar."""

@@ -117,9 +117,6 @@ class DivisionSpec(_Frozen):
         p1, q1 = self.p[0], self.p_prime[0]
         return all(pi * q1 == qi * p1 for pi, qi in zip(self.p, self.p_prime))
 
-    def reversed(self) -> "DivisionSpec":
-        return DivisionSpec(self.p[::-1], self.p_prime[::-1])
-
 
 def _memoized_on_spec(fn):
     """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read."""

@@ -9,10 +9,11 @@ normalised once, and each coordinate is compared in ``int`` with no gcd, so
 a spatial decision computes no tail cumulant and no frame.  ``_decide`` holds
 the one planar / pivot-solve dispatch: ``member`` runs it on the spec's rows
 and ``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the
-tail sums; each fold is a solve on sums of the spec's rows.  A planar decision
-solves x = a*head + b*tail at the first two coordinates, checks its span triple
-(b*total_dc, b*total_ab, a - b) with the same componentwise check and rejects
-through the same ``_coefficient_verdict``, so it computes no frame either.
+tail sums; each fold is a solve on the rows of ``reduction.collapse``'s
+three-coordinate spec.  A planar decision solves x = a*head + b*tail at the
+first two coordinates, checks its span triple (b*total_dc, b*total_ab, a - b)
+with the same componentwise check and rejects through the same
+``_coefficient_verdict``, so it computes no frame either.
 Every re-decomposition of x lies on one segment of span triples (``_segment``):
 on skew ratio vectors the triple moves along (alpha, beta, -1), head =
 alpha*ab + beta*dc solved once at rows 0 and 1, clipped by the four facets to
@@ -67,10 +68,6 @@ class Interval(_Frozen):
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def contains(self, value: Fraction) -> bool:
         if self.is_point:

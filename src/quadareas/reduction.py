@@ -36,14 +36,6 @@ from .membership import (
 SpecLike = Union[DivisionSpec, tuple[TailSummedSequence, TailSummedSequence]]
 
 
-def _as_sequences(spec: SpecLike) -> tuple[TailSummedSequence, TailSummedSequence]:
-    if isinstance(spec, DivisionSpec):
-        return TailSummedSequence(spec.p), TailSummedSequence(spec.p_prime)
-    p, q = spec
-    DivisionSpec(p.prefix, q.prefix)  # positive prefixes of one length, at least two
-    return p, q
-
-
 def tail_cumulants(
     p: TailSummedSequence, p_prime: TailSummedSequence
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -78,7 +70,11 @@ def _check_pivot(p: Sequence[Fraction], q: Sequence[Fraction], pivot: int) -> No
 
 
 class CollapsedInstance(_Frozen):
-    """A three-coordinate instance equivalent to a long one at a usable pivot."""
+    """A three-coordinate instance equivalent to a long one at a usable pivot.
+
+    ``member_via_collapse`` decides on this very instance, solving ``x3`` on
+    ``spec3``'s integer rows.
+    """
 
     spec3: DivisionSpec
     x3: tuple[Fraction, ...]
@@ -94,33 +90,31 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
 
     branch "q1" sums everything before the pivot into the first coordinate;
     branch "q2" sums everything after it (tail sums included exactly) into the
-    last one.
+    last one.  Every ratio sum is read from the spec's partial sums.
     """
-    p, q = _as_sequences(spec)
+    tail_p = tail_q = Fraction(0)
+    if not isinstance(spec, DivisionSpec):
+        p, q = spec
+        spec = DivisionSpec(p.prefix, q.prefix)  # positive prefixes of one length, at least two
+        tail_p, tail_q = p.tail_sum, q.tail_sum
     xs = x if isinstance(x, TailSummedSequence) else TailSummedSequence(fraction_tuple(x))
-    m = p.m
-    if xs.m != m:
+    if xs.m != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
-    _check_pivot(p.prefix, q.prefix, pivot)
+    p, q, x = spec.p, spec.p_prime, xs.prefix
+    _check_pivot(p, q, pivot)
     k = pivot - 1  # 0-based
+    sums_ab, sums_dc = _side_sums(spec)
     if branch == "q1":
-        spec3 = DivisionSpec(
-            (sum(p.prefix[:k], Fraction(0)), p.prefix[k], p.prefix[k + 1]),
-            (sum(q.prefix[:k], Fraction(0)), q.prefix[k], q.prefix[k + 1]),
-        )
-        x3 = (sum(xs.prefix[:k], Fraction(0)), xs.prefix[k], xs.prefix[k + 1])
+        spec3 = DivisionSpec((sums_ab[k], p[k], p[k + 1]), (sums_dc[k], q[k], q[k + 1]))
+        x3 = (sum(x[:k], Fraction(0)), x[k], x[k + 1])
     else:
         spec3 = DivisionSpec(
-            (p.prefix[k - 1], p.prefix[k], sum(p.prefix[k + 1:], Fraction(0)) + p.tail_sum),
-            (q.prefix[k - 1], q.prefix[k], sum(q.prefix[k + 1:], Fraction(0)) + q.tail_sum),
+            (p[k - 1], p[k], sums_ab[-1] - sums_ab[k + 1] + tail_p),
+            (q[k - 1], q[k], sums_dc[-1] - sums_dc[k + 1] + tail_q),
         )
-        x3 = (
-            xs.prefix[k - 1],
-            xs.prefix[k],
-            sum(xs.prefix[k + 1:], Fraction(0)) + xs.tail_sum,
-        )
+        x3 = (x[k - 1], x[k], sum(x[k + 1:], Fraction(0)) + xs.tail_sum)
     return CollapsedInstance(spec3, x3, pivot, branch)
 
 
@@ -129,17 +123,18 @@ def member_via_collapse(
 ) -> Verdict:
     """Decide a finite spatial instance through its three-coordinate folds.
 
-    A fold sums coordinates, so its system is a sum of the spec's integer
-    rows, solved in the head basis: the q1 fold sums the rows before the
-    pivot (their head entries telescope to P*Q, the products of the ratio
-    sums there), the q2 fold the rows after it (their head entries sum to
-    total(ab)*total(dc) minus P*Q up to the pivot).  A fold is injective on
-    the relevant span exactly when its system is regular; a singular fold can
-    cancel a negative coordinate against later positive ones and is never
-    trusted.  One injective fold suffices: the q1 fold is tried first.  The
-    recovered coefficients are checked against every coordinate, which
-    rejects a tuple off the span.  Only a pivot whose folds are both singular
-    is refused, and only for a tuple on the span.
+    Each fold is ``collapse``'s instance, and its x3 is solved on its spec3's
+    integer rows.  A fold is injective on the relevant span exactly when that
+    solve is regular, that is when spec3 is spatial (a triple's discriminant
+    is -det/(L*L*L) of its rows); a planar fold can cancel a negative
+    coordinate against later positive ones and is never trusted.  One
+    injective fold suffices: the q1 fold is tried first.  Head cumulants
+    depend only on prefix sums, so the q1 fold's head is the spec's head
+    summed before the pivot, and the q2 fold's is head - Q0*ab - P0*dc summed
+    after it, with P0 and Q0 the ratio sums before its first coordinate; its
+    coefficients are shifted back by that.  They are then checked against
+    every coordinate, which rejects a tuple off the span.  Only a pivot whose
+    folds are both planar is refused, and only for a tuple on the span.
     """
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
@@ -148,23 +143,15 @@ def member_via_collapse(
         return Verdict(False, reason=REASON_NON_POSITIVE)
     if not classify(spec).spatial:
         raise InvalidInputError("folding applies to spatial specs only")
-    _check_pivot(spec.p, spec.p_prime, pivot)
 
+    for branch in ("q1", "q2"):
+        folded = collapse(spec, x, pivot, branch)
+        rows3 = integer_rows(folded.spec3)[0]
+        # row i of the fold's system, scaled by L_i: (P_i, Q_i, H_i) @ (a, b, c) = L_i*x3_i
+        sol = solve3([row[:3] for row in rows3], [row[3] * v for row, v in zip(rows3, folded.x3)])
+        if sol is not None:
+            break
     rows, total_ab, total_dc = integer_rows(spec)
-    k = pivot - 1  # 0-based
-    # each row of a system is (P, Q, H) with right-hand side L*x, or a summed row and summed x
-    sums_ab, sums_dc = _side_sums(spec)
-    sp, sq = sums_ab[k], sums_dc[k]
-    sol = solve3(
-        [(sp, sq, sp * sq), rows[k][:3], rows[k + 1][:3]],
-        [sum(x[:k], Fraction(0)), rows[k][3] * x[k], rows[k + 1][3] * x[k + 1]],
-    )
-    if sol is None:
-        sp, sq = sums_ab[k + 1], sums_dc[k + 1]
-        sol = solve3(
-            [rows[k - 1][:3], rows[k][:3], (total_ab - sp, total_dc - sq, total_ab * total_dc - sp * sq)],
-            [rows[k - 1][3] * x[k - 1], rows[k][3] * x[k], sum(x[k + 1:], Fraction(0))],
-        )
     if sol is None:
         # no fold is injective: solve x at the pivot directly, refuse it only on the span
         if _pivot_solution(rows, pivot, x) is None:
@@ -172,6 +159,10 @@ def member_via_collapse(
         raise DegenerateCollapseError(
             f"both folds at pivot {pivot} are planar; use another pivot"
         )
+    if branch == "q2":
+        sums_ab, sums_dc = _side_sums(spec)
+        a, b, c = sol
+        sol = (a - c * sums_dc[pivot - 2], b - c * sums_ab[pivot - 2], c)
     if not _spans(rows, sol, x):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
     return _coefficient_verdict(*sol, total_ab, total_dc, mode)

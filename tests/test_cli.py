@@ -325,6 +325,11 @@ class TestInvariants:
             ("reduce", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--x", "1,2,3,4", "--pivot", "2", "--branch", "q2"),
             id="reduce",
         ),
+        pytest.param(
+            ("reduce", "--p", "1,2,3,4 | tail=2", "--pp", "1,1,1,1 | tail=1/2", "--x", "1,2,3,4 | tail=5",
+             "--pivot", "3", "--branch", "q1"),
+            id="reduce-tail-q1",
+        ),
         pytest.param(("describe", "--p", "1,2,3,4,5", "--pp", "1,1,1,1,1"), id="describe-spatial"),
         pytest.param(
             ("member", "--p", "1,2,3", "--pp", "2,4,6", "--x", "46,80,90", "--full"),
@@ -332,6 +337,10 @@ class TestInvariants:
         ),
         pytest.param(("areas", "--p", "1,2,3", "--pp", "2,1,1", "--quad", "0,0;1,3;5,4;6,1"), id="areas"),
         pytest.param(("sample", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--count", "6", "--seed", "2"), id="sample"),
+        pytest.param(
+            ("sample", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--family", "cross", "--count", "5", "--seed", "3"),
+            id="sample-cross",
+        ),
     ))
     def test_python_O_gives_the_same_bytes(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}

@@ -325,7 +325,7 @@ def ref_hyperplanes(spec):
 def ref_apex_parameters(fr, x, interval, arm, proportional):
     """The planar re-decomposition as it was: a Fraction residual on the frame, split evenly on
     proportional ratio vectors, else solved at the first two coordinates."""
-    c = interval.lo if interval.is_point else interval.midpoint
+    c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
     arm_vec = fr.head if arm == "head" else fr.tail
     residual = tuple(xi - c * w for xi, w in zip(x, arm_vec))
     if proportional:
@@ -360,7 +360,7 @@ def face_coordinates(rows, total_ab, total_dc):
 
 def ref_apex_quad_q2(spec, p0, p0_prime, scale):
     """The q2 apex quad as it was: the q1 quad of the reversed spec, its axes swapped."""
-    base = apex_quad(spec.reversed(), p0, p0_prime, scale, "q1")
+    base = apex_quad(DivisionSpec(spec.p[::-1], spec.p_prime[::-1]), p0, p0_prime, scale, "q1")
 
     def swap(v):
         return Point(v.y, v.x)
@@ -561,7 +561,8 @@ def planar_queries(draw):
     spec = draw(specs(min_n=3, max_n=14, kinds=("proportional", "planar-skew")))
     fr = frame(spec)
     zero = (F(0),) * spec.n
-    u, v = draw(st.sampled_from(((fr.head, fr.tail), (fr.ab, fr.dc), (fr.parallel, zero),
+    parallel = tuple(a + d for a, d in zip(fr.ab, fr.dc))
+    u, v = draw(st.sampled_from(((fr.head, fr.tail), (fr.ab, fr.dc), (parallel, zero),
                                  (fr.head, zero), (fr.tail, zero))))
     a, b = draw(ratios()), draw(ratios())
     if v is not zero and draw(st.booleans()):
@@ -844,7 +845,7 @@ def test_every_fold_matches_the_frame_based_reference(query, mode, data):
         if "q2" in folds:
             # the tail arm of a triple is the reversed head arm of its reversal
             instance = collapse(spec, y, pivot, "q2")
-            rows = integer_rows(instance.spec3.reversed())[0]
+            rows = integer_rows(DivisionSpec(instance.spec3.p[::-1], instance.spec3.p_prime[::-1]))[0]
             assert _pivot_solution(rows, 2, instance.x3[::-1]) == folds["q2"]
         try:
             expected = ref_member_via_collapse(spec, y, pivot, mode)
@@ -886,6 +887,36 @@ def test_q2_fold_decides_where_the_q1_fold_is_singular(query, mode):
             assert expected is DegenerateCollapseError
 
 
+FOLD_SPECS = st.one_of(
+    specs(min_n=3, kinds=("spatial",)),
+    singular_q1_fold_queries().map(lambda query: query[0]),
+    st.sampled_from((  # both folds planar at pivot 3; the q2 fold planar at pivot 2
+        DivisionSpec.of((6, 3, 5, 4, 6), (4, 4, 4, 3, 1)), DivisionSpec.of((3, 3, 5, 1), (5, 5, 7, 3)),
+    )),
+)
+
+
+@given(FOLD_SPECS)
+def test_folds_keep_the_head_basis_of_the_spec(spec):
+    # head cumulants depend only on prefix sums: the q1 fold's head is the spec's head summed before
+    # the pivot, and the q2 fold's is the spec's head less Q0*ab + P0*dc, with P0 and Q0 the ratio
+    # sums before its first coordinate; a fold's solve is singular exactly when it is planar
+    assume(classify(spec).spatial)
+    fr = frame(spec)
+    ones = (F(1),) * spec.n
+    for pivot in (j + 2 for j, d in enumerate(discriminants(spec)) if d != 0):
+        k = pivot - 1
+        p0, q0 = sum(spec.p[:k - 1], F(0)), sum(spec.p_prime[:k - 1], F(0))
+        shifted = [h - q0 * a - p0 * d for a, d, h in zip(fr.ab, fr.dc, fr.head)]
+        folds = {branch: collapse(spec, ones, pivot, branch).spec3 for branch in ("q1", "q2")}
+        assert frame(folds["q1"]).head == (sum(fr.head[:k], F(0)), fr.head[k], fr.head[k + 1])
+        assert frame(folds["q2"]).head == (shifted[k - 1], shifted[k], sum(shifted[k + 1:], F(0)))
+        for spec3 in folds.values():
+            rows3 = integer_rows(spec3)[0]
+            solved = solve3([row[:3] for row in rows3], [row[3] for row in rows3])
+            assert (solved is None) == (not classify(spec3).spatial)
+
+
 def test_describe_payloads_match_the_fixture():
     for case in FIXTURE["describe"]:
         assert _describe_payload(DivisionSpec.of(case["p"], case["pp"])) == case["payload"]
@@ -922,7 +953,7 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
         at = _segment(rows, total_ab, total_dc, span_triple(total_ab, total_dc, *cert.coeffs))[2]
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
-                c = interval.lo if interval.is_point else interval.midpoint
+                c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
                 assert _coefficient_verdict(*at(sign * c), total_ab, total_dc, "audited").certificate.coeffs == params
     out = synthesize_witness(spec, x)
     if out.construction.startswith("apex"):
@@ -964,7 +995,7 @@ def test_realization_reproduces_x_on_its_branch(query):
     cert = _realization(spec, verdict.certificate)
     fr = frame(spec)
     vectors = {"q1": (fr.ab, fr.dc, fr.head), "q2": (fr.ab, fr.dc, fr.tail), "face": (fr.ab, fr.dc),
-               "ray": (fr.parallel,)}[cert.branch]
+               "ray": (tuple(a + d for a, d in zip(fr.ab, fr.dc)),)}[cert.branch]
     assert min(cert.coeffs) > 0
     assert tuple(sum(c * v[i] for c, v in zip(cert.coeffs, vectors)) for i in range(spec.n)) == x
 

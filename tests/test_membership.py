@@ -281,7 +281,7 @@ class TestParallelDiagnosis:
         # the parallel direction of a skew planar spec decomposes positively
         # and re-decomposes through either apex family
         fr = frame(SKEW)
-        x = fr.parallel
+        x = tuple(a + d for a, d in zip(fr.ab, fr.dc))
         assert x == (F(2), F(3), F(7))
         v = member(SKEW, x)
         assert v.attainable

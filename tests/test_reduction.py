@@ -325,7 +325,7 @@ class TestMemberTail:
                 assert classify(spec).kind == ("spatial" if kind == "spatial" else f"planar-{kind}")
                 fr = frame(spec)
                 p, pp = TailSummedSequence(spec.p), TailSummedSequence(spec.p_prime)
-                for arm in (fr.head, fr.tail, fr.parallel):
+                for arm in (fr.head, fr.tail, tuple(a + d for a, d in zip(fr.ab, fr.dc))):
                     a, b, c = (F(rng.randint(-8, 40), 8) for _ in range(3))
                     combo = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
                     for x in (combo, combo[:-1] + (combo[-1] + 1,)):

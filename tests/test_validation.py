@@ -144,13 +144,12 @@ class TestInterval:
         assert window.contains(F(2))
         assert not window.contains(F(1))
         assert not window.contains(F(3))
-        assert window.midpoint == F(2)
 
     def test_point_interval(self):
         point = Interval(F(5, 2), F(5, 2))
         assert point.is_point
         assert point.contains(F(5, 2))
-        assert not point.contains(F(2)) and point.midpoint == F(5, 2)
+        assert not point.contains(F(2))
 
 
 class TestClockwiseCanonicalization:

@@ -102,7 +102,8 @@ class TestBranchFidelity:
         assert verdict.certificate.q1_interval.contains(geo.scale)
 
     def test_skew_parallel_direction_gets_a_parallel_witness(self):
-        out = assert_round_trip(SKEW, frame(SKEW).parallel)
+        fr = frame(SKEW)
+        out = assert_round_trip(SKEW, tuple(a + d for a, d in zip(fr.ab, fr.dc)))
         assert out.construction == "trapezoid-l0"
 
     def test_trapezoid_witnesses_have_parallel_divided_sides(self):
@@ -119,7 +120,8 @@ class TestBranchFidelity:
                     assert isinstance(apex_of(out.quad, spec), ParallelMarker)
 
     def test_ray_points_witnessed_in_strict_mode(self):
-        x = tuple(F(3, 2) * v for v in frame(SPATIAL).parallel)
+        fr = frame(SPATIAL)
+        x = tuple(F(3, 2) * (a + d) for a, d in zip(fr.ab, fr.dc))
         out = synthesize_witness(SPATIAL, x, "strict")
         assert out.construction == "trapezoid-l0"
         assert strip_areas(out.quad, SPATIAL) == x
