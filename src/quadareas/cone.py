@@ -174,8 +174,7 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
         # the plane at i is L_i*det(N)*x_i - sum over pivot columns c of L_c*(adj(N) R_i)_c*x_c,
         # with N the pivot block whose columns are the rows R_c = (P_c, Q_c, H_c)
         block = [rows[c][:3] for c in cols]
-        adj = _cofactors(block)  # the cofactors of N's transpose are the adjugate of N
-        det = sum(e * f for e, f in zip(block[0], adj[0]))
+        adj, det = _cofactors(block)  # the cofactors of N's transpose are the adjugate of N
         invariant(det != 0, "pivot system is singular despite nonzero discriminant")
         sign = 1 if det > 0 else -1
         for i, (p_i, q_i, h_i, l_i) in enumerate(rows):

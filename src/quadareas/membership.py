@@ -42,7 +42,7 @@ from typing import Literal, Optional, Sequence
 from .cone import classify, hyperplanes, integer_rows
 from .division import DivisionSpec, _Frozen, fraction_tuple
 from .errors import InvalidInputError, invariant
-from .linalg import _scaled, solve2, solve3
+from .linalg import _cofactors, _scaled, solve2
 
 Mode = Literal["strict", "audited"]
 
@@ -151,16 +151,18 @@ def _spans(
 
 
 def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tuple[Fraction, ...]):
-    """(a, b, c) with x = a*ab + b*dc + c*head exactly, or None when x is off the span.
+    """(a, b, c) with x = a*ab + b*dc + c*head at the pivot triple, or None when its block is singular.
 
-    The 3x3 solve at the pivot triple is regular whenever the pivot's
-    discriminant is nonzero; the solution is then checked at every coordinate.
+    Row c, scaled by L_c, is (P_c, Q_c, H_c) @ (a, b, c) = L_c*x_c: Cramer's rule on the
+    cofactors of the x-free block, with the right-hand side over one common denominator.
+    The block is regular whenever the pivot's discriminant, -det/(L*L*L), is nonzero.
     """
     cols = (pivot - 2, pivot - 1, pivot)
-    # row i of the system, scaled by L_i: (P_i, Q_i, H_i) @ (a, b, c) = L_i*x_i
-    sol = solve3([rows[i][:3] for i in cols], [rows[i][3] * x[i] for i in cols])
-    invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
-    return sol if _spans(rows, sol, x) else None
+    cof, det = _cofactors([rows[c][:3] for c in cols])
+    if det == 0:
+        return None
+    (r0, r1, r2), den = _scaled([rows[c][3] * x[c] for c in cols])
+    return tuple(Fraction(r0 * c0 + r1 * c1 + r2 * c2, det * den) for c0, c1, c2 in zip(*cof))
 
 
 def _segment(
@@ -231,7 +233,8 @@ def _decide(
     """
     if pivot is not None:
         sol = _pivot_solution(rows, pivot, x)
-        if sol is None:
+        invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
+        if not _spans(rows, sol, x):
             return Verdict(False, reason=REASON_OFF_SUBSPACE)
         return _coefficient_verdict(*sol, total_ab, total_dc, mode)
     arms = [(h, total_dc * p + total_ab * q - h) for p, q, h, _ in rows[:2]]

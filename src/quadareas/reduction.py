@@ -19,8 +19,9 @@ from .errors import (
     DegenerateDenominatorError,
     InvalidInputError,
     InvalidPivotError,
+    invariant,
 )
-from .linalg import _scaled, solve3
+from .linalg import _scaled
 from .membership import (
     Mode,
     REASON_NON_POSITIVE,
@@ -97,12 +98,12 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
         p, q = spec
         spec = DivisionSpec(p.prefix, q.prefix)  # positive prefixes of one length, at least two
         tail_p, tail_q = p.tail_sum, q.tail_sum
-    xs = x if isinstance(x, TailSummedSequence) else TailSummedSequence(fraction_tuple(x))
-    if xs.m != spec.n:
+    x, tail_x = (x.prefix, x.tail_sum) if isinstance(x, TailSummedSequence) else (fraction_tuple(x), 0)
+    if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
-    p, q, x = spec.p, spec.p_prime, xs.prefix
+    p, q = spec.p, spec.p_prime
     _check_pivot(p, q, pivot)
     k = pivot - 1  # 0-based
     sums_ab, sums_dc = _side_sums(spec)
@@ -114,7 +115,7 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
             (p[k - 1], p[k], sums_ab[-1] - sums_ab[k + 1] + tail_p),
             (q[k - 1], q[k], sums_dc[-1] - sums_dc[k + 1] + tail_q),
         )
-        x3 = (x[k - 1], x[k], sum(x[k + 1:], Fraction(0)) + xs.tail_sum)
+        x3 = (x[k - 1], x[k], sum(x[k + 1:], Fraction(0)) + tail_x)
     return CollapsedInstance(spec3, x3, pivot, branch)
 
 
@@ -123,18 +124,19 @@ def member_via_collapse(
 ) -> Verdict:
     """Decide a finite spatial instance through its three-coordinate folds.
 
-    Each fold is ``collapse``'s instance, and its x3 is solved on its spec3's
-    integer rows.  A fold is injective on the relevant span exactly when that
-    solve is regular, that is when spec3 is spatial (a triple's discriminant
-    is -det/(L*L*L) of its rows); a planar fold can cancel a negative
-    coordinate against later positive ones and is never trusted.  One
-    injective fold suffices: the q1 fold is tried first.  Head cumulants
-    depend only on prefix sums, so the q1 fold's head is the spec's head
-    summed before the pivot, and the q2 fold's is head - Q0*ab - P0*dc summed
-    after it, with P0 and Q0 the ratio sums before its first coordinate; its
-    coefficients are shifted back by that.  They are then checked against
-    every coordinate, which rejects a tuple off the span.  Only a pivot whose
-    folds are both planar is refused, and only for a tuple on the span.
+    Each fold is ``collapse``'s instance, and its x3 is solved by ``member``'s
+    pivot solve at pivot 2 of its spec3's integer rows.  A fold is injective on
+    the relevant span exactly when that solve is regular, that is when spec3 is
+    spatial (a triple's discriminant is -det/(L*L*L) of its rows); a planar
+    fold can cancel a negative coordinate against later positive ones and is
+    never trusted.  One injective fold suffices: the q1 fold is tried first.
+    Head cumulants depend only on prefix sums, so the q1 fold's head is the
+    spec's head summed before the pivot, and the q2 fold's is head - Q0*ab -
+    P0*dc summed after it, with P0 and Q0 the ratio sums before its first
+    coordinate; its coefficients are shifted back by that.  They are then
+    checked against every coordinate, which rejects a tuple off the span.
+    Only a pivot whose folds are both planar is refused, and only for a tuple
+    on the span.
     """
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
@@ -146,15 +148,15 @@ def member_via_collapse(
 
     for branch in ("q1", "q2"):
         folded = collapse(spec, x, pivot, branch)
-        rows3 = integer_rows(folded.spec3)[0]
-        # row i of the fold's system, scaled by L_i: (P_i, Q_i, H_i) @ (a, b, c) = L_i*x3_i
-        sol = solve3([row[:3] for row in rows3], [row[3] * v for row, v in zip(rows3, folded.x3)])
+        sol = _pivot_solution(integer_rows(folded.spec3)[0], 2, folded.x3)
         if sol is not None:
             break
     rows, total_ab, total_dc = integer_rows(spec)
     if sol is None:
         # no fold is injective: solve x at the pivot directly, refuse it only on the span
-        if _pivot_solution(rows, pivot, x) is None:
+        sol = _pivot_solution(rows, pivot, x)
+        invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
+        if not _spans(rows, sol, x):
             return Verdict(False, reason=REASON_OFF_SUBSPACE)
         raise DegenerateCollapseError(
             f"both folds at pivot {pivot} are planar; use another pivot"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadareas
-from quadareas import DivisionSpec, InternalError, TailSummedSequence, member, member_tail
+from quadareas import DivisionSpec, InternalError, TailSummedSequence, member, member_tail, member_via_collapse
 from quadareas.cli import main
 
 
@@ -284,13 +284,23 @@ class TestOtherVerbs:
 TAILED = ("--p", "1,1/2,1/4 | tail=1/4", "--pp", "1,1/2,1/4 | tail=1/4", "--x", "4,2,1 | tail=1")
 SPATIAL_TAILED = ("--p", "1,2,3 | tail=1", "--pp", "1,1,1 | tail=1", "--x", "3,8,16 | tail=5")
 PLANAR_PREFIX_TAILED = ("--p", "1,1,1 | tail=1", "--pp", "1,1,1 | tail=2", "--x", "3,5,7 | tail=14")
+# 30-digit spatial entries; the three pivot coordinates of BIG_X have the denominators 7**35, 11**29 and 13**27
+BIG_P = "123456789012345678901234567890/987654321098765432109876543211"
+BIG_PP = "314159265358979323846264338327/271828182845904523536028747135"
+BIG_X = ("901775519700472535692354007583/378818692265664781682717625943,"
+         "6620486114151013865617407096160/1586309297171491574414436704891,"
+         "5148370102292677431088473932048/1192533292512492016559195008117")
 
 
 class TestInvariants:
     def test_failed_invariant_is_an_internal_error_with_exit_code_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(quadareas.membership, "solve3", lambda m, rhs: None)
+        monkeypatch.setattr(quadareas.membership, "_pivot_solution", lambda rows, pivot, x: None)
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member(DivisionSpec.of((1, 2, 3), (1, 1, 1)), (F(3), F(8), F(16)))
+        # with both folds planar, member_via_collapse solves at the spec's own pivot under the same invariant
+        monkeypatch.setattr(quadareas.reduction, "_pivot_solution", lambda rows, pivot, x: None)
+        with pytest.raises(InternalError, match="pivot solve is regular"):
+            member_via_collapse(DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1)), (F(1),) * 4, 2)
         p, pp, x = (TailSummedSequence.parse(text) for text in SPATIAL_TAILED[1::2])
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member_tail(p, pp, x)
@@ -331,6 +341,12 @@ class TestInvariants:
             id="reduce-tail-q1",
         ),
         pytest.param(("describe", "--p", "1,2,3,4,5", "--pp", "1,1,1,1,1"), id="describe-spatial"),
+        pytest.param(
+            ("describe", "--p", f"{BIG_P},2,3,4,5", "--pp", f"1,{BIG_PP},1,1,2"), id="describe-spatial-30-digit",
+        ),
+        pytest.param(
+            ("member", "--p", f"{BIG_P},2,3", "--pp", f"1,{BIG_PP},1", "--x", BIG_X), id="member-30-digit-pivot",
+        ),
         pytest.param(
             ("member", "--p", "1,2,3", "--pp", "2,4,6", "--x", "46,80,90", "--full"),
             id="member-proportional",

@@ -48,7 +48,7 @@ from quadareas import (
 from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
-from quadareas.linalg import _scaled, solve2, solve3
+from quadareas.linalg import _scaled, solve2
 from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _realization, _segment, _spans
 from quadareas.witness import _trapezoid
 
@@ -587,6 +587,28 @@ def systems(draw, size):
 
 
 @st.composite
+def pivot_systems(draw):
+    """Three integer rows (P, Q, H, L) with L > 0, the block (P, Q, H) singular a third of the time,
+    and an x whose right-hand side L*x has three pairwise different denominators: x_c's denominator
+    is a power of its own prime, which divides neither x_c's numerator nor L_c."""
+    big = draw(st.booleans())
+    bound = 10 ** draw(st.integers(30, 300)) if big else 64
+    entry = st.integers(-bound, bound)
+    block = [[draw(entry) for _ in range(3)] for _ in range(3)]
+    if draw(st.integers(0, 2)) == 0:
+        u, v = draw(entry), draw(entry)
+        block[2] = [u * e + v * f for e, f in zip(*block[:2])]
+    primes = draw(st.permutations((2, 3, 5, 7, 11)))[:3]
+    rows, x = [], []
+    for row, prime in zip(block, primes):
+        den = prime ** draw(st.integers(1, 400 if big else 4))
+        num, scale = draw(entry), draw(st.integers(1, bound))
+        rows.append((*row, scale + (scale % prime == 0)))
+        x.append(F(num + (num % prime == 0), den))
+    return rows, tuple(x)
+
+
+@st.composite
 def quads_for(draw, spec):
     """Apex quads of both branches, their affine images, and trapezoids."""
     family = draw(st.sampled_from(("apex", "affine", "trapezoid")))
@@ -661,16 +683,18 @@ def test_solve2_matches_fraction_cramer(system):
     assert solve2(m, rhs) == ref_solve2(m, rhs)
 
 
-@given(systems(3))
-def test_solve3_matches_fraction_cramer(system):
-    m, rhs = system
-    assert solve3(m, rhs) == ref_solve3(m, rhs)
+@given(pivot_systems())
+def test_pivot_solution_matches_fraction_cramer(system):
+    rows, x = system
+    rhs = [row[3] * v for row, v in zip(rows, x)]
+    assert len({v.denominator for v in rhs}) == 3
+    assert _pivot_solution(rows, 2, x) == ref_solve3([[F(e) for e in row[:3]] for row in rows], rhs)
 
 
 def test_singular_systems_return_none():
     assert solve2([[F(1), F(2)], [F(1, 2), F(1)]], [F(1), F(5)]) is None
-    rows = [[F(1), F(2), F(3)], [F(1, 3), F(0), F(-1)], [F(4, 3), F(2), F(2)]]
-    assert solve3(rows, [F(1), F(1), F(1)]) is None
+    rows = [(3, 6, 9, 1), (1, 0, -3, 2), (4, 6, 6, 3)]  # the last block row is the sum of the others
+    assert _pivot_solution(rows, 2, (F(1, 2), F(1, 3), F(1, 5))) is None
 
 
 @given(specs(), st.sampled_from((False, True)), st.data())
@@ -745,9 +769,12 @@ def test_span_check_matches_fraction_combination(spec, data):
 def test_pivot_solution_matches_fraction_reference_at_every_pivot(query):
     spec, x, delta = query
     pivots = [j + 2 for j, d in enumerate(discriminants(spec)) if d != 0]
+    rows = integer_rows(spec)[0]
     for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
         for pivot in pivots:
-            assert _pivot_solution(integer_rows(spec)[0], pivot, y) == ref_pivot_solution(spec, pivot, y)
+            sol = _pivot_solution(rows, pivot, y)
+            assert sol is not None
+            assert (sol if _spans(rows, sol, y) else None) == ref_pivot_solution(spec, pivot, y)
 
 
 @given(spatial_queries(), st.sampled_from(("strict", "audited")), st.data())
@@ -912,8 +939,7 @@ def test_folds_keep_the_head_basis_of_the_spec(spec):
         assert frame(folds["q1"]).head == (sum(fr.head[:k], F(0)), fr.head[k], fr.head[k + 1])
         assert frame(folds["q2"]).head == (shifted[k - 1], shifted[k], sum(shifted[k + 1:], F(0)))
         for spec3 in folds.values():
-            rows3 = integer_rows(spec3)[0]
-            solved = solve3([row[:3] for row in rows3], [row[3] for row in rows3])
+            solved = _pivot_solution(integer_rows(spec3)[0], 2, (F(1),) * 3)
             assert (solved is None) == (not classify(spec3).spatial)
 
 

@@ -187,6 +187,13 @@ class TestCollapse:
         assert inst.spec3.p_prime == (F(2), F(1), F(2))
         assert inst.x3 == (F(1), F(1), F(2))
 
+    def test_wrong_length_x_rejected_by_the_length_check(self):
+        # a plain x is a prefix with a zero tail, so the empty one gets the same message as any other length
+        spec = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
+        for x in ((), (F(1),) * 3, (F(1),) * 5):
+            with pytest.raises(InvalidInputError, match="area tuple length does not match the division spec"):
+                collapse(spec, x, 2, "q1")
+
     def test_zero_discriminant_pivot_rejected(self):
         spec = DivisionSpec.of((1, 1, 1, 5), (1, 2, 6, 1))
         with pytest.raises(InvalidPivotError):
