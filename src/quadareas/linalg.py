@@ -1,7 +1,7 @@
-"""Tiny exact linear algebra over Fractions: the 2x2 solve and the one 3x3 cofactor kernel.
+"""Tiny exact linear algebra over Fractions: the 3x3 cofactor kernel and integer scaling.
 
-``solve2`` applies Cramer's rule to integer rows, each scaled by its own lcm of
-denominators, and normalises once per unknown.
+Every decision is one Cramer solve on the cofactors of a 3x3 integer block
+(``membership._pivot_solution``); ``_scaled`` puts rationals over one common denominator.
 """
 from __future__ import annotations
 
@@ -23,12 +23,3 @@ def _cofactors(m: Sequence[Sequence]) -> tuple[list[list], int]:
             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
             for j in range(3)] for i in range(3)]
     return cof, sum(e * f for e, f in zip(m[0], cof[0]))
-
-
-def solve2(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a 2x2 system by Cramer's rule; None when singular."""
-    (a, b, e), (c, d, f) = (_scaled((*row, r))[0] for row, r in zip(m, rhs))
-    det = a * d - b * c
-    if det == 0:
-        return None
-    return (Fraction(e * d - b * f, det), Fraction(a * f - e * c, det))

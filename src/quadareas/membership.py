@@ -7,13 +7,13 @@ and ``proportional_bounds`` only).  Both run on the spec's integer rows
 (``cone.integer_rows``, built once per spec): the three coefficients are
 normalised once, and each coordinate is compared in ``int`` with no gcd, so
 a spatial decision computes no tail cumulant and no frame.  ``_decide`` holds
-the one planar / pivot-solve dispatch: ``member`` runs it on the spec's rows
+the one decision path: ``member`` runs it on the spec's rows
 and ``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the
 tail sums; each fold is a solve on the rows of ``reduction.collapse``'s
-three-coordinate spec.  A planar decision solves x = a*head + b*tail at the
-first two coordinates, checks its span triple (b*total_dc, b*total_ab, a - b)
-with the same componentwise check and rejects through the same
-``_coefficient_verdict``, so it computes no frame either.
+three-coordinate spec.  A planar decision is the same solve on rows 0 and 1
+bordered by A*total_ab = B*total_dc, which yields the span triple (b*total_dc,
+b*total_ab, a - b) of x = a*head + b*tail, then the same componentwise check
+and ``_coefficient_verdict``, so it computes no frame either.
 Every re-decomposition of x lies on one segment of span triples (``_segment``):
 on skew ratio vectors the triple moves along (alpha, beta, -1), head =
 alpha*ab + beta*dc solved once at rows 0 and 1, clipped by the four facets to
@@ -42,7 +42,7 @@ from typing import Literal, Optional, Sequence
 from .cone import classify, hyperplanes, integer_rows
 from .division import DivisionSpec, _Frozen, fraction_tuple
 from .errors import InvalidInputError, invariant
-from .linalg import _cofactors, _scaled, solve2
+from .linalg import _cofactors, _scaled
 
 Mode = Literal["strict", "audited"]
 
@@ -156,6 +156,7 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     Row c, scaled by L_c, is (P_c, Q_c, H_c) @ (a, b, c) = L_c*x_c: Cramer's rule on the
     cofactors of the x-free block, with the right-hand side over one common denominator.
     The block is regular whenever the pivot's discriminant, -det/(L*L*L), is nonzero.
+    ``_decide`` also solves the planar case with it, on rows 0 and 1 and a border row.
     """
     cols = (pivot - 2, pivot - 1, pivot)
     cof, det = _cofactors([rows[c][:3] for c in cols])
@@ -224,33 +225,33 @@ def _decide(
     mode: Mode,
 ) -> Verdict:
     """The verdict for a positive x on a spec's integer rows: the pivot solve, its componentwise
-    check and the coefficient verdict, or in the planar case (pivot None) the same on the span
-    triple of x = a*head + b*tail, certified by (a, b) and its segment's two intervals.
+    check and the coefficient verdict; an attainable planar x (pivot None) is certified by
+    (a, b) with x = a*head + b*tail and its segment's two intervals.
 
-    L_i*tail_i is read from row i, as tail = total_dc*ab + total_ab*dc - head, and the
-    cumulant vectors are independent at the first two coordinates: their 2x2 minor
-    there is strictly negative.  Planar verdicts ignore the mode.
+    The planar solve borders rows 0 and 1 with (T_ab, -T_dc, 0) over the totals' common
+    denominator s: on span(head, tail), A*T_ab = B*T_dc holds exactly at x's span triple
+    (b*T_dc, b*T_ab, a - b).  With K_i = T_dc*P_i + T_ab*Q_i - H_i = L_i*tail_i, the block's
+    determinant is -s*M for the head/tail minor M = H_0*K_1 - K_0*H_1 < 0, so it is regular.
+    Planar verdicts ignore the mode.
     """
-    if pivot is not None:
+    if pivot is None:
+        (ta, td), _ = _scaled((total_ab, total_dc))
+        sol = _pivot_solution((*rows[:2], (ta, -td, 0, 1)), 2, (*x[:2], Fraction(0)))
+        invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
+        mode = "audited"
+    else:
         sol = _pivot_solution(rows, pivot, x)
         invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
-        if not _spans(rows, sol, x):
-            return Verdict(False, reason=REASON_OFF_SUBSPACE)
-        return _coefficient_verdict(*sol, total_ab, total_dc, mode)
-    arms = [(h, total_dc * p + total_ab * q - h) for p, q, h, _ in rows[:2]]
-    sol = solve2(arms, [rows[i][3] * x[i] for i in (0, 1)])
-    invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
-    a, b = sol
-    triple = (b * total_dc, b * total_ab, a - b)
-    if not _spans(rows, triple, x):
+    if not _spans(rows, sol, x):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    verdict = _coefficient_verdict(*triple, total_ab, total_dc, "audited")
-    if not verdict.attainable:
+    verdict = _coefficient_verdict(*sol, total_ab, total_dc, mode)
+    if pivot is not None or not verdict.attainable:
         return verdict
-    lo, hi, _ = _segment(rows, total_ab, total_dc, triple)
+    lo, hi, _ = _segment(rows, total_ab, total_dc, sol)
     q1 = Interval(max(lo, Fraction(0)), hi) if hi > 0 else None
     q2 = Interval(max(-hi, Fraction(0)), -lo) if lo < 0 else None
-    return Verdict(True, Certificate("degenerate", (a, b), q1, q2))
+    b = sol[1] / total_ab
+    return Verdict(True, Certificate("degenerate", (sol[2] + b, b), q1, q2))
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:

@@ -19,7 +19,6 @@ from .errors import (
     DegenerateDenominatorError,
     InvalidInputError,
     InvalidPivotError,
-    invariant,
 )
 from .linalg import _scaled
 from .membership import (
@@ -153,11 +152,10 @@ def member_via_collapse(
             break
     rows, total_ab, total_dc = integer_rows(spec)
     if sol is None:
-        # no fold is injective: solve x at the pivot directly, refuse it only on the span
-        sol = _pivot_solution(rows, pivot, x)
-        invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
-        if not _spans(rows, sol, x):
-            return Verdict(False, reason=REASON_OFF_SUBSPACE)
+        # no fold is injective: decide x at the spec's own pivot, refuse it only on the span
+        verdict = _decide(rows, total_ab, total_dc, pivot, x, mode)
+        if verdict.reason == REASON_OFF_SUBSPACE:
+            return verdict
         raise DegenerateCollapseError(
             f"both folds at pivot {pivot} are planar; use another pivot"
         )

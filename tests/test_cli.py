@@ -290,6 +290,31 @@ BIG_PP = "314159265358979323846264338327/271828182845904523536028747135"
 BIG_X = ("901775519700472535692354007583/378818692265664781682717625943,"
          "6620486114151013865617407096160/1586309297171491574414436704891,"
          "5148370102292677431088473932048/1192533292512492016559195008117")
+# 30-digit planar entries: a proportional spec with x = head + 2*tail (q2 interval only), a skew spec
+# whose third ratio continues the zero chain with x = head + tail (both intervals), and the
+# proportional prefix with tails in its ratio and x = 2*head + tail, extended
+BIG_DEN = "987654321098765432109876543211"
+BIG_PLANAR = (
+    "--p", f"{BIG_P},2,3", "--pp", f"246913578024691357802469135780/{BIG_DEN},4,6",
+    "--x", "4968754718000304829550373418725072397575003810399750038104200/"
+           "975461057985063252587258039937625361987875019051998750190521,"
+           f"72098765431209876543120987654312/{BIG_DEN},78518518513851851851385185185138/{BIG_DEN}",
+)
+BIG_SKEW = (
+    "--p", f"{BIG_P},1,1111111110111111111011111111101/864197514086419751408641975139", "--pp", "1,3,1",
+    "--x", ",".join(f"{num}/853528409070263675805517451068570339830872123148188721231329" for num in (
+        "2591068399161713259806431967965721692087669562788876695636900",
+        "10440481490413046817978204548675567750048187776335881877766695",
+        "7544581593964334718717421127801097394176899862858368998629905",
+    )),
+)
+BIG_PLANAR_TAILED = (
+    "--p", f"{BIG_P},2,3 | tail=1", "--pp", f"246913578024691357802469135780/{BIG_DEN},4,6 | tail=2",
+    "--x", "3017832619807956105931412894985130315635006858719550068587560/"
+           "975461057985063252587258039937625361987875019051998750190521,"
+           f"57283950605728395060572839506056/{BIG_DEN},115555555541555555554155555555414/{BIG_DEN}"
+           f" | tail=46419753082641975308264197530826/{BIG_DEN}",
+)
 
 
 class TestInvariants:
@@ -297,7 +322,7 @@ class TestInvariants:
         monkeypatch.setattr(quadareas.membership, "_pivot_solution", lambda rows, pivot, x: None)
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member(DivisionSpec.of((1, 2, 3), (1, 1, 1)), (F(3), F(8), F(16)))
-        # with both folds planar, member_via_collapse solves at the spec's own pivot under the same invariant
+        # with both folds planar, member_via_collapse decides through _decide at the spec's own pivot
         monkeypatch.setattr(quadareas.reduction, "_pivot_solution", lambda rows, pivot, x: None)
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member_via_collapse(DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1)), (F(1),) * 4, 2)
@@ -351,6 +376,9 @@ class TestInvariants:
             ("member", "--p", "1,2,3", "--pp", "2,4,6", "--x", "46,80,90", "--full"),
             id="member-proportional",
         ),
+        pytest.param(("member", *BIG_PLANAR, "--full"), id="member-proportional-30-digit"),
+        pytest.param(("member", *BIG_SKEW, "--full"), id="member-skew-30-digit-both-intervals"),
+        pytest.param(("member", *BIG_PLANAR_TAILED), id="member-tail-planar-prefix-30-digit"),
         pytest.param(("areas", "--p", "1,2,3", "--pp", "2,1,1", "--quad", "0,0;1,3;5,4;6,1"), id="areas"),
         pytest.param(("sample", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--count", "6", "--seed", "2"), id="sample"),
         pytest.param(

@@ -48,7 +48,7 @@ from quadareas import (
 from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _first_pivot, _normalize_plane, integer_rows
 from quadareas.division import fraction_tuple
-from quadareas.linalg import _scaled, solve2
+from quadareas.linalg import _cofactors, _scaled
 from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _realization, _segment, _spans
 from quadareas.witness import _trapezoid
 
@@ -343,7 +343,7 @@ def ref_face_solution(rows, x, proportional):
         t = l0 * x[0] / (p0 + q0)
         sol = (t, t)
     else:
-        sol = solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
+        sol = ref_solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
     return sol if _spans(rows, (*sol, 0), x) else None
 
 
@@ -576,17 +576,6 @@ def bumped(x, k, delta):
 
 
 @st.composite
-def systems(draw, size):
-    """A square system with signed entries; singular (a row a combination of others) a third of the time."""
-    entry = ratios(big=draw(st.booleans()), signed=True)
-    m = [[draw(entry) for _ in range(size)] for _ in range(size)]
-    if draw(st.integers(0, 2)) == 0:
-        coeffs = [draw(entry) for _ in range(size - 1)]
-        m[-1] = [sum((c * row[k] for c, row in zip(coeffs, m)), F(0)) for k in range(size)]
-    return m, [draw(entry) for _ in range(size)]
-
-
-@st.composite
 def pivot_systems(draw):
     """Three integer rows (P, Q, H, L) with L > 0, the block (P, Q, H) singular a third of the time,
     and an x whose right-hand side L*x has three pairwise different denominators: x_c's denominator
@@ -677,10 +666,21 @@ class TestInverse3:
         assert inverse3([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]) is None
 
 
-@given(systems(2))
-def test_solve2_matches_fraction_cramer(system):
-    m, rhs = system
-    assert solve2(m, rhs) == ref_solve2(m, rhs)
+@given(specs(min_n=3, max_n=14, kinds=("proportional", "planar-skew")), ratios(signed=True), ratios(signed=True))
+def test_planar_bordered_solve_matches_the_head_tail_cramer(spec, x0, x1):
+    # the border row A*total_ab == B*total_dc picks out the span triple of x = a*head + b*tail; the
+    # bordered block's determinant is -s*M, with s the totals' common denominator and M < 0 the
+    # head/tail minor at rows 0 and 1 (K_i = L_i*tail_i)
+    rows, total_ab, total_dc = integer_rows(spec)
+    (ta, td), s = _scaled((total_ab, total_dc))
+    border = (ta, -td, 0, 1)
+    k0, k1 = (total_dc * p + total_ab * q - h for p, q, h, _ in rows[:2])
+    minor = rows[0][2] * k1 - k0 * rows[1][2]
+    assert minor < 0
+    assert _cofactors([row[:3] for row in (*rows[:2], border)])[1] == -s * minor
+    fr = frame(spec)
+    coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x0, x1])
+    assert _pivot_solution((*rows[:2], border), 2, (x0, x1, F(0))) == span_triple(total_ab, total_dc, *coeffs)
 
 
 @given(pivot_systems())
@@ -692,7 +692,6 @@ def test_pivot_solution_matches_fraction_cramer(system):
 
 
 def test_singular_systems_return_none():
-    assert solve2([[F(1), F(2)], [F(1, 2), F(1)]], [F(1), F(5)]) is None
     rows = [(3, 6, 9, 1), (1, 0, -3, 2), (4, 6, 6, 3)]  # the last block row is the sum of the others
     assert _pivot_solution(rows, 2, (F(1, 2), F(1, 3), F(1, 5))) is None
 
