@@ -32,23 +32,13 @@ class ConeFrame(_Frozen):
     head: tuple[Fraction, ...]
     tail: tuple[Fraction, ...]
 
-    def __init__(self, ab, dc, head, tail):
-        self.__dict__.update(ab=ab, dc=dc, head=head, tail=tail)
-
-    @property
-    def n(self) -> int:
-        return len(self.ab)
-
 
 class CaseLabel(_Frozen):
     """Shape of the attainable set: spatial (two trihedral angles) or planar."""
 
     spatial: bool
-    pivot: int | None          # smallest 1-based index with nonzero discriminant
-    proportional: bool | None  # for the planar case
-
-    def __init__(self, spatial, pivot=None, proportional=None):
-        self.__dict__.update(spatial=spatial, pivot=pivot, proportional=proportional)
+    pivot: int | None = None          # smallest 1-based index with nonzero discriminant
+    proportional: bool | None = None  # for the planar case
 
     @property
     def kind(self) -> str:
@@ -57,16 +47,16 @@ class CaseLabel(_Frozen):
         return "planar-proportional" if self.proportional else "planar-skew"
 
 
-def _sided_cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction], sum_p, sum_q):
-    """p[i]*(sum_q + sum(p'[:i])) + p'[i]*(sum_p + sum(p[:i+1])), unnormalised.
+def _sided_cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction]):
+    """The head cumulants p[i]*sum(p'[:i]) + p'[i]*sum(p[:i+1]), unnormalised, and the two totals.
 
     The running sums are kept as (numerator, lcm of denominators so far) pairs.
     Each entry comes out as a (numerator, denominator) pair whose denominator
-    is a multiple of the denominators of p[i] and p'[i]; the final running
-    sums come out as Fractions.
+    is a multiple of the denominators of p[i] and p'[i]; the totals come out
+    as Fractions.
     """
     out = []
-    sp, dp, sq, dq = sum_p.numerator, sum_p.denominator, sum_q.numerator, sum_q.denominator
+    sp, dp, sq, dq = 0, 1, 0, 1
     for a, b in zip(p, p_prime):
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         d = lcm(dp, ad)
@@ -88,10 +78,13 @@ def cumulants(
 
     head[i] = p[i]*sum(p'[:i]) + p'[i]*sum(p[:i+1])
     tail[i] = p[i]*(sum(p'[i+1:]) + tail_p') + p'[i]*(sum(p[i:]) + tail_p)
+
+    The tail cumulants are the head cumulants of the reversed pair whose first
+    segment holds the tail sums.
     """
-    head, _, _ = _sided_cumulants(p, p_prime, Fraction(0), Fraction(0))
-    tail, _, _ = _sided_cumulants(p[::-1], p_prime[::-1], tail_p, tail_p_prime)
-    return tuple(Fraction(*v) for v in head), tuple(Fraction(*v) for v in tail[::-1])
+    head, _, _ = _sided_cumulants(p, p_prime)
+    tail, _, _ = _sided_cumulants((tail_p, *p[::-1]), (tail_p_prime, *p_prime[::-1]))
+    return tuple(Fraction(*v) for v in head), tuple(Fraction(*v) for v in tail[:0:-1])
 
 
 def _discriminant(p: Sequence[Fraction], q: Sequence[Fraction], j: int) -> tuple[int, int]:
@@ -121,16 +114,23 @@ def frame(spec: DivisionSpec) -> ConeFrame:
     return ConeFrame(spec.p, spec.p_prime, head, tail)
 
 
-@_memoized_on_spec
-def integer_rows(spec: DivisionSpec) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
+def _rows(
+    p: Sequence[Fraction], q: Sequence[Fraction]
+) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
     """One integer row (P, Q, H, L) per coordinate, with ab = P/L, dc = Q/L and
     head = H/L left unnormalised, plus the totals of ab and dc."""
-    head, total_ab, total_dc = _sided_cumulants(spec.p, spec.p_prime, Fraction(0), Fraction(0))
+    head, total_ab, total_dc = _sided_cumulants(p, q)
     rows = tuple(
         (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), num, den)
-        for a, b, (num, den) in zip(spec.p, spec.p_prime, head)
+        for a, b, (num, den) in zip(p, q, head)
     )
     return rows, total_ab, total_dc
+
+
+@_memoized_on_spec
+def integer_rows(spec: DivisionSpec) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
+    """``_rows`` of the spec, built once per spec."""
+    return _rows(spec.p, spec.p_prime)
 
 
 @_memoized_on_spec

@@ -47,16 +47,33 @@ def fraction_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
 class _Frozen:
     """Base of the package's immutable records.
 
-    Each subclass annotates its fields and writes them in its own ``__init__``
-    with one ``self.__dict__.update``; repr, equality and hash read those
-    fields in declaration order, and any other assignment or deletion is
-    refused.  (One update leaves CPython a combined dict whose attribute reads
-    stay as fast as a dataclass's; item-by-item writes leave a split dict that
-    reads about twice as slowly.)
+    Each subclass annotates its fields, a class-level value being that field's
+    default; repr, equality and hash read them in declaration order, and any
+    other assignment or deletion is refused.  A record that defines no
+    ``__init__`` gets the constructor it would write by hand: the fields in
+    declaration order as parameters, one ``self.__dict__.update``, then
+    ``self.__post_init__()`` when the record has that check hook (looked up on
+    each call, so replacing it on the class takes effect).  One update leaves
+    CPython a combined dict whose attribute reads stay as fast as a
+    dataclass's; item-by-item writes leave a split dict that reads about twice
+    as slowly.
     """
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if "__init__" in cls.__dict__:
+            return
+        # compiled from source once per class, as dataclasses does, so that the signature, the
+        # error messages and the per-call cost are those of a hand-written constructor
+        defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        params = "".join(f", {name}=defaults[{name!r}]" if name in defaults else f", {name}" for name in fields)
+        lines = [f"self.__dict__.update({', '.join(f'{name}={name}' for name in fields)})"]
+        if hasattr(cls, "__post_init__"):
+            lines.append("self.__post_init__()")
+        namespace = {"defaults": defaults}
+        exec(f"def __init__(self{params}):\n    " + "\n    ".join(lines), namespace)
+        cls.__init__ = init = namespace["__init__"]
+        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
 
     def _values(self) -> tuple:
         d = self.__dict__
@@ -87,10 +104,6 @@ class DivisionSpec(_Frozen):
 
     p: tuple[Fraction, ...]
     p_prime: tuple[Fraction, ...]
-
-    def __init__(self, p, p_prime):
-        self.__dict__.update(p=p, p_prime=p_prime)
-        self.__post_init__()  # a method of its own, so a tracer can wrap the validation
 
     def __post_init__(self):
         if len(self.p) != len(self.p_prime):
@@ -151,6 +164,7 @@ class TailSummedSequence(_Frozen):
     tail_sum: Fraction
 
     def __init__(self, prefix, tail_sum=Fraction(0)):
+        prefix = tuple(prefix)  # an iterator is read once, by the check and the coercion alike
         if not all(isinstance(v, Fraction) for v in prefix):
             prefix = fraction_tuple(prefix)
         if not isinstance(tail_sum, Fraction):

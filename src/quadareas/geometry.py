@@ -119,10 +119,6 @@ class ConvexQuad(_Frozen):
     c: Point
     d: Point
 
-    def __init__(self, a, b, c, d):
-        self.__dict__.update(a=a, b=b, c=c, d=d)
-        self.__post_init__()  # a method of its own, so a tracer can wrap the convexity check
-
     def __post_init__(self):
         if not is_convex_ccw(self.a, self.b, self.c, self.d):
             raise InvalidInputError(
@@ -149,10 +145,6 @@ class ConvexQuad(_Frozen):
     def vertices(self) -> tuple[Point, Point, Point, Point]:
         return (self.a, self.b, self.c, self.d)
 
-    @property
-    def area(self) -> Fraction:
-        return polygon_area(self.vertices)
-
     def text(self) -> str:
         return ";".join(v.text() for v in self.vertices)
 
@@ -162,9 +154,6 @@ class DivisionPoints(_Frozen):
 
     on_ab: tuple[Point, ...]
     on_dc: tuple[Point, ...]
-
-    def __init__(self, on_ab, on_dc):
-        self.__dict__.update(on_ab=on_ab, on_dc=on_dc)
 
 
 class ParallelMarker(_Frozen):
@@ -186,9 +175,6 @@ class ApexFrame(_Frozen):
     p0: Fraction
     p0_prime: Fraction
     scale: Fraction
-
-    def __init__(self, apex, branch, p0, p0_prime, scale):
-        self.__dict__.update(apex=apex, branch=branch, p0=p0, p0_prime=p0_prime, scale=scale)
 
 
 def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:

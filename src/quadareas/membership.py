@@ -62,9 +62,6 @@ class Interval(_Frozen):
     lo: Fraction
     hi: Fraction
 
-    def __init__(self, lo, hi):
-        self.__dict__.update(lo=lo, hi=hi)
-
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -89,25 +86,17 @@ class Certificate(_Frozen):
 
     branch: str
     coeffs: tuple[Fraction, ...]
-    q1_interval: Optional[Interval]
-    q2_interval: Optional[Interval]
-
-    def __init__(self, branch, coeffs, q1_interval=None, q2_interval=None):
-        self.__dict__.update(branch=branch, coeffs=coeffs, q1_interval=q1_interval, q2_interval=q2_interval)
+    q1_interval: Optional[Interval] = None
+    q2_interval: Optional[Interval] = None
 
 
 class Verdict(_Frozen):
     """Whether a tuple is attainable, with its certificate or the reason it is not."""
 
     attainable: bool
-    certificate: Optional[Certificate]
-    reason: Optional[str]
-    prefix_certified: bool
-
-    def __init__(self, attainable, certificate=None, reason=None, prefix_certified=False):
-        self.__dict__.update(
-            attainable=attainable, certificate=certificate, reason=reason, prefix_certified=prefix_certified
-        )
+    certificate: Optional[Certificate] = None
+    reason: Optional[str] = None
+    prefix_certified: bool = False
 
 
 def _coefficient_verdict(

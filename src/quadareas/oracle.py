@@ -59,9 +59,6 @@ class Violation(_Frozen):
     x: tuple[Fraction, ...]
     reason: str
 
-    def __init__(self, quad, x, reason):
-        self.__dict__.update(quad=quad, x=x, reason=reason)
-
 
 class SampleReport(_Frozen):
     """One seeded sampling run: how many tuples were drawn and accepted, and every violation."""
@@ -72,11 +69,6 @@ class SampleReport(_Frozen):
     accepted: int
     violations: tuple[Violation, ...]
     seed: int
-
-    def __init__(self, spec, mode, total, accepted, violations, seed):
-        self.__dict__.update(
-            spec=spec, mode=mode, total=total, accepted=accepted, violations=violations, seed=seed
-        )
 
     def to_jsonable(self) -> dict:
         return {

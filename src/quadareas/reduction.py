@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cone import _discriminant, classify, cumulants, integer_rows
+from .cone import _discriminant, _first_pivot, _rows, classify, cumulants, integer_rows
 from .division import DivisionSpec, TailSummedSequence, _Frozen, _side_sums, fraction_tuple, to_fraction
 from .errors import (
     DegenerateCollapseError,
@@ -20,7 +20,6 @@ from .errors import (
     InvalidInputError,
     InvalidPivotError,
 )
-from .linalg import _scaled
 from .membership import (
     Mode,
     REASON_NON_POSITIVE,
@@ -80,9 +79,6 @@ class CollapsedInstance(_Frozen):
     x3: tuple[Fraction, ...]
     pivot: int
     branch: str
-
-    def __init__(self, spec3, x3, pivot, branch):
-        self.__dict__.update(spec3=spec3, x3=x3, pivot=pivot, branch=branch)
 
 
 def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
@@ -184,12 +180,13 @@ def member_tail(
 ) -> Verdict:
     """Decide attainability for tail-summed sequences; the verdict is prefix-certified.
 
-    It is ``member``'s verdict on the (m+1)-spec that ends in the tail sums: its
-    case label is the prefix's unless the tail triple's discriminant ends the
-    zero chain.  Constraints at individual indices beyond the prefix are not
+    It is ``member``'s decision on the m+1 segments of each side, the last one
+    the tail sum: the same integer rows and first pivot, so the tail triple's
+    discriminant can end the prefix's zero chain, and two zero tail sums give a
+    zero last row.  Constraints at individual indices beyond the prefix are not
     representable and are not checked.
     """
-    spec = DivisionSpec(p.prefix, p_prime.prefix)
+    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     if x.m != p.m:
         raise InvalidInputError("area tuple length does not match the division spec")
     if p.m < 3:
@@ -198,15 +195,8 @@ def member_tail(
         # infinitely many strictly positive strips cannot sum to zero
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 
-    # the last row holds the tail sums of ab, dc and the head cumulants; two zero tails make it zero
-    rows, total_ab, total_dc = integer_rows(spec)
-    t_p, t_q = p.tail_sum, p_prime.tail_sum
-    ints, den = _scaled((t_p, t_q, t_p * total_dc + t_q * total_ab + t_p * t_q))
-    pivot = classify(spec).pivot
-    if pivot is None and _discriminant(p.prefix[-2:] + (t_p,), p_prime.prefix[-2:] + (t_q,), 1)[0] != 0:
-        pivot = p.m
-    extended = rows + ((*ints, den),), total_ab + t_p, total_dc + t_q
-    verdict = _decide(*extended, pivot, x.prefix + (x.tail_sum,), mode)
+    ab, dc = (*p.prefix, p.tail_sum), (*p_prime.prefix, p_prime.tail_sum)
+    verdict = _decide(*_rows(ab, dc), _first_pivot(ab, dc), (*x.prefix, x.tail_sum), mode)
     return Verdict(verdict.attainable, verdict.certificate, verdict.reason, prefix_certified=True)
 
 
@@ -249,9 +239,6 @@ class StationCoefficients(_Frozen):
     sigma: tuple[Fraction, ...]
     bounds: tuple[Fraction, Fraction]
 
-    def __init__(self, sigma, bounds):
-        self.__dict__.update(sigma=sigma, bounds=bounds)
-
 
 class StationReport(_Frozen):
     """The station law applied to one tuple, with member_tail's verdict on it."""
@@ -261,13 +248,7 @@ class StationReport(_Frozen):
     ratio: Fraction
     progression_ok: bool
     accepted: bool
-    reason: str | None
-
-    def __init__(self, coefficients, scaled, ratio, progression_ok, accepted, reason=None):
-        self.__dict__.update(
-            coefficients=coefficients, scaled=scaled, ratio=ratio,
-            progression_ok=progression_ok, accepted=accepted, reason=reason,
-        )
+    reason: str | None = None
 
 
 def station_coefficients(p: TailSummedSequence) -> StationCoefficients:

@@ -28,9 +28,6 @@ class WitnessOutput(_Frozen):
     certificate: Certificate
     construction: str  # apex-q1 | apex-q2 | trapezoid | trapezoid-l0
 
-    def __init__(self, quad, division, certificate, construction):
-        self.__dict__.update(quad=quad, division=division, certificate=certificate, construction=construction)
-
 
 def apex_areas(frame_data: ApexFrame, spec: DivisionSpec) -> tuple[Fraction, ...]:
     """Strip areas of an apex-parameterized quad, in closed form.

@@ -99,6 +99,12 @@ class TestTailSummedSequence:
             with pytest.raises(InvalidInputError, match="a sequence needs a nonempty prefix"):
                 TailSummedSequence.parse(text)
 
+    def test_constructor_reads_any_iterable_prefix_once(self):
+        expected = TailSummedSequence.of((1, 2, 3), F(1, 2))
+        for prefix in ([1, 2, 3], [F(1), F(2), F(3)], iter([1, 2, 3]), (v for v in (F(1), 2, 3))):
+            seq = TailSummedSequence(prefix, F(1, 2))
+            assert seq.prefix == (F(1), F(2), F(3)) and seq == expected and hash(seq) == hash(expected)
+
 
 class TestTailCumulants:
     def test_geometric(self):

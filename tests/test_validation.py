@@ -3,12 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import quadareas
 from quadareas import (
+    Certificate,
     ConvexQuad,
     DivisionSpec,
     Interval,
     InvalidInputError,
+    ParallelMarker,
+    Point,
     TailSummedSequence,
+    Verdict,
     apex_quad,
     frame,
     member,
@@ -150,6 +155,47 @@ class TestInterval:
         assert point.is_point
         assert point.contains(F(5, 2))
         assert not point.contains(F(2))
+
+
+class TestRecordConstructors:
+    """A record with no ``__init__`` of its own gets one built from its annotated fields."""
+
+    @pytest.mark.parametrize("cls, args", (
+        (DivisionSpec, ((F(1), F(2)), (F(3), F(1)))),
+        (ConvexQuad, (pt(0, 0), pt(2, 0), pt(1, 1), pt(0, 1))),
+    ))
+    def test_construction_calls_the_check_hook_on_the_class(self, monkeypatch, cls, args):
+        seen = []
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append(self) or check(self))
+        built = cls(*args)
+        assert seen == [built]
+        monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append("replaced"))
+        cls(*args)
+        assert seen == [built, "replaced"]
+
+    @pytest.mark.parametrize("call, message", (
+        (lambda: Interval(F(1)), "Interval.__init__() missing 1 required positional argument: 'hi'"),
+        (lambda: Verdict(), "Verdict.__init__() missing 1 required positional argument: 'attainable'"),
+        (lambda: Certificate("q1", (), bogus=1), "Certificate.__init__() got an unexpected keyword argument 'bogus'"),
+        (lambda: DivisionSpec((F(1),), (F(1),), ()), "DivisionSpec.__init__() takes 3 positional arguments but 4 were given"),
+        (lambda: ParallelMarker(1), "ParallelMarker.__init__() takes 1 positional argument but 2 were given"),
+    ))
+    def test_a_wrong_call_names_the_record(self, call, message):
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    def test_generated_constructors_belong_to_their_record(self):
+        for name in quadareas.__all__:
+            cls = getattr(quadareas, name)
+            if isinstance(cls, type) and issubclass(cls, quadareas.division._Frozen):
+                assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+                assert cls.__init__.__module__ == cls.__module__
+
+    def test_point_and_tail_summed_sequence_keep_their_coercing_constructors(self):
+        assert Point("1/2", 3) == Point(F(1, 2), F(3)) and type(Point(1, 2).x) is F
+        assert TailSummedSequence(["1", 2], "1/2") == TailSummedSequence((F(1), F(2)), F(1, 2))
 
 
 class TestClockwiseCanonicalization:
