@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import quadareas.oracle
 from quadareas import (
     DivisionSpec,
     InvalidInputError,
@@ -14,6 +17,7 @@ from quadareas import (
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
 SPATIAL = DivisionSpec.of((1, 2, 3), (1, 1, 1))
+REPORTS = json.loads((Path(__file__).parent / "fixtures" / "oracle_reports.json").read_text())
 
 
 class TestSampleConvexQuads:
@@ -124,3 +128,30 @@ class TestCoverage:
         verdict = member(spec, x)
         assert verdict.certificate.branch == "q1"
         assert verdict.certificate.coeffs == (s * p0p, s * p0, s)
+
+
+class TestStoredReports:
+    """The draw-stream contract as stored data: each report, and the x that every sample hands
+    to ``member`` in draw order, for all three families, both modes, n = 3-8 and two seeds."""
+
+    @pytest.mark.parametrize("stored", REPORTS, ids=lambda e: f"{e['family']}-n{len(e['report']['p'])}-"
+                             f"{e['report']['mode']}-seed{e['report']['seed']}")
+    def test_report_and_draws_match_the_stored_ones(self, stored, monkeypatch):
+        drawn = []
+
+        def recording_member(spec, x, mode="audited"):
+            drawn.append([str(e) for e in x])
+            return member(spec, x, mode)
+
+        monkeypatch.setattr(quadareas.oracle, "member", recording_member)
+        report = stored["report"]
+        spec = DivisionSpec.of(report["p"], report["pp"])
+        count, seed = stored["count"], report["seed"]
+        if stored["family"] == "quads":
+            got = sample_convex_quads(spec, count, seed)
+        elif stored["family"] == "parallel":
+            got = sample_parallel_family(spec, count, seed, report["mode"])
+        else:
+            got = cross_validate(spec, count, seed)
+        assert drawn == stored["drawn"]
+        assert got.to_jsonable() == report
