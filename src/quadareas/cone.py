@@ -133,6 +133,14 @@ def integer_rows(spec: DivisionSpec) -> tuple[tuple[tuple[int, int, int, int], .
     return _rows(spec.p, spec.p_prime)
 
 
+def _pivot_block(rows: Sequence[tuple[int, int, int, int]], pivot: int):
+    """(cols, cof, det): the 0-based pivot triple, and the cofactors and determinant of its
+    x-free integer block, whose rows are (P_c, Q_c, H_c) for c in cols."""
+    cols = (pivot - 2, pivot - 1, pivot)
+    cof, det = _cofactors([rows[c][:3] for c in cols])
+    return cols, cof, det
+
+
 @_memoized_on_spec
 def classify(spec: DivisionSpec) -> CaseLabel:
     """Spatial with the smallest usable pivot, else planar with a proportionality flag."""
@@ -170,11 +178,9 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     planes: list[tuple[int, ...]] = []
     if label.spatial:
         rows = integer_rows(spec)[0]
-        cols = (label.pivot - 2, label.pivot - 1, label.pivot)  # 0-based pivot triple
         # the plane at i is L_i*det(N)*x_i - sum over pivot columns c of L_c*(adj(N) R_i)_c*x_c,
         # with N the pivot block whose columns are the rows R_c = (P_c, Q_c, H_c)
-        block = [rows[c][:3] for c in cols]
-        adj, det = _cofactors(block)  # the cofactors of N's transpose are the adjugate of N
+        cols, adj, det = _pivot_block(rows, label.pivot)  # the cofactors of N's transpose are adj(N)
         invariant(det != 0, "pivot system is singular despite nonzero discriminant")
         sign = 1 if det > 0 else -1
         for i, (p_i, q_i, h_i, l_i) in enumerate(rows):

@@ -1,7 +1,8 @@
 """Tiny exact linear algebra over Fractions: the 3x3 cofactor kernel and integer scaling.
 
 Every decision is one Cramer solve on the cofactors of a 3x3 integer block
-(``membership._pivot_solution``); ``_scaled`` puts rationals over one common denominator.
+(``membership._pivot_solution`` on ``cone._pivot_block``, which ``cone.hyperplanes``
+reads too); ``_scaled`` puts rationals over one common denominator.
 """
 from __future__ import annotations
 

@@ -39,10 +39,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .cone import classify, hyperplanes, integer_rows
+from .cone import _pivot_block, classify, hyperplanes, integer_rows
 from .division import DivisionSpec, _Frozen, fraction_tuple
 from .errors import InvalidInputError, invariant
-from .linalg import _cofactors, _scaled
+from .linalg import _scaled
 
 Mode = Literal["strict", "audited"]
 
@@ -147,8 +147,7 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     The block is regular whenever the pivot's discriminant, -det/(L*L*L), is nonzero.
     ``_decide`` also solves the planar case with it, on rows 0 and 1 and a border row.
     """
-    cols = (pivot - 2, pivot - 1, pivot)
-    cof, det = _cofactors([rows[c][:3] for c in cols])
+    cols, cof, det = _pivot_block(rows, pivot)
     if det == 0:
         return None
     (r0, r1, r2), den = _scaled([rows[c][3] * x[c] for c in cols])

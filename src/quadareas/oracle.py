@@ -5,6 +5,8 @@ affine images), so convexity and exact rational strip areas are guaranteed and
 both apex branches get covered.  Reports are deterministic functions of
 (spec, mode, seed, count): each sample index derives its own draw stream, so
 generation could be partitioned across workers without changing the output.
+``_audit`` is the one loop: it gives each index its stream, runs the family's
+check on it and collects the violations into the report.
 
 Draw stream contract (reproducible across implementations):
 
@@ -14,19 +16,31 @@ Draw stream contract (reproducible across implementations):
 * each draw advances the state once and uses value = (state >> 40) % n;
 * grid draws map value onto {1/8, 2/8, ..., 64/8}; signed grid draws map onto
   {-64/8, ..., -1/8, 1/8, ..., 64/8}.
+
+Per sample index i, each family draws in this order:
+
+* quads (``sample_convex_quads``): grid p0, p0', scale of the apex quad (branch q1
+  when i % 3 == 0, q2 when i % 3 == 1, and when i % 3 == 2 q1 or q2 as (i // 3) % 2
+  is 0 or 1); when i % 3 == 2, then the affine map on that quad: four grid entries,
+  drawn again until their determinant is positive, and two signed grid translations;
+* parallel (``sample_parallel_family``): grid mu, mu', then the signed grid offset of
+  the trapezoid's top side;
+* cross (``cross_validate``): grid a, b, c of x = a*ab + b*dc + c*arm (arm tail when
+  i % 5 == 1, else head; c = 0 when i % 5 == 3, b = a and c = 0 when i % 5 == 4); when
+  i % 5 == 2, then the index (a draw with n = len(x)) and the grid bump added there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .cone import classify, discriminants, frame
-from .division import DivisionSpec, _Frozen, _side_sums
+from .division import DivisionSpec, _Frozen
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
 from .membership import Mode, Verdict, member
 from .reduction import member_via_collapse
-from .witness import apex_quad
+from .witness import _trapezoid, apex_quad
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -122,41 +136,42 @@ def _certificate_matches(spec: DivisionSpec, verdict: Verdict, geo: ApexFrame) -
     return None
 
 
+def _audit(
+    spec: DivisionSpec, mode: str, count: int, seed: int, check: Callable[[_Stream, int], Optional[Violation]]
+) -> SampleReport:
+    """The report of ``check(stream, index)`` over sample indexes 0..count-1, each on its own
+    draw stream; every ``Violation`` the check returns is kept, None counts as accepted."""
+    if count < 1:
+        raise InvalidInputError("count must be at least 1")
+    found = (check(_Stream(seed, index), index) for index in range(count))
+    violations = tuple(v for v in found if v is not None)
+    return SampleReport(spec, mode, count, count - len(violations), violations, seed)
+
+
 def sample_convex_quads(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
     """Generate quads (apex q1, apex q2, affine images in rotation) and audit them.
 
     Every geometric sample must be accepted in audited mode with a certificate
     matching the apex data; failures are recorded as violations, never raised.
     """
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
-    violations = []
-    for index in range(count):
-        stream = _Stream(seed, index)
+
+    def check(stream: _Stream, index: int) -> Optional[Violation]:
         slot = index % 3
-        if slot == 0:
-            branch = "q1"
-        elif slot == 1:
-            branch = "q2"
-        else:
-            branch = "q1" if (index // 3) % 2 == 0 else "q2"
-        p0, p0_prime, scale = stream.grid(), stream.grid(), stream.grid()
-        quad = apex_quad(spec, p0, p0_prime, scale, branch)
+        branch = "q2" if slot == 1 or (slot == 2 and index // 3 % 2) else "q1"
+        quad = apex_quad(spec, stream.grid(), stream.grid(), stream.grid(), branch)  # p0, p0', scale
         if slot == 2:
             quad = _affine_image(stream, quad)
         x = strip_areas(quad, spec)
         verdict = member(spec, x, "audited")
         if not verdict.attainable:
-            violations.append(Violation(quad, x, f"rejected: {verdict.reason}"))
-            continue
+            return Violation(quad, x, f"rejected: {verdict.reason}")
         geo = apex_of(quad, spec)
         if isinstance(geo, ParallelMarker):
-            violations.append(Violation(quad, x, "apex construction came out parallel"))
-            continue
+            return Violation(quad, x, "apex construction came out parallel")
         mismatch = _certificate_matches(spec, verdict, geo)
-        if mismatch is not None:
-            violations.append(Violation(quad, x, mismatch))
-    return SampleReport(spec, "audited", count, count - len(violations), tuple(violations), seed)
+        return None if mismatch is None else Violation(quad, x, mismatch)
+
+    return _audit(spec, "audited", count, seed, check)
 
 
 def sample_parallel_family(
@@ -167,28 +182,18 @@ def sample_parallel_family(
     Audited mode must accept every sample; strict mode records each rejected
     sample (unequal scalings on a spatial spec) as a data point.
     """
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
-    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
-    violations = []
-    for index in range(count):
-        stream = _Stream(seed, index)
-        mu, mu_prime = stream.grid(), stream.grid()
-        offset = stream.signed_grid()
-        quad = ConvexQuad(
-            Point(Fraction(0), Fraction(0)),
-            Point(mu * total_ab, Fraction(0)),
-            Point(offset + mu_prime * total_dc, Fraction(1)),
-            Point(offset, Fraction(1)),
-        )
+
+    def check(stream: _Stream, index: int) -> Optional[Violation]:
+        quad = _trapezoid(spec, stream.grid(), stream.grid(), stream.signed_grid())  # mu, mu', offset
         x = strip_areas(quad, spec)
         verdict = member(spec, x, mode)
         if not verdict.attainable:
-            violations.append(Violation(quad, x, f"rejected: {verdict.reason}"))
-            continue
+            return Violation(quad, x, f"rejected: {verdict.reason}")
         if not isinstance(apex_of(quad, spec), ParallelMarker):
-            violations.append(Violation(quad, x, "trapezoid construction not parallel"))
-    return SampleReport(spec, mode, count, count - len(violations), tuple(violations), seed)
+            return Violation(quad, x, "trapezoid construction not parallel")
+        return None
+
+    return _audit(spec, mode, count, seed, check)
 
 
 def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
@@ -199,31 +204,24 @@ def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
     coefficients, reason) at every usable pivot.  Pivots whose folds are both
     planar cannot decide and are skipped rather than counted as disagreement.
     """
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
-    label = classify(spec)
-    if not label.spatial or spec.n < 4:
+    if not classify(spec).spatial or spec.n < 4:
         raise InvalidInputError("cross validation applies to spatial specs of length >= 4")
     fr = frame(spec)
     pivots = [i + 2 for i, d in enumerate(discriminants(spec)) if d != 0]
-    violations = []
-    for index in range(count):
-        stream = _Stream(seed, index)
+
+    def check(stream: _Stream, index: int) -> Optional[Violation]:
+        # kind 0: a*ab + b*dc + c*head, 1: c*tail, 2: kind 0 bumped at one index, 3: c = 0, 4: a*(ab + dc)
         a, b, c = stream.grid(), stream.grid(), stream.grid()
         kind = index % 5
-        if kind == 0:
-            x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
-        elif kind == 1:
-            x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.tail))
-        elif kind == 2:
-            x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
-            bump = list(x)
-            bump[stream.next_value(spec.n)] += stream.grid()
-            x = tuple(bump)
-        elif kind == 3:
-            x = tuple(a * u + b * v for u, v in zip(fr.ab, fr.dc))
-        else:
-            x = tuple(a * (u + v) for u, v in zip(fr.ab, fr.dc))
+        if kind == 3:
+            c = 0
+        elif kind == 4:
+            b, c = a, 0
+        arm = fr.tail if kind == 1 else fr.head
+        x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
+        if kind == 2:
+            i = stream.next_value(spec.n)
+            x = (*x[:i], x[i] + stream.grid(), *x[i + 1:])
         direct = member(spec, x, "audited")
         for pivot in pivots:
             try:
@@ -235,6 +233,7 @@ def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
                 or folded.reason != direct.reason
                 or (direct.attainable and folded.certificate != direct.certificate)
             ):
-                violations.append(Violation(None, x, f"fold at pivot {pivot} disagrees"))
-                break
-    return SampleReport(spec, "audited", count, count - len(violations), tuple(violations), seed)
+                return Violation(None, x, f"fold at pivot {pivot} disagrees")
+        return None
+
+    return _audit(spec, "audited", count, seed, check)

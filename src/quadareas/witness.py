@@ -72,14 +72,17 @@ def apex_quad(
     )
 
 
-def _trapezoid(spec: DivisionSpec, a: Fraction, b: Fraction) -> ConvexQuad:
-    """Height-one trapezoid with side scalings 2a and 2b; strips a*ab_i + b*dc_i."""
+def _trapezoid(
+    spec: DivisionSpec, mu: Fraction, mu_prime: Fraction, offset: Fraction = Fraction(0)
+) -> ConvexQuad:
+    """Height-one trapezoid with side scalings mu and mu', its top side shifted by offset;
+    strips (mu*ab_i + mu'*dc_i)/2."""
     total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
     return ConvexQuad(
-        pt(0, 0),
-        Point(2 * a * total_ab, Fraction(0)),
-        Point(2 * b * total_dc, Fraction(1)),
-        pt(0, 1),
+        Point(Fraction(0), Fraction(0)),
+        Point(mu * total_ab, Fraction(0)),
+        Point(offset + mu_prime * total_dc, Fraction(1)),
+        Point(offset, Fraction(1)),
     )
 
 
@@ -102,11 +105,12 @@ def synthesize_witness(
         quad = apex_quad(spec, b / c, a / c, c, realized.branch)
         construction = f"apex-{realized.branch}"
     elif realized.branch == "face":
-        quad = _trapezoid(spec, *realized.coeffs)
+        a, b = realized.coeffs
+        quad = _trapezoid(spec, 2 * a, 2 * b)
         construction = "trapezoid"
     else:
-        t = realized.coeffs[0]
-        quad = _trapezoid(spec, t, t)
+        mu = 2 * realized.coeffs[0]
+        quad = _trapezoid(spec, mu, mu)
         construction = "trapezoid-l0"
 
     return WitnessOutput(quad, subdivide(quad, spec), cert, construction)

@@ -385,6 +385,10 @@ class TestInvariants:
             ("sample", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--family", "cross", "--count", "5", "--seed", "3"),
             id="sample-cross",
         ),
+        pytest.param(
+            ("sample", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--family", "parallel", "--count", "6", "--seed", "1"),
+            id="sample-parallel",
+        ),
     ))
     def test_python_O_gives_the_same_bytes(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1])}

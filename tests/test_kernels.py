@@ -1006,7 +1006,7 @@ def test_face_solution_matches_the_span_checked_reference(query):
         on_face = expected is not None and expected[0] > 0 and expected[1] > 0
         assert out.construction.startswith("trapezoid") == on_face
         if on_face:
-            assert out.quad == _trapezoid(spec, *expected)
+            assert out.quad == _trapezoid(spec, *(2 * e for e in expected))
 
 
 @given(planar_queries())

@@ -7,12 +7,16 @@ import pytest
 
 import quadareas.oracle
 from quadareas import (
+    Certificate,
     DivisionSpec,
     InvalidInputError,
+    ParallelMarker,
+    Verdict,
     cross_validate,
     member,
     sample_convex_quads,
     sample_parallel_family,
+    strip_areas,
 )
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
@@ -155,3 +159,66 @@ class TestStoredReports:
             got = cross_validate(spec, count, seed)
         assert drawn == stored["drawn"]
         assert got.to_jsonable() == report
+
+
+def certified_as(change):
+    """A stand-in for ``member`` that accepts with the real certificate passed through change."""
+    return lambda spec, x, mode="audited": Verdict(True, change(member(spec, x, mode).certificate))
+
+
+SPATIAL4 = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
+
+
+class TestViolationPaths:
+    """Each reason a sampler records, forced by a stand-in for the check that reports it."""
+
+    @pytest.mark.parametrize("name, stand_in, run, reasons", (
+        pytest.param("member", lambda spec, x, mode="audited": Verdict(False, reason="boundary"),
+                     lambda: sample_convex_quads(SPATIAL, 3, 0), ["rejected: boundary"] * 3, id="quads-rejected"),
+        pytest.param("apex_of", lambda quad, spec: ParallelMarker(),
+                     lambda: sample_convex_quads(SPATIAL, 3, 0), ["apex construction came out parallel"] * 3,
+                     id="quads-parallel-apex"),
+        pytest.param("member", certified_as(lambda cert: Certificate("q2", cert.coeffs)),
+                     lambda: sample_convex_quads(SPATIAL, 1, 0), ["branch q2 != geometric q1"],
+                     id="quads-branch"),
+        pytest.param("member", certified_as(lambda cert: Certificate(cert.branch, tuple(2 * c for c in cert.coeffs))),
+                     lambda: sample_convex_quads(SPATIAL, 3, 0),
+                     ["certificate coefficients differ from the apex parameters"] * 3, id="quads-coefficients"),
+        pytest.param("member", certified_as(lambda cert: Certificate(cert.branch, cert.coeffs)),
+                     lambda: sample_convex_quads(UNIT, 3, 0),
+                     ["geometric area unit outside the certified re-decomposition range"] * 3, id="quads-interval"),
+        pytest.param("member", lambda spec, x, mode="audited": Verdict(False, reason="boundary"),
+                     lambda: sample_parallel_family(SPATIAL, 3, 0), ["rejected: boundary"] * 3,
+                     id="parallel-rejected"),
+        pytest.param("apex_of", lambda quad, spec: None,
+                     lambda: sample_parallel_family(SPATIAL, 3, 0), ["trapezoid construction not parallel"] * 3,
+                     id="parallel-not-parallel"),
+        pytest.param("member_via_collapse", lambda spec, x, pivot, mode="audited": Verdict(False, reason="boundary"),
+                     lambda: cross_validate(SPATIAL4, 3, 0), ["fold at pivot 2 disagrees"] * 3, id="cross-fold"),
+    ))
+    def test_each_reason_is_recorded_per_sample(self, monkeypatch, name, stand_in, run, reasons):
+        monkeypatch.setattr(quadareas.oracle, name, stand_in)
+        report = run()
+        assert [v.reason for v in report.violations] == reasons
+        assert report.accepted == report.total - len(reasons)
+        for violation in report.violations:
+            if violation.quad is not None:
+                assert strip_areas(violation.quad, report.spec) == violation.x
+
+    def test_the_first_disagreeing_pivot_is_the_only_one_recorded(self, monkeypatch):
+        spec = DivisionSpec.of((1, 2, 3, 4, 5), (1, 1, 2, 1, 1))
+        assert len(cross_validate(spec, 1, 0).violations) == 0
+
+        def disagree_from_pivot_3(spec, x, pivot, mode="audited"):
+            return Verdict(False, reason="boundary") if pivot >= 3 else member(spec, x, mode)
+
+        monkeypatch.setattr(quadareas.oracle, "member_via_collapse", disagree_from_pivot_3)
+        report = cross_validate(spec, 1, 0)
+        assert [(v.quad, v.reason) for v in report.violations] == [(None, "fold at pivot 3 disagrees")]
+
+    @pytest.mark.parametrize("count", (0, -1))
+    @pytest.mark.parametrize("sampler", (sample_convex_quads, sample_parallel_family, cross_validate))
+    def test_count_below_one_is_refused(self, sampler, count):
+        with pytest.raises(InvalidInputError) as caught:
+            sampler(SPATIAL4, count, 0)
+        assert str(caught.value) == "count must be at least 1"

@@ -15,9 +15,16 @@ from quadareas import (
     TailSummedSequence,
     Verdict,
     apex_quad,
+    collapse,
+    continue_degenerate,
+    evaluate_plane,
+    extend_solution,
     frame,
     member,
+    member_tail,
+    member_via_collapse,
     pt,
+    station_coefficients,
     strip_areas,
     synthesize_witness,
     to_fraction,
@@ -42,6 +49,40 @@ class TestDivisionSpecValidation:
     def test_negative_ratio(self):
         with pytest.raises(InvalidInputError):
             DivisionSpec.of((1, 1), (1, -3))
+
+
+SPATIAL4 = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
+SHORT = TailSummedSequence.of((1, 2))
+
+
+class TestInputErrors:
+    """Each library entry point refuses a bad argument with its own message."""
+
+    @pytest.mark.parametrize("call, message", (
+        pytest.param(lambda: collapse(SPATIAL4, (1, 2, 3, 4), 2, "q3"), "branch must be 'q1' or 'q2'",
+                     id="collapse-branch"),
+        pytest.param(lambda: member_via_collapse(SPATIAL4, (1, 2, 3), 2),
+                     "area tuple length does not match the division spec", id="member_via_collapse-length"),
+        pytest.param(lambda: member_via_collapse(DivisionSpec.of((1, 1, 1, 1), (1, 1, 1, 1)), (1, 1, 1, 1), 2),
+                     "folding applies to spatial specs only", id="member_via_collapse-planar"),
+        pytest.param(lambda: member_tail(SHORT, SHORT, SHORT),
+                     "tail-summed decisions need a prefix of length at least 3", id="member_tail-short"),
+        pytest.param(lambda: extend_solution((1, 2, 3), (1, 1, 1), 1, 1, 3),
+                     "index out of range for the extension formula", id="extend_solution-index"),
+        pytest.param(lambda: station_coefficients(SHORT), "stations need a prefix of length at least 3",
+                     id="station_coefficients-short"),
+        pytest.param(lambda: evaluate_plane((1, 2, 3), (F(1), F(2))), "plane and point have different dimensions",
+                     id="evaluate_plane-dimensions"),
+        pytest.param(lambda: continue_degenerate((1, 1), (1, 1), 0), "the next ratio must be positive",
+                     id="continue_degenerate-next"),
+        pytest.param(lambda: to_fraction(1.5), "cannot interpret 1.5 as a rational", id="to_fraction-float"),
+        pytest.param(lambda: DivisionSpec((1, 2), (F(1), F(2))), "p entry 1 is not a rational",
+                     id="DivisionSpec-int-entries"),
+    ))
+    def test_refusal_names_the_mistake(self, call, message):
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 class TestRationalParsing:
