@@ -210,7 +210,6 @@ def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
     pivots = [i + 2 for i, d in enumerate(discriminants(spec)) if d != 0]
 
     def check(stream: _Stream, index: int) -> Optional[Violation]:
-        # kind 0: a*ab + b*dc + c*head, 1: c*tail, 2: kind 0 bumped at one index, 3: c = 0, 4: a*(ab + dc)
         a, b, c = stream.grid(), stream.grid(), stream.grid()
         kind = index % 5
         if kind == 3:

@@ -72,9 +72,7 @@ def apex_quad(
     )
 
 
-def _trapezoid(
-    spec: DivisionSpec, mu: Fraction, mu_prime: Fraction, offset: Fraction = Fraction(0)
-) -> ConvexQuad:
+def _trapezoid(spec: DivisionSpec, mu: Fraction, mu_prime: Fraction, offset=Fraction(0)) -> ConvexQuad:
     """Height-one trapezoid with side scalings mu and mu', its top side shifted by offset;
     strips (mu*ab_i + mu'*dc_i)/2."""
     total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
