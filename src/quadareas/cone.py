@@ -150,32 +150,21 @@ def classify(spec: DivisionSpec) -> CaseLabel:
     return CaseLabel(spatial=False, proportional=spec.proportional())
 
 
-def _normalize_plane(n: int, coeffs: dict[int, Fraction]) -> tuple[int, ...]:
-    """The plane with coefficient coeffs[i] at index i and zero elsewhere: denominators
-    cleared and divided by the gcd, over the given entries only; the construction's sign is kept."""
-    ints, _ = _scaled(list(coeffs.values()))
-    g = gcd(*ints)
-    plane = [0] * n
-    for i, v in zip(coeffs, ints):
-        plane[i] = v // g if g > 1 else v
-    return tuple(plane)
-
-
 def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
-    """Linearly independent hyperplanes cutting out the span of the attainable set.
+    """Linearly independent hyperplanes cutting out the span of the attainable set, in lowest terms.
 
     Spatial case: n-3 planes, one per coordinate away from the pivot triple,
     each supported on that coordinate plus the pivot triple and containing
     both ratio vectors and the head-cumulant vector, read in ``int`` from the
     adjugate of the integer pivot block.  Planar case: n-2 planes supported on
-    consecutive coordinate triples.
+    consecutive coordinate triples, read in ``int`` from the triple's ratios
+    over their common denominator: when skew, the cross product of the ab and dc triples.
     """
     n = spec.n
     if n < 3:
         raise InvalidInputError("hyperplanes need at least three segments")
     label = classify(spec)
-    p, q = spec.p, spec.p_prime
-    planes: list[tuple[int, ...]] = []
+    supported = []  # (coordinates, coefficients) of each plane
     if label.spatial:
         rows = integer_rows(spec)[0]
         # the plane at i is L_i*det(N)*x_i - sum over pivot columns c of L_c*(adj(N) R_i)_c*x_c,
@@ -184,28 +173,26 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
         invariant(det != 0, "pivot system is singular despite nonzero discriminant")
         sign = 1 if det > 0 else -1
         for i, (p_i, q_i, h_i, l_i) in enumerate(rows):
-            if i in cols:
-                continue
-            coeffs = [l_i * abs(det)] + [
-                -sign * rows[c][3] * (a[0] * p_i + a[1] * q_i + a[2] * h_i) for c, a in zip(cols, adj)
-            ]
-            g = gcd(*coeffs)
-            plane = [0] * n
-            for c, v in zip((i, *cols), coeffs):
-                plane[c] = v // g
-            planes.append(tuple(plane))
+            if i not in cols:
+                supported.append(((i, *cols), [l_i * abs(det)] + [
+                    -sign * rows[c][3] * (a[0] * p_i + a[1] * q_i + a[2] * h_i) for c, a in zip(cols, adj)
+                ]))
     else:
         for j in range(1, n - 1):
-            coeffs = {}
+            (u, v, w), _ = _scaled(spec.p[j - 1:j + 2])
             if label.proportional:
-                coeffs[j - 1] = (p[j + 1] + p[j]) / p[j - 1]
-                coeffs[j] = -(p[j - 1] + 2 * p[j] + p[j + 1]) / p[j]
-                coeffs[j + 1] = (p[j - 1] + p[j]) / p[j + 1]
+                coeffs = ((v + w) * v * w, -(u + 2 * v + w) * u * w, (u + v) * u * v)
             else:
-                coeffs[j - 1] = p[j] * q[j + 1] - p[j + 1] * q[j]
-                coeffs[j] = p[j + 1] * q[j - 1] - p[j - 1] * q[j + 1]
-                coeffs[j + 1] = p[j - 1] * q[j] - p[j] * q[j - 1]
-            planes.append(_normalize_plane(n, coeffs))
+                (a, b, c), _ = _scaled(spec.p_prime[j - 1:j + 2])
+                coeffs = (v * c - w * b, w * a - u * c, u * b - v * a)
+            supported.append(((j - 1, j, j + 1), coeffs))
+    planes = []
+    for support, coeffs in supported:
+        g = gcd(*coeffs)
+        plane = [0] * n
+        for i, v in zip(support, coeffs):
+            plane[i] = v // g
+        planes.append(tuple(plane))
     return tuple(planes)
 
 

@@ -181,12 +181,14 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
     """Division points at the prescribed consecutive ratios, exact: start + s*(end - start)/total
     over the spec's memoized partial sums s.  Each (end - start)/total is normalised once per side
     and coordinate; a coordinate fixed along a side (one per side of every apex quad and trapezoid)
-    is one shared Fraction."""
+    is one shared Fraction, and one that starts at 0 (both sides of a witness's trapezoid) is s*step."""
 
     def coordinate(start: Fraction, end: Fraction, sums) -> Sequence[Fraction]:
         if start == end:
             return (start,) * len(sums)
         step = (end - start) / sums[-1]
+        if start == 0:
+            return [s * step for s in sums]
         return [start + s * step for s in sums]
 
     def side(start: Point, end: Point, sums) -> tuple[Point, ...]:

@@ -1,8 +1,8 @@
 """Tiny exact linear algebra over Fractions: the 3x3 cofactor kernel and integer scaling.
 
-Every decision is one Cramer solve on the cofactors of a 3x3 integer block
-(``membership._pivot_solution`` on ``cone._pivot_block``, which ``cone.hyperplanes``
-reads too); ``_scaled`` puts rationals over one common denominator.
+Every decision is one Cramer solve on the cofactors of a 3x3 integer block (``membership._pivot_solution``
+on ``cone._pivot_block``, which ``cone.hyperplanes`` reads too); ``_scaled`` puts rationals over one
+common denominator, also the ratio triples from which ``cone.hyperplanes`` builds each planar plane.
 """
 from __future__ import annotations
 

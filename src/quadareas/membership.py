@@ -52,6 +52,12 @@ REASON_NEGATIVE = "negative-coefficient"
 REASON_NON_POSITIVE = "non-positive-entry"
 
 
+def _check_mode(mode) -> None:
+    """Refuse a mode other than "strict" and "audited", before any other check on the input."""
+    if mode not in ("strict", "audited"):
+        raise InvalidInputError(f"mode must be 'strict' or 'audited', got {mode!r}")
+
+
 class Interval(_Frozen):
     """Feasible values for the cumulant coefficient of a re-decomposition.
 
@@ -251,6 +257,7 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     regions), "negative-coefficient" (the exact decomposition has a strictly
     negative coordinate).
     """
+    _check_mode(mode)
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
     x = fraction_tuple(x)

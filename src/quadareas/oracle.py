@@ -38,7 +38,7 @@ from .cone import classify, discriminants, frame
 from .division import DivisionSpec, _Frozen
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
-from .membership import Mode, Verdict, member
+from .membership import Mode, Verdict, _check_mode, member
 from .reduction import member_via_collapse
 from .witness import _trapezoid, apex_quad
 
@@ -182,6 +182,7 @@ def sample_parallel_family(
     Audited mode must accept every sample; strict mode records each rejected
     sample (unequal scalings on a spatial spec) as a data point.
     """
+    _check_mode(mode)
 
     def check(stream: _Stream, index: int) -> Optional[Violation]:
         quad = _trapezoid(spec, stream.grid(), stream.grid(), stream.signed_grid())  # mu, mu', offset

@@ -25,6 +25,7 @@ from .membership import (
     REASON_NON_POSITIVE,
     REASON_OFF_SUBSPACE,
     Verdict,
+    _check_mode,
     _coefficient_verdict,
     _decide,
     _pivot_solution,
@@ -133,6 +134,7 @@ def member_via_collapse(
     Only a pivot whose folds are both planar is refused, and only for a tuple
     on the span.
     """
+    _check_mode(mode)
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
     x = fraction_tuple(x)
@@ -186,6 +188,7 @@ def member_tail(
     zero last row.  Constraints at individual indices beyond the prefix are not
     representable and are not checked.
     """
+    _check_mode(mode)
     DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     if x.m != p.m:
         raise InvalidInputError("area tuple length does not match the division spec")

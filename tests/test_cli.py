@@ -369,6 +369,8 @@ class TestInvariants:
         pytest.param(
             ("describe", "--p", f"{BIG_P},2,3,4,5", "--pp", f"1,{BIG_PP},1,1,2"), id="describe-spatial-30-digit",
         ),
+        pytest.param(("describe", "--p", "1,2,3,4", "--pp", "2,4,6,8"), id="describe-planar-proportional"),
+        pytest.param(("describe", *BIG_SKEW[:4]), id="describe-planar-skew-30-digit"),
         pytest.param(
             ("member", "--p", f"{BIG_P},2,3", "--pp", f"1,{BIG_PP},1", "--x", BIG_X), id="member-30-digit-pivot",
         ),

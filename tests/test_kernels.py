@@ -10,9 +10,11 @@ import random
 from fractions import Fraction as F
 from functools import partial
 from itertools import accumulate, permutations
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quadareas import (
@@ -46,7 +48,7 @@ from quadareas import (
     tail_cumulants,
 )
 from quadareas.cli import _describe_payload
-from quadareas.cone import _discriminant, _first_pivot, _normalize_plane, integer_rows
+from quadareas.cone import _discriminant, _first_pivot, integer_rows
 from quadareas.division import fraction_tuple
 from quadareas.linalg import _cofactors, _scaled
 from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _realization, _segment, _spans
@@ -306,6 +308,35 @@ def ref_member_planar(spec, x):
     return Verdict(False, reason="boundary" if a >= 0 and b >= 0 else "negative-coefficient")
 
 
+def normalize_plane(n, coeffs):
+    """The plane with coefficient coeffs[i] at index i and zero elsewhere: denominators
+    cleared and divided by the gcd, over the given entries only; the construction's sign is kept."""
+    ints, _ = _scaled(list(coeffs.values()))
+    g = gcd(*ints)
+    plane = [0] * n
+    for i, v in zip(coeffs, ints):
+        plane[i] = v // g if g > 1 else v
+    return tuple(plane)
+
+
+def ref_planar_hyperplanes(spec):
+    """The planar hyperplanes as they were: Fraction coefficients on each consecutive triple."""
+    p, q = spec.p, spec.p_prime
+    planes = []
+    for j in range(1, spec.n - 1):
+        coeffs = {}
+        if spec.proportional():
+            coeffs[j - 1] = (p[j + 1] + p[j]) / p[j - 1]
+            coeffs[j] = -(p[j - 1] + 2 * p[j] + p[j + 1]) / p[j]
+            coeffs[j + 1] = (p[j - 1] + p[j]) / p[j + 1]
+        else:
+            coeffs[j - 1] = p[j] * q[j + 1] - p[j + 1] * q[j]
+            coeffs[j] = p[j + 1] * q[j - 1] - p[j - 1] * q[j + 1]
+            coeffs[j + 1] = p[j - 1] * q[j] - p[j] * q[j - 1]
+        planes.append(normalize_plane(spec.n, coeffs))
+    return tuple(planes)
+
+
 def ref_hyperplanes(spec):
     """The spatial hyperplanes as they were: the frame's Fraction pivot block through inverse3."""
     fr = frame(spec)
@@ -318,7 +349,7 @@ def ref_hyperplanes(spec):
             coeffs = {i: F(1)}
             for c, row in zip(cols, inv):
                 coeffs[c] = -(row[0] * fr.ab[i] + row[1] * fr.dc[i] + row[2] * fr.head[i])
-            planes.append(_normalize_plane(spec.n, coeffs))
+            planes.append(normalize_plane(spec.n, coeffs))
     return tuple(planes)
 
 
@@ -738,6 +769,22 @@ def test_division_points_match_the_reference_at_100_to_300_digits(n, data):
             assert (points.on_ab, points.on_dc) == ref_subdivide(q, spec)
 
 
+@given(specs(), st.data())
+def test_division_points_are_fractions_matching_the_reference(spec, data):
+    # a witness's trapezoid starts both sides' varying coordinate at 0, a shifted top side starts
+    # at its offset, and each apex quad starts both away from 0
+    grid = ratios(big=False)
+    quads = [
+        _trapezoid(spec, data.draw(grid), data.draw(grid)),
+        _trapezoid(spec, data.draw(grid), data.draw(grid), data.draw(ratios(big=False, signed=True))),
+        *(apex_quad(spec, data.draw(grid), data.draw(grid), data.draw(grid), branch) for branch in ("q1", "q2")),
+    ]
+    for quad in quads:
+        points = subdivide(quad, spec)
+        assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+        assert {type(c) for v in (*points.on_ab, *points.on_dc) for c in (v.x, v.y)} == {F}
+
+
 @settings(max_examples=200)  # a mutated edge denominator flips few signs
 @given(vertex_sets())
 def test_convexity_matches_the_point_reference(vertices):
@@ -887,6 +934,42 @@ def test_every_fold_matches_the_frame_based_reference(query, mode, data):
 def test_hyperplanes_match_the_inverse_reference(spec):
     assume(classify(spec).spatial)
     assert hyperplanes(spec) == ref_hyperplanes(spec)
+
+
+# a skew chain's continued entries grow with n, so the skew specs with 100- and 300-digit entries
+# stop at n = 17 and n = 8
+@pytest.mark.parametrize("kind, digits, lengths", (
+    *((kind, digits, (3, 4, 8, 17, 32)) for kind in ("planar-proportional", "planar-skew") for digits in (0, 30)),
+    ("planar-proportional", 100, (3, 8, 32)),
+    ("planar-proportional", 300, (3, 8, 32)),
+    ("planar-skew", 100, (3, 8, 17)),
+    ("planar-skew", 300, (3, 5, 8)),
+), ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_planar_hyperplanes_match_the_fraction_reference(kind, digits, lengths):
+    # the integer planes from each triple's scaled ratios against the Fraction coefficients they
+    # replaced; digits 0 draws grid entries k/8
+    rng = random.Random(digits * 1000 + len(kind))
+    for n in lengths:
+        if digits:
+            p = [F(rng.randint(10 ** (digits - 1), 10 ** digits), rng.randint(10 ** (digits - 1), 10 ** digits))
+                 for _ in range(n)]
+        else:
+            p = [F(rng.randint(1, 64), 8) for _ in range(n)]
+        if kind == "planar-proportional":
+            q = [p[0] * F(3, 7) * v for v in p]
+        else:
+            q = [v * F(rng.randint(1, 64), 8) for v in p]
+            q[1] += q[0] * p[1] / p[0]
+            for i in range(2, n):
+                while True:
+                    try:
+                        p[i] = continue_degenerate(p[:i], q[:i], q[i])
+                        break
+                    except NoValidContinuationError:
+                        q[i] /= 2
+        spec = DivisionSpec(tuple(p), tuple(q))
+        assert classify(spec).kind == kind
+        assert hyperplanes(spec) == ref_planar_hyperplanes(spec)
 
 
 @given(planar_queries())

@@ -24,6 +24,7 @@ from quadareas import (
     member_tail,
     member_via_collapse,
     pt,
+    sample_parallel_family,
     station_coefficients,
     strip_areas,
     synthesize_witness,
@@ -53,6 +54,8 @@ class TestDivisionSpecValidation:
 
 SPATIAL4 = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
 SHORT = TailSummedSequence.of((1, 2))
+SPATIAL3 = DivisionSpec.of((1, 2, 3), (1, 1, 1))
+FACE_X = (F(5), F(7), F(9))  # 2*ab + 3*dc on SPATIAL3: a face tuple, which only audited mode accepts
 
 
 class TestInputErrors:
@@ -83,6 +86,22 @@ class TestInputErrors:
         with pytest.raises(InvalidInputError) as caught:
             call()
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("call, mode", (
+        pytest.param(lambda mode: member(SPATIAL3, FACE_X, mode), "Audited", id="member"),
+        # a non-positive x and a planar spec are refused by the mode first
+        pytest.param(lambda mode: member_tail(*(TailSummedSequence.of((1, 2, 3)),) * 2,
+                                              TailSummedSequence.of((1, -2, 3)), mode), "x", id="member_tail"),
+        pytest.param(lambda mode: member_via_collapse(DivisionSpec.of((1, 1, 1, 1), (1, 1, 1, 1)), (1, 1, 1, 1), 2,
+                                                      mode), "Strict", id="member_via_collapse"),
+        pytest.param(lambda mode: synthesize_witness(SPATIAL3, FACE_X, mode), "Audited", id="synthesize_witness"),
+        pytest.param(lambda mode: sample_parallel_family(SPATIAL3, 3, 0, mode), "bogus",
+                     id="sample_parallel_family"),
+    ))
+    def test_a_mode_other_than_strict_or_audited_is_refused(self, call, mode):
+        with pytest.raises(InvalidInputError) as caught:
+            call(mode)
+        assert str(caught.value) == f"mode must be 'strict' or 'audited', got {mode!r}"
 
 
 class TestRationalParsing:
