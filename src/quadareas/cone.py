@@ -79,9 +79,19 @@ def cumulants(
     head[i] = p[i]*sum(p'[:i]) + p'[i]*sum(p[:i+1])
     tail[i] = p[i]*(sum(p'[i+1:]) + tail_p') + p'[i]*(sum(p[i:]) + tail_p)
 
-    The tail cumulants are the head cumulants of the reversed pair whose first
-    segment holds the tail sums.
+    The pair is validated as a ``DivisionSpec``, and each tail sum must be a
+    rational that is not negative.
     """
+    spec = DivisionSpec.of(p, p_prime)  # positive ratio tuples of one length, at least two
+    tail_p, tail_p_prime = to_fraction(tail_p), to_fraction(tail_p_prime)
+    if tail_p < 0 or tail_p_prime < 0:
+        raise InvalidInputError("a tail sum cannot be negative")
+    return _cumulants(spec.p, spec.p_prime, tail_p, tail_p_prime)
+
+
+def _cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction], tail_p: Fraction, tail_p_prime: Fraction):
+    """``cumulants`` of a valid ratio pair: the tail cumulants are the head cumulants of the
+    reversed pair whose first segment holds the tail sums."""
     head, _, _ = _sided_cumulants(p, p_prime)
     tail, _, _ = _sided_cumulants((tail_p, *p[::-1]), (tail_p_prime, *p_prime[::-1]))
     return tuple(Fraction(*v) for v in head), tuple(Fraction(*v) for v in tail[:0:-1])
@@ -110,8 +120,7 @@ def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
 
 @_memoized_on_spec
 def frame(spec: DivisionSpec) -> ConeFrame:
-    head, tail = cumulants(spec.p, spec.p_prime)
-    return ConeFrame(spec.p, spec.p_prime, head, tail)
+    return ConeFrame(spec.p, spec.p_prime, *_cumulants(spec.p, spec.p_prime, Fraction(0), Fraction(0)))
 
 
 def _rows(
@@ -197,9 +206,10 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def evaluate_plane(plane: Sequence, x: Sequence[Fraction]) -> Fraction:
+    """The plane's coefficients dotted with x, exactly; every entry is read as a rational."""
     if len(plane) != len(x):
         raise InvalidInputError("plane and point have different dimensions")
-    return sum((c * v for c, v in zip(plane, x)), Fraction(0))
+    return sum((c * v for c, v in zip(fraction_tuple(plane), fraction_tuple(x))), Fraction(0))
 
 
 def continue_degenerate(

@@ -220,7 +220,8 @@ def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
     + (alpha_k*delta_k - alpha_{k-1}*delta_{k-1})*(u x w).  Each weight is one
     Fraction from a cross of the integer edges over its side totals, normalised
     once per quad, as the crosses share factors with S and T when the quad is
-    built from the spec; each strip is then one Fraction over integer sums s, t.
+    built from the spec; each strip is then one Fraction over integer sums s, t,
+    its sign checked on the int numerator (the common denominator is positive).
     """
     s, t = _integer_side_sums(spec)
     u, w, e = _edge(q.a, q.b), _edge(q.d, q.c), _edge(q.a, q.d)
@@ -228,10 +229,9 @@ def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
     (ew, eu, uw), den = _scaled([_quotient(cross, scale) for cross, scale in crosses])
     areas = []
     for k in range(1, spec.n + 1):
-        numerator = (t[k - 1] - t[k]) * ew + (s[k - 1] - s[k]) * eu
-        area = Fraction(numerator + (s[k] * t[k] - s[k - 1] * t[k - 1]) * uw, den)
-        invariant(area > 0, "strip areas of a convex quadrilateral must be positive")
-        areas.append(area)
+        numerator = (t[k - 1] - t[k]) * ew + (s[k - 1] - s[k]) * eu + (s[k] * t[k] - s[k - 1] * t[k - 1]) * uw
+        invariant(numerator > 0, "strip areas of a convex quadrilateral must be positive")
+        areas.append(Fraction(numerator, den))
     return tuple(areas)
 
 

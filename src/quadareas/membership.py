@@ -1,19 +1,24 @@
 """Decides whether an area tuple is attainable and produces exact certificates.
 
-A spatial decision is one pivot solve plus an exact componentwise check of
-the solution, O(n) per query; the check alone decides whether x lies on the
-span, so no hyperplane is evaluated (``cone.hyperplanes`` serves ``describe``
-and ``proportional_bounds`` only).  Both run on the spec's integer rows
-(``cone.integer_rows``, built once per spec): the three coefficients are
-normalised once, and each coordinate is compared in ``int`` with no gcd, so
-a spatial decision computes no tail cumulant and no frame.  ``_decide`` holds
-the one decision path: ``member`` runs it on the spec's rows
-and ``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the
-tail sums; each fold is a solve on the rows of ``reduction.collapse``'s
-three-coordinate spec.  A planar decision is the same solve on rows 0 and 1
-bordered by A*total_ab = B*total_dc, which yields the span triple (b*total_dc,
-b*total_ab, a - b) of x = a*head + b*tail, then the same componentwise check
-and ``_coefficient_verdict``, so it computes no frame either.
+A decision passes one value along: the primitive int vector (A, B, C, E) of
+``_pivot_solution``, E > 0, with x = (A*ab + B*dc + C*head)/E at the rows the
+solve used.  It is Cramer's rule on the cofactors of the x-free integer block
+of the spec's integer rows (``cone.integer_rows``, built once per spec),
+divided by one gcd.  ``_spans`` compares it with x at every other coordinate
+in ``int`` with no gcd (the rows of the solve hold exactly, so they are not
+re-checked), and that check alone decides whether x lies on the span, so no
+hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
+``proportional_bounds`` only).  ``_coefficient_verdict`` reads the four facet
+signs from ints and builds ``Fraction``s only for the certificate it returns,
+so a spatial decision, O(n) per query, computes no tail cumulant and no
+frame.  ``_decide`` holds the one decision path: ``member`` runs it on the
+spec's rows and ``reduction.member_tail`` on the rows of the (m+1)-spec that
+ends in the tail sums; each fold is a solve on the rows of
+``reduction.collapse``'s three-coordinate spec.  A planar decision is the same
+solve on rows 0 and 1 bordered by A*total_ab = B*total_dc, which yields the
+span triple (b*total_dc, b*total_ab, a - b) of x = a*head + b*tail, then the
+same componentwise check on rows 2 onwards and ``_coefficient_verdict``, so it
+computes no frame either.
 Every re-decomposition of x lies on one segment of span triples (``_segment``):
 on skew ratio vectors the triple moves along (alpha, beta, -1), head =
 alpha*ab + beta*dc solved once at rows 0 and 1, clipped by the four facets to
@@ -42,7 +47,7 @@ from typing import Literal, Optional, Sequence
 from .cone import _pivot_block, classify, hyperplanes, integer_rows
 from .division import DivisionSpec, _Frozen, fraction_tuple
 from .errors import InvalidInputError, invariant
-from .linalg import _scaled
+from .linalg import _primitive, _scaled
 
 Mode = Literal["strict", "audited"]
 
@@ -106,50 +111,59 @@ class Verdict(_Frozen):
 
 
 def _coefficient_verdict(
-    a: Fraction, b: Fraction, c: Fraction, total_ab: Fraction, total_dc: Fraction, mode: Mode
+    a: int, b: int, c: int, e: int, total_ab: Fraction, total_dc: Fraction, mode: Mode
 ) -> Verdict:
-    """The verdict for x = a*ab + b*dc + c*head, already checked exactly.
+    """The verdict for x = (a*ab + b*dc + c*head)/e, e > 0, already checked exactly.
 
-    The q2 coefficients (a2, b2, -c) follow from head + tail = total_dc*ab +
-    total_ab*dc.  The attainable set is the open cone whose four facet values
-    are a, b, a2 and b2: inside it, the sign of c picks q1, q2 or the parallel
-    ray or face (by mode); on its boundary x is rejected as boundary, outside
-    it as negative.
+    The q2 coefficients (a2, b2, -c/e) follow from head + tail = total_dc*ab +
+    total_ab*dc: with total_ab = tan/tad and total_dc = tdn/tdd, a2 = (a*tdd +
+    c*tdn)/(e*tdd) and b2 = (b*tad + c*tan)/(e*tad).  The attainable set is the
+    open cone whose four facet values are a, b, a2 and b2, each read as the sign
+    of its int numerator: inside it, the sign of c picks q1, q2 or the parallel
+    ray or face (by mode); on its boundary x is rejected as boundary, outside it
+    as negative.  Fractions are built only for the certificate.
     """
-    a2, b2 = a + c * total_dc, b + c * total_ab
+    tad, tdd = total_ab.denominator, total_dc.denominator
+    a2, b2 = a * tdd + c * total_dc.numerator, b * tad + c * total_ab.numerator
     low = min(a, b, a2, b2)
     if low > 0:
         if c > 0:
-            return Verdict(True, Certificate("q1", (a, b, c)))
+            return Verdict(True, Certificate("q1", (Fraction(a, e), Fraction(b, e), Fraction(c, e))))
         if c < 0:
-            return Verdict(True, Certificate("q2", (a2, b2, -c)))
+            q2 = (Fraction(a2, e * tdd), Fraction(b2, e * tad), Fraction(-c, e))
+            return Verdict(True, Certificate("q2", q2))
         if a == b:
-            return Verdict(True, Certificate("ray", (a,)))
+            return Verdict(True, Certificate("ray", (Fraction(a, e),)))
         if mode == "audited":
-            return Verdict(True, Certificate("face", (a, b)))
+            return Verdict(True, Certificate("face", (Fraction(a, e), Fraction(b, e))))
     return Verdict(False, reason=REASON_BOUNDARY if low >= 0 else REASON_NEGATIVE)
 
 
 def _spans(
-    rows: Sequence[tuple[int, int, int, int]], coeffs: Sequence[Fraction], x: tuple[Fraction, ...]
+    rows: Sequence[tuple[int, int, int, int]], sol: tuple[int, ...], x: tuple[Fraction, ...], solved: range
 ) -> bool:
-    """x == a*ab + b*dc + c*head at every coordinate, decided on the spec's integer rows.
+    """x == (A*ab + B*dc + C*head)/E at every coordinate outside ``solved``, decided on the spec's integer rows.
 
-    With (A, B, C) the coefficients over their common denominator E, row
-    (P, Q, H, L) and x_i = xn/xd, the test is (A*P + B*Q + C*H)*xd == E*L*xn.
+    ``solved`` is the run of rows that the solve of (A, B, C, E) satisfies exactly (the pivot
+    triple, or planar rows 0 and 1), or that the other rows then imply (the pivot triple of a
+    fold), so they are not re-checked.
+    With row (P, Q, H, L) and x_i = xn/xd, the test is (A*P + B*Q + C*H)*xd == E*L*xn.
     """
-    (a, b, c), e = _scaled(coeffs)
+    a, b, c, e = sol
     return all(
         (a * p + b * q + c * h) * xi.denominator == e * den * xi.numerator
-        for (p, q, h, den), xi in zip(rows, x)
+        for part in (slice(solved.start), slice(solved.stop, None))
+        for (p, q, h, den), xi in zip(rows[part], x[part])
     )
 
 
 def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tuple[Fraction, ...]):
-    """(a, b, c) with x = a*ab + b*dc + c*head at the pivot triple, or None when its block is singular.
+    """The primitive (A, B, C, E), E > 0, with x = (A*ab + B*dc + C*head)/E at the pivot triple,
+    or None when its block is singular.
 
     Row c, scaled by L_c, is (P_c, Q_c, H_c) @ (a, b, c) = L_c*x_c: Cramer's rule on the
-    cofactors of the x-free block, with the right-hand side over one common denominator.
+    cofactors of the x-free block, with the right-hand side over one common denominator den,
+    gives the three numerators over det*den; the four are divided by their one gcd.
     The block is regular whenever the pivot's discriminant, -det/(L*L*L), is nonzero.
     ``_decide`` also solves the planar case with it, on rows 0 and 1 and a border row.
     """
@@ -157,7 +171,7 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     if det == 0:
         return None
     (r0, r1, r2), den = _scaled([rows[c][3] * x[c] for c in cols])
-    return tuple(Fraction(r0 * c0 + r1 * c1 + r2 * c2, det * den) for c0, c1, c2 in zip(*cof))
+    return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*cof)), det * den))
 
 
 def _segment(
@@ -205,7 +219,8 @@ def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     if lo == hi == 0:
         p0, q0, _, _ = rows[0]
         big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
-    verdict = _coefficient_verdict(big_a, big_b, c, total_ab, total_dc, "audited")
+    ints, e = _scaled((big_a, big_b, c))
+    verdict = _coefficient_verdict(*ints, e, total_ab, total_dc, "audited")
     invariant(verdict.attainable, "an attainable planar tuple admits a realization")
     return verdict.certificate
 
@@ -219,8 +234,9 @@ def _decide(
     mode: Mode,
 ) -> Verdict:
     """The verdict for a positive x on a spec's integer rows: the pivot solve, its componentwise
-    check and the coefficient verdict; an attainable planar x (pivot None) is certified by
-    (a, b) with x = a*head + b*tail and its segment's two intervals.
+    check on the rows the solve did not use and the coefficient verdict; an attainable planar x
+    (pivot None) is certified by (a, b) with x = a*head + b*tail and its segment's two intervals,
+    the only place it builds the span triple's Fractions.
 
     The planar solve borders rows 0 and 1 with (T_ab, -T_dc, 0) over the totals' common
     denominator s: on span(head, tail), A*T_ab = B*T_dc holds exactly at x's span triple
@@ -232,20 +248,22 @@ def _decide(
         (ta, td), _ = _scaled((total_ab, total_dc))
         sol = _pivot_solution((*rows[:2], (ta, -td, 0, 1)), 2, (*x[:2], Fraction(0)))
         invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
-        mode = "audited"
+        mode, solved = "audited", range(2)
     else:
         sol = _pivot_solution(rows, pivot, x)
         invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
-    if not _spans(rows, sol, x):
+        solved = range(pivot - 2, pivot + 1)
+    if not _spans(rows, sol, x, solved):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
     verdict = _coefficient_verdict(*sol, total_ab, total_dc, mode)
     if pivot is not None or not verdict.attainable:
         return verdict
-    lo, hi, _ = _segment(rows, total_ab, total_dc, sol)
+    triple = tuple(Fraction(v, sol[3]) for v in sol[:3])
+    lo, hi, _ = _segment(rows, total_ab, total_dc, triple)
     q1 = Interval(max(lo, Fraction(0)), hi) if hi > 0 else None
     q2 = Interval(max(-hi, Fraction(0)), -lo) if lo < 0 else None
-    b = sol[1] / total_ab
-    return Verdict(True, Certificate("degenerate", (sol[2] + b, b), q1, q2))
+    b = triple[1] / total_ab
+    return Verdict(True, Certificate("degenerate", (triple[2] + b, b), q1, q2))
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:
@@ -261,7 +279,7 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
     x = fraction_tuple(x)
-    if any(entry <= 0 for entry in x):
+    if any(entry.numerator <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
     return _decide(*integer_rows(spec), classify(spec).pivot, x, mode)
 

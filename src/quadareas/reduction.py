@@ -20,6 +20,7 @@ from .errors import (
     InvalidInputError,
     InvalidPivotError,
 )
+from .linalg import _primitive, _scaled
 from .membership import (
     Mode,
     REASON_NON_POSITIVE,
@@ -40,7 +41,6 @@ def tail_cumulants(
     p: TailSummedSequence, p_prime: TailSummedSequence
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Head and tail cumulants over the shared prefix, with tail-exact tail sums."""
-    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     return cumulants(p.prefix, p_prime.prefix, p.tail_sum, p_prime.tail_sum)
 
 
@@ -129,8 +129,11 @@ def member_via_collapse(
     Head cumulants depend only on prefix sums, so the q1 fold's head is the
     spec's head summed before the pivot, and the q2 fold's is head - Q0*ab -
     P0*dc summed after it, with P0 and Q0 the ratio sums before its first
-    coordinate; its coefficients are shifted back by that.  They are then
-    checked against every coordinate, which rejects a tuple off the span.
+    coordinate; its int vector (A, B, C, E) is shifted back by that and made
+    primitive again.  It is then checked against every coordinate outside the
+    pivot triple, which rejects a tuple off the span: the solve holds exactly
+    at the two coordinates the fold keeps, and its summed coordinate then
+    implies the third.
     Only a pivot whose folds are both planar is refused, and only for a tuple
     on the span.
     """
@@ -138,7 +141,7 @@ def member_via_collapse(
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
     x = fraction_tuple(x)
-    if any(entry <= 0 for entry in x):
+    if any(entry.numerator <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
     if not classify(spec).spatial:
         raise InvalidInputError("folding applies to spatial specs only")
@@ -159,9 +162,10 @@ def member_via_collapse(
         )
     if branch == "q2":
         sums_ab, sums_dc = _side_sums(spec)
-        a, b, c = sol
-        sol = (a - c * sums_dc[pivot - 2], b - c * sums_ab[pivot - 2], c)
-    if not _spans(rows, sol, x):
+        a, b, c, e = sol
+        (q0, p0), d = _scaled((sums_dc[pivot - 2], sums_ab[pivot - 2]))
+        sol = _primitive((a * d - c * q0, b * d - c * p0, c * d, e * d))
+    if not _spans(rows, sol, x, range(pivot - 2, pivot + 1)):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
     return _coefficient_verdict(*sol, total_ab, total_dc, mode)
 
@@ -194,7 +198,7 @@ def member_tail(
         raise InvalidInputError("area tuple length does not match the division spec")
     if p.m < 3:
         raise InvalidInputError("tail-summed decisions need a prefix of length at least 3")
-    if any(entry <= 0 for entry in x.prefix) or (x.finite and not (p.finite and p_prime.finite)):
+    if any(entry.numerator <= 0 for entry in x.prefix) or (x.finite and not (p.finite and p_prime.finite)):
         # infinitely many strictly positive strips cannot sum to zero
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 

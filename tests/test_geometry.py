@@ -12,6 +12,7 @@ from quadareas import (
     ConvexQuad,
     DivisionSpec,
     InconsistentQuadError,
+    InternalError,
     InvalidInputError,
     ParallelMarker,
     Point,
@@ -224,6 +225,16 @@ class TestStripAreas:
             areas = strip_areas(q, spec)
             assert sum(areas) == polygon_area(q.vertices)
             assert all(a > 0 for a in areas)
+
+    @pytest.mark.parametrize("vertices", (
+        ((0, 0), (0, 1), (1, 1), (1, 0)),  # clockwise: every strip negative
+        ((0, 0), (1, 0), (1, 0), (0, 0)),  # DC on AB: every strip has zero area
+    ), ids=("clockwise", "flat"))
+    def test_a_strip_area_that_is_not_positive_is_an_internal_error(self, monkeypatch, vertices):
+        # a quad built past its convexity check: the sign is read from the strip's int numerator
+        monkeypatch.setattr(ConvexQuad, "__post_init__", lambda self: None)
+        with pytest.raises(InternalError, match="strip areas of a convex quadrilateral must be positive"):
+            strip_areas(ConvexQuad(*(pt(*v) for v in vertices)), UNIT)
 
 
 @st.composite

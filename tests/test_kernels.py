@@ -134,6 +134,21 @@ def ref_first_pivot(p, q):
     return next((j + 2 for j, d in enumerate(ref_discriminants(p, q)) if d != 0), None)
 
 
+def int_vector(triple):
+    """A rational triple as the int vector (A, B, C, E) over its common denominator E."""
+    ints, den = _scaled(triple)
+    return (*ints, den)
+
+
+def as_fractions(sol):
+    """The int vector (A, B, C, E) as the triple (A/E, B/E, C/E); None stays None."""
+    return None if sol is None else tuple(F(v, sol[3]) for v in sol[:3])
+
+
+def assert_primitive(sol):
+    assert gcd(*sol) == 1 and sol[3] > 0
+
+
 def ref_combine(fr, a, b, c):
     """The Fraction combination a*ab + b*dc + c*head that the span check used to compare with x."""
     return tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
@@ -375,7 +390,7 @@ def ref_face_solution(rows, x, proportional):
         sol = (t, t)
     else:
         sol = ref_solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
-    return sol if _spans(rows, (*sol, 0), x) else None
+    return sol if _spans(rows, int_vector((*sol, 0)), x, range(0)) else None
 
 
 def span_triple(total_ab, total_dc, a, b):
@@ -711,7 +726,9 @@ def test_planar_bordered_solve_matches_the_head_tail_cramer(spec, x0, x1):
     assert _cofactors([row[:3] for row in (*rows[:2], border)])[1] == -s * minor
     fr = frame(spec)
     coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x0, x1])
-    assert _pivot_solution((*rows[:2], border), 2, (x0, x1, F(0))) == span_triple(total_ab, total_dc, *coeffs)
+    sol = _pivot_solution((*rows[:2], border), 2, (x0, x1, F(0)))
+    assert_primitive(sol)
+    assert as_fractions(sol) == span_triple(total_ab, total_dc, *coeffs)
 
 
 @given(pivot_systems())
@@ -719,7 +736,10 @@ def test_pivot_solution_matches_fraction_cramer(system):
     rows, x = system
     rhs = [row[3] * v for row, v in zip(rows, x)]
     assert len({v.denominator for v in rhs}) == 3
-    assert _pivot_solution(rows, 2, x) == ref_solve3([[F(e) for e in row[:3]] for row in rows], rhs)
+    sol = _pivot_solution(rows, 2, x)
+    assert as_fractions(sol) == ref_solve3([[F(e) for e in row[:3]] for row in rows], rhs)
+    if sol is not None:
+        assert_primitive(sol)
 
 
 def test_singular_systems_return_none():
@@ -805,10 +825,13 @@ def test_span_check_matches_fraction_combination(spec, data):
     coeffs = tuple(data.draw(ratios(signed=True)) for _ in range(3))
     x = ref_combine(frame(spec), *coeffs)
     rows, _, _ = integer_rows(spec)
-    assert _spans(rows, coeffs, x)
+    sol = int_vector(coeffs)
+    assert _spans(rows, sol, x, range(0))
     delta = data.draw(ratios(signed=True))
     for k in range(spec.n):
-        assert not _spans(rows, coeffs, bumped(x, k, delta))
+        assert not _spans(rows, sol, bumped(x, k, delta), range(0))
+        # only a bump outside the rows taken as solved is seen
+        assert _spans(rows, sol, bumped(x, k, delta), range(k, k + 1))
 
 
 @given(spatial_queries())
@@ -819,8 +842,9 @@ def test_pivot_solution_matches_fraction_reference_at_every_pivot(query):
     for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
         for pivot in pivots:
             sol = _pivot_solution(rows, pivot, y)
-            assert sol is not None
-            assert (sol if _spans(rows, sol, y) else None) == ref_pivot_solution(spec, pivot, y)
+            assert_primitive(sol)
+            spans = _spans(rows, sol, y, range(pivot - 2, pivot + 1))
+            assert (as_fractions(sol) if spans else None) == ref_pivot_solution(spec, pivot, y)
 
 
 @given(spatial_queries(), st.sampled_from(("strict", "audited")), st.data())
@@ -838,10 +862,49 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
                 assert ref_pivot_solution(spec, pivot, y) is not None
 
 
+def assert_bumps_are_off_the_span(spec, x, delta):
+    """member, and member_via_collapse at every usable pivot, reject x bumped by delta at coordinate k
+    as off-subspace exactly when some hyperplane reads coordinate k, the rows that no check re-reads
+    included (the pivot triple of a spec and of its folds, planar rows 0 and 1)."""
+    planes = hyperplanes(spec)
+    pivots = [j + 2 for j, d in enumerate(discriminants(spec)) if d != 0]
+    for k in range(spec.n):
+        y = bumped(x, k, delta)
+        off = any(plane[k] != 0 for plane in planes)
+        assert (member(spec, y).reason == "off-subspace") == off
+        for pivot in pivots:
+            try:
+                assert (member_via_collapse(spec, y, pivot).reason == "off-subspace") == off
+            except DegenerateCollapseError:
+                assert not off
+
+
+@given(specs(min_n=3, kinds=("spatial", "planar-prefix", "proportional", "planar-skew")), st.data())
+def test_a_bump_at_any_coordinate_a_hyperplane_reads_is_off_the_span(spec, data):
+    fr = frame(spec)
+    a, b, c = (data.draw(ratios()) for _ in range(3))
+    x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
+    assert_bumps_are_off_the_span(spec, x, data.draw(ratios()))
+
+
+@pytest.mark.parametrize("p, pp", (
+    ((1, 2, 3, 4, 5, 6), (3, 1, 4, 1, 5, 9)),  # spatial, every pivot usable
+    ((1, 2, 3, 4), (2, 4, 6, 8)),  # planar-proportional
+    ((1, 2, 4, 8, 16), ("2", "1", "1/2", "1/4", "1/8")),  # planar-skew
+))
+def test_a_bump_at_every_coordinate_is_off_the_span(p, pp):
+    spec = DivisionSpec.of(p, pp)
+    assert all(any(plane[k] != 0 for plane in hyperplanes(spec)) for k in range(spec.n))
+    fr = frame(spec)
+    x = tuple(u + 2 * v + 3 * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
+    assert member(spec, x).attainable
+    assert_bumps_are_off_the_span(spec, x, F(1, 3))
+
+
 @given(coefficient_triples(), st.sampled_from(("strict", "audited")), st.booleans())
 def test_coefficient_verdict_matches_the_two_region_reference(triple, mode, prefix_certified):
     # member_tail sets prefix_certified on the kernel's verdict; the reference still takes it
-    kernel = _coefficient_verdict(*triple, mode)
+    kernel = _coefficient_verdict(*int_vector(triple[:3]), *triple[3:], mode)
     verdict = Verdict(kernel.attainable, kernel.certificate, kernel.reason, prefix_certified=prefix_certified)
     assert verdict == ref_coefficient_verdict(*triple, mode, prefix_certified)
 
@@ -919,7 +982,7 @@ def test_every_fold_matches_the_frame_based_reference(query, mode, data):
             # the tail arm of a triple is the reversed head arm of its reversal
             instance = collapse(spec, y, pivot, "q2")
             rows = integer_rows(DivisionSpec(instance.spec3.p[::-1], instance.spec3.p_prime[::-1]))[0]
-            assert _pivot_solution(rows, 2, instance.x3[::-1]) == folds["q2"]
+            assert as_fractions(_pivot_solution(rows, 2, instance.x3[::-1])) == folds["q2"]
         try:
             expected = ref_member_via_collapse(spec, y, pivot, mode)
         except DegenerateCollapseError:
@@ -1062,7 +1125,8 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
-                assert _coefficient_verdict(*at(sign * c), total_ab, total_dc, "audited").certificate.coeffs == params
+                verdict = _coefficient_verdict(*int_vector(at(sign * c)), total_ab, total_dc, "audited")
+                assert verdict.certificate.coeffs == params
     out = synthesize_witness(spec, x)
     if out.construction.startswith("apex"):
         arm = 0 if intervals[0] is not None else 1

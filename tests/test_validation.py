@@ -17,6 +17,7 @@ from quadareas import (
     apex_quad,
     collapse,
     continue_degenerate,
+    cumulants,
     evaluate_plane,
     extend_solution,
     frame,
@@ -76,6 +77,16 @@ class TestInputErrors:
                      id="station_coefficients-short"),
         pytest.param(lambda: evaluate_plane((1, 2, 3), (F(1), F(2))), "plane and point have different dimensions",
                      id="evaluate_plane-dimensions"),
+        pytest.param(lambda: evaluate_plane((1, 2, 3), (0.5, 1, 1)), "cannot interpret 0.5 as a rational",
+                     id="evaluate_plane-float"),
+        pytest.param(lambda: evaluate_plane((0.5, 1, 1), (1, 2, 3)), "cannot interpret 0.5 as a rational",
+                     id="evaluate_plane-float-plane"),
+        pytest.param(lambda: cumulants([1, 2], [1, 2, 3]), "ratio tuples must have the same length",
+                     id="cumulants-lengths"),
+        pytest.param(lambda: cumulants([1.5, 2], [1, 2]), "cannot interpret 1.5 as a rational",
+                     id="cumulants-float"),
+        pytest.param(lambda: cumulants([1, 2], [1, 2], -5), "a tail sum cannot be negative",
+                     id="cumulants-negative-tail"),
         pytest.param(lambda: continue_degenerate((1, 1), (1, 1), 0), "the next ratio must be positive",
                      id="continue_degenerate-next"),
         pytest.param(lambda: to_fraction(1.5), "cannot interpret 1.5 as a rational", id="to_fraction-float"),
