@@ -401,6 +401,34 @@ class TestInvariants:
         assert optimized.stderr == plain.stderr == b""
 
 
+CLI_OUTPUTS = Path(__file__).parent / "fixtures" / "cli_outputs.json"
+_REPLAY = """
+import contextlib, io, json, sys
+from quadareas.cli import main
+for row in json.loads(open(sys.argv[1]).read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(row["argv"])
+    if (code, out.getvalue(), err.getvalue()) != (row["code"], row["stdout"], row["stderr"]):
+        sys.exit(f"first argv whose bytes differ: {row['argv']}")
+"""
+
+
+class TestStoredOutputs:
+    """Every argv stored in ``fixtures/cli_outputs.json`` gives the stored stdout, stderr and exit
+    code, plain and under ``python -O``.  The grid covers every verb in each format, with and
+    without ``--full``, in both modes, on spatial, proportional and skew specs; tail-summed input;
+    exits 0-3; input errors; and the help of the parser and of each verb (at 80 columns)."""
+
+    @pytest.mark.parametrize("flags", ((), ("-O",)), ids=("plain", "O"))
+    def test_every_stored_argv_gives_the_stored_bytes(self, flags):
+        env = {**os.environ, "PYTHONPATH": str(Path(quadareas.__file__).parents[1]), "COLUMNS": "80"}
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", _REPLAY, str(CLI_OUTPUTS)], capture_output=True, text=True, env=env,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestClosedStdout:
     """A reader that closes stdout early (``quadareas ... | head -c 300``) ends the process
     quietly with exit 1, whether the result is written during the verb (unbuffered, or past the
