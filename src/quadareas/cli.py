@@ -48,20 +48,6 @@ def _certificate_payload(cert: Certificate) -> dict:
     return payload
 
 
-def _member_result(verdict: Verdict) -> dict:
-    if verdict.attainable:
-        result = {
-            "attainable": True,
-            "branch": verdict.certificate.branch,
-            "coeffs": _rationals(verdict.certificate.coeffs),
-        }
-    else:
-        result = {"attainable": False, "reason": verdict.reason}
-    if verdict.prefix_certified:
-        result["prefix_certified"] = True
-    return result
-
-
 def _has_tail(*texts: str) -> bool:
     return any("|" in t for t in texts)
 
@@ -130,17 +116,6 @@ def _witness_svg(out: WitnessOutput, areas: Sequence[Fraction]) -> str:
     return "\n".join(lines)
 
 
-def _witness_text(out: WitnessOutput, areas) -> str:
-    quad = out.quad
-    return (
-        f"A={quad.a.text()} B={quad.b.text()} C={quad.c.text()} D={quad.d.text()} "
-        f"construction={out.construction} "
-        f"ab={';'.join(p.text() for p in out.division.on_ab)} "
-        f"dc={';'.join(p.text() for p in out.division.on_dc)} "
-        f"areas={','.join(str(a) for a in areas)}"
-    )
-
-
 def _describe_payload(spec: DivisionSpec) -> dict:
     from .cone import classify, discriminants, frame, hyperplanes
 
@@ -165,16 +140,15 @@ def _describe_payload(spec: DivisionSpec) -> dict:
     }
 
 
-def _report_text(report: SampleReport) -> str:
+def _report_text(report: dict) -> str:
+    """The text view of ``SampleReport.to_jsonable()``."""
+    violations = report["violations"]
     head = (
-        f"total={report.total} accepted={report.accepted} "
-        f"violations={len(report.violations)} seed={report.seed} mode={report.mode}"
+        f"total={report['total']} accepted={report['accepted']} "
+        f"violations={len(violations)} seed={report['seed']} mode={report['mode']}"
     )
-    rows = [head]
-    for v in report.violations:
-        quad = v.quad.text() if v.quad is not None else "-"
-        rows.append(f"violation quad={quad} x={','.join(str(e) for e in v.x)} reason={v.reason}")
-    return "\n".join(rows)
+    rows = (f"violation quad={v['quad'] or '-'} x={','.join(v['x'])} reason={v['reason']}" for v in violations)
+    return "\n".join((head, *rows))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,46 +199,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, text: Optional[str] = None) -> None:
-    if args.format == "text" and text is not None:
+def _emit(args, payload: dict, text: str) -> None:
+    """Print the text view for ``--format text``, else the payload as JSON; ``--full`` wraps
+    the payload with the verb and the parsed options."""
+    if args.format == "text":
         print(text)
         return
     if args.full:
-        envelope = {"verb": args.verb, "input": _input_echo(args), "result": payload}
-        print(json.dumps(envelope, separators=(",", ":")))
-        return
+        echo = {key: value for key, value in vars(args).items() if key not in ("verb", "format", "full")}
+        payload = {"verb": args.verb, "input": echo, "result": payload}
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _input_echo(args) -> dict:
-    echo = {}
-    for key in ("p", "pp", "x", "quad", "mode", "count", "seed", "family", "pivot", "branch"):
-        value = getattr(args, key, None)
-        if value is not None:
-            echo[key] = value
-    return echo
-
-
 def _run(args) -> int:
+    """Build the verb's one payload and its text view, print them, and return the exit code."""
+    code = 0
     if args.verb == "describe":
-        spec = _spec_from_args(args)
-        payload = _describe_payload(spec)
-        case = payload["case"]
-        case_text = " ".join(f"{k}={v}" for k, v in case.items())
-        lines = [
+        payload = _describe_payload(_spec_from_args(args))
+        text = "\n".join((
             f"n={payload['n']}",
             f"deltas={','.join(payload['deltas']) or '-'}",
-            f"case {case_text}",
-            f"ab={','.join(payload['frame']['ab'])}",
-            f"dc={','.join(payload['frame']['dc'])}",
-            f"head={','.join(payload['frame']['head'])}",
-            f"tail={','.join(payload['frame']['tail'])}",
-        ]
-        lines.extend(f"plane {','.join(plane)}" for plane in payload["hyperplanes"])
-        _emit(args, payload, "\n".join(lines))
-        return 0
+            f"case {' '.join(f'{k}={v}' for k, v in payload['case'].items())}",
+            *(f"{k}={','.join(v)}" for k, v in payload["frame"].items()),
+            *(f"plane {','.join(plane)}" for plane in payload["hyperplanes"]),
+        ))
 
-    if args.verb == "member":
+    elif args.verb == "member":
         if _has_tail(args.p, args.pp, args.x):
             from .reduction import member_tail
 
@@ -273,60 +233,60 @@ def _run(args) -> int:
             from .membership import member
 
             verdict = member(_spec_from_args(args), _plain(args.x), args.mode)
-        payload = _member_result(verdict)
-        if verdict.attainable and args.full:
-            payload["certificate"] = _certificate_payload(verdict.certificate)
+        cert = verdict.certificate
         if verdict.attainable:
-            text = (
-                f"attainable branch={verdict.certificate.branch} "
-                f"coeffs={','.join(str(c) for c in verdict.certificate.coeffs)}"
-            )
+            payload = {"attainable": True, "branch": cert.branch, "coeffs": _rationals(cert.coeffs)}
+            text = f"attainable branch={payload['branch']} coeffs={','.join(payload['coeffs'])}"
         else:
-            text = f"not attainable reason={verdict.reason}"
-        _emit(args, payload, text)
-        return 0 if verdict.attainable else 2
+            payload = {"attainable": False, "reason": verdict.reason}
+            text, code = f"not attainable reason={payload['reason']}", 2
+        if verdict.prefix_certified:
+            payload["prefix_certified"] = True
+        if verdict.attainable and args.full:
+            payload["certificate"] = _certificate_payload(cert)
 
-    if args.verb == "witness":
+    elif args.verb == "witness":
         from .geometry import strip_areas
         from .witness import synthesize_witness
 
         spec = _spec_from_args(args)
-        x = _plain(args.x)
         try:
-            out = synthesize_witness(spec, x, args.mode)
+            out = synthesize_witness(spec, _plain(args.x), args.mode)
         except NotAttainableError as err:
             payload = {"attainable": False, "reason": err.reason}
-            _emit(args, payload, json.dumps(payload))
-            return 2
-        areas = strip_areas(out.quad, spec)
-        if args.format == "svg":
-            print(_witness_svg(out, areas))
-            return 0
-        payload = {
-            "A": out.quad.a.text(),
-            "B": out.quad.b.text(),
-            "C": out.quad.c.text(),
-            "D": out.quad.d.text(),
-            "construction": out.construction,
-            "division_ab": [p.text() for p in out.division.on_ab],
-            "division_dc": [p.text() for p in out.division.on_dc],
-            "areas": _rationals(areas),
-            "certificate": _certificate_payload(out.certificate),
-        }
-        _emit(args, payload, _witness_text(out, areas))
-        return 0
+            text, code = json.dumps(payload), 2
+        else:
+            areas = strip_areas(out.quad, spec)
+            if args.format == "svg":
+                print(_witness_svg(out, areas))
+                return 0
+            payload = {
+                "A": out.quad.a.text(),
+                "B": out.quad.b.text(),
+                "C": out.quad.c.text(),
+                "D": out.quad.d.text(),
+                "construction": out.construction,
+                "division_ab": [p.text() for p in out.division.on_ab],
+                "division_dc": [p.text() for p in out.division.on_dc],
+                "areas": _rationals(areas),
+                "certificate": _certificate_payload(out.certificate),
+            }
+            text = (
+                f"A={payload['A']} B={payload['B']} C={payload['C']} D={payload['D']} "
+                f"construction={payload['construction']} "
+                f"ab={';'.join(payload['division_ab'])} dc={';'.join(payload['division_dc'])} "
+                f"areas={','.join(payload['areas'])}"
+            )
 
-    if args.verb == "areas":
+    elif args.verb == "areas":
         from .geometry import ConvexQuad, strip_areas
 
         spec = _spec_from_args(args)
-        quad = ConvexQuad.parse(args.quad)
-        areas = strip_areas(quad, spec)
+        areas = strip_areas(ConvexQuad.parse(args.quad), spec)
         payload = {"areas": _rationals(areas), "total": str(sum(areas))}
-        _emit(args, payload, ",".join(str(a) for a in areas))
-        return 0
+        text = ",".join(payload["areas"])
 
-    if args.verb == "sample":
+    elif args.verb == "sample":
         from .oracle import cross_validate, sample_convex_quads, sample_parallel_family
 
         spec = _spec_from_args(args)
@@ -336,10 +296,11 @@ def _run(args) -> int:
             report = sample_parallel_family(spec, args.count, args.seed, args.mode)
         else:
             report = cross_validate(spec, args.count, args.seed)
-        _emit(args, report.to_jsonable(), _report_text(report))
-        return 3 if report.violations else 0
+        payload = report.to_jsonable()
+        text = _report_text(payload)
+        code = 3 if payload["violations"] else 0
 
-    if args.verb == "reduce":
+    else:  # reduce; the parser refuses any other verb
         from .reduction import collapse
 
         p, pp, x = _sequences_from_args(args)
@@ -353,12 +314,10 @@ def _run(args) -> int:
         }
         text = (
             f"p3={','.join(payload['p3'])} pp3={','.join(payload['pp3'])} "
-            f"x3={','.join(payload['x3'])} pivot={instance.pivot} branch={instance.branch}"
+            f"x3={','.join(payload['x3'])} pivot={payload['pivot']} branch={payload['branch']}"
         )
-        _emit(args, payload, text)
-        return 0
-
-    raise InvalidInputError(f"unknown verb {args.verb!r}")
+    _emit(args, payload, text)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -141,6 +141,9 @@ def _audit(
 ) -> SampleReport:
     """The report of ``check(stream, index)`` over sample indexes 0..count-1, each on its own
     draw stream; every ``Violation`` the check returns is kept, None counts as accepted."""
+    for name, value in (("count", count), ("seed", seed)):
+        if not isinstance(value, int):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise InvalidInputError("count must be at least 1")
     found = (check(_Stream(seed, index), index) for index in range(count))

@@ -61,8 +61,10 @@ def cumulant_tail_sums(
 
 
 def _check_pivot(p: Sequence[Fraction], q: Sequence[Fraction], pivot: int) -> None:
-    """Refuse a pivot outside 2..m-1 or with a zero discriminant."""
+    """Refuse a pivot that is not an int, is outside 2..m-1 or has a zero discriminant."""
     m = len(p)
+    if not isinstance(pivot, int):
+        raise InvalidPivotError(f"pivot must be an integer, got {pivot!r}")
     if not 2 <= pivot <= m - 1:
         raise InvalidPivotError(f"pivot {pivot} outside the usable range 2..{m - 1}")
     if _discriminant(p, q, pivot - 1)[0] == 0:
@@ -224,6 +226,8 @@ def extend_solution(
     p_prime = fraction_tuple(p_prime)
     x1, x2 = to_fraction(x1), to_fraction(x2)
     DivisionSpec(p, p_prime)  # positive ratio tuples of one length
+    if not isinstance(i, int):
+        raise InvalidInputError(f"index must be an integer, got {i!r}")
     if i < 2 or i >= len(p):
         raise InvalidInputError("index out of range for the extension formula")
     denom = p[1] * p_prime[0] - p[0] * p_prime[1]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cone import frame
-from .division import DivisionSpec, _Frozen, _side_sums
+from .division import DivisionSpec, _Frozen, _side_sums, to_fraction
 from .errors import InvalidInputError, NotAttainableError
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
 from .membership import Certificate, Mode, member, _realization
@@ -53,6 +53,7 @@ def apex_quad(
     """Canonical apex quad for the given parameters; convex for all positive inputs."""
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
+    p0, p0_prime, scale = to_fraction(p0), to_fraction(p0_prime), to_fraction(scale)
     if p0 <= 0 or p0_prime <= 0 or scale <= 0:
         raise InvalidInputError("apex parameters must be strictly positive")
     total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))

@@ -426,7 +426,7 @@ class TestStoredOutputs:
         done = subprocess.run(
             [sys.executable, *flags, "-c", _REPLAY, str(CLI_OUTPUTS)], capture_output=True, text=True, env=env,
         )
-        assert (done.returncode, done.stderr) == (0, "")
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
 
 
 class TestClosedStdout:

@@ -10,6 +10,7 @@ from quadareas import (
     DivisionSpec,
     Interval,
     InvalidInputError,
+    InvalidPivotError,
     ParallelMarker,
     Point,
     TailSummedSequence,
@@ -17,6 +18,7 @@ from quadareas import (
     apex_quad,
     collapse,
     continue_degenerate,
+    cross_validate,
     cumulants,
     evaluate_plane,
     extend_solution,
@@ -25,6 +27,7 @@ from quadareas import (
     member_tail,
     member_via_collapse,
     pt,
+    sample_convex_quads,
     sample_parallel_family,
     station_coefficients,
     strip_areas,
@@ -90,6 +93,9 @@ class TestInputErrors:
         pytest.param(lambda: continue_degenerate((1, 1), (1, 1), 0), "the next ratio must be positive",
                      id="continue_degenerate-next"),
         pytest.param(lambda: to_fraction(1.5), "cannot interpret 1.5 as a rational", id="to_fraction-float"),
+        pytest.param(lambda: apex_quad(SPATIAL3, 0.5, 1, 1), "cannot interpret 0.5 as a rational",
+                     id="apex_quad-float"),
+        pytest.param(lambda: apex_quad(SPATIAL3, 1, "1/0", 1), "zero denominator in '1/0'", id="apex_quad-literal"),
         pytest.param(lambda: DivisionSpec((1, 2), (F(1), F(2))), "p entry 1 is not a rational",
                      id="DivisionSpec-int-entries"),
     ))
@@ -113,6 +119,27 @@ class TestInputErrors:
         with pytest.raises(InvalidInputError) as caught:
             call(mode)
         assert str(caught.value) == f"mode must be 'strict' or 'audited', got {mode!r}"
+
+    @pytest.mark.parametrize("call, error, message", (
+        pytest.param(lambda: collapse(SPATIAL4, (1, 2, 3, 4), 2.0, "q1"), InvalidPivotError,
+                     "pivot must be an integer, got 2.0", id="collapse-pivot"),
+        pytest.param(lambda: member_via_collapse(SPATIAL4, (1, 2, 3, 4), 2.0), InvalidPivotError,
+                     "pivot must be an integer, got 2.0", id="member_via_collapse-pivot"),
+        pytest.param(lambda: extend_solution((1, 2, 3), (1, 1, 1), 1, 1, "2"), InvalidInputError,
+                     "index must be an integer, got '2'", id="extend_solution-index"),
+        pytest.param(lambda: sample_convex_quads(SPATIAL3, 2.0, 0), InvalidInputError,
+                     "count must be an integer, got 2.0", id="sample_convex_quads-count"),
+        pytest.param(lambda: sample_convex_quads(SPATIAL3, 2, "0"), InvalidInputError,
+                     "seed must be an integer, got '0'", id="sample_convex_quads-seed"),
+        pytest.param(lambda: sample_parallel_family(SPATIAL3, "3", 0), InvalidInputError,
+                     "count must be an integer, got '3'", id="sample_parallel_family-count"),
+        pytest.param(lambda: cross_validate(SPATIAL4, 3, 0.5), InvalidInputError,
+                     "seed must be an integer, got 0.5", id="cross_validate-seed"),
+    ))
+    def test_a_pivot_index_count_or_seed_that_is_not_an_int_is_refused(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 class TestRationalParsing:
@@ -195,9 +222,14 @@ class TestApexQuadValidation:
             apex_quad(self.SPEC, F(1), F(1), F(1), "q3")
 
     def test_non_positive_parameters(self):
-        for bad in ((F(0), F(1), F(1)), (F(1), F(-1), F(1)), (F(1), F(1), F(0))):
+        for bad in ((F(0), F(1), F(1)), (F(1), F(-1), F(1)), (F(1), F(1), F(0)), ("-1/2", 1, 1)):
             with pytest.raises(InvalidInputError):
                 apex_quad(self.SPEC, *bad)
+
+    @pytest.mark.parametrize("branch", ("q1", "q2"))
+    def test_parameters_are_read_as_rationals(self, branch):
+        quad = apex_quad(self.SPEC, F(1, 2), F(3), F(5, 4), branch)
+        assert apex_quad(self.SPEC, "1/2", 3, " 5 / 4 ", branch) == quad
 
 
 class TestMembershipEdges:
