@@ -41,6 +41,11 @@ def to_fraction(value: RationalLike) -> Fraction:
 
 
 def fraction_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """The values as a tuple of Fractions; a value that is not iterable is refused."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise InvalidInputError(f"expected a sequence of rationals, got {type(values).__name__}") from None
     return tuple(to_fraction(v) for v in values)
 
 
@@ -106,6 +111,11 @@ class DivisionSpec(_Frozen):
     p_prime: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # stored as tuples, so that a spec built from lists hashes and compares as one built from tuples
+        try:
+            self.__dict__.update(p=tuple(self.p), p_prime=tuple(self.p_prime))
+        except TypeError:
+            raise InvalidInputError("ratio tuples must be sequences of rationals") from None
         if len(self.p) != len(self.p_prime):
             raise InvalidInputError("ratio tuples must have the same length")
         if len(self.p) < 2:
@@ -149,6 +159,20 @@ def _side_sums(spec: DivisionSpec) -> tuple[tuple[Fraction, ...], tuple[Fraction
     """The partial sums of the AB ratios and of the DC ratios, each from 0 to the side total:
     the division points of each side, measured from A and from D in units of the ratios."""
     return tuple((Fraction(0), *accumulate(side)) for side in (spec.p, spec.p_prime))
+
+
+@_memoized_on_spec
+def _mirror(spec: DivisionSpec) -> DivisionSpec:
+    """The spec read from the other end of both sides: its ab, dc and head are the spec's ab, dc
+    and tail reversed, so it swaps the q1 and q2 regions and keeps both side totals."""
+    return DivisionSpec(spec.p[::-1], spec.p_prime[::-1])
+
+
+def _lighter_at_end(start: Fraction, end: Fraction) -> bool:
+    """True when end's denominator is more than 64 bits shorter than start's.  Only then does reading
+    a tuple or a side from its end, on the spec's ``_mirror``, save more than building the mirror
+    costs; a smaller gap, as between the ends of a grid tuple, leaves the head end as cheap."""
+    return start.denominator.bit_length() > end.denominator.bit_length() + 64
 
 
 class TailSummedSequence(_Frozen):

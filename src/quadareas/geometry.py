@@ -15,7 +15,9 @@ from itertools import accumulate
 from math import gcd
 from typing import Sequence
 
-from .division import DivisionSpec, RationalLike, _Frozen, _memoized_on_spec, _side_sums, to_fraction
+from .division import (
+    DivisionSpec, RationalLike, _Frozen, _lighter_at_end, _memoized_on_spec, _mirror, _side_sums, to_fraction,
+)
 from .errors import InconsistentQuadError, InvalidInputError, invariant
 from .linalg import _scaled
 
@@ -181,21 +183,26 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
     """Division points at the prescribed consecutive ratios, exact: start + s*(end - start)/total
     over the spec's memoized partial sums s.  Each (end - start)/total is normalised once per side
     and coordinate; a coordinate fixed along a side (one per side of every apex quad and trapezoid)
-    is one shared Fraction, and one that starts at 0 (both sides of a witness's trapezoid) is s*step."""
+    is one shared Fraction, and one that starts at 0 (both sides of a witness's trapezoid) is s*step.
+    A coordinate whose end has the shorter denominator by more than 64 bits (both sides of a big-digit
+    q2 apex quad) is measured from the end, end - r*step over the partial sums r from that end, the
+    mirror spec's."""
 
-    def coordinate(start: Fraction, end: Fraction, sums) -> Sequence[Fraction]:
+    def coordinate(start: Fraction, end: Fraction, k: int) -> Sequence[Fraction]:
+        sums = _side_sums(spec)[k]
         if start == end:
             return (start,) * len(sums)
         step = (end - start) / sums[-1]
         if start == 0:
             return [s * step for s in sums]
+        if _lighter_at_end(start, end):
+            return [end - r * step for r in _side_sums(_mirror(spec))[k][::-1]]
         return [start + s * step for s in sums]
 
-    def side(start: Point, end: Point, sums) -> tuple[Point, ...]:
-        return tuple(map(Point, coordinate(start.x, end.x, sums), coordinate(start.y, end.y, sums)))
+    def side(start: Point, end: Point, k: int) -> tuple[Point, ...]:
+        return tuple(map(Point, coordinate(start.x, end.x, k), coordinate(start.y, end.y, k)))
 
-    ab, dc = _side_sums(spec)
-    return DivisionPoints(side(q.a, q.b, ab), side(q.d, q.c, dc))
+    return DivisionPoints(side(q.a, q.b, 0), side(q.d, q.c, 1))
 
 
 def _quotient(cross: tuple[int, int], scale: int) -> Fraction:

@@ -12,13 +12,22 @@ hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
 signs from ints and builds ``Fraction``s only for the certificate it returns,
 so a spatial decision, O(n) per query, computes no tail cumulant and no
 frame.  ``_decide`` holds the one decision path: ``member`` runs it on the
-spec's rows and ``reduction.member_tail`` on the rows of the (m+1)-spec that
-ends in the tail sums; each fold is a solve on the rows of
-``reduction.collapse``'s three-coordinate spec.  A planar decision is the same
+spec's rows (or its mirror's, below) and ``reduction.member_tail`` on the rows
+of the (m+1)-spec that ends in the tail sums; each fold is a solve on the rows
+of ``reduction.collapse``'s three-coordinate spec.  A planar decision is the same
 solve on rows 0 and 1 bordered by A*total_ab = B*total_dc, which yields the
 span triple (b*total_dc, b*total_ab, a - b) of x = a*head + b*tail, then the
 same componentwise check on rows 2 onwards and ``_coefficient_verdict``, so it
 computes no frame either.
+``member`` decides a spatial tuple from its lighter end: when x's first entry
+has the longer denominator by more than 64 bits (``division._lighter_at_end``),
+as a big-digit q2 tuple's does, its head coefficients carrying both side
+totals, it decides the reversed x on ``division._mirror``, the spec read from
+the other end of both sides, and renames q1 and q2.  The verdict cannot
+depend on the end: the mirror's ab, dc and head are the spec's ab, dc and
+tail reversed, so the span is the same, the mirror's coefficients are
+(a2, b2, -c) and its four facet values are the spec's four, and a face or ray
+certificate keeps its coefficients.
 Every re-decomposition of x lies on one segment of span triples (``_segment``):
 on skew ratio vectors the triple moves along (alpha, beta, -1), head =
 alpha*ab + beta*dc solved once at rows 0 and 1, clipped by the four facets to
@@ -45,7 +54,7 @@ from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 from .cone import _pivot_block, classify, hyperplanes, integer_rows
-from .division import DivisionSpec, _Frozen, fraction_tuple
+from .division import DivisionSpec, _Frozen, _lighter_at_end, _mirror, fraction_tuple
 from .errors import InvalidInputError, invariant
 from .linalg import _primitive, _scaled
 
@@ -276,12 +285,21 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     negative coordinate).
     """
     _check_mode(mode)
+    x = fraction_tuple(x)
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
-    x = fraction_tuple(x)
     if any(entry.numerator <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
-    return _decide(*integer_rows(spec), classify(spec).pivot, x, mode)
+    label = classify(spec)
+    if label.spatial and _lighter_at_end(x[0], x[-1]):
+        # decided from the lighter end: on the mirror x's coefficients are as small as a q1 tuple's
+        mirror = _mirror(spec)
+        verdict = _decide(*integer_rows(mirror), classify(mirror).pivot, x[::-1], mode)
+        cert = verdict.certificate
+        if cert is None or cert.branch not in ("q1", "q2"):
+            return verdict
+        return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
+    return _decide(*integer_rows(spec), label.pivot, x, mode)
 
 
 def proportional_bounds(p: Sequence[Fraction]):

@@ -140,9 +140,9 @@ def member_via_collapse(
     on the span.
     """
     _check_mode(mode)
+    x = fraction_tuple(x)
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
-    x = fraction_tuple(x)
     if any(entry.numerator <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
     if not classify(spec).spatial:
@@ -195,6 +195,8 @@ def member_tail(
     representable and are not checked.
     """
     _check_mode(mode)
+    if not all(isinstance(v, TailSummedSequence) for v in (p, p_prime, x)):
+        raise InvalidInputError("member_tail takes three TailSummedSequence values")
     DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     if x.m != p.m:
         raise InvalidInputError("area tuple length does not match the division spec")

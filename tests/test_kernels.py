@@ -49,9 +49,11 @@ from quadareas import (
 )
 from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _first_pivot, integer_rows
-from quadareas.division import fraction_tuple
+from quadareas.division import _mirror, fraction_tuple
 from quadareas.linalg import _cofactors, _scaled
-from quadareas.membership import Interval, _coefficient_verdict, _pivot_solution, _realization, _segment, _spans
+from quadareas.membership import (
+    Interval, _coefficient_verdict, _decide, _pivot_solution, _realization, _segment, _spans,
+)
 from quadareas.witness import _trapezoid
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
@@ -187,6 +189,22 @@ def ref_member(spec, x, mode):
     if sol is None:
         return Verdict(False, reason="off-subspace")
     return ref_coefficient_verdict(*sol, sum(spec.p), sum(spec.p_prime), mode)
+
+
+def head_basis_member(spec, x, mode):
+    """``member`` solving every tuple in the spec's own head basis, whichever end of x is heavier."""
+    x = fraction_tuple(x)
+    if any(v.numerator <= 0 for v in x):
+        return Verdict(False, reason="non-positive-entry")
+    return _decide(*integer_rows(spec), classify(spec).pivot, x, mode)
+
+
+def q1_q2_swapped(verdict):
+    """The verdict with a q1 certificate renamed q2 and a q2 one renamed q1, coefficients kept."""
+    cert = verdict.certificate
+    if cert is None or cert.branch not in ("q1", "q2"):
+        return verdict
+    return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
 
 
 def ref_fold_solutions(spec, x, pivot):
@@ -514,6 +532,34 @@ def spatial_queries(draw):
     a, b, c = draw(ratios()), draw(ratios()), draw(ratios(signed=True))
     x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
     return spec, x, draw(ratios(signed=True))
+
+
+MIRROR_CASES = ("q1", "q2", "face", "ray", "boundary", "negative", "bumped", "non-positive")
+
+
+@st.composite
+def mirror_queries(draw):
+    """A spatial spec with grid, 30-digit or 100-300-digit entries (n = 3-12) and x of each case kind:
+    q1 and q2 combinations, face, ray, boundary (b = 0) and negative (-b) ones on either arm, a q2
+    combination bumped at one coordinate, and a combination with one entry negated."""
+    digits = draw(st.sampled_from((None, (30, 30), (100, 300))))
+    entry = ratios(big=digits is not None, digits=digits or (30, 300))
+    n = draw(st.integers(3, 12))
+    spec = DivisionSpec(*(tuple(draw(entry) for _ in range(n)) for _ in "ab"))
+    assume(classify(spec).spatial)
+    fr = frame(spec)
+    case = draw(st.sampled_from(MIRROR_CASES))
+    arm = {"q1": fr.head, "q2": fr.tail, "bumped": fr.tail}.get(case) or draw(st.sampled_from((fr.head, fr.tail)))
+    a, b, c = draw(ratios()), draw(ratios()), draw(ratios())
+    special = {"face": (a, b, 0), "ray": (a, a, 0), "boundary": (a, 0, c), "negative": (a, -b, c)}
+    a, b, c = special.get(case, (a, b, c))
+    x = [a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm)]
+    k = draw(st.integers(0, n - 1))
+    if case == "bumped":
+        x[k] += draw(ratios())
+    elif case == "non-positive":
+        x[k] = -x[k]
+    return spec, tuple(x)
 
 
 @st.composite
@@ -860,6 +906,50 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
                 assert member_via_collapse(spec, y, pivot, mode) == expected
             except DegenerateCollapseError:
                 assert ref_pivot_solution(spec, pivot, y) is not None
+
+
+@given(mirror_queries(), st.sampled_from(("strict", "audited")))
+def test_member_is_the_renamed_verdict_of_the_mirror_spec_on_reversed_x(query, mode):
+    """Reading both sides from the other end swaps q1 and q2 and keeps every other verdict, so
+    whichever end member solves from, it gives the head-basis verdict of the spec, and that is the
+    head-basis verdict of the mirror spec on the reversed tuple with q1 and q2 renamed."""
+    spec, x = query
+    mirror = DivisionSpec(spec.p[::-1], spec.p_prime[::-1])
+    expected = head_basis_member(spec, x, mode)
+    assert member(spec, x, mode) == expected
+    assert q1_q2_swapped(head_basis_member(mirror, x[::-1], mode)) == expected
+    assert q1_q2_swapped(member(mirror, x[::-1], mode)) == expected
+
+
+def test_a_tuple_much_heavier_at_its_head_end_is_decided_and_subdivided_on_the_mirror(monkeypatch):
+    """At 150 digits a q2 tuple's head end is thousands of bits heavier: member decides it on the mirror
+    spec, and the witness measures each side's varying coordinate from B and from C, whose denominators
+    are the shorter ones in a q2 apex quad.  A q1 tuple, and a grid q2 tuple whose head end is only a
+    few bits heavier, are decided and subdivided from the head end."""
+    rng = random.Random(3)
+
+    def big():
+        return F(rng.randrange(10 ** 149, 10 ** 150), rng.randrange(10 ** 149, 10 ** 150))
+
+    big_spec = DivisionSpec(*(tuple(big() for _ in range(8)) for _ in "ab"))
+    grid_spec = DivisionSpec.of(("1/3", "5/7", 2, "3/8"), ("1/2", 1, "4/9", "5/6"))
+    built = []
+    for module in ("membership", "geometry"):
+        spy = partial(lambda module, s: built.append(module) or _mirror(s), module)
+        monkeypatch.setattr(f"quadareas.{module}._mirror", spy)
+    for spec, branch, gap, mirrored in (
+        (big_spec, "q1", range(-20000, 0), []),
+        (big_spec, "q2", range(1000, 20000), ["membership", "geometry", "geometry"]),
+        (grid_spec, "q2", range(1, 65), []),
+    ):
+        fr = frame(spec)
+        x = tuple(u + 2 * v + 3 * w for u, v, w in zip(fr.ab, fr.dc, fr.head if branch == "q1" else fr.tail))
+        assert x[0].denominator.bit_length() - x[-1].denominator.bit_length() in gap
+        built.clear()
+        out = synthesize_witness(spec, x)
+        assert out.certificate == Certificate(branch, (F(1), F(2), F(3)))
+        assert (out.division.on_ab, out.division.on_dc) == ref_subdivide(out.quad, spec)
+        assert built == mirrored
 
 
 def assert_bumps_are_off_the_span(spec, x, delta):

@@ -55,9 +55,20 @@ class TestDivisionSpecValidation:
         with pytest.raises(InvalidInputError):
             DivisionSpec.of((1, 1), (1, -3))
 
+    @pytest.mark.parametrize("p, pp", (
+        pytest.param([F(1), F(2)], [F(1), F(2)], id="lists"),
+        pytest.param([F(1), F(2)], (F(1), F(2)), id="list-and-tuple"),
+        pytest.param(iter((F(1), F(2))), (v for v in (F(1), F(2))), id="iterators"),
+    ))
+    def test_a_spec_built_from_any_sequences_is_the_spec_built_from_tuples(self, p, pp):
+        spec, expected = DivisionSpec(p, pp), DivisionSpec((F(1), F(2)), (F(1), F(2)))
+        assert (type(spec.p), type(spec.p_prime)) == (tuple, tuple)
+        assert spec == expected and hash(spec) == hash(expected) and repr(spec) == repr(expected)
+
 
 SPATIAL4 = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
 SHORT = TailSummedSequence.of((1, 2))
+SHORT3 = TailSummedSequence.of((1, 2, 3))
 SPATIAL3 = DivisionSpec.of((1, 2, 3), (1, 1, 1))
 FACE_X = (F(5), F(7), F(9))  # 2*ab + 3*dc on SPATIAL3: a face tuple, which only audited mode accepts
 
@@ -140,6 +151,39 @@ class TestInputErrors:
         with pytest.raises(error) as caught:
             call()
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("call, message", (
+        pytest.param(lambda: member(SPATIAL3, 5), "expected a sequence of rationals, got int", id="member-int"),
+        pytest.param(lambda: member(SPATIAL3, None), "expected a sequence of rationals, got NoneType",
+                     id="member-None"),
+        pytest.param(lambda: synthesize_witness(SPATIAL3, 5), "expected a sequence of rationals, got int",
+                     id="synthesize_witness-int"),
+        pytest.param(lambda: member_via_collapse(SPATIAL4, 5, 2), "expected a sequence of rationals, got int",
+                     id="member_via_collapse-int"),
+        pytest.param(lambda: collapse(SPATIAL4, 5, 2, "q1"), "expected a sequence of rationals, got int",
+                     id="collapse-int"),
+        pytest.param(lambda: DivisionSpec.of(5, (1, 2)), "expected a sequence of rationals, got int",
+                     id="DivisionSpec.of-int"),
+        pytest.param(lambda: DivisionSpec(5, (F(1), F(2))), "ratio tuples must be sequences of rationals",
+                     id="DivisionSpec-int"),
+        pytest.param(lambda: member_tail(SHORT3, SHORT3, [1, 2, 3]),
+                     "member_tail takes three TailSummedSequence values", id="member_tail-list-x"),
+        pytest.param(lambda: member_tail((1, 2, 3), SHORT3, SHORT3),
+                     "member_tail takes three TailSummedSequence values", id="member_tail-tuple-p"),
+    ))
+    def test_an_x_or_ratio_tuple_of_the_wrong_kind_is_refused(self, call, message):
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("call, x", (
+        pytest.param(lambda x: member(SPATIAL3, x), (F(3), F(8), F(16)), id="member"),
+        pytest.param(lambda x: synthesize_witness(SPATIAL3, x), (F(3), F(8), F(16)), id="synthesize_witness"),
+        pytest.param(lambda x: member_via_collapse(SPATIAL4, x, 2), (F(3), F(8), F(16), F(28)),
+                     id="member_via_collapse"),
+    ))
+    def test_an_iterator_x_is_read_as_its_tuple(self, call, x):
+        assert call(iter(x)) == call(x)
 
 
 class TestRationalParsing:
