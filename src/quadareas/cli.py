@@ -254,7 +254,7 @@ def _run(args) -> int:
             out = synthesize_witness(spec, _plain(args.x), args.mode)
         except NotAttainableError as err:
             payload = {"attainable": False, "reason": err.reason}
-            text, code = json.dumps(payload), 2
+            text, code = f"not attainable reason={payload['reason']}", 2
         else:
             areas = strip_areas(out.quad, spec)
             if args.format == "svg":

@@ -124,7 +124,7 @@ class DivisionSpec(_Frozen):
             for i, entry in enumerate(tup, start=1):
                 if not isinstance(entry, Fraction):
                     raise InvalidInputError(f"{name} entry {i} is not a rational")
-                if entry <= 0:
+                if entry.numerator <= 0:  # a Fraction's denominator is positive
                     raise InvalidInputError(f"{name} entry {i} must be positive")
 
     @classmethod

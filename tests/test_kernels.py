@@ -50,6 +50,7 @@ from quadareas import (
 from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _first_pivot, integer_rows
 from quadareas.division import _mirror, fraction_tuple
+from quadareas.geometry import _SHORT_BITS, _integer_side_sums
 from quadareas.linalg import _cofactors, _scaled
 from quadareas.membership import (
     Interval, _coefficient_verdict, _decide, _pivot_solution, _realization, _segment, _spans,
@@ -828,22 +829,29 @@ def test_division_points_match_the_reference_at_100_to_300_digits(n, data):
     quads = [apex_quad(spec, data.draw(grid), data.draw(grid), data.draw(grid), branch) for branch in ("q1", "q2")]
     quads.append(_trapezoid(spec, data.draw(grid), data.draw(grid)))
     for quad in quads:
-        tilted = ConvexQuad(*(Point(2 * v.x + v.y + F(1, 3), v.x + 3 * v.y - F(1, 5)) for v in quad.vertices))
-        for q, fixed in ((quad, 1), (tilted, 0)):
+        for q, fixed in ((quad, 1), (tilted(quad), 0)):
             assert [(a.x == b.x) + (a.y == b.y) for a, b in ((q.a, q.b), (q.d, q.c))] == [fixed, fixed]
             points = subdivide(q, spec)
             assert (points.on_ab, points.on_dc) == ref_subdivide(q, spec)
 
 
+def tilted(quad):
+    """The quad's image under a map that tilts both axes, so that every coordinate varies along both
+    divided sides and starts away from 0."""
+    return ConvexQuad(*(Point(2 * v.x + v.y + F(1, 3), v.x + 3 * v.y - F(1, 5)) for v in quad.vertices))
+
+
 @given(specs(), st.data())
 def test_division_points_are_fractions_matching_the_reference(spec, data):
     # a witness's trapezoid starts both sides' varying coordinate at 0, a shifted top side starts
-    # at its offset, and each apex quad starts both away from 0
+    # at its offset, each apex quad starts both away from 0, and a tilted apex quad varies all four
     grid = ratios(big=False)
+    apex = [apex_quad(spec, data.draw(grid), data.draw(grid), data.draw(grid), branch) for branch in ("q1", "q2")]
     quads = [
         _trapezoid(spec, data.draw(grid), data.draw(grid)),
         _trapezoid(spec, data.draw(grid), data.draw(grid), data.draw(ratios(big=False, signed=True))),
-        *(apex_quad(spec, data.draw(grid), data.draw(grid), data.draw(grid), branch) for branch in ("q1", "q2")),
+        *apex,
+        *map(tilted, apex),
     ]
     for quad in quads:
         points = subdivide(quad, spec)
@@ -950,6 +958,44 @@ def test_a_tuple_much_heavier_at_its_head_end_is_decided_and_subdivided_on_the_m
         assert out.certificate == Certificate(branch, (F(1), F(2), F(3)))
         assert (out.division.on_ab, out.division.on_dc) == ref_subdivide(out.quad, spec)
         assert built == mirrored
+
+
+def size_rule_cases():
+    """(spec, quad, coordinates built from integer partial sums), labelled.  The rectangles' varying coordinates
+    have denominators of _SHORT_BITS - 1 and _SHORT_BITS bits in all: start 1/(2^59 + 1), step
+    1/(2^(b-1) + 1) and a side total of 2, 60 + b + 1 bits."""
+    unit = DivisionSpec.of((1, 1), (1, 1))
+    cases = []
+    for bits, count in ((_SHORT_BITS - 1, 2), (_SHORT_BITS, 0)):
+        start = F(1, 2 ** 59 + 1)
+        end = start + 2 * F(1, 2 ** (bits - 62) + 1)
+        rectangle = ConvexQuad(Point(start, F(0)), Point(end, F(0)), Point(end, F(1)), Point(start, F(1)))
+        cases.append(pytest.param(unit, rectangle, count, id=f"{bits} bits"))
+    rng = random.Random(5)
+    grid = DivisionSpec.of(*(tuple(F(rng.randrange(1, 65), 8) for _ in range(32)) for _ in "ab"))
+    digits = DivisionSpec(*(tuple(F(rng.randrange(10 ** 99, 10 ** 100), rng.randrange(10 ** 99, 10 ** 100))
+                                  for _ in range(8)) for _ in "ab"))
+    big = 10 ** 99 + 289
+    # 100-digit entry denominators, side totals 2 and 3: the lcm is long, the operands the rule reads short
+    long_entries = DivisionSpec.of((F(1, big), F(big - 1, big), 1), (F(2, big), F(big - 2, big), 2))
+    for label, spec, count in (("grid", grid, 2), ("100 digits", digits, 0), ("long entries", long_entries, 2)):
+        q1 = apex_quad(spec, F(3, 8), F(5, 8), F(7, 8), "q1")
+        cases += [pytest.param(spec, q1, count, id=f"{label} q1"),
+                  pytest.param(spec, tilted(q1), 2 * count, id=f"{label} tilted q1")]
+    return cases
+
+
+@pytest.mark.parametrize("spec, quad, count", size_rule_cases())
+def test_only_coordinates_with_short_operands_are_built_from_integer_partial_sums(monkeypatch, spec, quad, count):
+    """A varying coordinate is built from the integer partial sums exactly when its start, step and
+    side total have denominators of fewer than _SHORT_BITS bits in all: grid witnesses and specs whose
+    long entry denominators sum to a short total do, 100-digit specs and the rectangle at the bound do
+    not; the points are the reference's either way."""
+    built = []
+    monkeypatch.setattr("quadareas.geometry._integer_side_sums", lambda s: built.append(s) or _integer_side_sums(s))
+    points = subdivide(quad, spec)
+    assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+    assert len(built) == count
 
 
 def assert_bumps_are_off_the_span(spec, x, delta):

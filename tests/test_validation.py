@@ -15,6 +15,7 @@ from quadareas import (
     Point,
     TailSummedSequence,
     Verdict,
+    apex_of,
     apex_quad,
     collapse,
     continue_degenerate,
@@ -26,11 +27,13 @@ from quadareas import (
     member,
     member_tail,
     member_via_collapse,
+    polygon_area,
     pt,
     sample_convex_quads,
     sample_parallel_family,
     station_coefficients,
     strip_areas,
+    subdivide,
     synthesize_witness,
     to_fraction,
 )
@@ -70,6 +73,7 @@ SPATIAL4 = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
 SHORT = TailSummedSequence.of((1, 2))
 SHORT3 = TailSummedSequence.of((1, 2, 3))
 SPATIAL3 = DivisionSpec.of((1, 2, 3), (1, 1, 1))
+SQUARE = ConvexQuad(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
 FACE_X = (F(5), F(7), F(9))  # 2*ab + 3*dc on SPATIAL3: a face tuple, which only audited mode accepts
 
 
@@ -175,6 +179,24 @@ class TestInputErrors:
         with pytest.raises(InvalidInputError) as caught:
             call()
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name, args", (
+        pytest.param("subdivide", ([1, 2], SPATIAL3), id="subdivide-list-quad"),
+        pytest.param("strip_areas", ("abc", SPATIAL3), id="strip_areas-str-quad"),
+        pytest.param("apex_of", (5, SPATIAL3), id="apex_of-int-quad"),
+        pytest.param("subdivide", (SQUARE, [[1, 2, 3], [1, 1, 1]]), id="subdivide-list-spec"),
+        pytest.param("strip_areas", (SQUARE, [[1, 2, 3], [1, 1, 1]]), id="strip_areas-list-spec"),
+        pytest.param("apex_of", (SQUARE, [[1, 2, 3], [1, 1, 1]]), id="apex_of-list-spec"),
+        pytest.param("polygon_area", (5,), id="polygon_area-int"),
+        pytest.param("polygon_area", ([1, 2, 3],), id="polygon_area-list-of-ints"),
+        pytest.param("polygon_area", (None,), id="polygon_area-None"),
+    ))
+    def test_a_quad_spec_or_vertex_list_of_the_wrong_kind_is_refused(self, name, args):
+        with pytest.raises(InvalidInputError) as caught:
+            getattr(quadareas, name)(*args)
+        expected = "polygon_area takes a sequence of Points" if name == "polygon_area" else (
+            f"{name} takes a ConvexQuad and a DivisionSpec")
+        assert str(caught.value) == expected
 
     @pytest.mark.parametrize("call, x", (
         pytest.param(lambda x: member(SPATIAL3, x), (F(3), F(8), F(16)), id="member"),
