@@ -120,6 +120,7 @@ def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
 
 @_memoized_on_spec
 def frame(spec: DivisionSpec) -> ConeFrame:
+    """The spec's ratio tuples with its head and tail cumulants, built once per spec."""
     return ConeFrame(spec.p, spec.p_prime, *_cumulants(spec.p, spec.p_prime, Fraction(0), Fraction(0)))
 
 
@@ -232,9 +233,10 @@ def continue_degenerate(
         raise InvalidInputError("the next ratio must be positive")
     if _first_pivot(p, p_prime) is not None:
         raise InvalidInputError("prefix discriminants must all vanish")
-    numerator = p_prime[-2] * next_p_prime * p[-1] * (p[-2] + p[-1])
-    denominator = (p_prime[-2] + p_prime[-1] + next_p_prime) * p[-2] * p_prime[-1] \
-        - p_prime[-2] * next_p_prime * p[-1]
-    if denominator <= 0:
+    # the last discriminant is affine in the next AB ratio t; its pairs at t = 0 and 1 share a denominator
+    q = (*p_prime[-2:], next_p_prime)
+    d0, _ = _discriminant((*p[-2:], Fraction(0)), q, 1)
+    d1, _ = _discriminant((*p[-2:], Fraction(1)), q, 1)
+    if d1 >= d0:
         raise NoValidContinuationError("no positive continuation exists for this next ratio")
-    return numerator / denominator
+    return Fraction(d0, d0 - d1)

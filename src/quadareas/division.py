@@ -188,9 +188,8 @@ class TailSummedSequence(_Frozen):
     tail_sum: Fraction
 
     def __init__(self, prefix, tail_sum=Fraction(0)):
-        prefix = tuple(prefix)  # an iterator is read once, by the check and the coercion alike
-        if not all(isinstance(v, Fraction) for v in prefix):
-            prefix = fraction_tuple(prefix)
+        if not (type(prefix) is tuple and all(isinstance(v, Fraction) for v in prefix)):
+            prefix = fraction_tuple(prefix)  # reads an iterator once and refuses a non-iterable
         if not isinstance(tail_sum, Fraction):
             tail_sum = to_fraction(tail_sum)
         if len(prefix) < 1:

@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .cone import _pivot_block, classify, hyperplanes, integer_rows
+from .cone import _pivot_block, classify, frame, hyperplanes, integer_rows
 from .division import DivisionSpec, _Frozen, _lighter_at_end, _mirror, fraction_tuple
 from .errors import InvalidInputError, invariant
 from .linalg import _primitive, _scaled
@@ -306,17 +306,15 @@ def proportional_bounds(p: Sequence[Fraction]):
     """Plane and open ratio window for equal ratio tuples of length three.
 
     For p_prime = p, a positive tuple x is attainable exactly when it lies on
-    the returned plane and x3/x1 falls strictly inside the returned window.
+    the returned plane and x3/x1 falls strictly inside the returned window,
+    (tail3/tail1, head3/head1) of the spec's frame.
     """
     p = fraction_tuple(p)
     if len(p) != 3:
         raise InvalidInputError("expects three positive ratios")
     spec = DivisionSpec(p, p)
-    plane = hyperplanes(spec)[0]
-    p1, p2, p3 = p
-    lo = p3 * p3 / (p1 * (p1 + 2 * p2 + 2 * p3))
-    hi = p3 * (2 * p1 + 2 * p2 + p3) / (p1 * p1)
-    return plane, (lo, hi)
+    fr = frame(spec)
+    return hyperplanes(spec)[0], (fr.tail[2] / fr.tail[0], fr.head[2] / fr.head[0])
 
 
 def parallel_diagnosis(spec: DivisionSpec, x: Sequence[Fraction]) -> str:

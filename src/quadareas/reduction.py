@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cone import _discriminant, _first_pivot, _rows, classify, cumulants, integer_rows
+from .cone import _cumulants, _discriminant, _first_pivot, _rows, classify, integer_rows
 from .division import DivisionSpec, TailSummedSequence, _Frozen, _side_sums, fraction_tuple, to_fraction
 from .errors import (
     DegenerateCollapseError,
@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     InvalidPivotError,
 )
-from .linalg import _primitive, _scaled
+from .linalg import _cofactors, _primitive, _scaled
 from .membership import (
     Mode,
     REASON_NON_POSITIVE,
@@ -37,11 +37,19 @@ from .membership import (
 SpecLike = Union[DivisionSpec, tuple[TailSummedSequence, TailSummedSequence]]
 
 
+def _prefix_spec(refusal: str, *sequences) -> DivisionSpec:
+    """The ``DivisionSpec`` of the first two prefixes, once each argument is a ``TailSummedSequence``."""
+    if not all(isinstance(v, TailSummedSequence) for v in sequences):
+        raise InvalidInputError(refusal)
+    return DivisionSpec(sequences[0].prefix, sequences[1].prefix)
+
+
 def tail_cumulants(
     p: TailSummedSequence, p_prime: TailSummedSequence
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Head and tail cumulants over the shared prefix, with tail-exact tail sums."""
-    return cumulants(p.prefix, p_prime.prefix, p.tail_sum, p_prime.tail_sum)
+    spec = _prefix_spec("tail_cumulants takes two TailSummedSequence values", p, p_prime)
+    return _cumulants(spec.p, spec.p_prime, p.tail_sum, p_prime.tail_sum)
 
 
 def cumulant_tail_sums(
@@ -53,11 +61,8 @@ def cumulant_tail_sums(
     of partial ratio sums, partial tail sums of tail cumulants are products of
     ratio tail sums.
     """
-    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
-    head_total = p.total * p_prime.total
-    pm = sum(p.prefix, Fraction(0))
-    qm = sum(p_prime.prefix, Fraction(0))
-    return head_total - pm * qm, p.tail_sum * p_prime.tail_sum
+    spec = _prefix_spec("cumulant_tail_sums takes two TailSummedSequence values", p, p_prime)
+    return p.total * p_prime.total - sum(spec.p) * sum(spec.p_prime), p.tail_sum * p_prime.tail_sum
 
 
 def _check_pivot(p: Sequence[Fraction], q: Sequence[Fraction], pivot: int) -> None:
@@ -94,7 +99,7 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
     tail_p = tail_q = Fraction(0)
     if not isinstance(spec, DivisionSpec):
         p, q = spec
-        spec = DivisionSpec(p.prefix, q.prefix)  # positive prefixes of one length, at least two
+        spec = _prefix_spec("collapse takes a DivisionSpec or a pair of TailSummedSequence values", p, q)
         tail_p, tail_q = p.tail_sum, q.tail_sum
     x, tail_x = (x.prefix, x.tail_sum) if isinstance(x, TailSummedSequence) else (fraction_tuple(x), 0)
     if len(x) != spec.n:
@@ -176,7 +181,8 @@ def planar_ratio_bounds(
     p: TailSummedSequence, p_prime: TailSummedSequence
 ) -> tuple[Fraction, Fraction]:
     """Open window for x2/x1 in the planar case: (tail2/tail1, head2/head1)."""
-    head, tail = tail_cumulants(p, p_prime)
+    spec = _prefix_spec("planar_ratio_bounds takes two TailSummedSequence values", p, p_prime)
+    head, tail = _cumulants(spec.p, spec.p_prime, p.tail_sum, p_prime.tail_sum)
     return tail[1] / tail[0], head[1] / head[0]
 
 
@@ -195,9 +201,7 @@ def member_tail(
     representable and are not checked.
     """
     _check_mode(mode)
-    if not all(isinstance(v, TailSummedSequence) for v in (p, p_prime, x)):
-        raise InvalidInputError("member_tail takes three TailSummedSequence values")
-    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
+    _prefix_spec("member_tail takes three TailSummedSequence values", p, p_prime, x)
     if x.m != p.m:
         raise InvalidInputError("area tuple length does not match the division spec")
     if p.m < 3:
@@ -221,8 +225,8 @@ def extend_solution(
     """The unique next coordinate keeping (x1, x2, x_{i+1}) dependent on the ratio rows.
 
     Returns the x_{i+1} that makes the 3x3 determinant with rows
-    (p1, p2, p_{i+1}), (p'1, p'2, p'_{i+1}), (x1, x2, x_{i+1}) vanish; needs
-    the first two ratio columns to be independent.
+    (p1, p2, p_{i+1}), (p'1, p'2, p'_{i+1}), (x1, x2, x_{i+1}) vanish, by its
+    third row's cofactors; needs the first two ratio columns to be independent.
     """
     p = fraction_tuple(p)
     p_prime = fraction_tuple(p_prime)
@@ -232,13 +236,10 @@ def extend_solution(
         raise InvalidInputError(f"index must be an integer, got {i!r}")
     if i < 2 or i >= len(p):
         raise InvalidInputError("index out of range for the extension formula")
-    denom = p[1] * p_prime[0] - p[0] * p_prime[1]
-    if denom == 0:
+    cof, _ = _cofactors(((p[0], p[1], p[i]), (p_prime[0], p_prime[1], p_prime[i]), (x1, x2, 0)))
+    if cof[2][2] == 0:
         raise DegenerateDenominatorError("the first two ratio columns are proportional")
-    numer = x1 * (p[1] * p_prime[i] - p[i] * p_prime[1]) - x2 * (
-        p[0] * p_prime[i] - p[i] * p_prime[0]
-    )
-    return numer / denom
+    return -(cof[2][0] * x1 + cof[2][1] * x2) / cof[2][2]
 
 
 class StationCoefficients(_Frozen):
@@ -265,19 +266,19 @@ class StationReport(_Frozen):
 
 
 def station_coefficients(p: TailSummedSequence) -> StationCoefficients:
-    if p.m < 3:
+    """The stations and ratio window of the proportional pair (p, p), read from its cumulants.
+
+    With h_i = head_i/p_i and t_i = tail_i/p_i the scaled cumulants of ``tail_cumulants(p, p)``,
+    the station of 0-based index i >= 2 is (h_i - h_0)/(h_1 - h_0), and the window is
+    (t_1/t_0, h_1/h_0), ``planar_ratio_bounds(p, p)`` scaled by p_0/p_1.
+    """
+    if isinstance(p, TailSummedSequence) and p.m < 3:  # short is refused before the entries are read
         raise InvalidInputError("stations need a prefix of length at least 3")
-    DivisionSpec(p.prefix, p.prefix)  # positive entries
-    base = p.prefix[0] + p.prefix[1]
-    sigma = []
-    running = Fraction(0)
-    for i in range(2, p.m):  # 0-based index i corresponds to station i+1
-        running += p.prefix[i - 1]
-        sigma.append((p.prefix[0] + p.prefix[i]) / base + 2 * running / base)
-    after_first = p.total - p.prefix[0]
-    lower = 1 - base / (p.prefix[0] + 2 * after_first)
-    upper = 2 + p.prefix[1] / p.prefix[0]
-    return StationCoefficients(tuple(sigma), (lower, upper))
+    spec = _prefix_spec("station_coefficients takes a TailSummedSequence", p, p)
+    head, tail = _cumulants(spec.p, spec.p, p.tail_sum, p.tail_sum)
+    h, t = ([v / r for v, r in zip(cumulant, spec.p)] for cumulant in (head, tail))
+    sigma = tuple((h_i - h[0]) / (h[1] - h[0]) for h_i in h[2:])
+    return StationCoefficients(sigma, (t[1] / t[0], h[1] / h[0]))
 
 
 def station_check(p: TailSummedSequence, x: TailSummedSequence) -> StationReport:
@@ -297,9 +298,7 @@ def station_check(p: TailSummedSequence, x: TailSummedSequence) -> StationReport
     if scaled[0] <= 0:
         return StationReport(coeffs, scaled, Fraction(0), False, False, verdict.reason)
     step = scaled[1] - scaled[0]
-    progression_ok = all(
-        scaled[i] == scaled[0] + coeffs.sigma[i - 2] * step for i in range(2, p.m)
-    )
+    progression_ok = all(scaled[i] == scaled[0] + coeffs.sigma[i - 2] * step for i in range(2, p.m))
     return StationReport(
         coeffs, scaled, scaled[1] / scaled[0], progression_ok, verdict.attainable, verdict.reason
     )

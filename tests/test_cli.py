@@ -528,6 +528,10 @@ class TestNamespace:
         assert len(PUBLIC_NAMES) == 59
         assert sorted(quadareas.__all__) == PUBLIC_NAMES
 
+    def test_every_public_callable_has_a_docstring(self):
+        values = {name: getattr(quadareas, name) for name in PUBLIC_NAMES}
+        assert [name for name, value in values.items() if callable(value) and not value.__doc__] == []
+
     def test_each_name_is_its_home_modules_object(self):
         for name in quadareas.__all__:
             value = getattr(quadareas, name)

@@ -21,9 +21,13 @@ from quadareas import (
     Certificate,
     ConvexQuad,
     DegenerateCollapseError,
+    DegenerateDenominatorError,
     DivisionSpec,
+    InvalidInputError,
     NoValidContinuationError,
     Point,
+    QuadAreasError,
+    StationCoefficients,
     TailSummedSequence,
     Verdict,
     apex_quad,
@@ -34,6 +38,7 @@ from quadareas import (
     cumulant_tail_sums,
     cumulants,
     discriminants,
+    extend_solution,
     frame,
     hyperplanes,
     is_convex_ccw,
@@ -41,11 +46,14 @@ from quadareas import (
     member_tail,
     member_via_collapse,
     polygon_area,
+    proportional_bounds,
     station_check,
+    station_coefficients,
     strip_areas,
     subdivide,
     synthesize_witness,
     tail_cumulants,
+    to_fraction,
 )
 from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _first_pivot, integer_rows
@@ -479,6 +487,67 @@ def ref_point_strip_areas(q, spec):
     )
 
 
+def ref_proportional_bounds(p):
+    """proportional_bounds as it was: the plane, and the window's closed form in the three ratios."""
+    p = fraction_tuple(p)
+    if len(p) != 3:
+        raise InvalidInputError("expects three positive ratios")
+    plane = hyperplanes(DivisionSpec(p, p))[0]
+    p1, p2, p3 = p
+    lo = p3 * p3 / (p1 * (p1 + 2 * p2 + 2 * p3))
+    hi = p3 * (2 * p1 + 2 * p2 + p3) / (p1 * p1)
+    return plane, (lo, hi)
+
+
+def ref_station_coefficients(p):
+    """station_coefficients as it was: the stations as running ratio sums, the window in closed form."""
+    if p.m < 3:
+        raise InvalidInputError("stations need a prefix of length at least 3")
+    DivisionSpec(p.prefix, p.prefix)
+    base = p.prefix[0] + p.prefix[1]
+    sigma = []
+    running = F(0)
+    for i in range(2, p.m):
+        running += p.prefix[i - 1]
+        sigma.append((p.prefix[0] + p.prefix[i]) / base + 2 * running / base)
+    after_first = p.total - p.prefix[0]
+    lower = 1 - base / (p.prefix[0] + 2 * after_first)
+    upper = 2 + p.prefix[1] / p.prefix[0]
+    return StationCoefficients(tuple(sigma), (lower, upper))
+
+
+def ref_extend_solution(p, p_prime, x1, x2, i):
+    """extend_solution as it was: the 3x3 determinant written out along its third row."""
+    p, p_prime = fraction_tuple(p), fraction_tuple(p_prime)
+    x1, x2 = to_fraction(x1), to_fraction(x2)
+    DivisionSpec(p, p_prime)
+    if not isinstance(i, int):
+        raise InvalidInputError(f"index must be an integer, got {i!r}")
+    if i < 2 or i >= len(p):
+        raise InvalidInputError("index out of range for the extension formula")
+    denom = p[1] * p_prime[0] - p[0] * p_prime[1]
+    if denom == 0:
+        raise DegenerateDenominatorError("the first two ratio columns are proportional")
+    numer = x1 * (p[1] * p_prime[i] - p[i] * p_prime[1]) - x2 * (p[0] * p_prime[i] - p[i] * p_prime[0])
+    return numer / denom
+
+
+def ref_continue_degenerate(p, p_prime, next_p_prime):
+    """continue_degenerate as it was: the root of the last discriminant written out in the next AB ratio."""
+    p, p_prime, next_p_prime = fraction_tuple(p), fraction_tuple(p_prime), to_fraction(next_p_prime)
+    DivisionSpec(p, p_prime)
+    if next_p_prime <= 0:
+        raise InvalidInputError("the next ratio must be positive")
+    if _first_pivot(p, p_prime) is not None:
+        raise InvalidInputError("prefix discriminants must all vanish")
+    numerator = p_prime[-2] * next_p_prime * p[-1] * (p[-2] + p[-1])
+    denominator = (p_prime[-2] + p_prime[-1] + next_p_prime) * p[-2] * p_prime[-1] \
+        - p_prime[-2] * next_p_prime * p[-1]
+    if denominator <= 0:
+        raise NoValidContinuationError("no positive continuation exists for this next ratio")
+    return numerator / denominator
+
+
 # ---- strategies -------------------------------------------------------------
 
 
@@ -737,6 +806,39 @@ def vertex_sets(draw):
     elif move == "duplicate":
         vertices[k] = vertices[i]
     return vertices
+
+
+@st.composite
+def closed_form_inputs(draw):
+    """Ratio prefixes of length 1-9 (too short for every view below 3) with grid, 30-digit or
+    100-digit entries, the DC side independent, proportional or continuing a zero discriminant
+    chain over a drawn first stretch, one entry sometimes zero or negative; a zero or positive
+    tail sum for p; and a next DC ratio, an index and x1, x2 for the extension formula."""
+    digits = draw(st.sampled_from((None, (30, 30), (100, 100))))
+    entry = ratios(big=digits is not None, digits=digits or (30, 300))
+    m = draw(st.integers(1, 9))
+    p = [draw(entry) for _ in range(m)]
+    kind = draw(st.sampled_from(("independent", "proportional", "chain")))
+    scale = draw(entry)
+    q = [scale * v for v in p] if kind == "proportional" else [draw(entry) for _ in range(m)]
+    chain = 0
+    if kind == "chain" and m >= 2:
+        # a chain's continued entries grow with its length, so big entries continue it for less
+        chain = draw(st.integers(2, min(m, 9 if digits is None else 5)))
+        q[1] += q[0] * p[1] / p[0]
+        for j in range(2, chain):
+            while True:
+                try:
+                    p[j] = continue_degenerate(p[:j], q[:j], q[j])
+                    break
+                except NoValidContinuationError:
+                    q[j] /= 2
+    if draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(0, m - 1))
+        p[k] = draw(st.sampled_from((F(0), -p[k])))
+    tail_p, nxt = draw(st.just(F(0)) | entry), draw(entry)
+    i = draw(st.integers(2, max(2, m - 1)) | st.integers(0, m))
+    return p, q, chain, tail_p, nxt, i, draw(ratios(signed=True)), draw(ratios(signed=True))
 
 
 # ---- properties -------------------------------------------------------------
@@ -1352,3 +1454,30 @@ def test_station_reports_match_the_fixture():
     for case in CONSTRUCTIONS["station_check"]:
         p, x = TailSummedSequence.parse(case["p"]), TailSummedSequence.parse(case["x"])
         assert repr(station_check(p, x)) == case["report"]
+
+
+def outcome(fn, *args):
+    """fn's value, or the class and message of the library error it raised."""
+    try:
+        return fn(*args)
+    except QuadAreasError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=150)
+@given(closed_form_inputs())
+def test_frame_views_match_the_closed_forms_they_replaced(case):
+    p, q, chain, tail_p, nxt, i, x1, x2 = case
+    assert outcome(proportional_bounds, p[:3]) == outcome(ref_proportional_bounds, p[:3])
+    seq = TailSummedSequence(p, tail_p)
+    assert outcome(station_coefficients, seq) == outcome(ref_station_coefficients, seq)
+    assert outcome(extend_solution, p, q, x1, x2, i) == outcome(ref_extend_solution, p, q, x1, x2, i)
+    assert outcome(extend_solution, p, p, x1, x2, i) == outcome(ref_extend_solution, p, p, x1, x2, i)
+    for k in {min(2, len(p)), chain, len(p)} - {0}:  # any leading pair is a chain, as is p[:chain]
+        # where the last minor is positive, the last discriminant stops depending on the next AB
+        # ratio at the next DC ratio `flat`, and from there on no positive continuation exists
+        minor = q[k - 2] * p[k - 1] - p[k - 2] * q[k - 1] if k >= 2 else 0
+        flat = (q[k - 2] + q[k - 1]) * p[k - 2] * q[k - 1] / minor if minor > 0 else nxt / 2
+        for nxt_q in (nxt, flat, 2 * flat):
+            assert outcome(continue_degenerate, p[:k], q[:k], nxt_q) == outcome(
+                ref_continue_degenerate, p[:k], q[:k], nxt_q)

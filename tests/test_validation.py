@@ -20,6 +20,7 @@ from quadareas import (
     collapse,
     continue_degenerate,
     cross_validate,
+    cumulant_tail_sums,
     cumulants,
     evaluate_plane,
     extend_solution,
@@ -27,14 +28,17 @@ from quadareas import (
     member,
     member_tail,
     member_via_collapse,
+    planar_ratio_bounds,
     polygon_area,
     pt,
     sample_convex_quads,
     sample_parallel_family,
+    station_check,
     station_coefficients,
     strip_areas,
     subdivide,
     synthesize_witness,
+    tail_cumulants,
     to_fraction,
 )
 from quadareas.cli import main
@@ -197,6 +201,28 @@ class TestInputErrors:
         expected = "polygon_area takes a sequence of Points" if name == "polygon_area" else (
             f"{name} takes a ConvexQuad and a DivisionSpec")
         assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("call, message", (
+        pytest.param(lambda: station_coefficients([1, 2, 3]), "station_coefficients takes a TailSummedSequence",
+                     id="station_coefficients-list"),
+        pytest.param(lambda: station_check([1, 2, 3], SHORT3), "station_coefficients takes a TailSummedSequence",
+                     id="station_check-list-p"),
+        pytest.param(lambda: tail_cumulants([1, 2, 3], [1, 1, 1]),
+                     "tail_cumulants takes two TailSummedSequence values", id="tail_cumulants-lists"),
+        pytest.param(lambda: cumulant_tail_sums(SHORT3, [1, 1, 1]),
+                     "cumulant_tail_sums takes two TailSummedSequence values", id="cumulant_tail_sums-list"),
+        pytest.param(lambda: planar_ratio_bounds([1, 2, 3], [1, 1, 1]),
+                     "planar_ratio_bounds takes two TailSummedSequence values", id="planar_ratio_bounds-lists"),
+        pytest.param(lambda: collapse(([1, 2, 3], [1, 1, 1]), (1, 2, 3), 2, "q1"),
+                     "collapse takes a DivisionSpec or a pair of TailSummedSequence values",
+                     id="collapse-list-pair"),
+        pytest.param(lambda: TailSummedSequence(5), "expected a sequence of rationals, got int",
+                     id="TailSummedSequence-int"),
+    ))
+    def test_a_tail_summed_argument_of_the_wrong_kind_is_refused(self, call, message):
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("call, x", (
         pytest.param(lambda x: member(SPATIAL3, x), (F(3), F(8), F(16)), id="member"),
