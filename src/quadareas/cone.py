@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .division import DivisionSpec, _Frozen, _memoized_on_spec, fraction_tuple, to_fraction
+from .division import DivisionSpec, _Frozen, _check_spec, _memoized_on_spec, fraction_tuple, to_fraction
 from .errors import InvalidInputError, NoValidContinuationError, invariant
 from .linalg import _cofactors, _scaled
 
@@ -115,6 +115,7 @@ def _first_pivot(p: Sequence[Fraction], q: Sequence[Fraction]) -> int | None:
 
 def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
     """The discriminant chain, one value per interior index (empty for n = 2)."""
+    _check_spec("discriminants", spec)
     return tuple(Fraction(*_discriminant(spec.p, spec.p_prime, j)) for j in range(1, spec.n - 1))
 
 
@@ -170,6 +171,7 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     consecutive coordinate triples, read in ``int`` from the triple's ratios
     over their common denominator: when skew, the cross product of the ab and dc triples.
     """
+    _check_spec("hyperplanes", spec)
     n = spec.n
     if n < 3:
         raise InvalidInputError("hyperplanes need at least three segments")

@@ -141,12 +141,21 @@ class DivisionSpec(_Frozen):
         return all(pi * q1 == qi * p1 for pi, qi in zip(self.p, self.p_prime))
 
 
+def _check_spec(name: str, spec) -> None:
+    """Refuse a spec that is not a ``DivisionSpec``, naming the function it was passed to."""
+    if not isinstance(spec, DivisionSpec):
+        raise InvalidInputError(f"{name} takes a DivisionSpec, got {type(spec).__name__}")
+
+
 def _memoized_on_spec(fn):
-    """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read."""
-    key = f"_{fn.__name__}"
+    """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read;
+    every caller shares the one value, so it must be immutable.  A spec that is not a
+    ``DivisionSpec`` is refused, naming fn."""
+    key, name = f"_{fn.__name__}", fn.__name__
 
     @wraps(fn)
     def memoized(spec: DivisionSpec):
+        _check_spec(name, spec)
         if key not in spec.__dict__:
             spec.__dict__[key] = fn(spec)
         return spec.__dict__[key]
@@ -232,3 +241,21 @@ class TailSummedSequence(_Frozen):
     @property
     def finite(self) -> bool:
         return self.tail_sum == 0
+
+
+def _memoized_on_pair(fn):
+    """Keep fn(p, p_prime) in p's own dict beside p_prime, for the next call with that p_prime or an
+    equal one (checked by identity first); the caller checks that both are ``TailSummedSequence``
+    values.  One slot per p: a call with another p_prime replaces the value.  When p_prime is p
+    itself, None stands in for it, so p holds no reference to itself."""
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def memoized(p: TailSummedSequence, p_prime: TailSummedSequence):
+        other = None if p_prime is p else p_prime
+        memo = p.__dict__.get(key)
+        if memo is None or (memo[0] is not other and memo[0] != other):
+            memo = p.__dict__[key] = (other, fn(p, p_prime))
+        return memo[1]
+
+    return memoized

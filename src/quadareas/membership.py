@@ -8,13 +8,14 @@ divided by one gcd.  ``_spans`` compares it with x at every other coordinate
 in ``int`` with no gcd (the rows of the solve hold exactly, so they are not
 re-checked), and that check alone decides whether x lies on the span, so no
 hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
-``proportional_bounds`` only).  ``_coefficient_verdict`` reads the four facet
-signs from ints and builds ``Fraction``s only for the certificate it returns,
-so a spatial decision, O(n) per query, computes no tail cumulant and no
-frame.  ``_decide`` holds the one decision path: ``member`` runs it on the
-spec's rows (or its mirror's, below) and ``reduction.member_tail`` on the rows
-of the (m+1)-spec that ends in the tail sums; each fold is a solve on the rows
-of ``reduction.collapse``'s three-coordinate spec.  A planar decision is the same
+``proportional_bounds`` only).  ``_coefficient_verdict``
+reads the four facet signs from ints and builds ``Fraction``s only for the
+certificate it returns, so a spatial decision, O(n) per query, computes no
+tail cumulant and no frame.  ``_decide`` holds the one decision path:
+``member`` runs it on the spec's rows (or its mirror's, below) and
+``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the tail
+sums, built once per sequence pair; each fold is a solve on the rows of
+``reduction.collapse``'s three-coordinate spec.  A planar decision is the same
 solve on rows 0 and 1 bordered by A*total_ab = B*total_dc, which yields the
 span triple (b*total_dc, b*total_ab, a - b) of x = a*head + b*tail, then the
 same componentwise check on rows 2 onwards and ``_coefficient_verdict``, so it
@@ -54,7 +55,7 @@ from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 from .cone import _pivot_block, classify, frame, hyperplanes, integer_rows
-from .division import DivisionSpec, _Frozen, _lighter_at_end, _mirror, fraction_tuple
+from .division import DivisionSpec, _Frozen, _check_spec, _lighter_at_end, _mirror, fraction_tuple
 from .errors import InvalidInputError, invariant
 from .linalg import _primitive, _scaled
 
@@ -285,6 +286,7 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     negative coordinate).
     """
     _check_mode(mode)
+    _check_spec("member", spec)
     x = fraction_tuple(x)
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")

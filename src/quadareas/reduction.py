@@ -3,9 +3,11 @@
 A summable infinite sequence (``division.TailSummedSequence``) is an exact
 finite prefix plus the exact sum of everything after it, so cutting both
 sides at the prefix makes each tail one more segment: ``member_tail`` decides
-as ``member`` on that (m+1)-spec's integer rows.  Its verdicts are "prefix-certified": linear
-constraints living entirely beyond the prefix cannot be checked from a tail
-sum alone and remain the caller's responsibility.
+as ``member`` on that (m+1)-spec's integer rows, which with their first pivot
+are built once per (p, p_prime) pair and kept in p, as a ``DivisionSpec`` keeps
+its own.  Its verdicts are "prefix-certified": linear constraints living
+entirely beyond the prefix cannot be checked from a tail sum alone and remain
+the caller's responsibility.
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .cone import _cumulants, _discriminant, _first_pivot, _rows, classify, integer_rows
-from .division import DivisionSpec, TailSummedSequence, _Frozen, _side_sums, fraction_tuple, to_fraction
+from .division import (
+    DivisionSpec, TailSummedSequence, _Frozen, _check_spec, _memoized_on_pair, _side_sums, fraction_tuple, to_fraction,
+)
 from .errors import (
     DegenerateCollapseError,
     DegenerateDenominatorError,
@@ -98,8 +102,11 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
     """
     tail_p = tail_q = Fraction(0)
     if not isinstance(spec, DivisionSpec):
+        refusal = "collapse takes a DivisionSpec or a pair of TailSummedSequence values"
+        if not (isinstance(spec, tuple) and len(spec) == 2):
+            raise InvalidInputError(refusal)
         p, q = spec
-        spec = _prefix_spec("collapse takes a DivisionSpec or a pair of TailSummedSequence values", p, q)
+        spec = _prefix_spec(refusal, p, q)
         tail_p, tail_q = p.tail_sum, q.tail_sum
     x, tail_x = (x.prefix, x.tail_sum) if isinstance(x, TailSummedSequence) else (fraction_tuple(x), 0)
     if len(x) != spec.n:
@@ -145,6 +152,7 @@ def member_via_collapse(
     on the span.
     """
     _check_mode(mode)
+    _check_spec("member_via_collapse", spec)
     x = fraction_tuple(x)
     if len(x) != spec.n:
         raise InvalidInputError("area tuple length does not match the division spec")
@@ -186,6 +194,15 @@ def planar_ratio_bounds(
     return tail[1] / tail[0], head[1] / head[0]
 
 
+@_memoized_on_pair
+def _tail_rows(p: TailSummedSequence, p_prime: TailSummedSequence):
+    """``_rows`` and ``_first_pivot`` of the m+1 segments of each side, the last one the tail sum,
+    once the prefixes are validated as a ``DivisionSpec``; built once per pair."""
+    DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
+    ab, dc = (*p.prefix, p.tail_sum), (*p_prime.prefix, p_prime.tail_sum)
+    return (*_rows(ab, dc), _first_pivot(ab, dc))
+
+
 def member_tail(
     p: TailSummedSequence,
     p_prime: TailSummedSequence,
@@ -197,11 +214,14 @@ def member_tail(
     It is ``member``'s decision on the m+1 segments of each side, the last one
     the tail sum: the same integer rows and first pivot, so the tail triple's
     discriminant can end the prefix's zero chain, and two zero tail sums give a
-    zero last row.  Constraints at individual indices beyond the prefix are not
-    representable and are not checked.
+    zero last row.  The rows, totals and pivot are built once per (p, p_prime) pair
+    and kept in p (``_tail_rows``).  Constraints at individual indices beyond the
+    prefix are not representable and are not checked.
     """
     _check_mode(mode)
-    _prefix_spec("member_tail takes three TailSummedSequence values", p, p_prime, x)
+    if not all(isinstance(v, TailSummedSequence) for v in (p, p_prime, x)):
+        raise InvalidInputError("member_tail takes three TailSummedSequence values")
+    extended = _tail_rows(p, p_prime)  # refuses invalid prefixes before x is read
     if x.m != p.m:
         raise InvalidInputError("area tuple length does not match the division spec")
     if p.m < 3:
@@ -210,8 +230,7 @@ def member_tail(
         # infinitely many strictly positive strips cannot sum to zero
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 
-    ab, dc = (*p.prefix, p.tail_sum), (*p_prime.prefix, p_prime.tail_sum)
-    verdict = _decide(*_rows(ab, dc), _first_pivot(ab, dc), (*x.prefix, x.tail_sum), mode)
+    verdict = _decide(*extended, (*x.prefix, x.tail_sum), mode)
     return Verdict(verdict.attainable, verdict.certificate, verdict.reason, prefix_certified=True)
 
 

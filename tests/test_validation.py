@@ -16,15 +16,18 @@ from quadareas import (
     TailSummedSequence,
     Verdict,
     apex_of,
+    classify,
     apex_quad,
     collapse,
     continue_degenerate,
     cross_validate,
     cumulant_tail_sums,
     cumulants,
+    discriminants,
     evaluate_plane,
     extend_solution,
     frame,
+    hyperplanes,
     member,
     member_tail,
     member_via_collapse,
@@ -223,6 +226,30 @@ class TestInputErrors:
         with pytest.raises(InvalidInputError) as caught:
             call()
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("spec", ([1, 2, 3], 5, None, "abc"), ids=("list", "int", "None", "str"))
+    @pytest.mark.parametrize("call, message", (
+        *(pytest.param(call, f"{name} takes a DivisionSpec, got {{}}", id=name) for name, call in (
+            ("classify", classify),
+            ("frame", frame),
+            ("integer_rows", quadareas.cone.integer_rows),
+            ("hyperplanes", hyperplanes),
+            ("discriminants", discriminants),
+            ("_side_sums", quadareas.division._side_sums),
+            ("_mirror", quadareas.division._mirror),
+            ("_integer_side_sums", quadareas.geometry._integer_side_sums),
+            ("member", lambda spec: member(spec, (1, 2, 3))),
+            ("member_via_collapse", lambda spec: member_via_collapse(spec, (1, 2, 3, 4), 2)),
+        )),
+        pytest.param(lambda spec: cross_validate(spec, 3, 0), "classify takes a DivisionSpec, got {}",
+                     id="cross_validate"),
+        pytest.param(lambda spec: collapse(spec, (1, 2, 3), 2, "q1"),
+                     "collapse takes a DivisionSpec or a pair of TailSummedSequence values", id="collapse"),
+    ))
+    def test_a_spec_that_is_not_a_division_spec_is_refused(self, call, message, spec):
+        with pytest.raises(InvalidInputError) as caught:
+            call(spec)
+        assert str(caught.value) == message.format(type(spec).__name__)
 
     @pytest.mark.parametrize("call, x", (
         pytest.param(lambda x: member(SPATIAL3, x), (F(3), F(8), F(16)), id="member"),
