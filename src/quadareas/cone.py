@@ -10,7 +10,7 @@ collapses into a plane.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .division import DivisionSpec, _Frozen, _check_spec, _memoized_on_spec, fraction_tuple, to_fraction
@@ -47,25 +47,38 @@ class CaseLabel(_Frozen):
         return "planar-proportional" if self.proportional else "planar-skew"
 
 
-def _sided_cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction]):
-    """The head cumulants p[i]*sum(p'[:i]) + p'[i]*sum(p[:i+1]), unnormalised, and the two totals.
+def _rows(
+    p: Sequence[Fraction], q: Sequence[Fraction]
+) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
+    """One integer row (P, Q, H, L) per coordinate, with ab = P/L, dc = Q/L and head = H/L
+    left unnormalised, plus the totals of ab and dc.
 
-    The running sums are kept as (numerator, lcm of denominators so far) pairs.
-    Each entry comes out as a (numerator, denominator) pair whose denominator
-    is a multiple of the denominators of p[i] and p'[i]; the totals come out
-    as Fractions.
+    head[i] = p[i]*T + q[i]*S for the running sums S = sum(p[:i+1]) and T = sum(q[:i]), both
+    kept in lowest terms and added as ``Fraction`` adds: with g the gcd of the two
+    denominators, S + p[i] is t/(s*d) over their lcm (d the denominator of p[i], s the
+    other's cofactor), then one gcd of t with g puts it in lowest terms.  Row i is read over
+    L = T's denominator * q[i]'s * s * d, a multiple of the denominators of p[i], q[i] and
+    head[i] of at most as many bits as those of p[i], q[i], S and T together, so it
+    needs no division by either ratio's denominator.
     """
-    out = []
-    sp, dp, sq, dq = 0, 1, 0, 1
-    for a, b in zip(p, p_prime):
+    rows = []
+    sn, sd, tn, td = 0, 1, 0, 1
+    for a, b in zip(p, q):
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        d = lcm(dp, ad)
-        sp, dp = sp * (d // dp) + an * (d // ad), d
-        # a*sq/dq + b*sp/dp over dq*bd*dp, as ad divides dp
-        out.append((an * sq * bd * (dp // ad) + bn * sp * dq, dq * bd * dp))
-        d = lcm(dq, bd)
-        sq, dq = sq * (d // dq) + bn * (d // bd), d
-    return out, Fraction(sp, dp), Fraction(sq, dq)
+        g = gcd(sd, ad)
+        s = sd // g
+        sn = sn * (ad // g) + an * s
+        ts = td * s
+        m = ts * bd
+        rows.append((an * m, bn * ts * ad, an * tn * bd * s + bn * sn * td, m * ad))
+        g2 = gcd(sn, g)
+        sn, sd = sn // g2, s * (ad // g2)
+        g = gcd(td, bd)
+        s = td // g
+        tn = tn * (bd // g) + bn * s
+        g2 = gcd(tn, g)
+        tn, td = tn // g2, s * (bd // g2)
+    return tuple(rows), Fraction(sn, sd), Fraction(tn, td)
 
 
 def cumulants(
@@ -92,9 +105,9 @@ def cumulants(
 def _cumulants(p: Sequence[Fraction], p_prime: Sequence[Fraction], tail_p: Fraction, tail_p_prime: Fraction):
     """``cumulants`` of a valid ratio pair: the tail cumulants are the head cumulants of the
     reversed pair whose first segment holds the tail sums."""
-    head, _, _ = _sided_cumulants(p, p_prime)
-    tail, _, _ = _sided_cumulants((tail_p, *p[::-1]), (tail_p_prime, *p_prime[::-1]))
-    return tuple(Fraction(*v) for v in head), tuple(Fraction(*v) for v in tail[:0:-1])
+    head, _, _ = _rows(p, p_prime)
+    tail, _, _ = _rows((tail_p, *p[::-1]), (tail_p_prime, *p_prime[::-1]))
+    return tuple(Fraction(h, den) for *_, h, den in head), tuple(Fraction(h, den) for *_, h, den in tail[:0:-1])
 
 
 def _discriminant(p: Sequence[Fraction], q: Sequence[Fraction], j: int) -> tuple[int, int]:
@@ -123,19 +136,6 @@ def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
 def frame(spec: DivisionSpec) -> ConeFrame:
     """The spec's ratio tuples with its head and tail cumulants, built once per spec."""
     return ConeFrame(spec.p, spec.p_prime, *_cumulants(spec.p, spec.p_prime, Fraction(0), Fraction(0)))
-
-
-def _rows(
-    p: Sequence[Fraction], q: Sequence[Fraction]
-) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
-    """One integer row (P, Q, H, L) per coordinate, with ab = P/L, dc = Q/L and
-    head = H/L left unnormalised, plus the totals of ab and dc."""
-    head, total_ab, total_dc = _sided_cumulants(p, q)
-    rows = tuple(
-        (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), num, den)
-        for a, b, (num, den) in zip(p, q, head)
-    )
-    return rows, total_ab, total_dc
 
 
 @_memoized_on_spec
@@ -210,9 +210,10 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
 
 def evaluate_plane(plane: Sequence, x: Sequence[Fraction]) -> Fraction:
     """The plane's coefficients dotted with x, exactly; every entry is read as a rational."""
+    plane, x = fraction_tuple(plane), fraction_tuple(x)
     if len(plane) != len(x):
         raise InvalidInputError("plane and point have different dimensions")
-    return sum((c * v for c, v in zip(fraction_tuple(plane), fraction_tuple(x))), Fraction(0))
+    return sum((c * v for c, v in zip(plane, x)), Fraction(0))
 
 
 def continue_degenerate(

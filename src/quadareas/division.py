@@ -214,6 +214,8 @@ class TailSummedSequence(_Frozen):
     @classmethod
     def parse(cls, text: str) -> "TailSummedSequence":
         """Parse the text format "a,b,c | tail=r"; a missing or empty suffix means tail 0."""
+        if not isinstance(text, str):
+            raise InvalidInputError(f"TailSummedSequence.parse takes a str, got {type(text).__name__}")
         tail = Fraction(0)
         body, _, suffix = text.partition("|")
         suffix = suffix.strip()

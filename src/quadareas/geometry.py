@@ -56,6 +56,8 @@ class Point(_Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Point":
+        if not isinstance(text, str):
+            raise InvalidInputError(f"Point.parse takes a str, got {type(text).__name__}")
         parts = text.split(",")
         if len(parts) != 2:
             raise InvalidInputError(f"a point is written as 'x,y', got {text!r}")
@@ -111,6 +113,14 @@ def is_convex_ccw(a: Point, b: Point, c: Point, d: Point) -> bool:
     Each edge is built once; a cross's sign is its numerator's, as every
     denominator is positive, so no Fraction is built.
     """
+    return _convex_ccw("is_convex_ccw", a, b, c, d)
+
+
+def _convex_ccw(name: str, a: Point, b: Point, c: Point, d: Point) -> bool:
+    """``is_convex_ccw`` after one isinstance per vertex, refusing a vertex that is not a Point
+    with a message naming the function it was passed to."""
+    if not (isinstance(a, Point) and isinstance(b, Point) and isinstance(c, Point) and isinstance(d, Point)):
+        raise InvalidInputError(f"{name} takes four Points")
     ab, bc, cd, da = _edge(a, b), _edge(b, c), _edge(c, d), _edge(d, a)
     return all(_cross(e, f)[0] > 0 for e, f in ((ab, bc), (bc, cd), (cd, da), (da, ab)))
 
@@ -124,7 +134,7 @@ class ConvexQuad(_Frozen):
     d: Point
 
     def __post_init__(self):
-        if not is_convex_ccw(self.a, self.b, self.c, self.d):
+        if not _convex_ccw("ConvexQuad", self.a, self.b, self.c, self.d):
             raise InvalidInputError(
                 "vertices are not a strictly convex counterclockwise quadrilateral"
             )
@@ -132,14 +142,16 @@ class ConvexQuad(_Frozen):
     @classmethod
     def of(cls, a: Point, b: Point, c: Point, d: Point) -> "ConvexQuad":
         """Build a quad, reflecting clockwise input by swapping B and D."""
-        if is_convex_ccw(a, b, c, d):
+        if _convex_ccw("ConvexQuad.of", a, b, c, d):
             return cls(a, b, c, d)
-        if is_convex_ccw(a, d, c, b):
+        if _convex_ccw("ConvexQuad.of", a, d, c, b):
             return cls(a, d, c, b)
         raise InvalidInputError("vertices do not form a strictly convex quadrilateral")
 
     @classmethod
     def parse(cls, text: str) -> "ConvexQuad":
+        if not isinstance(text, str):
+            raise InvalidInputError(f"ConvexQuad.parse takes a str, got {type(text).__name__}")
         points = [Point.parse(part) for part in text.split(";")]
         if len(points) != 4:
             raise InvalidInputError("a quadrilateral is written as four ';'-separated points")

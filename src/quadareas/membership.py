@@ -5,8 +5,9 @@ A decision passes one value along: the primitive int vector (A, B, C, E) of
 solve used.  It is Cramer's rule on the cofactors of the x-free integer block
 of the spec's integer rows (``cone.integer_rows``, built once per spec),
 divided by one gcd.  ``_spans`` compares it with x at every other coordinate
-in ``int`` with no gcd (the rows of the solve hold exactly, so they are not
-re-checked), and that check alone decides whether x lies on the span, so no
+in ``int`` with no gcd, by one exact division of E*L by x's denominator per
+row (the rows of the solve hold exactly, so they are not re-checked), and
+that check alone decides whether x lies on the span, so no
 hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
 ``proportional_bounds`` only).  ``_coefficient_verdict``
 reads the four facet signs from ints and builds ``Fraction``s only for the
@@ -157,14 +158,19 @@ def _spans(
     ``solved`` is the run of rows that the solve of (A, B, C, E) satisfies exactly (the pivot
     triple, or planar rows 0 and 1), or that the other rows then imply (the pivot triple of a
     fold), so they are not re-checked.
-    With row (P, Q, H, L) and x_i = xn/xd, the test is (A*P + B*Q + C*H)*xd == E*L*xn.
+    With row (P, Q, H, L) and x_i = xn/xd in lowest terms, x_i == (A*P + B*Q + C*H)/(E*L) exactly
+    when ``k, r = divmod(E*L, xd)`` gives r == 0 and A*P + B*Q + C*H == k*xn (xd is coprime to
+    xn, so it divides E*L whenever the two are equal).  That is one division whose quotient is
+    short when xd is about as long as E*L, as for q1, q2 (decided on the mirror), boundary
+    and negative tuples, in place of two long products.
     """
     a, b, c, e = sol
-    return all(
-        (a * p + b * q + c * h) * xi.denominator == e * den * xi.numerator
-        for part in (slice(solved.start), slice(solved.stop, None))
-        for (p, q, h, den), xi in zip(rows[part], x[part])
-    )
+    for part in (slice(solved.start), slice(solved.stop, None)):
+        for (p, q, h, den), xi in zip(rows[part], x[part]):
+            k, r = divmod(e * den, xi.denominator)
+            if r or a * p + b * q + c * h != k * xi.numerator:
+                return False
+    return True
 
 
 def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tuple[Fraction, ...]):
@@ -327,6 +333,7 @@ def parallel_diagnosis(spec: DivisionSpec, x: Sequence[Fraction]) -> str:
     "not-forced": attainable with at least one apex realization.
     "not-attainable": not attainable at all (audited semantics).
     """
+    _check_spec("parallel_diagnosis", spec)
     verdict = member(spec, x, "audited")
     if not verdict.attainable:
         return "not-attainable"

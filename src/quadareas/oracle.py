@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .cone import classify, discriminants, frame
-from .division import DivisionSpec, _Frozen
+from .division import DivisionSpec, _Frozen, _check_spec
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
 from .membership import Mode, Verdict, _check_mode, member
@@ -142,7 +142,7 @@ def _audit(
     """The report of ``check(stream, index)`` over sample indexes 0..count-1, each on its own
     draw stream; every ``Violation`` the check returns is kept, None counts as accepted."""
     for name, value in (("count", count), ("seed", seed)):
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise InvalidInputError("count must be at least 1")
@@ -157,6 +157,7 @@ def sample_convex_quads(spec: DivisionSpec, count: int, seed: int) -> SampleRepo
     Every geometric sample must be accepted in audited mode with a certificate
     matching the apex data; failures are recorded as violations, never raised.
     """
+    _check_spec("sample_convex_quads", spec)
 
     def check(stream: _Stream, index: int) -> Optional[Violation]:
         slot = index % 3
@@ -186,6 +187,7 @@ def sample_parallel_family(
     sample (unequal scalings on a spatial spec) as a data point.
     """
     _check_mode(mode)
+    _check_spec("sample_parallel_family", spec)
 
     def check(stream: _Stream, index: int) -> Optional[Violation]:
         quad = _trapezoid(spec, stream.grid(), stream.grid(), stream.signed_grid())  # mu, mu', offset
@@ -208,6 +210,7 @@ def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
     coefficients, reason) at every usable pivot.  Pivots whose folds are both
     planar cannot decide and are skipped rather than counted as disagreement.
     """
+    _check_spec("cross_validate", spec)
     if not classify(spec).spatial or spec.n < 4:
         raise InvalidInputError("cross validation applies to spatial specs of length >= 4")
     fr = frame(spec)

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cone import frame
-from .division import DivisionSpec, _Frozen, _side_sums, to_fraction
+from .division import DivisionSpec, _Frozen, _check_spec, _side_sums, to_fraction
 from .errors import InvalidInputError, NotAttainableError
 from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
-from .membership import Certificate, Mode, member, _realization
+from .membership import Certificate, Mode, _check_mode, _realization, member
 
 
 class WitnessOutput(_Frozen):
@@ -35,6 +35,9 @@ def apex_areas(frame_data: ApexFrame, spec: DivisionSpec) -> tuple[Fraction, ...
     branch q1: scale * (p0*dc_i + p0'*ab_i + head_i)
     branch q2: scale * (p0*dc_i + p0'*ab_i + tail_i)
     """
+    _check_spec("apex_areas", spec)
+    if not isinstance(frame_data, ApexFrame):
+        raise InvalidInputError(f"apex_areas takes an ApexFrame, got {type(frame_data).__name__}")
     fr = frame(spec)
     arm = fr.head if frame_data.branch == "q1" else fr.tail
     return tuple(
@@ -51,6 +54,7 @@ def apex_quad(
     branch: str = "q1",
 ) -> ConvexQuad:
     """Canonical apex quad for the given parameters; convex for all positive inputs."""
+    _check_spec("apex_quad", spec)
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     p0, p0_prime, scale = to_fraction(p0), to_fraction(p0_prime), to_fraction(scale)
@@ -93,6 +97,8 @@ def synthesize_witness(
     Refuses with NotAttainableError when membership rejects, echoing the
     rejection reason.
     """
+    _check_mode(mode)
+    _check_spec("synthesize_witness", spec)
     verdict = member(spec, x, mode)
     if not verdict.attainable:
         raise NotAttainableError(verdict.reason)

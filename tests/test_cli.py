@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -317,6 +318,21 @@ BIG_PLANAR_TAILED = (
 )
 
 
+
+def hundred_digit_q1():
+    """A spatial n = 4 spec with 100-digit numerators and denominators and x = ab + dc + head,
+    a q1 tuple decided from its head end (its last entry has the longer denominator)."""
+    rng = random.Random(100)
+    p, q = ([F(rng.randrange(10 ** 99, 10 ** 100), rng.randrange(10 ** 99, 10 ** 100)) for _ in range(4)]
+            for _ in "pq")
+    x = [a + b + a * sum(q[:i], F(0)) + b * sum(p[:i + 1]) for i, (a, b) in enumerate(zip(p, q))]
+    return "--p", ",".join(map(str, p)), "--pp", ",".join(map(str, q)), "--x", ",".join(map(str, x))
+
+
+# planar-skew, n = 8: each AB ratio after the second continues the zero discriminant chain
+SKEW8 = ("--p", "1,2,5/11,513/1969,3192/5549,228/1457,2052/4559,304/1067", "--pp", "1,19/8,5/8,3/8,7/8,1/4,3/4,1/2")
+
+
 class TestInvariants:
     def test_failed_invariant_is_an_internal_error_with_exit_code_4(self, capsys, monkeypatch):
         monkeypatch.setattr(quadareas.membership, "_pivot_solution", lambda rows, pivot, x: None)
@@ -381,6 +397,9 @@ class TestInvariants:
         pytest.param(("member", *BIG_PLANAR, "--full"), id="member-proportional-30-digit"),
         pytest.param(("member", *BIG_SKEW, "--full"), id="member-skew-30-digit-both-intervals"),
         pytest.param(("member", *BIG_PLANAR_TAILED), id="member-tail-planar-prefix-30-digit"),
+        pytest.param(("member", *hundred_digit_q1()), id="member-q1-100-digit"),
+        pytest.param(("witness", *SKEW8, "--x", "503/22,3739/88,785/88,78261/15752,5158139/488312,177593/64108,"
+                      "1544757/200596,9937/2134"), id="witness-planar-skew-8"),
         pytest.param(("areas", "--p", "1,2,3", "--pp", "2,1,1", "--quad", "0,0;1,3;5,4;6,1"), id="areas"),
         pytest.param(("sample", "--p", "1,2,3,4", "--pp", "1,1,1,1", "--count", "6", "--seed", "2"), id="sample"),
         pytest.param(

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction as F
 from functools import partial
 from itertools import accumulate, permutations
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -56,7 +56,7 @@ from quadareas import (
     to_fraction,
 )
 from quadareas.cli import _describe_payload
-from quadareas.cone import _discriminant, _first_pivot, integer_rows
+from quadareas.cone import _discriminant, _first_pivot, _rows, integer_rows
 from quadareas.division import _mirror, fraction_tuple
 from quadareas.geometry import _SHORT_BITS, _integer_side_sums
 from quadareas.linalg import _cofactors, _scaled
@@ -130,6 +130,39 @@ def ref_cumulants(p, p_prime, tail_p=F(0), tail_p_prime=F(0)):
         acc_q += p_prime[i]
         tail[i] = -p[i] * p_prime[i] + p[i] * acc_q + p_prime[i] * acc_p
     return tuple(head), tuple(tail)
+
+
+def ref_sided_cumulants(p, p_prime):
+    """The head cumulants p[i]*sum(p'[:i]) + p'[i]*sum(p[:i+1]), unnormalised, and the two totals.
+
+    The running sums are kept as (numerator, lcm of denominators so far) pairs.
+    Each entry comes out as a (numerator, denominator) pair whose denominator
+    is a multiple of the denominators of p[i] and p'[i]; the totals come out
+    as Fractions.
+    """
+    out = []
+    sp, dp, sq, dq = 0, 1, 0, 1
+    for a, b in zip(p, p_prime):
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        d = lcm(dp, ad)
+        sp, dp = sp * (d // dp) + an * (d // ad), d
+        # a*sq/dq + b*sp/dp over dq*bd*dp, as ad divides dp
+        out.append((an * sq * bd * (dp // ad) + bn * sp * dq, dq * bd * dp))
+        d = lcm(dq, bd)
+        sq, dq = sq * (d // dq) + bn * (d // bd), d
+    return out, F(sp, dp), F(sq, dq)
+
+
+def ref_rows(p, q):
+    """One integer row (P, Q, H, L) per coordinate, with ab = P/L, dc = Q/L and
+    head = H/L left unnormalised, plus the totals of ab and dc: the rows over the lcm of every
+    earlier denominator, which the lowest-terms running sums of ``cone._rows`` replaced."""
+    head, total_ab, total_dc = ref_sided_cumulants(p, q)
+    rows = tuple(
+        (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), num, den)
+        for a, b, (num, den) in zip(p, q, head)
+    )
+    return rows, total_ab, total_dc
 
 
 def ref_discriminants(p, q):
@@ -974,6 +1007,86 @@ def test_integer_rows_match_frame(spec):
     assert [(F(p, d), F(q, d), F(h, d)) for p, q, h, d in rows] == list(zip(fr.ab, fr.dc, fr.head))
     assert all(d > 0 for *_, d in rows)
     assert (total_ab, total_dc) == (sum(spec.p), sum(spec.p_prime))
+
+
+@given(specs(kinds=("spatial", "proportional", "planar-prefix", "planar-skew")), ratios(), st.sampled_from(
+    ("none", "zero last", "positive last", "zero first", "positive first")))
+def test_rows_match_the_lcm_reference(spec, extra, extended):
+    """Each row reads the same (ab, dc, head) as the lcm-based reference row, and the totals agree,
+    also on pairs ending (``reduction._tail_rows``) or starting (``cone._cumulants``' tail pass) with
+    a zero or positive tail-sum entry."""
+    p, q = spec.p, spec.p_prime
+    tail = F(0) if extended.startswith("zero") else extra
+    if extended.endswith("last"):
+        p, q = (*p, tail), (*q, tail * q[0] / p[0])
+    elif extended.endswith("first"):
+        p, q = (tail, *p[::-1]), (tail * q[-1] / p[-1], *q[::-1])
+    rows, total_ab, total_dc = _rows(p, q)
+    ref, ref_ab, ref_dc = ref_rows(p, q)
+    assert (total_ab, total_dc) == (ref_ab, ref_dc) == (sum(p), sum(q))
+    assert [tuple(F(v, den) for v in row) for *row, den in rows] == [
+        tuple(F(v, den) for v in row) for *row, den in ref]
+    assert all(den > 0 for *_, den in rows)
+
+
+def continued_skew_ratios(rng, n):
+    """Planar-skew ratio tuples of length n from grid ratios k/8: a skew start, then each AB ratio
+    from ``continue_degenerate``, so that the AB denominators grow along the recurrence."""
+    while True:
+        p, q = [F(rng.randint(1, 64), 8), F(rng.randint(1, 64), 8)], [F(rng.randint(1, 64), 8)]
+        q.append(q[0] * p[1] / p[0] + F(rng.randint(1, 64), 8))
+        while len(p) < n:
+            options = []
+            for k in range(1, 65):
+                try:
+                    options.append((continue_degenerate(p, q, F(k, 8)), F(k, 8)))
+                except NoValidContinuationError:
+                    pass
+            if not options:
+                break
+            next_p, next_q = rng.choice(options)
+            p.append(next_p)
+            q.append(next_q)
+        if len(p) == n:
+            return tuple(p), tuple(q)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_denominators_stay_within_the_lowest_terms_sums(seed):
+    """On a planar-skew spec built by the continuation recurrence, L at row i has at most the bits
+    of the denominators of p[i], p'[i], sum(p[:i+1]) and sum(p'[:i]) together; a row scaled by the
+    lcm of every earlier denominator grows far past that.  The sides are also swapped (still
+    planar-skew), so that both running sums carry the recurrence's long denominators."""
+    ab, dc = continued_skew_ratios(random.Random(seed), 48)
+    for p, q in ((ab, dc), (dc, ab)):
+        spec = DivisionSpec(p, q)
+        assert not classify(spec).spatial and not spec.proportional()
+        for i, (*_, den) in enumerate(integer_rows(spec)[0]):
+            bound = sum(v.denominator.bit_length() for v in (p[i], q[i], sum(p[:i + 1]), sum(q[:i], F(0))))
+            assert den.bit_length() <= bound
+
+
+@pytest.mark.parametrize("row, sol, xi, spans", (
+    # E*L // xd * xn equals the numerator, but xd does not divide E*L: 3/7 is not 1/2
+    pytest.param((3, 0, 0, 7), (1, 0, 0, 1), F(1, 2), False, id="quotient-matches-remainder-not-zero"),
+    pytest.param((3, 0, 0, 7), (-1, 0, 0, 1), F(-1, 2), False, id="negative-quotient-matches-remainder-not-zero"),
+    # xd divides E*L, but the numerators differ: 3/7 is not 2/7
+    pytest.param((3, 0, 0, 7), (1, 0, 0, 1), F(2, 7), False, id="remainder-zero-numerators-differ"),
+    pytest.param((1, 2, 3, 10), (2, 3, 1, 3), F(11, 30), True, id="exact-over-the-full-product"),
+    pytest.param((1, 2, 3, 10), (2, 3, 1, 3), F(11, 15), False, id="twice-the-value"),
+    pytest.param((2, 4, 6, 12), (1, 1, 1, 6), F(1, 6), True, id="quotient-longer-than-one"),
+    # a zero entry: the zero row of two zero tail sums, and a nonzero row
+    pytest.param((0, 0, 0, 5), (3, 4, 5, 7), F(0), True, id="zero-entry-on-a-zero-row"),
+    pytest.param((1, 0, 0, 5), (3, 4, 5, 7), F(0), False, id="zero-entry-on-a-nonzero-row"),
+    pytest.param((1, 1, 1, 5), (1, 1, -2, 7), F(0), True, id="zero-entry-from-cancelling-coefficients"),
+    # a negative entry, as a bumped or tail-extended x produces
+    pytest.param((3, 0, 0, 7), (-1, 0, 0, 1), F(-3, 7), True, id="negative-entry"),
+    pytest.param((3, 0, 0, 7), (1, 0, 0, 1), F(-3, 7), False, id="negative-entry-sign-flipped"),
+))
+def test_span_check_edge_cases(row, sol, xi, spans):
+    assert _spans((row,), sol, (xi,), range(0)) is spans
+    assert _spans((row, row), sol, (xi, xi), range(1)) is spans
+    assert _spans((row,), sol, (xi,), range(1)) is True  # a solved row is not re-checked
 
 
 @given(specs(), st.data())

@@ -5,6 +5,7 @@ import pytest
 
 import quadareas
 from quadareas import (
+    ApexFrame,
     Certificate,
     ConvexQuad,
     DivisionSpec,
@@ -15,6 +16,7 @@ from quadareas import (
     Point,
     TailSummedSequence,
     Verdict,
+    apex_areas,
     apex_of,
     classify,
     apex_quad,
@@ -28,9 +30,11 @@ from quadareas import (
     extend_solution,
     frame,
     hyperplanes,
+    is_convex_ccw,
     member,
     member_tail,
     member_via_collapse,
+    parallel_diagnosis,
     planar_ratio_bounds,
     polygon_area,
     pt,
@@ -157,6 +161,10 @@ class TestInputErrors:
                      "count must be an integer, got '3'", id="sample_parallel_family-count"),
         pytest.param(lambda: cross_validate(SPATIAL4, 3, 0.5), InvalidInputError,
                      "seed must be an integer, got 0.5", id="cross_validate-seed"),
+        pytest.param(lambda: sample_convex_quads(SPATIAL3, True, 1), InvalidInputError,
+                     "count must be an integer, got True", id="sample_convex_quads-bool-count"),
+        pytest.param(lambda: cross_validate(SPATIAL4, 2, False), InvalidInputError,
+                     "seed must be an integer, got False", id="cross_validate-bool-seed"),
     ))
     def test_a_pivot_index_count_or_seed_that_is_not_an_int_is_refused(self, call, error, message):
         with pytest.raises(error) as caught:
@@ -221,8 +229,32 @@ class TestInputErrors:
                      id="collapse-list-pair"),
         pytest.param(lambda: TailSummedSequence(5), "expected a sequence of rationals, got int",
                      id="TailSummedSequence-int"),
+        pytest.param(lambda: TailSummedSequence.parse(5), "TailSummedSequence.parse takes a str, got int",
+                     id="TailSummedSequence.parse-int"),
     ))
     def test_a_tail_summed_argument_of_the_wrong_kind_is_refused(self, call, message):
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("call, message", (
+        pytest.param(lambda: apex_areas(None, SPATIAL3), "apex_areas takes an ApexFrame, got NoneType",
+                     id="apex_areas-None"),
+        pytest.param(lambda: apex_areas("q1", SPATIAL3), "apex_areas takes an ApexFrame, got str",
+                     id="apex_areas-str"),
+        pytest.param(lambda: ConvexQuad(1, 2, 3, 4), "ConvexQuad takes four Points", id="ConvexQuad-ints"),
+        pytest.param(lambda: ConvexQuad(*SQUARE.vertices[:3], (0, 1)), "ConvexQuad takes four Points",
+                     id="ConvexQuad-tuple-vertex"),
+        pytest.param(lambda: ConvexQuad.of(1, 2, 3, 4), "ConvexQuad.of takes four Points", id="ConvexQuad.of-ints"),
+        pytest.param(lambda: is_convex_ccw(1, 2, 3, 4), "is_convex_ccw takes four Points", id="is_convex_ccw-ints"),
+        pytest.param(lambda: ConvexQuad.parse(5), "ConvexQuad.parse takes a str, got int", id="ConvexQuad.parse-int"),
+        pytest.param(lambda: Point.parse(None), "Point.parse takes a str, got NoneType", id="Point.parse-None"),
+        pytest.param(lambda: evaluate_plane(5, (1,)), "expected a sequence of rationals, got int",
+                     id="evaluate_plane-int-plane"),
+        pytest.param(lambda: evaluate_plane((1,), None), "expected a sequence of rationals, got NoneType",
+                     id="evaluate_plane-None-point"),
+    ))
+    def test_a_frame_vertex_plane_or_text_of_the_wrong_kind_is_refused(self, call, message):
         with pytest.raises(InvalidInputError) as caught:
             call()
         assert str(caught.value) == message
@@ -240,9 +272,14 @@ class TestInputErrors:
             ("_integer_side_sums", quadareas.geometry._integer_side_sums),
             ("member", lambda spec: member(spec, (1, 2, 3))),
             ("member_via_collapse", lambda spec: member_via_collapse(spec, (1, 2, 3, 4), 2)),
+            ("apex_quad", lambda spec: apex_quad(spec, 1, 1, 1)),
+            ("apex_areas", lambda spec: apex_areas(ApexFrame(pt(0, 0), "q1", F(1), F(1), F(1)), spec)),
+            ("sample_convex_quads", lambda spec: sample_convex_quads(spec, 2, 0)),
+            ("sample_parallel_family", lambda spec: sample_parallel_family(spec, 2, 0)),
+            ("cross_validate", lambda spec: cross_validate(spec, 3, 0)),
+            ("synthesize_witness", lambda spec: synthesize_witness(spec, (1, 2, 3))),
+            ("parallel_diagnosis", lambda spec: parallel_diagnosis(spec, (1, 2, 3))),
         )),
-        pytest.param(lambda spec: cross_validate(spec, 3, 0), "classify takes a DivisionSpec, got {}",
-                     id="cross_validate"),
         pytest.param(lambda spec: collapse(spec, (1, 2, 3), 2, "q1"),
                      "collapse takes a DivisionSpec or a pair of TailSummedSequence values", id="collapse"),
     ))
