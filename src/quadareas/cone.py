@@ -144,12 +144,60 @@ def integer_rows(spec: DivisionSpec) -> tuple[tuple[tuple[int, int, int, int], .
     return _rows(spec.p, spec.p_prime)
 
 
-def _pivot_block(rows: Sequence[tuple[int, int, int, int]], pivot: int):
-    """(cols, cof, det): the 0-based pivot triple, and the cofactors and determinant of its
-    x-free integer block, whose rows are (P_c, Q_c, H_c) for c in cols."""
+class _Block(_Frozen):
+    """The x-free 3x3 integer block of a pivot triple: its 0-based rows ``cols``, their
+    denominators L_c, and the cofactors and determinant of the block whose rows are
+    (P_c, Q_c, H_c) for c in cols."""
+
+    cols: tuple[int, int, int]
+    dens: tuple[int, int, int]
+    cof: tuple[tuple[int, int, int], ...]
+    det: int
+
+
+def _pivot_block(rows: Sequence[tuple[int, int, int, int]], pivot: int) -> _Block:
+    """The block of rows pivot-2, pivot-1 and pivot (0-based)."""
     cols = (pivot - 2, pivot - 1, pivot)
     cof, det = _cofactors([rows[c][:3] for c in cols])
-    return cols, cof, det
+    return _Block(cols, tuple(rows[c][3] for c in cols), cof, det)
+
+
+class _Factored(_Frozen):
+    """Everything a decision reads that depends only on the spec: its integer rows and side
+    totals, its first pivot (None when planar), the block the pivot solve inverts, and on skew
+    planar rows head's face coordinates (alpha, beta), head = alpha*ab + beta*dc, else None.
+
+    A planar block is rows 0 and 1 bordered by (T_ab, -T_dc, 0, 1), the totals over their
+    common denominator; its third row of cofactors is (-alpha, -beta, 1) times the ab/dc minor
+    P_0*Q_1 - P_1*Q_0 at rows 0 and 1, which is zero exactly when ab and dc are proportional.
+    """
+
+    rows: tuple[tuple[int, int, int, int], ...]
+    total_ab: Fraction
+    total_dc: Fraction
+    pivot: int | None
+    block: _Block
+    face: tuple[Fraction, Fraction] | None
+
+
+def _factor(
+    rows: tuple[tuple[int, int, int, int], ...], total_ab: Fraction, total_dc: Fraction, pivot: int | None
+) -> _Factored:
+    """The ``_Factored`` record of integer rows, their totals and their first pivot."""
+    if pivot is not None:
+        return _Factored(rows, total_ab, total_dc, pivot, _pivot_block(rows, pivot), None)
+    (ta, td), _ = _scaled((total_ab, total_dc))
+    block = _pivot_block((*rows[:2], (ta, -td, 0, 1)), 2)
+    minor_a, minor_b, minor = block.cof[2]
+    face = (Fraction(-minor_a, minor), Fraction(-minor_b, minor)) if minor else None
+    return _Factored(rows, total_ab, total_dc, None, block, face)
+
+
+@_memoized_on_spec
+def _factored(spec: DivisionSpec, rows_and_totals, pivot: int | None) -> _Factored:
+    """``_factor`` of the spec's ``integer_rows`` and ``classify`` pivot, which the caller reads
+    (so a warm call opens the same public spans as a cold one); built once per spec."""
+    return _factor(*rows_and_totals, pivot)
 
 
 @_memoized_on_spec
@@ -170,24 +218,31 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     adjugate of the integer pivot block.  Planar case: n-2 planes supported on
     consecutive coordinate triples, read in ``int`` from the triple's ratios
     over their common denominator: when skew, the cross product of the ab and dc triples.
+    The planes are built once per spec; every call reads the same public memos first.
     """
     _check_spec("hyperplanes", spec)
-    n = spec.n
-    if n < 3:
+    if spec.n < 3:
         raise InvalidInputError("hyperplanes need at least three segments")
     label = classify(spec)
+    return _planes(spec, label, _factored(spec, integer_rows(spec), label.pivot) if label.spatial else None)
+
+
+@_memoized_on_spec
+def _planes(spec: DivisionSpec, label: CaseLabel, f: _Factored | None) -> tuple[tuple[int, ...], ...]:
+    """``hyperplanes`` of the spec, from its ``classify`` label and, when spatial, its ``_factored`` record."""
+    n = spec.n
     supported = []  # (coordinates, coefficients) of each plane
     if label.spatial:
-        rows = integer_rows(spec)[0]
         # the plane at i is L_i*det(N)*x_i - sum over pivot columns c of L_c*(adj(N) R_i)_c*x_c,
         # with N the pivot block whose columns are the rows R_c = (P_c, Q_c, H_c)
-        cols, adj, det = _pivot_block(rows, label.pivot)  # the cofactors of N's transpose are adj(N)
+        rows, block = f.rows, f.block  # the cofactors of N's transpose are adj(N)
+        cols, det = block.cols, block.det
         invariant(det != 0, "pivot system is singular despite nonzero discriminant")
         sign = 1 if det > 0 else -1
         for i, (p_i, q_i, h_i, l_i) in enumerate(rows):
             if i not in cols:
                 supported.append(((i, *cols), [l_i * abs(det)] + [
-                    -sign * rows[c][3] * (a[0] * p_i + a[1] * q_i + a[2] * h_i) for c, a in zip(cols, adj)
+                    -sign * l_c * (a[0] * p_i + a[1] * q_i + a[2] * h_i) for l_c, a in zip(block.dens, block.cof)
                 ]))
     else:
         for j in range(1, n - 1):

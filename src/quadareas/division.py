@@ -20,10 +20,10 @@ _RATIONAL = re.compile(r"^[+-]?[0-9]+(?:\s*/\s*[0-9]+)?$")
 
 
 def to_fraction(value: RationalLike) -> Fraction:
-    """Parse ``a`` or ``a/b`` (or pass through ints and Fractions) exactly."""
+    """Parse ``a`` or ``a/b`` (or pass through ints and Fractions) exactly; a bool is refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
@@ -148,16 +148,17 @@ def _check_spec(name: str, spec) -> None:
 
 
 def _memoized_on_spec(fn):
-    """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read;
-    every caller shares the one value, so it must be immutable.  A spec that is not a
-    ``DivisionSpec`` is refused, naming fn."""
+    """Keep fn(spec, *args) in the frozen spec's own dict, beside the fields eq, hash and repr read;
+    every caller shares the one value, so it must be immutable.  Any further arguments are values
+    the caller has read from the spec itself (its rows, its pivot), so the spec alone is the key.
+    A spec that is not a ``DivisionSpec`` is refused, naming fn."""
     key, name = f"_{fn.__name__}", fn.__name__
 
     @wraps(fn)
-    def memoized(spec: DivisionSpec):
+    def memoized(spec: DivisionSpec, *args):
         _check_spec(name, spec)
         if key not in spec.__dict__:
-            spec.__dict__[key] = fn(spec)
+            spec.__dict__[key] = fn(spec, *args)
         return spec.__dict__[key]
 
     return memoized

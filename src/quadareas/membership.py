@@ -3,24 +3,27 @@
 A decision passes one value along: the primitive int vector (A, B, C, E) of
 ``_pivot_solution``, E > 0, with x = (A*ab + B*dc + C*head)/E at the rows the
 solve used.  It is Cramer's rule on the cofactors of the x-free integer block
-of the spec's integer rows (``cone.integer_rows``, built once per spec),
-divided by one gcd.  ``_spans`` compares it with x at every other coordinate
-in ``int`` with no gcd, by one exact division of E*L by x's denominator per
-row (the rows of the solve hold exactly, so they are not re-checked), and
-that check alone decides whether x lies on the span, so no
+of the spec's integer rows, divided by one gcd.  Everything the decision reads
+that depends only on the spec (its integer rows and totals, its first pivot,
+that block and, on skew planar rows, head's face coordinates) is one
+``cone._Factored`` record, built once per spec, once per mirror and once per
+tail-summed pair, and kept with it.  ``_spans`` compares the vector with x at
+every other coordinate in ``int`` with no gcd, by one exact division of E*L by
+x's denominator per row (the rows of the solve hold exactly, so they are not
+re-checked), and that check alone decides whether x lies on the span, so no
 hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
-``proportional_bounds`` only).  ``_coefficient_verdict``
-reads the four facet signs from ints and builds ``Fraction``s only for the
-certificate it returns, so a spatial decision, O(n) per query, computes no
-tail cumulant and no frame.  ``_decide`` holds the one decision path:
-``member`` runs it on the spec's rows (or its mirror's, below) and
-``reduction.member_tail`` on the rows of the (m+1)-spec that ends in the tail
-sums, built once per sequence pair; each fold is a solve on the rows of
-``reduction.collapse``'s three-coordinate spec.  A planar decision is the same
-solve on rows 0 and 1 bordered by A*total_ab = B*total_dc, which yields the
-span triple (b*total_dc, b*total_ab, a - b) of x = a*head + b*tail, then the
-same componentwise check on rows 2 onwards and ``_coefficient_verdict``, so it
-computes no frame either.
+``proportional_bounds`` only).  ``_coefficient_verdict`` reads the four facet
+signs from ints and builds ``Fraction``s only for the certificate it returns,
+so a spatial decision, O(n) per query, computes no tail cumulant and no frame.
+``_decide`` holds the one decision path: ``member`` runs it on the spec's
+record (or its mirror's, below) and ``reduction.member_tail`` on the record of
+the (m+1)-spec that ends in the tail sums; each fold is a solve on the record
+of ``reduction.collapse``'s three-coordinate spec, which is kept on the spec
+per (pivot, branch).  A planar decision is the same solve on rows 0 and 1
+bordered by A*total_ab = B*total_dc, which yields the span triple (b*total_dc,
+b*total_ab, a - b) of x = a*head + b*tail, then the same componentwise check
+on rows 2 onwards and ``_coefficient_verdict``, so it computes no frame
+either.
 ``member`` decides a spatial tuple from its lighter end: when x's first entry
 has the longer denominator by more than 64 bits (``division._lighter_at_end``),
 as a big-digit q2 tuple's does, its head coefficients carrying both side
@@ -32,8 +35,8 @@ tail reversed, so the span is the same, the mirror's coefficients are
 certificate keeps its coefficients.
 Every re-decomposition of x lies on one segment of span triples (``_segment``):
 on skew ratio vectors the triple moves along (alpha, beta, -1), head =
-alpha*ab + beta*dc solved once at rows 0 and 1, clipped by the four facets to
-one open range of the head coefficient, from which both intervals follow; on
+alpha*ab + beta*dc solved at rows 0 and 1 once per spec, clipped by the four
+facets to one open range of the head coefficient, from which both intervals follow; on
 proportional ones the range is the point a - b.  ``_realization`` moves to one
 point of it and returns its q1, q2, face or ray certificate, the witness's
 only input.
@@ -55,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .cone import _pivot_block, classify, frame, hyperplanes, integer_rows
+from .cone import _Block, _Factored, _factored, classify, frame, hyperplanes, integer_rows
 from .division import DivisionSpec, _Frozen, _check_spec, _lighter_at_end, _mirror, fraction_tuple
 from .errors import InvalidInputError, invariant
 from .linalg import _primitive, _scaled
@@ -173,9 +176,9 @@ def _spans(
     return True
 
 
-def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tuple[Fraction, ...]):
-    """The primitive (A, B, C, E), E > 0, with x = (A*ab + B*dc + C*head)/E at the pivot triple,
-    or None when its block is singular.
+def _pivot_solution(block: _Block, x: tuple[Fraction, ...]):
+    """The primitive (A, B, C, E), E > 0, with x = (A*ab + B*dc + C*head)/E at the block's rows,
+    or None when the block is singular.
 
     Row c, scaled by L_c, is (P_c, Q_c, H_c) @ (a, b, c) = L_c*x_c: Cramer's rule on the
     cofactors of the x-free block, with the right-hand side over one common denominator den,
@@ -183,38 +186,34 @@ def _pivot_solution(rows: Sequence[tuple[int, int, int, int]], pivot: int, x: tu
     The block is regular whenever the pivot's discriminant, -det/(L*L*L), is nonzero.
     ``_decide`` also solves the planar case with it, on rows 0 and 1 and a border row.
     """
-    cols, cof, det = _pivot_block(rows, pivot)
+    det = block.det
     if det == 0:
         return None
-    (r0, r1, r2), den = _scaled([rows[c][3] * x[c] for c in cols])
-    return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*cof)), det * den))
+    (r0, r1, r2), den = _scaled([l_c * x[c] for c, l_c in zip(block.cols, block.dens)])
+    return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), det * den))
 
 
-def _segment(
-    rows: Sequence[tuple[int, int, int, int]], total_ab: Fraction, total_dc: Fraction, triple: Sequence[Fraction]
-):
+def _segment(f: _Factored, triple: Sequence[Fraction]):
     """(lo, hi, at): the open range of head coefficients over x's span triples, and the triple at each.
 
-    x = A*ab + B*dc + c*head.  On skew ratio vectors head = alpha*ab + beta*dc is
-    solved once at rows 0 and 1 (its cumulants lie in span(ab, dc), so the solve
-    holds at every row), and x's span triples are the line (A + s*alpha, B +
-    s*beta, c - s).  With (F_A, F_B) x's face coordinates, the four facets of
-    ``_coefficient_verdict`` at head coefficient t are F_A - t*alpha, F_B - t*beta,
+    x = A*ab + B*dc + c*head.  On skew ratio vectors head = alpha*ab + beta*dc,
+    solved at rows 0 and 1 once per spec (``f.face``; its cumulants lie in
+    span(ab, dc), so the solve holds at every row), and x's span triples are the
+    line (A + s*alpha, B + s*beta, c - s).  With (F_A, F_B) x's face coordinates,
+    the four facets of ``_coefficient_verdict`` at head coefficient t are F_A - t*alpha, F_B - t*beta,
     F_A + t*(total_dc - alpha) and F_B + t*(total_ab - beta); head and tail have
     positive entries, so some facet bounds t above and some below.  On
     proportional ones c is pinned: lo = hi = c.  With every discriminant zero,
     ab and dc are proportional at every row exactly when they are at rows 0 and 1.
     """
     big_a, big_b, c = triple
-    (p0, q0, h0, _), (p1, q1, h1, _) = rows[:2]
-    det = p0 * q1 - p1 * q0
-    if det == 0:
+    if f.face is None:
         return c, c, lambda _: triple
-    alpha, beta = Fraction(h0 * q1 - h1 * q0, det), Fraction(p0 * h1 - p1 * h0, det)
+    alpha, beta = f.face
     face = (big_a + c * alpha, big_b + c * beta)
-    facets = tuple(zip(face * 2, (-alpha, -beta, total_dc - alpha, total_ab - beta)))
-    lo = max(-f / k for f, k in facets if k > 0)
-    hi = min(-f / k for f, k in facets if k < 0)
+    facets = tuple(zip(face * 2, (-alpha, -beta, f.total_dc - alpha, f.total_ab - beta)))
+    lo = max(-v / k for v, k in facets if k > 0)
+    hi = min(-v / k for v, k in facets if k < 0)
     return lo, hi, lambda t: (face[0] - t * alpha, face[1] - t * beta, t)
 
 
@@ -228,12 +227,13 @@ def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     equally instead.  Planar verdicts ignore the mode, so the branch is named in
     audited mode.
     """
-    rows, total_ab, total_dc = integer_rows(spec)
+    f = _factored(spec, integer_rows(spec), classify(spec).pivot)
+    total_ab, total_dc = f.total_ab, f.total_dc
     a, b = cert.coeffs
-    lo, hi, at = _segment(rows, total_ab, total_dc, (b * total_dc, b * total_ab, a - b))
+    lo, hi, at = _segment(f, (b * total_dc, b * total_ab, a - b))
     big_a, big_b, c = at(Fraction(0) if lo < 0 < hi else (lo + hi) / 2)
     if lo == hi == 0:
-        p0, q0, _, _ = rows[0]
+        p0, q0, _, _ = f.rows[0]
         big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
     ints, e = _scaled((big_a, big_b, c))
     verdict = _coefficient_verdict(*ints, e, total_ab, total_dc, "audited")
@@ -241,15 +241,8 @@ def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     return verdict.certificate
 
 
-def _decide(
-    rows: Sequence[tuple[int, int, int, int]],
-    total_ab: Fraction,
-    total_dc: Fraction,
-    pivot: Optional[int],
-    x: tuple[Fraction, ...],
-    mode: Mode,
-) -> Verdict:
-    """The verdict for a positive x on a spec's integer rows: the pivot solve, its componentwise
+def _decide(f: _Factored, x: tuple[Fraction, ...], mode: Mode) -> Verdict:
+    """The verdict for a positive x on a spec's factored rows: the pivot solve, its componentwise
     check on the rows the solve did not use and the coefficient verdict; an attainable planar x
     (pivot None) is certified by (a, b) with x = a*head + b*tail and its segment's two intervals,
     the only place it builds the span triple's Fractions.
@@ -260,25 +253,25 @@ def _decide(
     determinant is -s*M for the head/tail minor M = H_0*K_1 - K_0*H_1 < 0, so it is regular.
     Planar verdicts ignore the mode.
     """
+    pivot = f.pivot
     if pivot is None:
-        (ta, td), _ = _scaled((total_ab, total_dc))
-        sol = _pivot_solution((*rows[:2], (ta, -td, 0, 1)), 2, (*x[:2], Fraction(0)))
+        sol = _pivot_solution(f.block, (*x[:2], Fraction(0)))
         invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
         mode, solved = "audited", range(2)
     else:
-        sol = _pivot_solution(rows, pivot, x)
+        sol = _pivot_solution(f.block, x)
         invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
         solved = range(pivot - 2, pivot + 1)
-    if not _spans(rows, sol, x, solved):
+    if not _spans(f.rows, sol, x, solved):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    verdict = _coefficient_verdict(*sol, total_ab, total_dc, mode)
+    verdict = _coefficient_verdict(*sol, f.total_ab, f.total_dc, mode)
     if pivot is not None or not verdict.attainable:
         return verdict
     triple = tuple(Fraction(v, sol[3]) for v in sol[:3])
-    lo, hi, _ = _segment(rows, total_ab, total_dc, triple)
+    lo, hi, _ = _segment(f, triple)
     q1 = Interval(max(lo, Fraction(0)), hi) if hi > 0 else None
     q2 = Interval(max(-hi, Fraction(0)), -lo) if lo < 0 else None
-    b = triple[1] / total_ab
+    b = triple[1] / f.total_ab
     return Verdict(True, Certificate("degenerate", (triple[2] + b, b), q1, q2))
 
 
@@ -302,12 +295,12 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     if label.spatial and _lighter_at_end(x[0], x[-1]):
         # decided from the lighter end: on the mirror x's coefficients are as small as a q1 tuple's
         mirror = _mirror(spec)
-        verdict = _decide(*integer_rows(mirror), classify(mirror).pivot, x[::-1], mode)
+        verdict = _decide(_factored(mirror, integer_rows(mirror), classify(mirror).pivot), x[::-1], mode)
         cert = verdict.certificate
         if cert is None or cert.branch not in ("q1", "q2"):
             return verdict
         return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
-    return _decide(*integer_rows(spec), label.pivot, x, mode)
+    return _decide(_factored(spec, integer_rows(spec), label.pivot), x, mode)
 
 
 def proportional_bounds(p: Sequence[Fraction]):

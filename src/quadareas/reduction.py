@@ -3,9 +3,12 @@
 A summable infinite sequence (``division.TailSummedSequence``) is an exact
 finite prefix plus the exact sum of everything after it, so cutting both
 sides at the prefix makes each tail one more segment: ``member_tail`` decides
-as ``member`` on that (m+1)-spec's integer rows, which with their first pivot
-are built once per (p, p_prime) pair and kept in p, as a ``DivisionSpec`` keeps
-its own.  Its verdicts are "prefix-certified": linear constraints living
+as ``member`` on that (m+1)-spec's integer rows, which with their totals, first
+pivot and pivot block are built once per (p, p_prime) pair and kept in p, as a
+``DivisionSpec`` keeps its own.  ``collapse`` keeps each fold's three-coordinate
+spec in the spec's dict, one per (pivot, branch), so repeated folds at one
+pivot (``member_via_collapse``, ``oracle.cross_validate``) build, validate and
+factor it once.  Its verdicts are "prefix-certified": linear constraints living
 entirely beyond the prefix cannot be checked from a tail sum alone and remain
 the caller's responsibility.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cone import _cumulants, _discriminant, _first_pivot, _rows, classify, integer_rows
+from .cone import _cumulants, _discriminant, _factor, _factored, _first_pivot, _rows, classify, integer_rows
 from .division import (
     DivisionSpec, TailSummedSequence, _Frozen, _check_spec, _memoized_on_pair, _side_sums, fraction_tuple, to_fraction,
 )
@@ -70,9 +73,9 @@ def cumulant_tail_sums(
 
 
 def _check_pivot(p: Sequence[Fraction], q: Sequence[Fraction], pivot: int) -> None:
-    """Refuse a pivot that is not an int, is outside 2..m-1 or has a zero discriminant."""
+    """Refuse a pivot that is not an int (a bool included), is outside 2..m-1 or has a zero discriminant."""
     m = len(p)
-    if not isinstance(pivot, int):
+    if isinstance(pivot, bool) or not isinstance(pivot, int):
         raise InvalidPivotError(f"pivot must be an integer, got {pivot!r}")
     if not 2 <= pivot <= m - 1:
         raise InvalidPivotError(f"pivot {pivot} outside the usable range 2..{m - 1}")
@@ -98,7 +101,9 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
 
     branch "q1" sums everything before the pivot into the first coordinate;
     branch "q2" sums everything after it (tail sums included exactly) into the
-    last one.  Every ratio sum is read from the spec's partial sums.
+    last one.  Every ratio sum is read from the spec's partial sums.  spec3 is built
+    once per (pivot, branch) and kept in the spec's dict; a pair's prefix spec is
+    built afresh by each call, so its spec3, tail sums included, dies with the call.
     """
     tail_p = tail_q = Fraction(0)
     if not isinstance(spec, DivisionSpec):
@@ -114,17 +119,24 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     p, q = spec.p, spec.p_prime
-    _check_pivot(p, q, pivot)
+    key = f"_collapse_{branch}{pivot}"
+    if type(pivot) is not int or key not in spec.__dict__:  # a kept fold's pivot passed this check
+        _check_pivot(p, q, pivot)
     k = pivot - 1  # 0-based
-    sums_ab, sums_dc = _side_sums(spec)
+    spec3 = spec.__dict__.get(key)
+    if spec3 is None:
+        sums_ab, sums_dc = _side_sums(spec)
+        if branch == "q1":
+            spec3 = DivisionSpec((sums_ab[k], p[k], p[k + 1]), (sums_dc[k], q[k], q[k + 1]))
+        else:
+            spec3 = DivisionSpec(
+                (p[k - 1], p[k], sums_ab[-1] - sums_ab[k + 1] + tail_p),
+                (q[k - 1], q[k], sums_dc[-1] - sums_dc[k + 1] + tail_q),
+            )
+        spec.__dict__[key] = spec3
     if branch == "q1":
-        spec3 = DivisionSpec((sums_ab[k], p[k], p[k + 1]), (sums_dc[k], q[k], q[k + 1]))
         x3 = (sum(x[:k], Fraction(0)), x[k], x[k + 1])
     else:
-        spec3 = DivisionSpec(
-            (p[k - 1], p[k], sums_ab[-1] - sums_ab[k + 1] + tail_p),
-            (q[k - 1], q[k], sums_dc[-1] - sums_dc[k + 1] + tail_q),
-        )
         x3 = (x[k - 1], x[k], sum(x[k + 1:], Fraction(0)) + tail_x)
     return CollapsedInstance(spec3, x3, pivot, branch)
 
@@ -134,9 +146,10 @@ def member_via_collapse(
 ) -> Verdict:
     """Decide a finite spatial instance through its three-coordinate folds.
 
-    Each fold is ``collapse``'s instance, and its x3 is solved by ``member``'s
-    pivot solve at pivot 2 of its spec3's integer rows.  A fold is injective on
-    the relevant span exactly when that solve is regular, that is when spec3 is
+    Each fold is ``collapse``'s instance, kept on the spec, and its x3 is solved
+    by ``member``'s pivot solve at pivot 2 of its spec3's integer rows, whose
+    block spec3 keeps as any spec does (``cone._factored``).  A fold is injective
+    on the relevant span exactly when that solve is regular, that is when spec3 is
     spatial (a triple's discriminant is -det/(L*L*L) of its rows); a planar
     fold can cancel a negative coordinate against later positive ones and is
     never trusted.  One injective fold suffices: the q1 fold is tried first.
@@ -163,13 +176,15 @@ def member_via_collapse(
 
     for branch in ("q1", "q2"):
         folded = collapse(spec, x, pivot, branch)
-        sol = _pivot_solution(integer_rows(folded.spec3)[0], 2, folded.x3)
+        spec3 = folded.spec3
+        f3 = _factored(spec3, integer_rows(spec3), classify(spec3).pivot)
+        sol = None if f3.pivot is None else _pivot_solution(f3.block, folded.x3)
         if sol is not None:
             break
     rows, total_ab, total_dc = integer_rows(spec)
     if sol is None:
         # no fold is injective: decide x at the spec's own pivot, refuse it only on the span
-        verdict = _decide(rows, total_ab, total_dc, pivot, x, mode)
+        verdict = _decide(_factor(rows, total_ab, total_dc, pivot), x, mode)
         if verdict.reason == REASON_OFF_SUBSPACE:
             return verdict
         raise DegenerateCollapseError(
@@ -196,11 +211,11 @@ def planar_ratio_bounds(
 
 @_memoized_on_pair
 def _tail_rows(p: TailSummedSequence, p_prime: TailSummedSequence):
-    """``_rows`` and ``_first_pivot`` of the m+1 segments of each side, the last one the tail sum,
+    """The ``cone._Factored`` record of the m+1 segments of each side, the last one the tail sum,
     once the prefixes are validated as a ``DivisionSpec``; built once per pair."""
     DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
     ab, dc = (*p.prefix, p.tail_sum), (*p_prime.prefix, p_prime.tail_sum)
-    return (*_rows(ab, dc), _first_pivot(ab, dc))
+    return _factor(*_rows(ab, dc), _first_pivot(ab, dc))
 
 
 def member_tail(
@@ -214,9 +229,9 @@ def member_tail(
     It is ``member``'s decision on the m+1 segments of each side, the last one
     the tail sum: the same integer rows and first pivot, so the tail triple's
     discriminant can end the prefix's zero chain, and two zero tail sums give a
-    zero last row.  The rows, totals and pivot are built once per (p, p_prime) pair
-    and kept in p (``_tail_rows``).  Constraints at individual indices beyond the
-    prefix are not representable and are not checked.
+    zero last row.  The rows, totals, pivot and pivot block are built once per
+    (p, p_prime) pair and kept in p (``_tail_rows``).  Constraints at individual
+    indices beyond the prefix are not representable and are not checked.
     """
     _check_mode(mode)
     if not all(isinstance(v, TailSummedSequence) for v in (p, p_prime, x)):
@@ -230,7 +245,7 @@ def member_tail(
         # infinitely many strictly positive strips cannot sum to zero
         return Verdict(False, reason=REASON_NON_POSITIVE, prefix_certified=True)
 
-    verdict = _decide(*extended, (*x.prefix, x.tail_sum), mode)
+    verdict = _decide(extended, (*x.prefix, x.tail_sum), mode)
     return Verdict(verdict.attainable, verdict.certificate, verdict.reason, prefix_certified=True)
 
 
@@ -251,7 +266,7 @@ def extend_solution(
     p_prime = fraction_tuple(p_prime)
     x1, x2 = to_fraction(x1), to_fraction(x2)
     DivisionSpec(p, p_prime)  # positive ratio tuples of one length
-    if not isinstance(i, int):
+    if isinstance(i, bool) or not isinstance(i, int):
         raise InvalidInputError(f"index must be an integer, got {i!r}")
     if i < 2 or i >= len(p):
         raise InvalidInputError("index out of range for the extension formula")

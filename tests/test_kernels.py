@@ -56,7 +56,7 @@ from quadareas import (
     to_fraction,
 )
 from quadareas.cli import _describe_payload
-from quadareas.cone import _discriminant, _first_pivot, _rows, integer_rows
+from quadareas.cone import _discriminant, _factor, _first_pivot, _pivot_block, _rows, integer_rows
 from quadareas.division import _mirror, fraction_tuple
 from quadareas.geometry import _SHORT_BITS, _integer_side_sums
 from quadareas.linalg import _cofactors, _scaled
@@ -238,7 +238,7 @@ def head_basis_member(spec, x, mode):
     x = fraction_tuple(x)
     if any(v.numerator <= 0 for v in x):
         return Verdict(False, reason="non-positive-entry")
-    return _decide(*integer_rows(spec), classify(spec).pivot, x, mode)
+    return _decide(_factor(*integer_rows(spec), classify(spec).pivot), x, mode)
 
 
 def q1_q2_swapped(verdict):
@@ -460,7 +460,8 @@ def span_triple(total_ab, total_dc, a, b):
 
 def face_coordinates(rows, total_ab, total_dc):
     """head's and tail's coordinates over (ab, dc): their span triples moved to c = 0; for head, (alpha, beta)."""
-    return [_segment(rows, total_ab, total_dc, span_triple(total_ab, total_dc, *coeffs))[2](F(0))[:2]
+    planar = _factor(rows, total_ab, total_dc, None)
+    return [_segment(planar, span_triple(total_ab, total_dc, *coeffs))[2](F(0))[:2]
             for coeffs in ((F(1), F(0)), (F(0), F(1)))]
 
 
@@ -908,7 +909,7 @@ def test_planar_bordered_solve_matches_the_head_tail_cramer(spec, x0, x1):
     assert _cofactors([row[:3] for row in (*rows[:2], border)])[1] == -s * minor
     fr = frame(spec)
     coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x0, x1])
-    sol = _pivot_solution((*rows[:2], border), 2, (x0, x1, F(0)))
+    sol = _pivot_solution(_pivot_block((*rows[:2], border), 2), (x0, x1, F(0)))
     assert_primitive(sol)
     assert as_fractions(sol) == span_triple(total_ab, total_dc, *coeffs)
 
@@ -918,7 +919,7 @@ def test_pivot_solution_matches_fraction_cramer(system):
     rows, x = system
     rhs = [row[3] * v for row, v in zip(rows, x)]
     assert len({v.denominator for v in rhs}) == 3
-    sol = _pivot_solution(rows, 2, x)
+    sol = _pivot_solution(_pivot_block(rows, 2), x)
     assert as_fractions(sol) == ref_solve3([[F(e) for e in row[:3]] for row in rows], rhs)
     if sol is not None:
         assert_primitive(sol)
@@ -926,7 +927,7 @@ def test_pivot_solution_matches_fraction_cramer(system):
 
 def test_singular_systems_return_none():
     rows = [(3, 6, 9, 1), (1, 0, -3, 2), (4, 6, 6, 3)]  # the last block row is the sum of the others
-    assert _pivot_solution(rows, 2, (F(1, 2), F(1, 3), F(1, 5))) is None
+    assert _pivot_solution(_pivot_block(rows, 2), (F(1, 2), F(1, 3), F(1, 5))) is None
 
 
 @given(specs(), st.sampled_from((False, True)), st.data())
@@ -1110,7 +1111,7 @@ def test_pivot_solution_matches_fraction_reference_at_every_pivot(query):
     rows = integer_rows(spec)[0]
     for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
         for pivot in pivots:
-            sol = _pivot_solution(rows, pivot, y)
+            sol = _pivot_solution(_pivot_block(rows, pivot), y)
             assert_primitive(sol)
             spans = _spans(rows, sol, y, range(pivot - 2, pivot + 1))
             assert (as_fractions(sol) if spans else None) == ref_pivot_solution(spec, pivot, y)
@@ -1333,7 +1334,7 @@ def test_every_fold_matches_the_frame_based_reference(query, mode, data):
             # the tail arm of a triple is the reversed head arm of its reversal
             instance = collapse(spec, y, pivot, "q2")
             rows = integer_rows(DivisionSpec(instance.spec3.p[::-1], instance.spec3.p_prime[::-1]))[0]
-            assert as_fractions(_pivot_solution(rows, 2, instance.x3[::-1])) == folds["q2"]
+            assert as_fractions(_pivot_solution(_pivot_block(rows, 2), instance.x3[::-1])) == folds["q2"]
         try:
             expected = ref_member_via_collapse(spec, y, pivot, mode)
         except DegenerateCollapseError:
@@ -1435,7 +1436,7 @@ def test_folds_keep_the_head_basis_of_the_spec(spec):
         assert frame(folds["q1"]).head == (sum(fr.head[:k], F(0)), fr.head[k], fr.head[k + 1])
         assert frame(folds["q2"]).head == (shifted[k - 1], shifted[k], sum(shifted[k + 1:], F(0)))
         for spec3 in folds.values():
-            solved = _pivot_solution(integer_rows(spec3)[0], 2, (F(1),) * 3)
+            solved = _pivot_solution(_pivot_block(integer_rows(spec3)[0], 2), (F(1),) * 3)
             assert (solved is None) == (not classify(spec3).spatial)
 
 
@@ -1472,7 +1473,7 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
     if not proportional:
         # the segment's triple at head coefficient c, or -c on the tail arm, in its verdict's coefficients
         rows, total_ab, total_dc = integer_rows(spec)
-        at = _segment(rows, total_ab, total_dc, span_triple(total_ab, total_dc, *cert.coeffs))[2]
+        at = _segment(_factor(rows, total_ab, total_dc, None), span_triple(total_ab, total_dc, *cert.coeffs))[2]
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
@@ -1497,7 +1498,7 @@ def test_face_solution_matches_the_span_checked_reference(query):
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
         # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
-        at = _segment(rows, total_ab, total_dc, span_triple(total_ab, total_dc, *coeffs))[2]
+        at = _segment(_factor(rows, total_ab, total_dc, None), span_triple(total_ab, total_dc, *coeffs))[2]
         assert at(F(0)) == (*expected, 0)
     if member(spec, x).attainable:
         out = synthesize_witness(spec, x)

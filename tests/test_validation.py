@@ -165,6 +165,12 @@ class TestInputErrors:
                      "count must be an integer, got True", id="sample_convex_quads-bool-count"),
         pytest.param(lambda: cross_validate(SPATIAL4, 2, False), InvalidInputError,
                      "seed must be an integer, got False", id="cross_validate-bool-seed"),
+        pytest.param(lambda: collapse(SPATIAL4, (1, 2, 3, 4), True, "q1"), InvalidPivotError,
+                     "pivot must be an integer, got True", id="collapse-bool-pivot"),
+        pytest.param(lambda: member_via_collapse(SPATIAL4, (1, 2, 3, 4), True), InvalidPivotError,
+                     "pivot must be an integer, got True", id="member_via_collapse-bool-pivot"),
+        pytest.param(lambda: extend_solution((1, 2, 3), (1, 1, 1), 1, 1, True), InvalidInputError,
+                     "index must be an integer, got True", id="extend_solution-bool-index"),
     ))
     def test_a_pivot_index_count_or_seed_that_is_not_an_int_is_refused(self, call, error, message):
         with pytest.raises(error) as caught:
@@ -189,6 +195,13 @@ class TestInputErrors:
                      "member_tail takes three TailSummedSequence values", id="member_tail-list-x"),
         pytest.param(lambda: member_tail((1, 2, 3), SHORT3, SHORT3),
                      "member_tail takes three TailSummedSequence values", id="member_tail-tuple-p"),
+        # a bool is an int to Python, but never a rational here
+        pytest.param(lambda: to_fraction(True), "cannot interpret True as a rational", id="to_fraction-bool"),
+        pytest.param(lambda: member(SPATIAL4, (True, 2, 3, 4)), "cannot interpret True as a rational",
+                     id="member-bool-entry"),
+        pytest.param(lambda: DivisionSpec.of((True, 2, 3), (1, 2, 3)), "cannot interpret True as a rational",
+                     id="DivisionSpec.of-bool-entry"),
+        pytest.param(lambda: pt(True, 0), "cannot interpret True as a rational", id="pt-bool"),
     ))
     def test_an_x_or_ratio_tuple_of_the_wrong_kind_is_refused(self, call, message):
         with pytest.raises(InvalidInputError) as caught:
