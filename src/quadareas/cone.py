@@ -138,12 +138,6 @@ def frame(spec: DivisionSpec) -> ConeFrame:
     return ConeFrame(spec.p, spec.p_prime, *_cumulants(spec.p, spec.p_prime, Fraction(0), Fraction(0)))
 
 
-@_memoized_on_spec
-def integer_rows(spec: DivisionSpec) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
-    """``_rows`` of the spec, built once per spec."""
-    return _rows(spec.p, spec.p_prime)
-
-
 class _Block(_Frozen):
     """The x-free 3x3 integer block of a pivot triple: its 0-based rows ``cols``, their
     denominators L_c, and the cofactors and determinant of the block whose rows are
@@ -169,7 +163,8 @@ class _Factored(_Frozen):
 
     A planar block is rows 0 and 1 bordered by (T_ab, -T_dc, 0, 1), the totals over their
     common denominator; its third row of cofactors is (-alpha, -beta, 1) times the ab/dc minor
-    P_0*Q_1 - P_1*Q_0 at rows 0 and 1, which is zero exactly when ab and dc are proportional.
+    P_0*Q_1 - P_1*Q_0 at rows 0 and 1.  With every discriminant zero, ab and dc are proportional at
+    every row exactly when they are at rows 0 and 1, so the face is None exactly on proportional sides.
     """
 
     rows: tuple[tuple[int, int, int, int], ...]
@@ -180,10 +175,11 @@ class _Factored(_Frozen):
     face: tuple[Fraction, Fraction] | None
 
 
-def _factor(
-    rows: tuple[tuple[int, int, int, int], ...], total_ab: Fraction, total_dc: Fraction, pivot: int | None
-) -> _Factored:
-    """The ``_Factored`` record of integer rows, their totals and their first pivot."""
+def _factor(p: Sequence[Fraction], q: Sequence[Fraction]) -> _Factored:
+    """The ``_Factored`` record of a valid ratio pair: its ``_rows``, its first pivot and the block
+    at that pivot, or the planar block and head's face coordinates when every discriminant vanishes."""
+    rows, total_ab, total_dc = _rows(p, q)
+    pivot = _first_pivot(p, q)
     if pivot is not None:
         return _Factored(rows, total_ab, total_dc, pivot, _pivot_block(rows, pivot), None)
     (ta, td), _ = _scaled((total_ab, total_dc))
@@ -194,19 +190,20 @@ def _factor(
 
 
 @_memoized_on_spec
-def _factored(spec: DivisionSpec, rows_and_totals, pivot: int | None) -> _Factored:
-    """``_factor`` of the spec's ``integer_rows`` and ``classify`` pivot, which the caller reads
-    (so a warm call opens the same public spans as a cold one); built once per spec."""
-    return _factor(*rows_and_totals, pivot)
+def _factored(spec: DivisionSpec) -> _Factored:
+    """The spec's ``_Factored`` record, built once per spec: the one source of its rows, totals,
+    pivot, block and face for ``classify``, ``_planes`` and every decision."""
+    return _factor(spec.p, spec.p_prime)
 
 
 @_memoized_on_spec
 def classify(spec: DivisionSpec) -> CaseLabel:
-    """Spatial with the smallest usable pivot, else planar with a proportionality flag."""
-    pivot = _first_pivot(spec.p, spec.p_prime)
-    if pivot is not None:
-        return CaseLabel(spatial=True, pivot=pivot)
-    return CaseLabel(spatial=False, proportional=spec.proportional())
+    """Spatial with the smallest usable pivot, else planar with a proportionality flag; a view of
+    the spec's ``_factored`` record, whose planar face is None exactly when ab and dc are proportional."""
+    f = _factored(spec)
+    if f.pivot is not None:
+        return CaseLabel(spatial=True, pivot=f.pivot)
+    return CaseLabel(spatial=False, proportional=f.face is None)
 
 
 def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
@@ -215,26 +212,30 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     Spatial case: n-3 planes, one per coordinate away from the pivot triple,
     each supported on that coordinate plus the pivot triple and containing
     both ratio vectors and the head-cumulant vector, read in ``int`` from the
-    adjugate of the integer pivot block.  Planar case: n-2 planes supported on
-    consecutive coordinate triples, read in ``int`` from the triple's ratios
-    over their common denominator: when skew, the cross product of the ab and dc triples.
-    The planes are built once per spec; every call reads the same public memos first.
+    adjugate of the spec's ``_factored`` pivot block.  Planar case: n-2 planes
+    supported on consecutive coordinate triples, read in ``int`` from the
+    triple's ratios over their common denominator: when skew, the cross
+    product of the ab and dc triples.  The planes are built once per spec
+    (``_planes``); every call, warm or cold, reads ``classify`` and hands its
+    label on, so a tracer of the public functions counts the same calls.
     """
     _check_spec("hyperplanes", spec)
     if spec.n < 3:
         raise InvalidInputError("hyperplanes need at least three segments")
     label = classify(spec)
-    return _planes(spec, label, _factored(spec, integer_rows(spec), label.pivot) if label.spatial else None)
+    return _planes(spec, label)
 
 
 @_memoized_on_spec
-def _planes(spec: DivisionSpec, label: CaseLabel, f: _Factored | None) -> tuple[tuple[int, ...], ...]:
-    """``hyperplanes`` of the spec, from its ``classify`` label and, when spatial, its ``_factored`` record."""
+def _planes(spec: DivisionSpec, label: CaseLabel) -> tuple[tuple[int, ...], ...]:
+    """``hyperplanes`` of the spec, from the ``classify`` label its caller read and, when spatial,
+    the spec's ``_factored`` record."""
     n = spec.n
     supported = []  # (coordinates, coefficients) of each plane
     if label.spatial:
         # the plane at i is L_i*det(N)*x_i - sum over pivot columns c of L_c*(adj(N) R_i)_c*x_c,
         # with N the pivot block whose columns are the rows R_c = (P_c, Q_c, H_c)
+        f = _factored(spec)
         rows, block = f.rows, f.block  # the cofactors of N's transpose are adj(N)
         cols, det = block.cols, block.det
         invariant(det != 0, "pivot system is singular despite nonzero discriminant")

@@ -149,9 +149,10 @@ def _check_spec(name: str, spec) -> None:
 
 def _memoized_on_spec(fn):
     """Keep fn(spec, *args) in the frozen spec's own dict, beside the fields eq, hash and repr read;
-    every caller shares the one value, so it must be immutable.  Any further arguments are values
-    the caller has read from the spec itself (its rows, its pivot), so the spec alone is the key.
-    A spec that is not a ``DivisionSpec`` is refused, naming fn."""
+    every caller shares the one value, so it must be immutable, and the spec alone is the key.
+    A spec that is not a ``DivisionSpec`` is refused, naming fn.  Only ``cone._planes`` takes
+    a further argument, the ``classify`` label ``hyperplanes`` reads on every call, so that a
+    warm call opens the public ``classify`` span a cold one does (the bench tracer counts it)."""
     key, name = f"_{fn.__name__}", fn.__name__
 
     @wraps(fn)

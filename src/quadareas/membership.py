@@ -1,51 +1,46 @@
 """Decides whether an area tuple is attainable and produces exact certificates.
 
-A decision passes one value along: the primitive int vector (A, B, C, E) of
-``_pivot_solution``, E > 0, with x = (A*ab + B*dc + C*head)/E at the rows the
-solve used.  It is Cramer's rule on the cofactors of the x-free integer block
-of the spec's integer rows, divided by one gcd.  Everything the decision reads
-that depends only on the spec (its integer rows and totals, its first pivot,
-that block and, on skew planar rows, head's face coordinates) is one
-``cone._Factored`` record, built once per spec, once per mirror and once per
-tail-summed pair, and kept with it.  ``_spans`` compares the vector with x at
-every other coordinate in ``int`` with no gcd, by one exact division of E*L by
-x's denominator per row (the rows of the solve hold exactly, so they are not
-re-checked), and that check alone decides whether x lies on the span, so no
-hyperplane is evaluated (``cone.hyperplanes`` serves ``describe`` and
-``proportional_bounds`` only).  ``_coefficient_verdict`` reads the four facet
-signs from ints and builds ``Fraction``s only for the certificate it returns,
-so a spatial decision, O(n) per query, computes no tail cumulant and no frame.
-``_decide`` holds the one decision path: ``member`` runs it on the spec's
-record (or its mirror's, below) and ``reduction.member_tail`` on the record of
-the (m+1)-spec that ends in the tail sums; each fold is a solve on the record
-of ``reduction.collapse``'s three-coordinate spec, which is kept on the spec
-per (pivot, branch).  A planar decision is the same solve on rows 0 and 1
-bordered by A*total_ab = B*total_dc, which yields the span triple (b*total_dc,
-b*total_ab, a - b) of x = a*head + b*tail, then the same componentwise check
-on rows 2 onwards and ``_coefficient_verdict``, so it computes no frame
-either.
-``member`` decides a spatial tuple from its lighter end: when x's first entry
-has the longer denominator by more than 64 bits (``division._lighter_at_end``),
-as a big-digit q2 tuple's does, its head coefficients carrying both side
-totals, it decides the reversed x on ``division._mirror``, the spec read from
-the other end of both sides, and renames q1 and q2.  The verdict cannot
-depend on the end: the mirror's ab, dc and head are the spec's ab, dc and
-tail reversed, so the span is the same, the mirror's coefficients are
-(a2, b2, -c) and its four facet values are the spec's four, and a face or ray
-certificate keeps its coefficients.
-Every re-decomposition of x lies on one segment of span triples (``_segment``):
-on skew ratio vectors the triple moves along (alpha, beta, -1), head =
-alpha*ab + beta*dc solved at rows 0 and 1 once per spec, clipped by the four
-facets to one open range of the head coefficient, from which both intervals follow; on
-proportional ones the range is the point a - b.  ``_realization`` moves to one
-point of it and returns its q1, q2, face or ray certificate, the witness's
-only input.
+Every decision reads one ``cone._Factored`` record: the spec's
+(``cone._factored``), its mirror's, a fold's or ``reduction.member_tail``'s
+pair's, each built once and kept.  ``_decide`` is the one decision path, run
+by ``member`` and ``member_tail``; the folds of ``member_via_collapse`` reuse
+its first two steps.
+
+1. ``_pivot_solution``: Cramer's rule on the cofactors of the record's x-free
+   block gives the primitive int vector (A, B, C, E), E > 0, with
+   x = (A*ab + B*dc + C*head)/E at the pivot triple.  A planar record borders
+   rows 0 and 1 with A*total_ab = B*total_dc instead, which yields the span
+   triple (b*total_dc, b*total_ab, a - b) of x = a*head + b*tail.
+2. ``_spans`` compares that vector with x at every other row, in ``int`` by
+   one exact division per row.  This alone decides whether x lies on the
+   span, so no hyperplane is evaluated.
+3. ``_coefficient_verdict`` reads the four facet signs from ints and builds
+   ``Fraction``s only for the certificate.
+
+So a decision is O(n) per query and computes no frame and no tail cumulant.
+
+``member`` decides a tuple from its lighter end: when x's first denominator
+is more than 64 bits longer than its last (``division._lighter_at_end``), as
+a big-digit q2 tuple's is, it decides the reversed x on the record of
+``division._mirror``, the spec read from the other end of both sides, and
+renames q1 and q2.  The mirror's ab, dc and head are the spec's ab, dc and
+tail reversed, so the span, the four facet values and any face or ray
+coefficients are the same from either end.  The mirror's discriminant chain
+is the spec's reversed, so its record is planar exactly when the spec's is,
+and then ``member`` decides on the spec's own record.
+
+A planar certificate's re-decompositions lie on one segment of span triples
+(``_segment``): on skew sides along (alpha, beta, -1), clipped by the four
+facets to an open range of the head coefficient; on proportional ones the
+point a - b.  ``_realization`` picks one point of it, the witness's input.
 
 Two semantics are offered for parallel-sided realizations:
 
 * ``audited`` (the default) accepts the whole open face a*ab + b*dc with
   a, b > 0, which trapezoids with independent side scalings realize;
-* ``strict`` accepts from that face only the equal-scaling ray a = b.
+* ``strict`` accepts from that face only the equal-scaling ray a = b, which
+  depends on the units in which p and p' are written: rescaling one side
+  moves the ray across the face.
 
 Everything else is common: in the spatial case a tuple is attainable iff it
 is a strictly positive combination of the two ratio vectors and one cumulant
@@ -58,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .cone import _Block, _Factored, _factored, classify, frame, hyperplanes, integer_rows
+from .cone import _Block, _Factored, _factored, frame, hyperplanes
 from .division import DivisionSpec, _Frozen, _check_spec, _lighter_at_end, _mirror, fraction_tuple
 from .errors import InvalidInputError, invariant
 from .linalg import _primitive, _scaled
@@ -227,7 +222,7 @@ def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     equally instead.  Planar verdicts ignore the mode, so the branch is named in
     audited mode.
     """
-    f = _factored(spec, integer_rows(spec), classify(spec).pivot)
+    f = _factored(spec)
     total_ab, total_dc = f.total_ab, f.total_dc
     a, b = cert.coeffs
     lo, hi, at = _segment(f, (b * total_dc, b * total_ab, a - b))
@@ -291,16 +286,17 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
         raise InvalidInputError("area tuple length does not match the division spec")
     if any(entry.numerator <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
-    label = classify(spec)
-    if label.spatial and _lighter_at_end(x[0], x[-1]):
-        # decided from the lighter end: on the mirror x's coefficients are as small as a q1 tuple's
-        mirror = _mirror(spec)
-        verdict = _decide(_factored(mirror, integer_rows(mirror), classify(mirror).pivot), x[::-1], mode)
-        cert = verdict.certificate
-        if cert is None or cert.branch not in ("q1", "q2"):
-            return verdict
-        return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
-    return _decide(_factored(spec, integer_rows(spec), label.pivot), x, mode)
+    if _lighter_at_end(x[0], x[-1]):
+        # decided from the lighter end: on the mirror x's coefficients are as small as a q1 tuple's;
+        # the mirror's discriminant chain is the spec's reversed, so it is spatial when the spec is
+        mirrored = _factored(_mirror(spec))
+        if mirrored.pivot is not None:
+            verdict = _decide(mirrored, x[::-1], mode)
+            cert = verdict.certificate
+            if cert is None or cert.branch not in ("q1", "q2"):
+                return verdict
+            return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
+    return _decide(_factored(spec), x, mode)
 
 
 def proportional_bounds(p: Sequence[Fraction]):

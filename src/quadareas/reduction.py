@@ -3,8 +3,8 @@
 A summable infinite sequence (``division.TailSummedSequence``) is an exact
 finite prefix plus the exact sum of everything after it, so cutting both
 sides at the prefix makes each tail one more segment: ``member_tail`` decides
-as ``member`` on that (m+1)-spec's integer rows, which with their totals, first
-pivot and pivot block are built once per (p, p_prime) pair and kept in p, as a
+as ``member`` on that (m+1)-spec's ``cone._Factored`` record, built by a spec's
+builder (``cone._factor``) once per (p, p_prime) pair and kept in p, as a
 ``DivisionSpec`` keeps its own.  ``collapse`` keeps each fold's three-coordinate
 spec in the spec's dict, one per (pivot, branch), so repeated folds at one
 pivot (``member_via_collapse``, ``oracle.cross_validate``) build, validate and
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cone import _cumulants, _discriminant, _factor, _factored, _first_pivot, _rows, classify, integer_rows
+from .cone import _Factored, _cumulants, _discriminant, _factor, _factored, _pivot_block
 from .division import (
     DivisionSpec, TailSummedSequence, _Frozen, _check_spec, _memoized_on_pair, _side_sums, fraction_tuple, to_fraction,
 )
@@ -171,20 +171,20 @@ def member_via_collapse(
         raise InvalidInputError("area tuple length does not match the division spec")
     if any(entry.numerator <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
-    if not classify(spec).spatial:
+    f = _factored(spec)
+    if f.pivot is None:
         raise InvalidInputError("folding applies to spatial specs only")
 
     for branch in ("q1", "q2"):
         folded = collapse(spec, x, pivot, branch)
-        spec3 = folded.spec3
-        f3 = _factored(spec3, integer_rows(spec3), classify(spec3).pivot)
+        f3 = _factored(folded.spec3)
         sol = None if f3.pivot is None else _pivot_solution(f3.block, folded.x3)
         if sol is not None:
             break
-    rows, total_ab, total_dc = integer_rows(spec)
     if sol is None:
-        # no fold is injective: decide x at the spec's own pivot, refuse it only on the span
-        verdict = _decide(_factor(rows, total_ab, total_dc, pivot), x, mode)
+        # no fold is injective: decide x at the caller's pivot, refuse it only on the span
+        at_pivot = _Factored(f.rows, f.total_ab, f.total_dc, pivot, _pivot_block(f.rows, pivot), None)
+        verdict = _decide(at_pivot, x, mode)
         if verdict.reason == REASON_OFF_SUBSPACE:
             return verdict
         raise DegenerateCollapseError(
@@ -195,9 +195,9 @@ def member_via_collapse(
         a, b, c, e = sol
         (q0, p0), d = _scaled((sums_dc[pivot - 2], sums_ab[pivot - 2]))
         sol = _primitive((a * d - c * q0, b * d - c * p0, c * d, e * d))
-    if not _spans(rows, sol, x, range(pivot - 2, pivot + 1)):
+    if not _spans(f.rows, sol, x, range(pivot - 2, pivot + 1)):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    return _coefficient_verdict(*sol, total_ab, total_dc, mode)
+    return _coefficient_verdict(*sol, f.total_ab, f.total_dc, mode)
 
 
 def planar_ratio_bounds(
@@ -214,8 +214,7 @@ def _tail_rows(p: TailSummedSequence, p_prime: TailSummedSequence):
     """The ``cone._Factored`` record of the m+1 segments of each side, the last one the tail sum,
     once the prefixes are validated as a ``DivisionSpec``; built once per pair."""
     DivisionSpec(p.prefix, p_prime.prefix)  # positive prefixes of one length, at least two
-    ab, dc = (*p.prefix, p.tail_sum), (*p_prime.prefix, p_prime.tail_sum)
-    return _factor(*_rows(ab, dc), _first_pivot(ab, dc))
+    return _factor((*p.prefix, p.tail_sum), (*p_prime.prefix, p_prime.tail_sum))
 
 
 def member_tail(

@@ -56,7 +56,7 @@ from quadareas import (
     to_fraction,
 )
 from quadareas.cli import _describe_payload
-from quadareas.cone import _discriminant, _factor, _first_pivot, _pivot_block, _rows, integer_rows
+from quadareas.cone import _discriminant, _factor, _factored, _first_pivot, _pivot_block, _rows
 from quadareas.division import _mirror, fraction_tuple
 from quadareas.geometry import _SHORT_BITS, _integer_side_sums
 from quadareas.linalg import _cofactors, _scaled
@@ -238,7 +238,7 @@ def head_basis_member(spec, x, mode):
     x = fraction_tuple(x)
     if any(v.numerator <= 0 for v in x):
         return Verdict(False, reason="non-positive-entry")
-    return _decide(_factor(*integer_rows(spec), classify(spec).pivot), x, mode)
+    return _decide(_factored(spec), x, mode)
 
 
 def q1_q2_swapped(verdict):
@@ -322,7 +322,7 @@ def extended_rows(p, p_prime):
     common denominator: the rows of the (m+1)-spec that cuts both sides at the prefix."""
     head_tail, _ = cumulant_tail_sums(p, p_prime)
     ints, den = _scaled((p.tail_sum, p_prime.tail_sum, head_tail))
-    return integer_rows(DivisionSpec(p.prefix, p_prime.prefix))[0] + ((*ints, den),)
+    return _factored(DivisionSpec(p.prefix, p_prime.prefix)).rows + ((*ints, den),)
 
 
 def ref_member_tail(p, p_prime, x, mode):
@@ -458,10 +458,10 @@ def span_triple(total_ab, total_dc, a, b):
     return b * total_dc, b * total_ab, a - b
 
 
-def face_coordinates(rows, total_ab, total_dc):
-    """head's and tail's coordinates over (ab, dc): their span triples moved to c = 0; for head, (alpha, beta)."""
-    planar = _factor(rows, total_ab, total_dc, None)
-    return [_segment(planar, span_triple(total_ab, total_dc, *coeffs))[2](F(0))[:2]
+def face_coordinates(planar):
+    """head's and tail's coordinates over (ab, dc) on a planar record: their span triples moved to
+    c = 0; for head, (alpha, beta)."""
+    return [_segment(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))[2](F(0))[:2]
             for coeffs in ((F(1), F(0)), (F(0), F(1)))]
 
 
@@ -900,16 +900,18 @@ def test_planar_bordered_solve_matches_the_head_tail_cramer(spec, x0, x1):
     # the border row A*total_ab == B*total_dc picks out the span triple of x = a*head + b*tail; the
     # bordered block's determinant is -s*M, with s the totals' common denominator and M < 0 the
     # head/tail minor at rows 0 and 1 (K_i = L_i*tail_i)
-    rows, total_ab, total_dc = integer_rows(spec)
+    f = _factored(spec)
+    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
     (ta, td), s = _scaled((total_ab, total_dc))
     border = (ta, -td, 0, 1)
+    assert f.pivot is None and f.block == _pivot_block((*rows[:2], border), 2)
     k0, k1 = (total_dc * p + total_ab * q - h for p, q, h, _ in rows[:2])
     minor = rows[0][2] * k1 - k0 * rows[1][2]
     assert minor < 0
     assert _cofactors([row[:3] for row in (*rows[:2], border)])[1] == -s * minor
     fr = frame(spec)
     coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x0, x1])
-    sol = _pivot_solution(_pivot_block((*rows[:2], border), 2), (x0, x1, F(0)))
+    sol = _pivot_solution(f.block, (x0, x1, F(0)))
     assert_primitive(sol)
     assert as_fractions(sol) == span_triple(total_ab, total_dc, *coeffs)
 
@@ -1002,9 +1004,9 @@ def test_convexity_matches_the_point_reference(vertices):
 
 
 @given(specs())
-def test_integer_rows_match_frame(spec):
-    fr = frame(spec)
-    rows, total_ab, total_dc = integer_rows(spec)
+def test_factored_rows_match_frame(spec):
+    fr, f = frame(spec), _factored(spec)
+    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
     assert [(F(p, d), F(q, d), F(h, d)) for p, q, h, d in rows] == list(zip(fr.ab, fr.dc, fr.head))
     assert all(d > 0 for *_, d in rows)
     assert (total_ab, total_dc) == (sum(spec.p), sum(spec.p_prime))
@@ -1062,7 +1064,7 @@ def test_row_denominators_stay_within_the_lowest_terms_sums(seed):
     for p, q in ((ab, dc), (dc, ab)):
         spec = DivisionSpec(p, q)
         assert not classify(spec).spatial and not spec.proportional()
-        for i, (*_, den) in enumerate(integer_rows(spec)[0]):
+        for i, (*_, den) in enumerate(_factored(spec).rows):
             bound = sum(v.denominator.bit_length() for v in (p[i], q[i], sum(p[:i + 1]), sum(q[:i], F(0))))
             assert den.bit_length() <= bound
 
@@ -1094,7 +1096,7 @@ def test_span_check_edge_cases(row, sol, xi, spans):
 def test_span_check_matches_fraction_combination(spec, data):
     coeffs = tuple(data.draw(ratios(signed=True)) for _ in range(3))
     x = ref_combine(frame(spec), *coeffs)
-    rows, _, _ = integer_rows(spec)
+    rows = _factored(spec).rows
     sol = int_vector(coeffs)
     assert _spans(rows, sol, x, range(0))
     delta = data.draw(ratios(signed=True))
@@ -1108,7 +1110,7 @@ def test_span_check_matches_fraction_combination(spec, data):
 def test_pivot_solution_matches_fraction_reference_at_every_pivot(query):
     spec, x, delta = query
     pivots = [j + 2 for j, d in enumerate(discriminants(spec)) if d != 0]
-    rows = integer_rows(spec)[0]
+    rows = _factored(spec).rows
     for y in (x, *(bumped(x, k, delta) for k in range(spec.n))):
         for pivot in pivots:
             sol = _pivot_solution(_pivot_block(rows, pivot), y)
@@ -1333,7 +1335,7 @@ def test_every_fold_matches_the_frame_based_reference(query, mode, data):
         if "q2" in folds:
             # the tail arm of a triple is the reversed head arm of its reversal
             instance = collapse(spec, y, pivot, "q2")
-            rows = integer_rows(DivisionSpec(instance.spec3.p[::-1], instance.spec3.p_prime[::-1]))[0]
+            rows = _factored(DivisionSpec(instance.spec3.p[::-1], instance.spec3.p_prime[::-1])).rows
             assert as_fractions(_pivot_solution(_pivot_block(rows, 2), instance.x3[::-1])) == folds["q2"]
         try:
             expected = ref_member_via_collapse(spec, y, pivot, mode)
@@ -1436,7 +1438,7 @@ def test_folds_keep_the_head_basis_of_the_spec(spec):
         assert frame(folds["q1"]).head == (sum(fr.head[:k], F(0)), fr.head[k], fr.head[k + 1])
         assert frame(folds["q2"]).head == (shifted[k - 1], shifted[k], sum(shifted[k + 1:], F(0)))
         for spec3 in folds.values():
-            solved = _pivot_solution(_pivot_block(integer_rows(spec3)[0], 2), (F(1),) * 3)
+            solved = _pivot_solution(_pivot_block(_factored(spec3).rows, 2), (F(1),) * 3)
             assert (solved is None) == (not classify(spec3).spatial)
 
 
@@ -1472,8 +1474,9 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
                 for interval, arm in zip(intervals, ("head", "tail"))]
     if not proportional:
         # the segment's triple at head coefficient c, or -c on the tail arm, in its verdict's coefficients
-        rows, total_ab, total_dc = integer_rows(spec)
-        at = _segment(_factor(rows, total_ab, total_dc, None), span_triple(total_ab, total_dc, *cert.coeffs))[2]
+        f = _factored(spec)
+        total_ab, total_dc = f.total_ab, f.total_dc
+        at = _segment(f, span_triple(total_ab, total_dc, *cert.coeffs))[2]
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
@@ -1493,12 +1496,13 @@ def test_face_solution_matches_the_span_checked_reference(query):
     # coefficients on head and tail are the ones a certificate would carry
     spec, x, _ = query
     fr, proportional = frame(spec), classify(spec).proportional
-    rows, total_ab, total_dc = integer_rows(spec)
+    f = _factored(spec)
+    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
     coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x[0], x[1]])
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
         # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
-        at = _segment(_factor(rows, total_ab, total_dc, None), span_triple(total_ab, total_dc, *coeffs))[2]
+        at = _segment(f, span_triple(total_ab, total_dc, *coeffs))[2]
         assert at(F(0)) == (*expected, 0)
     if member(spec, x).attainable:
         out = synthesize_witness(spec, x)
@@ -1527,7 +1531,7 @@ def test_realization_reproduces_x_on_its_branch(query):
 @given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), st.data())
 def test_face_coordinates_reproduce_the_cumulants(spec, data):
     fr = frame(spec)
-    for vec, (alpha, beta) in zip((fr.head, fr.tail), face_coordinates(*integer_rows(spec))):
+    for vec, (alpha, beta) in zip((fr.head, fr.tail), face_coordinates(_factored(spec))):
         assert vec == tuple(alpha * u + beta * v for u, v in zip(fr.ab, fr.dc))
     # member_tail's extended rows where they stay planar: zero tail sums, or tail sums that
     # continue the zero chain; the face then holds at every extended row, the tail row included
@@ -1539,7 +1543,7 @@ def test_face_coordinates_reproduce_the_cumulants(spec, data):
     assert ref_first_pivot(ext_ab, ext_dc) is None
     head, tail = tail_cumulants(p, q)
     head_tail, tail_tail = cumulant_tail_sums(p, q)
-    arms = face_coordinates(extended_rows(p, q), p.total, q.total)
+    arms = face_coordinates(_factor(ext_ab, ext_dc))
     for vec, (alpha, beta) in zip((head + (head_tail,), tail + (tail_tail,)), arms):
         assert vec == tuple(alpha * u + beta * v for u, v in zip(ext_ab, ext_dc))
 

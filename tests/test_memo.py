@@ -6,15 +6,16 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from quadareas import (
-    DivisionSpec, InvalidPivotError, NoValidContinuationError, QuadAreasError, TailSummedSequence, collapse, continue_degenerate,
-    cumulants, discriminants, hyperplanes, member, member_tail, member_via_collapse, station_check,
+    DivisionSpec, InvalidPivotError, NoValidContinuationError, QuadAreasError, TailSummedSequence, classify, collapse,
+    continue_degenerate, cumulants, discriminants, hyperplanes, member, member_tail, member_via_collapse, station_check,
     synthesize_witness,
 )
 from quadareas import cone, division, geometry, reduction
 from quadareas.division import _Frozen
+from quadareas.membership import _decide
 
 from test_kernels import ratios
 from test_reduction import seq_combo
@@ -22,11 +23,11 @@ from test_reduction import seq_combo
 RATIO = st.builds(F, st.integers(1, 64), st.integers(1, 8))
 
 # every memo, with the records it takes: one DivisionSpec, or a (p, p_prime) pair
-SPEC_MEMOS = (cone.classify, cone.frame, cone.integer_rows, cone._factored, cone._planes, division._side_sums,
-              division._mirror, geometry._integer_side_sums)
+SPEC_MEMOS = (cone.classify, cone.frame, cone._factored, cone._planes, division._side_sums, division._mirror,
+              geometry._integer_side_sums)
 PAIR_MEMOS = (reduction._tail_rows,)
-# the memos built from values their caller reads from the spec, each filled through that caller
-FILLED_BY = {cone._factored: lambda spec: member(spec, (1,) * spec.n), cone._planes: hyperplanes}
+# the one memo built from a value its caller reads from the spec, filled through that caller
+FILLED_BY = {cone._planes: hyperplanes}
 
 
 def fresh(record):
@@ -109,7 +110,7 @@ class TestBuiltOnce:
     def test_a_second_call_on_the_same_pair_builds_nothing(self, monkeypatch):
         built = Counter()
         for name in ("_rows", "_first_pivot"):
-            monkeypatch.setattr(reduction, name, lambda *args, _fn=getattr(reduction, name), _name=name: (
+            monkeypatch.setattr(cone, name, lambda *args, _fn=getattr(cone, name), _name=name: (
                 built.update([_name]) or _fn(*args)))
         p, pp = TailSummedSequence.of((1, 2, 3, 4), 2), TailSummedSequence.of((1, 1, 1, 1), 1)
         x = TailSummedSequence.of((1, 2, 3, 4), 5)
@@ -148,7 +149,7 @@ class TestMemoHygiene:
             memoized(p, pp)
         folds = fold_keys(spec)
         mirror = spec.__dict__[memo_key(division._mirror)]
-        FILLED_BY[cone._factored](mirror)  # the mirror keeps its own record
+        cone._factored(mirror)  # the mirror keeps its own record
         before.append((mirror, fresh(mirror), repr(mirror)))
         filled = set()
         for record, copy, text in before:
@@ -167,10 +168,11 @@ class TestMemoHygiene:
 
 
 @st.composite
-def memo_specs(draw):
+def memo_specs(draw, kinds=("spatial", "proportional", "planar-skew", "big-digit")):
     """A spatial, proportional or planar-skew spec (n = 3-12) with grid or 30-digit entries, or a
-    spatial one with 100-digit entries (n = 3-6); skew chains with 30-digit entries stop at n = 6."""
-    kind = draw(st.sampled_from(("spatial", "proportional", "planar-skew", "big-digit")))
+    spatial one with 100-digit entries (n = 3-6), of one of the given kinds; skew chains with 30-digit
+    entries stop at n = 6."""
+    kind = draw(st.sampled_from(kinds))
     digits = (100, 100) if kind == "big-digit" else draw(st.sampled_from((None, (30, 30))))
     n = draw(st.integers(3, 6 if digits and kind in ("big-digit", "planar-skew") else 12))
     entry = ratios(big=digits is not None, digits=digits or (30, 30))
@@ -280,3 +282,39 @@ class TestSpanContract:
         cold_calls, calls[:] = calls[:], []
         assert cone.hyperplanes(spec) == cold
         assert calls == cold_calls and "classify" in calls
+
+
+class TestOneRecord:
+    """The facts that let every reader take the spec's case from its one ``cone._factored`` record."""
+
+    @given(memo_specs())
+    def test_a_planar_record_has_a_face_exactly_when_the_sides_are_skew(self, drawn):
+        _, spec = drawn
+        label = classify(spec)
+        assert label == classify(fresh(spec)) and label.pivot == cone._factored(spec).pivot
+        if not label.spatial:
+            assert label.proportional == spec.proportional()
+
+    @given(memo_specs())
+    def test_the_mirror_chain_is_the_spec_chain_reversed(self, drawn):
+        _, spec = drawn
+        mirror = division._mirror(spec)
+        assert discriminants(mirror) == discriminants(spec)[::-1]
+        assert (cone._factored(mirror).pivot is None) == (cone._factored(spec).pivot is None)
+
+    @given(memo_specs(kinds=("proportional", "planar-skew")), ratios(big=False), ratios(big=False),
+           st.booleans(), st.sampled_from(("strict", "audited")))
+    def test_a_planar_tuple_lighter_at_its_end_is_decided_on_the_spec_itself(self, drawn, a, b, on_span, mode):
+        # x's first entry is 90 to 100 digits over the last: member reads the mirror's record, finds it
+        # planar and decides on the spec's own record
+        _, spec = drawn
+        head, tail = cumulants(spec.p, spec.p_prime)
+        heavy = F(1, 10 ** 90 + 7)
+        if on_span:  # a*head + b*tail with the heavy coefficient chosen to cancel at the last entry
+            a *= heavy
+            b = (b - a * head[-1]) / tail[-1]
+            x = tuple(a * h + b * t for h, t in zip(head, tail))
+        else:
+            x = (heavy, *(a * h + b * t for h, t in zip(head[1:], tail[1:])))
+        assume(division._lighter_at_end(x[0], x[-1]) and min(x) > 0)
+        assert repr(member(spec, x, mode)) == repr(_decide(cone._factored(spec), x, mode))

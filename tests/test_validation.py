@@ -277,7 +277,6 @@ class TestInputErrors:
         *(pytest.param(call, f"{name} takes a DivisionSpec, got {{}}", id=name) for name, call in (
             ("classify", classify),
             ("frame", frame),
-            ("integer_rows", quadareas.cone.integer_rows),
             ("hyperplanes", hyperplanes),
             ("discriminants", discriminants),
             ("_side_sums", quadareas.division._side_sums),
