@@ -196,10 +196,10 @@ def _factored(spec: DivisionSpec) -> _Factored:
     return _factor(spec.p, spec.p_prime)
 
 
-@_memoized_on_spec
 def classify(spec: DivisionSpec) -> CaseLabel:
-    """Spatial with the smallest usable pivot, else planar with a proportionality flag; a view of
-    the spec's ``_factored`` record, whose planar face is None exactly when ab and dc are proportional."""
+    """Spatial with the smallest usable pivot, else planar with a proportionality flag: a view, kept by no memo,
+    of the spec's ``_factored`` record, whose planar face is None exactly when ab and dc are proportional."""
+    _check_spec("classify", spec)
     f = _factored(spec)
     if f.pivot is not None:
         return CaseLabel(spatial=True, pivot=f.pivot)

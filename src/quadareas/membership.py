@@ -19,15 +19,14 @@ its first two steps.
 
 So a decision is O(n) per query and computes no frame and no tail cumulant.
 
-``member`` decides a tuple from its lighter end: when x's first denominator
-is more than 64 bits longer than its last (``division._lighter_at_end``), as
-a big-digit q2 tuple's is, it decides the reversed x on the record of
-``division._mirror``, the spec read from the other end of both sides, and
-renames q1 and q2.  The mirror's ab, dc and head are the spec's ab, dc and
-tail reversed, so the span, the four facet values and any face or ray
-coefficients are the same from either end.  The mirror's discriminant chain
-is the spec's reversed, so its record is planar exactly when the spec's is,
-and then ``member`` decides on the spec's own record.
+``member`` decides every tuple from its lighter end: when x's first
+denominator is more than 64 bits longer than its last
+(``division._lighter_at_end``), as a big-digit q2 tuple's is, it decides the
+reversed x on the record of ``division._mirror``, the spec read from the other
+end of both sides, and reads the verdict back.  The mirror's ab, dc and head
+are the spec's ab, dc and tail reversed, so the span, the four facet values
+and any face or ray coefficients are the same from either end; q1 and q2
+swap, and so do a degenerate certificate's (a, b) and its two intervals.
 
 A planar certificate's re-decompositions lie on one segment of span triples
 (``_segment``): on skew sides along (alpha, beta, -1), clipped by the four
@@ -287,15 +286,15 @@ def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") ->
     if any(entry.numerator <= 0 for entry in x):
         return Verdict(False, reason=REASON_NON_POSITIVE)
     if _lighter_at_end(x[0], x[-1]):
-        # decided from the lighter end: on the mirror x's coefficients are as small as a q1 tuple's;
-        # the mirror's discriminant chain is the spec's reversed, so it is spatial when the spec is
-        mirrored = _factored(_mirror(spec))
-        if mirrored.pivot is not None:
-            verdict = _decide(mirrored, x[::-1], mode)
-            cert = verdict.certificate
-            if cert is None or cert.branch not in ("q1", "q2"):
-                return verdict
-            return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
+        # decided from the lighter end, where x's coefficients are as small as a q1 tuple's, and read back:
+        # q1 and q2 swap, so do a degenerate (a, b) and its intervals; face, ray and rejections read alike
+        verdict = _decide(_factored(_mirror(spec)), x[::-1], mode)
+        cert = verdict.certificate
+        if cert is None or cert.branch in ("face", "ray"):
+            return verdict
+        if cert.branch == "degenerate":
+            return Verdict(True, Certificate("degenerate", cert.coeffs[::-1], cert.q2_interval, cert.q1_interval))
+        return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
     return _decide(_factored(spec), x, mode)
 
 

@@ -1,7 +1,15 @@
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+# No bytecode under src/: a leftover cache changes what a later timing of the package measures.
+# Set before any test module imports quadareas; the CLI tests start their children with a copy of
+# os.environ, so they write none either.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 settings.register_profile(
     "suite",

@@ -523,6 +523,15 @@ class TestLoadedModules:
             done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
             assert done.stdout == b"[]\n"
 
+    def test_a_test_run_and_its_cli_children_write_no_bytecode_under_src(self):
+        src = Path(quadareas.__file__).parents[1]
+        before = {path: path.stat().st_mtime_ns for path in src.rglob("*.pyc")}
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        script = "import sys, quadareas.cli; print(sys.flags.dont_write_bytecode, sys.dont_write_bytecode)"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
+        assert sys.dont_write_bytecode and done.stdout == b"1 True\n"
+        assert {path: path.stat().st_mtime_ns for path in src.rglob("*.pyc")} == before
+
 
 PUBLIC_NAMES = [
     "ApexFrame", "CaseLabel", "Certificate", "CollapsedInstance", "ConeFrame", "ConvexQuad",

@@ -241,11 +241,16 @@ def head_basis_member(spec, x, mode):
     return _decide(_factored(spec), x, mode)
 
 
-def q1_q2_swapped(verdict):
-    """The verdict with a q1 certificate renamed q2 and a q2 one renamed q1, coefficients kept."""
+def read_back(verdict):
+    """The verdict on the mirror read back for the spec: a q1 certificate renamed q2 and a q2 one
+    renamed q1, coefficients kept; a degenerate certificate's two coefficients and two intervals
+    swapped; any other verdict kept."""
     cert = verdict.certificate
-    if cert is None or cert.branch not in ("q1", "q2"):
+    if cert is None or cert.branch in ("face", "ray"):
         return verdict
+    if cert.branch == "degenerate":
+        a, b = cert.coeffs
+        return Verdict(True, Certificate("degenerate", (b, a), cert.q2_interval, cert.q1_interval))
     return Verdict(True, Certificate("q2" if cert.branch == "q1" else "q1", cert.coeffs))
 
 
@@ -639,13 +644,21 @@ def spatial_queries(draw):
 
 
 MIRROR_CASES = ("q1", "q2", "face", "ray", "boundary", "negative", "bumped", "non-positive")
+PLANAR_MIRROR_CASES = ("degenerate", "face", "ray", "boundary", "negative", "bumped", "non-positive", "heavy")
 
 
 @st.composite
 def mirror_queries(draw):
-    """A spatial spec with grid, 30-digit or 100-300-digit entries (n = 3-12) and x of each case kind:
-    q1 and q2 combinations, face, ray, boundary (b = 0) and negative (-b) ones on either arm, a q2
-    combination bumped at one coordinate, and a combination with one entry negated."""
+    """A spec and x of one case kind.  Spatial specs have grid, 30-digit or 100-300-digit entries
+    (n = 3-12), and x is a q1 or q2 combination, a face, ray, boundary (b = 0) or negative (-b) one
+    on either arm, a q2 combination bumped at one coordinate, or a combination with one entry
+    negated.  Proportional and planar-skew specs (n = 3-8) take x = a*head + b*tail (degenerate),
+    the face and ray combinations of ab and dc, a boundary (one coefficient zero) or negative (one
+    negated) combination, the degenerate one bumped or with an entry negated, or a heavy one: a
+    coefficient 90 digits long cancelled at the last entry, so x is lighter at its end."""
+    kind = draw(st.sampled_from(("spatial", "proportional", "planar-skew")))
+    if kind != "spatial":
+        return draw(planar_mirror_query(kind))
     digits = draw(st.sampled_from((None, (30, 30), (100, 300))))
     entry = ratios(big=digits is not None, digits=digits or (30, 300))
     n = draw(st.integers(3, 12))
@@ -659,6 +672,29 @@ def mirror_queries(draw):
     a, b, c = special.get(case, (a, b, c))
     x = [a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm)]
     k = draw(st.integers(0, n - 1))
+    if case == "bumped":
+        x[k] += draw(ratios())
+    elif case == "non-positive":
+        x[k] = -x[k]
+    return spec, tuple(x)
+
+
+@st.composite
+def planar_mirror_query(draw, kind):
+    spec = draw(specs(min_n=3, max_n=8, kinds=(kind,)))
+    fr = frame(spec)
+    case = draw(st.sampled_from(PLANAR_MIRROR_CASES))
+    a, b = draw(ratios()), draw(ratios())
+    u, v = (fr.ab, fr.dc) if case in ("face", "ray") else (fr.head, fr.tail)
+    if case == "heavy":
+        a *= F(draw(st.sampled_from((1, -1))), 10 ** 90 + 7)
+        b = (draw(ratios(big=False)) - a * u[-1]) / v[-1]
+    elif case in ("boundary", "negative"):
+        a, b = draw(st.sampled_from(((a, 0), (0, b)) if case == "boundary" else ((a, -b), (-a, b))))
+    elif case == "ray":
+        b = a
+    x = [a * e + b * f for e, f in zip(u, v)]
+    k = draw(st.integers(0, spec.n - 1))
     if case == "bumped":
         x[k] += draw(ratios())
     elif case == "non-positive":
@@ -1134,17 +1170,19 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
                 assert ref_pivot_solution(spec, pivot, y) is not None
 
 
+@settings(max_examples=120)
 @given(mirror_queries(), st.sampled_from(("strict", "audited")))
 def test_member_is_the_renamed_verdict_of_the_mirror_spec_on_reversed_x(query, mode):
-    """Reading both sides from the other end swaps q1 and q2 and keeps every other verdict, so
-    whichever end member solves from, it gives the head-basis verdict of the spec, and that is the
-    head-basis verdict of the mirror spec on the reversed tuple with q1 and q2 renamed."""
+    """Reading both sides from the other end swaps q1 and q2, swaps a degenerate certificate's
+    coefficients and intervals, and keeps every other verdict, so whichever end member solves from,
+    on a spatial or a planar spec, it gives the head-basis verdict of the spec, and that is the
+    head-basis verdict of the mirror spec on the reversed tuple read back."""
     spec, x = query
     mirror = DivisionSpec(spec.p[::-1], spec.p_prime[::-1])
     expected = head_basis_member(spec, x, mode)
-    assert member(spec, x, mode) == expected
-    assert q1_q2_swapped(head_basis_member(mirror, x[::-1], mode)) == expected
-    assert q1_q2_swapped(member(mirror, x[::-1], mode)) == expected
+    assert repr(member(spec, x, mode)) == repr(expected)
+    assert repr(read_back(head_basis_member(mirror, x[::-1], mode))) == repr(expected)
+    assert repr(read_back(member(mirror, x[::-1], mode))) == repr(expected)
 
 
 def test_a_tuple_much_heavier_at_its_head_end_is_decided_and_subdivided_on_the_mirror(monkeypatch):

@@ -1,4 +1,5 @@
 """Input validation and boundary behavior across the public surface."""
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -478,3 +479,82 @@ class TestClockwiseCanonicalization:
         swapped = ConvexQuad.of(ccw.a, ccw.d, ccw.c, ccw.b)
         assert swapped == ccw
         assert strip_areas(swapped, spec) == strip_areas(ccw, spec)
+
+
+# ---- wrong-kind probe over the public surface, generated from __all__ and the signatures ----
+
+PROBE_SPEC = DivisionSpec.of((1, 2, 3, 4), (2, 1, 1, 3))
+PROBE_QUAD = apex_quad(PROBE_SPEC, 1, 2, 3)
+PROBE_X = strip_areas(PROBE_QUAD, PROBE_SPEC)
+# one valid value per annotation; for a sequence, by parameter name
+PROBE_VALID = {
+    "DivisionSpec": PROBE_SPEC, "SpecLike": PROBE_SPEC, "ConvexQuad": PROBE_QUAD,
+    "ApexFrame": apex_of(PROBE_QUAD, PROBE_SPEC), "Fraction": F(1), "RationalLike": 1, "int": 3, "str": "q1",
+    "bool": True, "Sequence": (1, 0, 0, -1), "Sequence[Point]": PROBE_QUAD.vertices,
+}
+PROBE_SEQUENCES = {"p": PROBE_SPEC.p, "p_prime": PROBE_SPEC.p_prime}
+WRONG_KINDS = (5, None, "abc", 1.5, [1, 2], {"a": 1}, True, object())
+# Plain records hold what the package builds and returns; they read no input, so they keep accepting
+# any value.  Input is checked where it enters: DivisionSpec, TailSummedSequence, Point, ConvexQuad
+# and every public function.
+PLAIN_RECORDS = {
+    "ApexFrame", "CaseLabel", "Certificate", "CollapsedInstance", "ConeFrame", "DivisionPoints", "Interval",
+    "NotAttainableError", "SampleReport", "StationCoefficients", "StationReport", "Verdict", "Violation",
+    "WitnessOutput",
+}
+
+
+def probe_valid(obj, param):
+    """A valid value for a required parameter, read from its annotation (a record's field annotation)."""
+    name = param.annotation  # the package's annotations are strings
+    if inspect.isclass(obj) and name is inspect.Parameter.empty:
+        name = inspect.get_annotations(obj).get(param.name, name)
+    if name == "TailSummedSequence":
+        return TailSummedSequence(PROBE_SEQUENCES.get(param.name, PROBE_X))
+    if name == "Point":
+        return getattr(PROBE_QUAD, param.name, PROBE_QUAD.a)
+    if name in PROBE_VALID:
+        return PROBE_VALID[name]
+    return PROBE_SEQUENCES.get(param.name, PROBE_X)  # a sequence of rationals, or unannotated
+
+
+def required_parameters(obj):
+    return [p for p in inspect.signature(obj).parameters.values() if p.default is inspect.Parameter.empty]
+
+
+def probed_callables():
+    for name in quadareas.__all__:
+        obj = getattr(quadareas, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception) and "__init__" not in vars(obj):
+            continue  # an error class that takes its message as Exception does
+        yield name, obj
+
+
+class TestWrongKindProbe:
+    """Every public callable, given each of eight wrong kinds in one required parameter at a time, the
+    others valid, ends in a result or a ``QuadAreasError``: never a ``TypeError``, ``AttributeError``
+    or other stray exception."""
+
+    @pytest.mark.parametrize("name, obj", probed_callables(), ids=[name for name, _ in probed_callables()])
+    def test_each_wrong_kind_ends_in_a_result_or_a_quadareas_error(self, name, obj):
+        required = required_parameters(obj)
+        valid = [probe_valid(obj, p) for p in required]
+        accepted = True
+        for index in range(len(required)):
+            for wrong in WRONG_KINDS:
+                args = [*valid[:index], wrong, *valid[index + 1:]]
+                try:
+                    obj(*args)
+                except quadareas.QuadAreasError:
+                    accepted = False
+        # the decision on plain records: they, and only they, accept every kind in every parameter
+        assert (accepted and bool(required)) == (name in PLAIN_RECORDS), name
+
+    def test_the_probe_reaches_every_public_callable_with_valid_arguments(self):
+        refused = []
+        for name, obj in probed_callables():
+            try:
+                obj(*(probe_valid(obj, p) for p in required_parameters(obj)))
+            except quadareas.QuadAreasError:
+                refused.append(name)
+        assert refused == ["continue_degenerate", "proportional_bounds"]  # a spatial prefix; not three ratios
