@@ -150,9 +150,11 @@ class _Block(_Frozen):
 
 
 def _pivot_block(rows: Sequence[tuple[int, int, int, int]], pivot: int) -> _Block:
-    """The block of rows pivot-2, pivot-1 and pivot (0-based)."""
+    """The block of rows pivot-2, pivot-1 and pivot (0-based), regular by construction and checked once here for
+    every spec, mirror, fold and tail pair: a pivot's discriminant is -det/(L*L*L), a planar det is -s*M != 0."""
     cols = (pivot - 2, pivot - 1, pivot)
     cof, det = _cofactors([rows[c][:3] for c in cols])
+    invariant(det != 0, "pivot solve is regular whenever the discriminant is nonzero")
     return _Block(cols, tuple(rows[c][3] for c in cols), cof, det)
 
 
@@ -238,7 +240,6 @@ def _planes(spec: DivisionSpec, label: CaseLabel) -> tuple[tuple[int, ...], ...]
         f = _factored(spec)
         rows, block = f.rows, f.block  # the cofactors of N's transpose are adj(N)
         cols, det = block.cols, block.det
-        invariant(det != 0, "pivot system is singular despite nonzero discriminant")
         sign = 1 if det > 0 else -1
         for i, (p_i, q_i, h_i, l_i) in enumerate(rows):
             if i not in cols:

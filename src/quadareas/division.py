@@ -212,7 +212,7 @@ class TailSummedSequence(_Frozen):
 
     @classmethod
     def of(cls, prefix: Iterable[RationalLike], tail: RationalLike = 0) -> "TailSummedSequence":
-        return cls(fraction_tuple(prefix), to_fraction(tail))
+        return cls(prefix, tail)
 
     @classmethod
     def parse(cls, text: str) -> "TailSummedSequence":

@@ -66,7 +66,7 @@ class Point(_Frozen):
 
 def pt(x: RationalLike, y: RationalLike) -> Point:
     """Convenience constructor coercing ints and strings to exact rationals."""
-    return Point(to_fraction(x), to_fraction(y))
+    return Point(x, y)
 
 
 def polygon_area(vertices: Sequence[Point]) -> Fraction:
@@ -210,13 +210,13 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
     over the spec's memoized partial sums s.  Each step (end - start)/total is normalised once per side
     and coordinate; a coordinate fixed along a side (one per side of every apex quad and trapezoid) is one
     shared Fraction.  A coordinate whose end has the shorter denominator by more than 64 bits (both sides
-    of a big-digit q2 apex quad) is measured from the end, end - r*step over the partial sums r from that
-    end, the mirror spec's.  Otherwise the size rule picks the arithmetic: when the denominators of start,
-    step and side total have fewer than 128 bits in all (every grid witness), each point is one
-    Fraction(an*ud + S*un*ad, ad*ud) over the side's memoized integer partial sums S, un/ud being the step
-    per integer unit, with no Fraction multiply and add per point; longer operands (every big-digit
-    witness) keep start + s*step, or s*step from a start of 0.  The rule reads only bit lengths, so those
-    never build the integer sums here."""
+    of a big-digit q2 apex quad) is measured from the end: start, step and s become end, -step and the
+    mirror spec's partial sums reversed, each point start + s*step as below.  Otherwise the size rule picks
+    the arithmetic: when the denominators of start, step and side total have fewer than 128 bits in all
+    (every grid witness), each point is one Fraction(an*ud + S*un*ad, ad*ud) over the side's memoized
+    integer partial sums S, un/ud being the step per integer unit, with no Fraction multiply and add per
+    point; longer operands (every big-digit witness) keep start + s*step, or s*step from a start of 0.
+    The rule reads only bit lengths, so those never build the integer sums here."""
     _quad_and_spec("subdivide", q, spec)
 
     def coordinate(start: Fraction, end: Fraction, k: int) -> Sequence[Fraction]:
@@ -224,10 +224,10 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
         if start == end:
             return (start,) * len(sums)
         step = (end - start) / sums[-1]
-        if _lighter_at_end(start, end):
-            return [end - r * step for r in _side_sums(_mirror(spec))[k][::-1]]
         an, ad = start.numerator, start.denominator
-        if ad.bit_length() + step.denominator.bit_length() + sums[-1].denominator.bit_length() < _SHORT_BITS:
+        if _lighter_at_end(start, end):
+            start, step, sums = end, -step, _side_sums(_mirror(spec))[k][::-1]
+        elif ad.bit_length() + step.denominator.bit_length() + sums[-1].denominator.bit_length() < _SHORT_BITS:
             ints = _integer_side_sums(spec)[k]
             unit = (end - start) / ints[-1]  # the step per integer unit, un/ud
             base, rise, den = an * unit.denominator, unit.numerator * ad, ad * unit.denominator

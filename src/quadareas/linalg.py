@@ -2,7 +2,8 @@
 
 Every decision is one Cramer solve on the cofactors of a 3x3 integer block (``membership._pivot_solution``
 on ``cone._pivot_block``, which ``cone.hyperplanes`` reads too); the block's cofactors are tuples, built
-once per spec, mirror, tail-summed pair and fold and kept in its ``cone._Factored`` record.  The solve
+once per spec, mirror, tail-summed pair and fold and kept in its ``cone._Factored`` record.  Every block
+is regular by construction, checked once where ``cone._pivot_block`` builds it, so the solve is total and
 returns the numerators and det*den as one primitive int vector (``_primitive``), the value the whole
 decision passes along.  ``_scaled`` puts rationals over one common denominator, also the ratio triples
 from which ``cone.hyperplanes`` builds each planar plane.

@@ -2,12 +2,13 @@
 
 Every decision reads one ``cone._Factored`` record: the spec's
 (``cone._factored``), its mirror's, a fold's or ``reduction.member_tail``'s
-pair's, each built once and kept.  ``_decide`` is the one decision path, run
-by ``member`` and ``member_tail``; the folds of ``member_via_collapse`` reuse
-its first two steps.
+pair's, each built once by ``cone._factor`` and kept.  ``_decide`` is the one
+decision path, run by ``member`` and ``member_tail``; the folds of
+``member_via_collapse`` reuse its first two steps.
 
 1. ``_pivot_solution``: Cramer's rule on the cofactors of the record's x-free
-   block gives the primitive int vector (A, B, C, E), E > 0, with
+   block, regular by construction (checked once, in ``cone._pivot_block``),
+   gives the primitive int vector (A, B, C, E), E > 0, with
    x = (A*ab + B*dc + C*head)/E at the pivot triple.  A planar record borders
    rows 0 and 1 with A*total_ab = B*total_dc instead, which yields the span
    triple (b*total_dc, b*total_ab, a - b) of x = a*head + b*tail.
@@ -171,20 +172,16 @@ def _spans(
 
 
 def _pivot_solution(block: _Block, x: tuple[Fraction, ...]):
-    """The primitive (A, B, C, E), E > 0, with x = (A*ab + B*dc + C*head)/E at the block's rows,
-    or None when the block is singular.
+    """The primitive (A, B, C, E), E > 0, with x = (A*ab + B*dc + C*head)/E at the block's rows.
 
     Row c, scaled by L_c, is (P_c, Q_c, H_c) @ (a, b, c) = L_c*x_c: Cramer's rule on the
     cofactors of the x-free block, with the right-hand side over one common denominator den,
     gives the three numerators over det*den; the four are divided by their one gcd.
-    The block is regular whenever the pivot's discriminant, -det/(L*L*L), is nonzero.
+    The block is regular by construction (``cone._pivot_block`` checks it once), so the solve is total.
     ``_decide`` also solves the planar case with it, on rows 0 and 1 and a border row.
     """
-    det = block.det
-    if det == 0:
-        return None
     (r0, r1, r2), den = _scaled([l_c * x[c] for c, l_c in zip(block.cols, block.dens)])
-    return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), det * den))
+    return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
 
 
 def _segment(f: _Factored, triple: Sequence[Fraction]):
@@ -244,17 +241,15 @@ def _decide(f: _Factored, x: tuple[Fraction, ...], mode: Mode) -> Verdict:
     The planar solve borders rows 0 and 1 with (T_ab, -T_dc, 0) over the totals' common
     denominator s: on span(head, tail), A*T_ab = B*T_dc holds exactly at x's span triple
     (b*T_dc, b*T_ab, a - b).  With K_i = T_dc*P_i + T_ab*Q_i - H_i = L_i*tail_i, the block's
-    determinant is -s*M for the head/tail minor M = H_0*K_1 - K_0*H_1 < 0, so it is regular.
-    Planar verdicts ignore the mode.
+    determinant is -s*M for the head/tail minor M = H_0*K_1 - K_0*H_1 < 0, so it is regular, as is every
+    block (checked once, in ``cone._pivot_block``).  Planar verdicts ignore the mode.
     """
     pivot = f.pivot
     if pivot is None:
         sol = _pivot_solution(f.block, (*x[:2], Fraction(0)))
-        invariant(sol is not None, "the cumulant vectors are independent at the first two coordinates")
         mode, solved = "audited", range(2)
     else:
         sol = _pivot_solution(f.block, x)
-        invariant(sol is not None, "pivot solve is regular whenever the discriminant is nonzero")
         solved = range(pivot - 2, pivot + 1)
     if not _spans(f.rows, sol, x, solved):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)

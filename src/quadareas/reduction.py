@@ -10,14 +10,15 @@ spec in the spec's dict, one per (pivot, branch), so repeated folds at one
 pivot (``member_via_collapse``, ``oracle.cross_validate``) build, validate and
 factor it once.  Its verdicts are "prefix-certified": linear constraints living
 entirely beyond the prefix cannot be checked from a tail sum alone and remain
-the caller's responsibility.
+the caller's responsibility.  Every record, a fold's too, comes from ``cone._factor``
+with a regular block; a pivot whose folds are both planar reads the spec's own.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .cone import _Factored, _cumulants, _discriminant, _factor, _factored, _pivot_block
+from .cone import _cumulants, _discriminant, _factor, _factored
 from .division import (
     DivisionSpec, TailSummedSequence, _Frozen, _check_spec, _memoized_on_pair, _side_sums, fraction_tuple, to_fraction,
 )
@@ -149,7 +150,7 @@ def member_via_collapse(
     Each fold is ``collapse``'s instance, kept on the spec, and its x3 is solved
     by ``member``'s pivot solve at pivot 2 of its spec3's integer rows, whose
     block spec3 keeps as any spec does (``cone._factored``).  A fold is injective
-    on the relevant span exactly when that solve is regular, that is when spec3 is
+    on the relevant span exactly when its rows are independent, that is when spec3 is
     spatial (a triple's discriminant is -det/(L*L*L) of its rows); a planar
     fold can cancel a negative coordinate against later positive ones and is
     never trusted.  One injective fold suffices: the q1 fold is tried first.
@@ -161,8 +162,8 @@ def member_via_collapse(
     pivot triple, which rejects a tuple off the span: the solve holds exactly
     at the two coordinates the fold keeps, and its summed coordinate then
     implies the third.
-    Only a pivot whose folds are both planar is refused, and only for a tuple
-    on the span.
+    Only a pivot whose folds are both planar is refused, and only for a tuple on
+    the span, decided on the spec's own record, since the span has no pivot.
     """
     _check_mode(mode)
     _check_spec("member_via_collapse", spec)
@@ -178,18 +179,17 @@ def member_via_collapse(
     for branch in ("q1", "q2"):
         folded = collapse(spec, x, pivot, branch)
         f3 = _factored(folded.spec3)
-        sol = None if f3.pivot is None else _pivot_solution(f3.block, folded.x3)
-        if sol is not None:
+        if f3.pivot is not None:
             break
-    if sol is None:
-        # no fold is injective: decide x at the caller's pivot, refuse it only on the span
-        at_pivot = _Factored(f.rows, f.total_ab, f.total_dc, pivot, _pivot_block(f.rows, pivot), None)
-        verdict = _decide(at_pivot, x, mode)
+    else:
+        # no fold is injective: x is on the span at every pivot or at none, so decide it on the spec's own record
+        verdict = _decide(f, x, mode)
         if verdict.reason == REASON_OFF_SUBSPACE:
             return verdict
         raise DegenerateCollapseError(
             f"both folds at pivot {pivot} are planar; use another pivot"
         )
+    sol = _pivot_solution(f3.block, folded.x3)
     if branch == "q2":
         sums_ab, sums_dc = _side_sums(spec)
         a, b, c, e = sol

@@ -335,11 +335,11 @@ SKEW8 = ("--p", "1,2,5/11,513/1969,3192/5549,228/1457,2052/4559,304/1067", "--pp
 
 class TestInvariants:
     def test_failed_invariant_is_an_internal_error_with_exit_code_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(quadareas.membership, "_pivot_solution", lambda block, x: None)
+        # the one regularity check is where cone._pivot_block builds a block: report a zero determinant
+        cofactors = quadareas.cone._cofactors
+        monkeypatch.setattr(quadareas.cone, "_cofactors", lambda m: (cofactors(m)[0], 0))
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member(DivisionSpec.of((1, 2, 3), (1, 1, 1)), (F(3), F(8), F(16)))
-        # with both folds planar, member_via_collapse decides through _decide at the spec's own pivot
-        monkeypatch.setattr(quadareas.reduction, "_pivot_solution", lambda block, x: None)
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member_via_collapse(DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1)), (F(1),) * 4, 2)
         p, pp, x = (TailSummedSequence.parse(text) for text in SPATIAL_TAILED[1::2])

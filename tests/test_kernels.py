@@ -23,6 +23,7 @@ from quadareas import (
     DegenerateCollapseError,
     DegenerateDenominatorError,
     DivisionSpec,
+    InternalError,
     InvalidInputError,
     NoValidContinuationError,
     Point,
@@ -957,15 +958,20 @@ def test_pivot_solution_matches_fraction_cramer(system):
     rows, x = system
     rhs = [row[3] * v for row, v in zip(rows, x)]
     assert len({v.denominator for v in rhs}) == 3
+    expected = ref_solve3([[F(e) for e in row[:3]] for row in rows], rhs)
+    if expected is None:  # a singular block is refused where it is built, so the solve is total
+        with pytest.raises(InternalError, match="pivot solve is regular whenever the discriminant is nonzero"):
+            _pivot_block(rows, 2)
+        return
     sol = _pivot_solution(_pivot_block(rows, 2), x)
-    assert as_fractions(sol) == ref_solve3([[F(e) for e in row[:3]] for row in rows], rhs)
-    if sol is not None:
-        assert_primitive(sol)
+    assert as_fractions(sol) == expected
+    assert_primitive(sol)
 
 
-def test_singular_systems_return_none():
+def test_singular_blocks_are_refused_where_they_are_built():
     rows = [(3, 6, 9, 1), (1, 0, -3, 2), (4, 6, 6, 3)]  # the last block row is the sum of the others
-    assert _pivot_solution(_pivot_block(rows, 2), (F(1, 2), F(1, 3), F(1, 5))) is None
+    with pytest.raises(InternalError, match="pivot solve is regular whenever the discriminant is nonzero"):
+        _pivot_block(rows, 2)
 
 
 @given(specs(), st.sampled_from((False, True)), st.data())
@@ -1464,7 +1470,7 @@ FOLD_SPECS = st.one_of(
 def test_folds_keep_the_head_basis_of_the_spec(spec):
     # head cumulants depend only on prefix sums: the q1 fold's head is the spec's head summed before
     # the pivot, and the q2 fold's is the spec's head less Q0*ab + P0*dc, with P0 and Q0 the ratio
-    # sums before its first coordinate; a fold's solve is singular exactly when it is planar
+    # sums before its first coordinate; a fold's rows are singular exactly when it is planar
     assume(classify(spec).spatial)
     fr = frame(spec)
     ones = (F(1),) * spec.n
@@ -1476,8 +1482,8 @@ def test_folds_keep_the_head_basis_of_the_spec(spec):
         assert frame(folds["q1"]).head == (sum(fr.head[:k], F(0)), fr.head[k], fr.head[k + 1])
         assert frame(folds["q2"]).head == (shifted[k - 1], shifted[k], sum(shifted[k + 1:], F(0)))
         for spec3 in folds.values():
-            solved = _pivot_solution(_pivot_block(_factored(spec3).rows, 2), (F(1),) * 3)
-            assert (solved is None) == (not classify(spec3).spatial)
+            det = _cofactors([row[:3] for row in _factored(spec3).rows])[1]
+            assert (det == 0) == (not classify(spec3).spatial)
 
 
 def test_describe_payloads_match_the_fixture():

@@ -1,9 +1,11 @@
 """Per-spec and per-pair memos: values shared safely, never stale, and built once."""
+import ast
 import gc
 import inspect
 import weakref
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -295,6 +297,19 @@ class TestOneRecord:
         assert label == classify(fresh(spec)) and label.pivot == cone._factored(spec).pivot
         if not label.spatial:
             assert label.proportional == spec.proportional()
+
+    def test_only_cone_builds_decision_records(self):
+        # every record and block comes from cone._factor, where _pivot_block checks its regularity once
+        builders = {"_Factored", "_Block", "_pivot_block"}
+        sources = sorted(Path(cone.__file__).parent.glob("*.py"))
+        assert Path(cone.__file__) in sources
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sources if path.name != "cone.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in builders
+        ]
+        assert calls == []
 
     @given(memo_specs())
     def test_the_mirror_chain_is_the_spec_chain_reversed(self, drawn):
