@@ -218,26 +218,26 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     supported on consecutive coordinate triples, read in ``int`` from the
     triple's ratios over their common denominator: when skew, the cross
     product of the ab and dc triples.  The planes are built once per spec
-    (``_planes``); every call, warm or cold, reads ``classify`` and hands its
-    label on, so a tracer of the public functions counts the same calls.
+    (``_planes``); every call, warm or cold, calls ``classify``, so a
+    tracer of the public functions counts the same calls.
     """
     _check_spec("hyperplanes", spec)
     if spec.n < 3:
         raise InvalidInputError("hyperplanes need at least three segments")
-    label = classify(spec)
-    return _planes(spec, label)
+    classify(spec)  # the span contract: a warm call opens the classify span a cold one does (ROADMAP 1a)
+    return _planes(spec)
 
 
 @_memoized_on_spec
-def _planes(spec: DivisionSpec, label: CaseLabel) -> tuple[tuple[int, ...], ...]:
-    """``hyperplanes`` of the spec, from the ``classify`` label its caller read and, when spatial,
-    the spec's ``_factored`` record."""
+def _planes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
+    """``hyperplanes`` of the spec, its case read from the spec's ``_factored`` record as ``classify``
+    reads it: spatial exactly when the record has a pivot, proportional exactly when it has no face."""
     n = spec.n
+    f = _factored(spec)
     supported = []  # (coordinates, coefficients) of each plane
-    if label.spatial:
+    if f.pivot is not None:
         # the plane at i is L_i*det(N)*x_i - sum over pivot columns c of L_c*(adj(N) R_i)_c*x_c,
         # with N the pivot block whose columns are the rows R_c = (P_c, Q_c, H_c)
-        f = _factored(spec)
         rows, block = f.rows, f.block  # the cofactors of N's transpose are adj(N)
         cols, det = block.cols, block.det
         sign = 1 if det > 0 else -1
@@ -249,7 +249,7 @@ def _planes(spec: DivisionSpec, label: CaseLabel) -> tuple[tuple[int, ...], ...]
     else:
         for j in range(1, n - 1):
             (u, v, w), _ = _scaled(spec.p[j - 1:j + 2])
-            if label.proportional:
+            if f.face is None:
                 coeffs = ((v + w) * v * w, -(u + 2 * v + w) * u * w, (u + v) * u * v)
             else:
                 (a, b, c), _ = _scaled(spec.p_prime[j - 1:j + 2])

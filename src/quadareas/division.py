@@ -148,19 +148,17 @@ def _check_spec(name: str, spec) -> None:
 
 
 def _memoized_on_spec(fn):
-    """Keep fn(spec, *args) in the frozen spec's own dict, beside the fields eq, hash and repr read;
+    """Keep fn(spec) in the frozen spec's own dict, beside the fields eq, hash and repr read;
     every caller shares the one value, so it must be immutable, and the spec alone is the key.
     A spec that is not a ``DivisionSpec`` is refused, naming fn.  A cheap view of a memo, as
-    ``cone.classify`` of ``cone._factored``, keeps no key of its own.  Only ``cone._planes`` takes
-    a further argument, the ``classify`` label ``hyperplanes`` reads on every call, so that a
-    warm call opens the public ``classify`` span a cold one does (the bench tracer counts it)."""
+    ``cone.classify`` of ``cone._factored``, keeps no key of its own."""
     key, name = f"_{fn.__name__}", fn.__name__
 
     @wraps(fn)
-    def memoized(spec: DivisionSpec, *args):
+    def memoized(spec: DivisionSpec):
         _check_spec(name, spec)
         if key not in spec.__dict__:
-            spec.__dict__[key] = fn(spec, *args)
+            spec.__dict__[key] = fn(spec)
         return spec.__dict__[key]
 
     return memoized

@@ -215,7 +215,7 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
     the arithmetic: when the denominators of start, step and side total have fewer than 128 bits in all
     (every grid witness), each point is one Fraction(an*ud + S*un*ad, ad*ud) over the side's memoized
     integer partial sums S, un/ud being the step per integer unit, with no Fraction multiply and add per
-    point; longer operands (every big-digit witness) keep start + s*step, or s*step from a start of 0.
+    point; longer operands (every big-digit witness) keep start + s*step.
     The rule reads only bit lengths, so those never build the integer sums here."""
     _quad_and_spec("subdivide", q, spec)
 
@@ -232,8 +232,6 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
             unit = (end - start) / ints[-1]  # the step per integer unit, un/ud
             base, rise, den = an * unit.denominator, unit.numerator * ad, ad * unit.denominator
             return [Fraction(base + s * rise, den) for s in ints]
-        if start == 0:
-            return [s * step for s in sums]
         return [start + s * step for s in sums]
 
     def side(start: Point, end: Point, k: int) -> tuple[Point, ...]:

@@ -28,8 +28,6 @@ RATIO = st.builds(F, st.integers(1, 64), st.integers(1, 8))
 SPEC_MEMOS = (cone.frame, cone._factored, cone._planes, division._side_sums, division._mirror,
               geometry._integer_side_sums)
 PAIR_MEMOS = (reduction._tail_rows,)
-# the one memo built from a value its caller reads from the spec, filled through that caller
-FILLED_BY = {cone._planes: hyperplanes}
 
 
 def fresh(record):
@@ -146,7 +144,7 @@ class TestMemoHygiene:
         p, pp = TailSummedSequence(spec.p, F(1, 2)), TailSummedSequence(spec.p_prime)
         before = [(record, fresh(record), repr(record)) for record in (spec, p, pp)]
         for memoized in SPEC_MEMOS:
-            FILLED_BY.get(memoized, memoized)(spec)
+            memoized(spec)
         classify(spec)  # a view of the kept record, with no key of its own
         for memoized in PAIR_MEMOS:
             memoized(p, pp)
@@ -162,6 +160,12 @@ class TestMemoHygiene:
             assert record == copy and hash(record) == hash(copy) and repr(record) == text
         assert filled == {memo_key(memoized) for memoized in (*SPEC_MEMOS, *PAIR_MEMOS)} | folds
         assert memo_key(cone._factored) in vars(mirror)
+
+    @pytest.mark.parametrize("memoized", SPEC_MEMOS, ids=lambda memoized: memoized.__name__)
+    def test_a_spec_memo_takes_the_spec_alone(self, memoized):
+        code = memoized.__code__
+        assert code.co_argcount == 1 and not code.co_flags & inspect.CO_VARARGS
+        assert len(inspect.signature(memoized.__wrapped__).parameters) == 1
 
     def test_each_memo_has_a_key_of_its_own(self):
         keys = [memo_key(memoized) for memoized in (*SPEC_MEMOS, *PAIR_MEMOS)]

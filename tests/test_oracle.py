@@ -8,12 +8,14 @@ import pytest
 import quadareas.oracle
 from quadareas import (
     Certificate,
+    DegenerateCollapseError,
     DivisionSpec,
     InvalidInputError,
     ParallelMarker,
     Verdict,
     cross_validate,
     member,
+    member_via_collapse,
     sample_convex_quads,
     sample_parallel_family,
     strip_areas,
@@ -93,6 +95,24 @@ class TestCrossValidate:
     def test_deterministic(self):
         spec = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
         assert cross_validate(spec, 25, 9) == cross_validate(spec, 25, 9)
+
+    def test_a_pivot_whose_folds_are_both_planar_is_skipped(self, monkeypatch):
+        # pivot 3 of this spec has a nonzero discriminant but two planar folds (test_both_folds_singular_pinned)
+        spec = DivisionSpec.of((6, 3, 5, 4, 6), (4, 4, 4, 3, 1))
+        skipped = []
+
+        def folded(spec, x, pivot, mode):
+            try:
+                return member_via_collapse(spec, x, pivot, mode)
+            except DegenerateCollapseError:
+                skipped.append(pivot)
+                raise
+
+        monkeypatch.setattr(quadareas.oracle, "member_via_collapse", folded)
+        for seed in (0, 1):
+            report = cross_validate(spec, 10, seed)
+            assert report.accepted == 10 and report.violations == ()
+        assert set(skipped) == {3}
 
 
 def digit_spec(digits, n):
