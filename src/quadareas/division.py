@@ -41,7 +41,10 @@ def to_fraction(value: RationalLike) -> Fraction:
 
 
 def fraction_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """The values as a tuple of Fractions; a value that is not iterable is refused."""
+    """The values as a tuple of Fractions; a value that is not iterable is refused.  A tuple whose
+    entries are all Fractions is returned unchanged, so a tuple read once is never coerced again."""
+    if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
+        return values
     try:
         values = iter(values)
     except TypeError:
@@ -198,8 +201,7 @@ class TailSummedSequence(_Frozen):
     tail_sum: Fraction
 
     def __init__(self, prefix, tail_sum=Fraction(0)):
-        if not (type(prefix) is tuple and all(isinstance(v, Fraction) for v in prefix)):
-            prefix = fraction_tuple(prefix)  # reads an iterator once and refuses a non-iterable
+        prefix = fraction_tuple(prefix)  # reads an iterator once and refuses a non-iterable
         if not isinstance(tail_sum, Fraction):
             tail_sum = to_fraction(tail_sum)
         if len(prefix) < 1:

@@ -197,6 +197,9 @@ class ApexFrame(_Frozen):
 # is built from integer partial sums.  Timed per coordinate on apex quads and trapezoids at n = 8-128, the
 # integer sums built cold, that path is 1.1-1.5x faster below 64 bits, about even from 64 to 191 and
 # slower from 192 bits on at n = 8 and 32, where the ints it multiplies outgrow the Fraction path's.
+# apex_of reads a quad whose eight coordinate denominators have fewer bits than this in all from its
+# integer edges: 3-4x faster on grid apex quads and their affine images (at most 64 bits), 0.45-1.0x
+# on 100- and 300-digit ones (over 2600 bits), where it keeps the Point crosses.
 _SHORT_BITS = 128
 
 
@@ -283,9 +286,15 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
 
     The intersection point E of lines AB and DC is computed exactly.  E must
     fall outside both divided segments; it landing inside one means the input
-    is not a valid convex quadrilateral (guards corrupted data).
+    is not a valid convex quadrilateral (guards corrupted data).  A quad whose
+    eight coordinate denominators have fewer than ``_SHORT_BITS`` bits in all
+    (every grid apex quad, affine image and trapezoid) is read from its integer
+    edges (``_apex_of_edges``); a longer one, where the products of those ints
+    outgrow the normalised ``Point`` arithmetic, from ``Point`` crosses.
     """
     _quad_and_spec("apex_of", q, spec)
+    if sum([v.x.denominator.bit_length() + v.y.denominator.bit_length() for v in (q.a, q.b, q.c, q.d)]) < _SHORT_BITS:
+        return _apex_of_edges(q, spec)
     u = q.b - q.a
     w = q.c - q.d
     denom = u.cross(w)
@@ -314,3 +323,37 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
         branch = "q2"
     invariant(scale > 0, "the apex triangle has positive area")
     return ApexFrame(apex, branch, p0, p0_prime, scale)
+
+
+def _apex_of_edges(q: ConvexQuad, spec: DivisionSpec):
+    """``apex_of`` in ints, on the unnormalised integer edges u = B - A, w = C - D and
+    e = D - A that ``strip_areas`` reads: with the side cross u x w = n/den, t = (e x w)/(u x w)
+    and r = (e x u)/(u x w) are kept as int pairs over positive denominators, the segment and
+    branch tests are int comparisons, and each returned value is one Fraction."""
+    a = q.a
+    u, w, e = _edge(a, q.b), _edge(q.d, q.c), _edge(a, q.d)
+    n, den = _cross(u, w)
+    if n == 0:
+        return ParallelMarker()
+    (ewn, ewd), (eun, eud) = _cross(e, w), _cross(e, u)
+    sign = 1 if n > 0 else -1
+    tn, td = sign * ewn * den, sign * ewd * n  # t = tn/td, td > 0: A at 0, B at 1
+    rn, rd = sign * eun * den, sign * eud * n  # r = rn/rd, rd > 0: D at 0, C at 1
+    if 0 <= tn <= td or 0 <= rn <= rd:
+        raise InconsistentQuadError("side lines meet inside a divided segment")
+    ax, ay = a.x, a.y
+    apex = Point(
+        Fraction(ax.numerator * u[1] * td + tn * u[0] * ax.denominator, ax.denominator * u[1] * td),
+        Fraction(ay.numerator * u[3] * td + tn * u[2] * ay.denominator, ay.denominator * u[3] * td),
+    )
+    if tn < 0:
+        invariant(rn < 0, "an apex beyond A on line AB lies beyond D on line DC")
+        branch, t0, r0, cross = "q1", -tn, -rn, n  # -t, -r and the side cross
+    else:
+        invariant(rn > rd, "an apex beyond B on line AB lies beyond C on line DC")
+        branch, t0, r0, cross = "q2", tn - td, rn - rd, -n  # t - 1, r - 1 and minus the side cross
+    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
+    sn, sd, tdn, tdd = total_ab.numerator, total_ab.denominator, total_dc.numerator, total_dc.denominator
+    scale = Fraction(cross * sd * tdd, 2 * den * sn * tdn)
+    invariant(scale > 0, "the apex triangle has positive area")
+    return ApexFrame(apex, branch, Fraction(t0 * sn, td * sd), Fraction(r0 * tdn, rd * tdd), scale)

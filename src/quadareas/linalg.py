@@ -5,8 +5,10 @@ on ``cone._pivot_block``, which ``cone.hyperplanes`` reads too); the block's cof
 once per spec, mirror, tail-summed pair and fold and kept in its ``cone._Factored`` record.  Every block
 is regular by construction, checked once where ``cone._pivot_block`` builds it, so the solve is total and
 returns the numerators and det*den as one primitive int vector (``_primitive``), the value the whole
-decision passes along.  ``_scaled`` puts rationals over one common denominator, also the ratio triples
-from which ``cone.hyperplanes`` builds each planar plane.
+decision passes along.  The solve reads its right-hand side in ints from x's numerators and denominators,
+so it builds no Fraction and does not use ``_scaled``, which puts rationals over one common denominator:
+the ratio triples from which ``cone.hyperplanes`` builds each planar plane, the strip weights of
+``geometry.strip_areas``, a fold's shift and a planar realization's triple.
 """
 from __future__ import annotations
 

@@ -16,8 +16,10 @@ from typing import Sequence
 from .cone import frame
 from .division import DivisionSpec, _Frozen, _check_spec, _side_sums, to_fraction
 from .errors import InvalidInputError, NotAttainableError
-from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, pt, subdivide
+from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, subdivide
 from .membership import Certificate, Mode, _check_mode, _realization, member
+
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every corner on an axis or on the trapezoid's top
 
 
 class WitnessOutput(_Frozen):
@@ -61,31 +63,23 @@ def apex_quad(
     if p0 <= 0 or p0_prime <= 0 or scale <= 0:
         raise InvalidInputError("apex parameters must be strictly positive")
     total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
+    near_ab, far_ab = 2 * p0, 2 * (p0 + total_ab)
+    near_dc, far_dc = scale * p0_prime, scale * (p0_prime + total_dc)
     if branch == "q1":
-        return ConvexQuad(
-            pt(2 * p0, 0),
-            pt(2 * (p0 + total_ab), 0),
-            Point(Fraction(0), scale * (p0_prime + total_dc)),
-            Point(Fraction(0), scale * p0_prime),
-        )
+        return ConvexQuad(Point(near_ab, _ZERO), Point(far_ab, _ZERO), Point(_ZERO, far_dc), Point(_ZERO, near_dc))
     # the q1 quad of the reversed spec with its axes swapped
-    return ConvexQuad(
-        Point(Fraction(0), 2 * (p0 + total_ab)),
-        Point(Fraction(0), 2 * p0),
-        pt(scale * p0_prime, 0),
-        pt(scale * (p0_prime + total_dc), 0),
-    )
+    return ConvexQuad(Point(_ZERO, far_ab), Point(_ZERO, near_ab), Point(near_dc, _ZERO), Point(far_dc, _ZERO))
 
 
-def _trapezoid(spec: DivisionSpec, mu: Fraction, mu_prime: Fraction, offset=Fraction(0)) -> ConvexQuad:
+def _trapezoid(spec: DivisionSpec, mu: Fraction, mu_prime: Fraction, offset: Fraction = _ZERO) -> ConvexQuad:
     """Height-one trapezoid with side scalings mu and mu', its top side shifted by offset;
     strips (mu*ab_i + mu'*dc_i)/2."""
     total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
     return ConvexQuad(
-        Point(Fraction(0), Fraction(0)),
-        Point(mu * total_ab, Fraction(0)),
-        Point(offset + mu_prime * total_dc, Fraction(1)),
-        Point(offset, Fraction(1)),
+        Point(_ZERO, _ZERO),
+        Point(mu * total_ab, _ZERO),
+        Point(offset + mu_prime * total_dc, _ONE),
+        Point(offset, _ONE),
     )
 
 

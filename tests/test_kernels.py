@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quadareas.membership
 from quadareas import (
     Certificate,
     ConvexQuad,
@@ -60,9 +61,9 @@ from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _factor, _factored, _first_pivot, _pivot_block, _rows
 from quadareas.division import _mirror, fraction_tuple
 from quadareas.geometry import _SHORT_BITS, _integer_side_sums
-from quadareas.linalg import _cofactors, _scaled
+from quadareas.linalg import _cofactors, _primitive, _scaled
 from quadareas.membership import (
-    Interval, _coefficient_verdict, _decide, _pivot_solution, _realization, _segment, _spans,
+    Interval, _coefficient_verdict, _decide, _face, _pivot_solution, _realization, _spans,
 )
 from quadareas.witness import _trapezoid
 
@@ -199,11 +200,18 @@ def ref_combine(fr, a, b, c):
     return tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
 
 
-def ref_pivot_solution(spec, pivot, x):
+def ref_frame_pivot_solution(spec, pivot, x):
     fr = frame(spec)
     cols = (pivot - 2, pivot - 1, pivot)
     sol = ref_solve3([[fr.ab[c], fr.dc[c], fr.head[c]] for c in cols], [x[c] for c in cols])
     return sol if ref_combine(fr, *sol) == x else None
+
+
+def ref_pivot_solution(block, x):
+    """The pivot solve as it was: the right-hand side as Fraction products L_c*x_c, put over their lcm
+    by ``_scaled``."""
+    (r0, r1, r2), den = _scaled([l_c * x[c] for c, l_c in zip(block.cols, block.dens)])
+    return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
 
 
 def ref_coefficient_verdict(a, b, c, total_ab, total_dc, mode, prefix_certified=False):
@@ -228,7 +236,7 @@ def ref_coefficient_verdict(a, b, c, total_ab, total_dc, mode, prefix_certified=
 def ref_member(spec, x, mode):
     if any(v <= 0 for v in x):
         return Verdict(False, reason="non-positive-entry")
-    sol = ref_pivot_solution(spec, classify(spec).pivot, x)
+    sol = ref_frame_pivot_solution(spec, classify(spec).pivot, x)
     if sol is None:
         return Verdict(False, reason="off-subspace")
     return ref_coefficient_verdict(*sol, sum(spec.p), sum(spec.p_prime), mode)
@@ -278,7 +286,7 @@ def ref_member_via_collapse(spec, x, pivot, mode):
     elif "q2" in folded:
         a2, b2, c2 = folded["q2"]
         a, b, c = a2 + c2 * total_dc, b2 + c2 * total_ab, -c2
-    elif ref_pivot_solution(spec, pivot, x) is None:
+    elif ref_frame_pivot_solution(spec, pivot, x) is None:
         return Verdict(False, reason="off-subspace")
     else:
         raise DegenerateCollapseError("both folds are planar")
@@ -467,8 +475,15 @@ def span_triple(total_ab, total_dc, a, b):
 def face_coordinates(planar):
     """head's and tail's coordinates over (ab, dc) on a planar record: their span triples moved to
     c = 0; for head, (alpha, beta)."""
-    return [_segment(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))[2](F(0))[:2]
+    return [_face(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))
             for coeffs in ((F(1), F(0)), (F(0), F(1)))]
+
+
+def segment_point(planar, triple, t):
+    """The span triple on a skew planar record's segment through triple at head coefficient t:
+    its face coordinates moved along (-alpha, -beta, 1)."""
+    (face_a, face_b), (alpha, beta) = _face(planar, triple), planar.face
+    return face_a - t * alpha, face_b - t * beta, t
 
 
 def ref_apex_quad_q2(spec, p0, p0_prime, scale):
@@ -968,6 +983,41 @@ def test_pivot_solution_matches_fraction_cramer(system):
     assert_primitive(sol)
 
 
+@given(specs(min_n=3, kinds=("planar-prefix", "spatial", "proportional", "planar-skew")),
+       st.sampled_from((None, (30, 30), (300, 300))), st.data())
+def test_pivot_solution_matches_the_fraction_product_reference(spec, digits, data):
+    # the spec's block and its mirror's, spatial or planar (x's third entry 0, as _decide passes),
+    # on grid, 30-digit and 300-digit x
+    entry = ratios(big=digits is not None, digits=digits or (30, 300), signed=True)
+    for f in (_factored(spec), _factored(_mirror(spec))):
+        x = tuple(data.draw(entry) for _ in range(spec.n))
+        if f.pivot is None:
+            x = (*x[:2], F(0))
+        sol = _pivot_solution(f.block, x)
+        assert sol == ref_pivot_solution(f.block, x)
+        assert_primitive(sol)
+
+
+def test_a_warm_pivot_solution_builds_no_fraction(monkeypatch):
+    spec = DivisionSpec.of((1, 2, "3/2", "5/4"), (3, "1/2", 2, "7/8"))
+    f = _factored(spec)
+    fr = frame(spec)
+    x = tuple(F(1, 2) * a + F(3, 4) * b + F(5, 8) * h for a, b, h in zip(fr.ab, fr.dc, fr.head))
+    expected = _pivot_solution(f.block, x)
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    sol = _pivot_solution(f.block, x)
+    monkeypatch.undo()
+    assert sol == expected == (4, 6, 5, 8)
+    assert built == []
+
+
 def test_singular_blocks_are_refused_where_they_are_built():
     rows = [(3, 6, 9, 1), (1, 0, -3, 2), (4, 6, 6, 3)]  # the last block row is the sum of the others
     with pytest.raises(InternalError, match="pivot solve is regular whenever the discriminant is nonzero"):
@@ -1158,7 +1208,7 @@ def test_pivot_solution_matches_fraction_reference_at_every_pivot(query):
             sol = _pivot_solution(_pivot_block(rows, pivot), y)
             assert_primitive(sol)
             spans = _spans(rows, sol, y, range(pivot - 2, pivot + 1))
-            assert (as_fractions(sol) if spans else None) == ref_pivot_solution(spec, pivot, y)
+            assert (as_fractions(sol) if spans else None) == ref_frame_pivot_solution(spec, pivot, y)
 
 
 @given(spatial_queries(), st.sampled_from(("strict", "audited")), st.data())
@@ -1173,7 +1223,7 @@ def test_member_and_every_fold_match_the_reference(query, mode, data):
             try:
                 assert member_via_collapse(spec, y, pivot, mode) == expected
             except DegenerateCollapseError:
-                assert ref_pivot_solution(spec, pivot, y) is not None
+                assert ref_frame_pivot_solution(spec, pivot, y) is not None
 
 
 @settings(max_examples=120)
@@ -1520,11 +1570,12 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
         # the segment's triple at head coefficient c, or -c on the tail arm, in its verdict's coefficients
         f = _factored(spec)
         total_ab, total_dc = f.total_ab, f.total_dc
-        at = _segment(f, span_triple(total_ab, total_dc, *cert.coeffs))[2]
+        triple = span_triple(total_ab, total_dc, *cert.coeffs)
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
-                verdict = _coefficient_verdict(*int_vector(at(sign * c)), total_ab, total_dc, "audited")
+                point = segment_point(f, triple, sign * c)
+                verdict = _coefficient_verdict(*int_vector(point), total_ab, total_dc, "audited")
                 assert verdict.certificate.coeffs == params
     out = synthesize_witness(spec, x)
     if out.construction.startswith("apex"):
@@ -1546,8 +1597,7 @@ def test_face_solution_matches_the_span_checked_reference(query):
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
         # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
-        at = _segment(f, span_triple(total_ab, total_dc, *coeffs))[2]
-        assert at(F(0)) == (*expected, 0)
+        assert segment_point(f, span_triple(total_ab, total_dc, *coeffs), F(0)) == (*expected, 0)
     if member(spec, x).attainable:
         out = synthesize_witness(spec, x)
         on_face = expected is not None and expected[0] > 0 and expected[1] > 0
@@ -1570,6 +1620,19 @@ def test_realization_reproduces_x_on_its_branch(query):
                "ray": (tuple(a + d for a, d in zip(fr.ab, fr.dc)),)}[cert.branch]
     assert min(cert.coeffs) > 0
     assert tuple(sum(c * v[i] for c, v in zip(cert.coeffs, vectors)) for i in range(spec.n)) == x
+
+
+def test_a_planar_witness_clips_its_segment_once(monkeypatch):
+    # the decision clips x's segment for the certificate's intervals; the realization reads it back
+    spec = DivisionSpec.of((1, 1, 1), (1, 2, 6))
+    fr = frame(spec)
+    x = tuple(F(1, 2) * h + F(3, 4) * t for h, t in zip(fr.head, fr.tail))
+    clipped = []
+    segment = quadareas.membership._segment
+    monkeypatch.setattr(quadareas.membership, "_segment", lambda f, t: clipped.append(t) or segment(f, t))
+    out = synthesize_witness(spec, x)
+    assert out.certificate.branch == "degenerate"
+    assert len(clipped) == 1
 
 
 @given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), st.data())

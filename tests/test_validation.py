@@ -50,6 +50,7 @@ from quadareas import (
     to_fraction,
 )
 from quadareas.cli import main
+from quadareas.division import fraction_tuple
 
 
 class TestDivisionSpecValidation:
@@ -309,6 +310,18 @@ class TestInputErrors:
     ))
     def test_an_iterator_x_is_read_as_its_tuple(self, call, x):
         assert call(iter(x)) == call(x)
+
+    def test_a_tuple_of_fractions_is_coerced_once(self):
+        # fraction_tuple is the one coercion rule: a tuple of Fractions passes through unchanged, so
+        # TailSummedSequence and the deciders never rebuild it; a list or a tuple holding an int or
+        # a literal is rebuilt as a tuple of Fractions
+        x = (F(3), F(8), F(16))
+        assert fraction_tuple(x) is x
+        assert TailSummedSequence(x).prefix is x
+        for other in ([F(3), F(8), F(16)], (3, F(8), F(16)), (F(3), "8", F(16))):
+            coerced = fraction_tuple(other)
+            assert type(coerced) is tuple and coerced == x
+            assert all(type(v) is F for v in coerced)
 
 
 class TestRationalParsing:
