@@ -197,9 +197,6 @@ class ApexFrame(_Frozen):
 # is built from integer partial sums.  Timed per coordinate on apex quads and trapezoids at n = 8-128, the
 # integer sums built cold, that path is 1.1-1.5x faster below 64 bits, about even from 64 to 191 and
 # slower from 192 bits on at n = 8 and 32, where the ints it multiplies outgrow the Fraction path's.
-# apex_of reads a quad whose eight coordinate denominators have fewer bits than this in all from its
-# integer edges: 3-4x faster on grid apex quads and their affine images (at most 64 bits), 0.45-1.0x
-# on 100- and 300-digit ones (over 2600 bits), where it keeps the Point crosses.
 _SHORT_BITS = 128
 
 
@@ -286,50 +283,14 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
 
     The intersection point E of lines AB and DC is computed exactly.  E must
     fall outside both divided segments; it landing inside one means the input
-    is not a valid convex quadrilateral (guards corrupted data).  A quad whose
-    eight coordinate denominators have fewer than ``_SHORT_BITS`` bits in all
-    (every grid apex quad, affine image and trapezoid) is read from its integer
-    edges (``_apex_of_edges``); a longer one, where the products of those ints
-    outgrow the normalised ``Point`` arithmetic, from ``Point`` crosses.
+    is not a valid convex quadrilateral (guards corrupted data).  It is read in
+    ints from the unnormalised integer edges u = B - A, w = C - D and e = D - A
+    that ``strip_areas`` reads: with the side cross u x w = n/den,
+    t = (e x w)/(u x w) and r = (e x u)/(u x w) are kept as int pairs over
+    positive denominators, the segment and branch tests are int comparisons,
+    and each returned value is one Fraction.
     """
     _quad_and_spec("apex_of", q, spec)
-    if sum([v.x.denominator.bit_length() + v.y.denominator.bit_length() for v in (q.a, q.b, q.c, q.d)]) < _SHORT_BITS:
-        return _apex_of_edges(q, spec)
-    u = q.b - q.a
-    w = q.c - q.d
-    denom = u.cross(w)
-    if denom == 0:
-        return ParallelMarker()
-    diff = q.d - q.a
-    t = diff.cross(w) / denom  # parameter along AB: A at 0, B at 1
-    r = diff.cross(u) / denom  # parameter along DC: D at 0, C at 1
-    if 0 <= t <= 1 or 0 <= r <= 1:
-        raise InconsistentQuadError("side lines meet inside a divided segment")
-    apex = q.a + t * u
-    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
-    # twice the apex triangle's area, scale*p0*p0_prime, is t*r*denom (q1) or -(t-1)*(r-1)*denom (q2)
-    if t < 0:
-        # apex beyond A, hence also beyond D on the other side
-        invariant(r < 0, "an apex beyond A on line AB lies beyond D on line DC")
-        p0 = -t * total_ab
-        p0_prime = -r * total_dc
-        scale = denom / (2 * total_ab * total_dc)
-        branch = "q1"
-    else:
-        invariant(r > 1, "an apex beyond B on line AB lies beyond C on line DC")
-        p0 = (t - 1) * total_ab
-        p0_prime = (r - 1) * total_dc
-        scale = -denom / (2 * total_ab * total_dc)
-        branch = "q2"
-    invariant(scale > 0, "the apex triangle has positive area")
-    return ApexFrame(apex, branch, p0, p0_prime, scale)
-
-
-def _apex_of_edges(q: ConvexQuad, spec: DivisionSpec):
-    """``apex_of`` in ints, on the unnormalised integer edges u = B - A, w = C - D and
-    e = D - A that ``strip_areas`` reads: with the side cross u x w = n/den, t = (e x w)/(u x w)
-    and r = (e x u)/(u x w) are kept as int pairs over positive denominators, the segment and
-    branch tests are int comparisons, and each returned value is one Fraction."""
     a = q.a
     u, w, e = _edge(a, q.b), _edge(q.d, q.c), _edge(a, q.d)
     n, den = _cross(u, w)
@@ -346,6 +307,7 @@ def _apex_of_edges(q: ConvexQuad, spec: DivisionSpec):
         Fraction(ax.numerator * u[1] * td + tn * u[0] * ax.denominator, ax.denominator * u[1] * td),
         Fraction(ay.numerator * u[3] * td + tn * u[2] * ay.denominator, ay.denominator * u[3] * td),
     )
+    # twice the apex triangle's area, scale*p0*p0_prime, is t*r*(u x w) (q1) or -(t-1)*(r-1)*(u x w) (q2)
     if tn < 0:
         invariant(rn < 0, "an apex beyond A on line AB lies beyond D on line DC")
         branch, t0, r0, cross = "q1", -tn, -rn, n  # -t, -r and the side cross

@@ -34,9 +34,7 @@ swap, and so do a degenerate certificate's (a, b) and its two intervals.
 A planar certificate's re-decompositions lie on one segment of span triples
 (``_segment``): on skew sides along (alpha, beta, -1), clipped by the four
 facets to an open range of the head coefficient; on proportional ones the
-point a - b.  The certificate's two intervals hold that range, so
-``_realization`` reads it back from them, clipping nothing again, and picks
-one point of it, the witness's input.
+point a - b.  ``_realization`` picks one point of it, the witness's input.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -199,66 +197,48 @@ def _pivot_solution(block: _Block, x: tuple[Fraction, ...]):
     return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
 
 
-def _face(f: _Factored, triple: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """x's face coordinates (F_A, F_B) on skew ratio vectors: its span triple (A, B, c) moved along
-    (alpha, beta, -1) to head coefficient 0, (A + c*alpha, B + c*beta)."""
-    big_a, big_b, c = triple
-    alpha, beta = f.face
-    return big_a + c * alpha, big_b + c * beta
-
-
-def _segment(f: _Factored, triple: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """(lo, hi): the open range of head coefficients over x's span triples.
+def _segment(f: _Factored, triple: Sequence[Fraction]):
+    """(lo, hi, at): the open range of head coefficients over x's span triples, and the triple at each.
 
     x = A*ab + B*dc + c*head.  On skew ratio vectors head = alpha*ab + beta*dc,
     solved at rows 0 and 1 once per spec (``f.face``; its cumulants lie in
     span(ab, dc), so the solve holds at every row), and x's span triples are the
-    line (F_A - t*alpha, F_B - t*beta, t) through x's face coordinates (``_face``).
-    The four facets of ``_coefficient_verdict`` at head coefficient t are F_A - t*alpha, F_B - t*beta,
+    line (A + s*alpha, B + s*beta, c - s).  With (F_A, F_B) x's face coordinates,
+    the four facets of ``_coefficient_verdict`` at head coefficient t are F_A - t*alpha, F_B - t*beta,
     F_A + t*(total_dc - alpha) and F_B + t*(total_ab - beta); head and tail have
     positive entries, so some facet bounds t above and some below.  On
     proportional ones c is pinned: lo = hi = c.  With every discriminant zero,
     ab and dc are proportional at every row exactly when they are at rows 0 and 1.
     """
+    big_a, big_b, c = triple
     if f.face is None:
-        return triple[2], triple[2]
+        return c, c, lambda _: triple
     alpha, beta = f.face
-    face = _face(f, triple)
+    face = (big_a + c * alpha, big_b + c * beta)
     facets = tuple(zip(face * 2, (-alpha, -beta, f.total_dc - alpha, f.total_ab - beta)))
     lo = max(-v / k for v, k in facets if k > 0)
     hi = min(-v / k for v, k in facets if k < 0)
-    return lo, hi
+    return lo, hi, lambda t: (face[0] - t * alpha, face[1] - t * beta, t)
 
 
 def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     """The q1, q2, face or ray certificate of one re-decomposition of a degenerate certificate.
 
-    x = a*head + b*tail is the span triple (b*total_dc, b*total_ab, a - b).  On skew ratio
-    vectors it moves along its segment to c = 0 when that is inside, else to the segment's
-    midpoint; the segment (lo, hi) is read back from the certificate's intervals, which
-    ``_decide`` built from it (hi is the q1 interval's upper end, else minus the q2 interval's
-    lower end; lo is minus the q2 interval's upper end, else the q1 interval's lower end), so
-    no facet is clipped again.  On proportional ratio vectors c = a - b is pinned and the triple
-    is the even split A*P_0 = B*Q_0, as total_dc/total_ab = Q_0/P_0; at c = 0 (neither interval
-    exists) the face is split equally instead.  Planar verdicts ignore the mode, so the branch
-    is named in audited mode.
+    x = a*head + b*tail is the span triple (b*total_dc, b*total_ab, a - b); it moves
+    along its segment to c = 0 when that is inside, else to the segment's midpoint.
+    On proportional ratio vectors c = a - b is pinned and the triple is the even
+    split A*P_0 = B*Q_0, as total_dc/total_ab = Q_0/P_0; at c = 0 the face is split
+    equally instead.  Planar verdicts ignore the mode, so the branch is named in
+    audited mode.
     """
     f = _factored(spec)
     total_ab, total_dc = f.total_ab, f.total_dc
     a, b = cert.coeffs
-    triple = (b * total_dc, b * total_ab, a - b)
-    if f.face is None:
-        big_a, big_b, c = triple
-        if c == 0:
-            p0, q0, _, _ = f.rows[0]
-            big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
-    else:
-        q1, q2 = cert.q1_interval, cert.q2_interval
-        hi = q1.hi if q1 is not None else -q2.lo
-        lo = -q2.hi if q2 is not None else q1.lo
-        c = Fraction(0) if lo < 0 < hi else (lo + hi) / 2
-        (face_a, face_b), (alpha, beta) = _face(f, triple), f.face
-        big_a, big_b = face_a - c * alpha, face_b - c * beta
+    lo, hi, at = _segment(f, (b * total_dc, b * total_ab, a - b))
+    big_a, big_b, c = at(Fraction(0) if lo < 0 < hi else (lo + hi) / 2)
+    if lo == hi == 0:
+        p0, q0, _, _ = f.rows[0]
+        big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
     ints, e = _scaled((big_a, big_b, c))
     verdict = _coefficient_verdict(*ints, e, total_ab, total_dc, "audited")
     invariant(verdict.attainable, "an attainable planar tuple admits a realization")
@@ -290,7 +270,7 @@ def _decide(f: _Factored, x: tuple[Fraction, ...], mode: Mode) -> Verdict:
     if pivot is not None or not verdict.attainable:
         return verdict
     triple = tuple(Fraction(v, sol[3]) for v in sol[:3])
-    lo, hi = _segment(f, triple)
+    lo, hi, _ = _segment(f, triple)
     q1 = Interval(max(lo, Fraction(0)), hi) if hi > 0 else None
     q2 = Interval(max(-hi, Fraction(0)), -lo) if lo < 0 else None
     b = triple[1] / f.total_ab

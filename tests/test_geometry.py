@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
-import quadareas.geometry
-import quadareas.oracle
 from quadareas import (
+    ApexFrame,
     ConvexQuad,
     DivisionSpec,
     InconsistentQuadError,
@@ -21,12 +20,10 @@ from quadareas import (
     apex_areas,
     apex_of,
     apex_quad,
-    classify,
     frame,
     is_convex_ccw,
     polygon_area,
     pt,
-    sample_convex_quads,
     sample_parallel_family,
     strip_areas,
     subdivide,
@@ -119,22 +116,35 @@ def test_outputs_match_the_fixture():
             assert _apex_outcome(apex_of(quad, spec)) == case["apex_of"]
 
 
-def _apex_both_ways(quad, spec):
-    """apex_of's result, or its error's type and message, with the short-quad rule forced each way:
-    a limit of 0 sends every quad down the Point path, one of 10**9 every quad down the integer one."""
+def ref_apex_of(q, spec):
+    """apex_of on normalised Point crosses, the expression it had before it read integer edges."""
+    u, w = q.b - q.a, q.c - q.d
+    denom = u.cross(w)
+    if denom == 0:
+        return ParallelMarker()
+    diff = q.d - q.a
+    t, r = diff.cross(w) / denom, diff.cross(u) / denom
+    if 0 <= t <= 1 or 0 <= r <= 1:
+        raise InconsistentQuadError("side lines meet inside a divided segment")
+    total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
+    if t < 0:
+        return ApexFrame(q.a + t * u, "q1", -t * total_ab, -r * total_dc, denom / (2 * total_ab * total_dc))
+    return ApexFrame(q.a + t * u, "q2", (t - 1) * total_ab, (r - 1) * total_dc, -denom / (2 * total_ab * total_dc))
+
+
+def _apex_and_reference(quad, spec):
+    """apex_of's result and ref_apex_of's, or each one's error type and message."""
     outcomes = []
-    for limit in (0, 10 ** 9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quadareas.geometry, "_SHORT_BITS", limit)
-            try:
-                outcomes.append(apex_of(quad, spec))
-            except (InconsistentQuadError, InternalError) as err:
-                outcomes.append((type(err), str(err)))
+    for fn in (apex_of, ref_apex_of):
+        try:
+            outcomes.append(fn(quad, spec))
+        except (InconsistentQuadError, InternalError) as err:
+            outcomes.append((type(err), str(err)))
     return outcomes
 
 
 @st.composite
-def apex_path_cases(draw):
+def apex_cases(draw):
     """A spec with grid, 30-digit or 100-digit entries and n = 2-8, and one of its quads: a q1 or q2
     apex quad on parameters of the same size, its image under an integer affine map, or a trapezoid."""
     digits = draw(st.sampled_from((None, 30, 100)))
@@ -157,12 +167,12 @@ def apex_path_cases(draw):
     return spec, quad, family
 
 
-@given(apex_path_cases())
-def test_apex_of_is_the_same_on_both_sides_of_the_short_rule(case):
+@given(apex_cases())
+def test_apex_of_matches_the_point_cross_reference(case):
     spec, quad, family = case
-    point_path, edge_path = _apex_both_ways(quad, spec)
-    assert point_path == edge_path
-    assert isinstance(point_path, ParallelMarker) == (family == "trapezoid")
+    got, expected = _apex_and_reference(quad, spec)
+    assert got == expected
+    assert isinstance(got, ParallelMarker) == (family == "trapezoid")
 
 
 INSIDE = (InconsistentQuadError, "side lines meet inside a divided segment")
@@ -171,37 +181,18 @@ INSIDE = (InconsistentQuadError, "side lines meet inside a divided segment")
 @pytest.mark.parametrize("vertices, expected", [
     (("0,0", "4,0", "1,-1", "1,1"), INSIDE),  # line DC crosses AB inside AB
     (("0,0", "1,0", "2,-1", "1,1"), INSIDE),  # line AB crosses DC inside DC
+    (("0,0", "1,0", "0,1", "-1,0"), INSIDE),  # the side lines meet at D
+    (("0,0", "1,0", "2,0", "2,1"), INSIDE),  # the side lines meet at C
     (("0,0", "4,0", "1/3,-7/5", "1/3,5/7"), INSIDE),
     (("0,0", f"{10 ** 30 + 7}/{10 ** 29},0", f"1/{10 ** 30 + 1},-1", f"1/{10 ** 30 + 1},1"), INSIDE),
     (("0,0", "1,0", "0,1", "1,1"), ParallelMarker()),  # a bow tie whose side lines are parallel
 ])
-def test_both_apex_paths_refuse_a_corrupted_quad_alike(vertices, expected):
+def test_apex_of_refuses_a_corrupted_quad_as_the_reference_does(vertices, expected):
     # bypass the quad validator, as corrupted data would
     quad = ConvexQuad.__new__(ConvexQuad)
     for name, text in zip("abcd", vertices):
         object.__setattr__(quad, name, Point.parse(text))
-    assert _apex_both_ways(quad, UNIT) == [expected, expected]
-
-
-def test_every_quad_the_oracle_draws_at_grid_takes_the_integer_path(monkeypatch):
-    # the oracle's three quad families on grid spatial specs at the benchmark's n = 4, 8, 12: a later
-    # change of the threshold that sent one of them down the Point path would slow every report
-    calls, short = [], []
-    apex_of_in_oracle, edges = quadareas.oracle.apex_of, quadareas.geometry._apex_of_edges
-    monkeypatch.setattr(quadareas.oracle, "apex_of", lambda q, spec: calls.append(q) or apex_of_in_oracle(q, spec))
-    monkeypatch.setattr(quadareas.geometry, "_apex_of_edges", lambda q, spec: short.append(q) or edges(q, spec))
-    rng = random.Random(35)
-    for n in (4, 8, 12):
-        for seed in range(3):
-            while True:
-                spec = DivisionSpec(*(tuple(F(rng.randint(1, 64), 8) for _ in range(n)) for _ in "pq"))
-                if classify(spec).spatial:
-                    break
-            sample_convex_quads(spec, 30, seed)
-            sample_parallel_family(spec, 10, seed, "audited")
-            sample_parallel_family(spec, 10, seed, "strict")
-    assert len(calls) >= 3 * 3 * 40  # strict mode calls apex_of only on the samples it accepts
-    assert short == calls
+    assert _apex_and_reference(quad, UNIT) == [expected, expected]
 
 
 class TestSubdivide:

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import quadareas.membership
 from quadareas import (
     Certificate,
     ConvexQuad,
@@ -63,7 +62,7 @@ from quadareas.division import _mirror, fraction_tuple
 from quadareas.geometry import _SHORT_BITS, _integer_side_sums
 from quadareas.linalg import _cofactors, _primitive, _scaled
 from quadareas.membership import (
-    Interval, _coefficient_verdict, _decide, _face, _pivot_solution, _realization, _spans,
+    Interval, _coefficient_verdict, _decide, _pivot_solution, _realization, _segment, _spans,
 )
 from quadareas.witness import _trapezoid
 
@@ -475,15 +474,8 @@ def span_triple(total_ab, total_dc, a, b):
 def face_coordinates(planar):
     """head's and tail's coordinates over (ab, dc) on a planar record: their span triples moved to
     c = 0; for head, (alpha, beta)."""
-    return [_face(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))
+    return [_segment(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))[2](F(0))[:2]
             for coeffs in ((F(1), F(0)), (F(0), F(1)))]
-
-
-def segment_point(planar, triple, t):
-    """The span triple on a skew planar record's segment through triple at head coefficient t:
-    its face coordinates moved along (-alpha, -beta, 1)."""
-    (face_a, face_b), (alpha, beta) = _face(planar, triple), planar.face
-    return face_a - t * alpha, face_b - t * beta, t
 
 
 def ref_apex_quad_q2(spec, p0, p0_prime, scale):
@@ -1570,12 +1562,11 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
         # the segment's triple at head coefficient c, or -c on the tail arm, in its verdict's coefficients
         f = _factored(spec)
         total_ab, total_dc = f.total_ab, f.total_dc
-        triple = span_triple(total_ab, total_dc, *cert.coeffs)
+        at = _segment(f, span_triple(total_ab, total_dc, *cert.coeffs))[2]
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
-                point = segment_point(f, triple, sign * c)
-                verdict = _coefficient_verdict(*int_vector(point), total_ab, total_dc, "audited")
+                verdict = _coefficient_verdict(*int_vector(at(sign * c)), total_ab, total_dc, "audited")
                 assert verdict.certificate.coeffs == params
     out = synthesize_witness(spec, x)
     if out.construction.startswith("apex"):
@@ -1597,7 +1588,8 @@ def test_face_solution_matches_the_span_checked_reference(query):
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
         # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
-        assert segment_point(f, span_triple(total_ab, total_dc, *coeffs), F(0)) == (*expected, 0)
+        at = _segment(f, span_triple(total_ab, total_dc, *coeffs))[2]
+        assert at(F(0)) == (*expected, 0)
     if member(spec, x).attainable:
         out = synthesize_witness(spec, x)
         on_face = expected is not None and expected[0] > 0 and expected[1] > 0
@@ -1620,19 +1612,6 @@ def test_realization_reproduces_x_on_its_branch(query):
                "ray": (tuple(a + d for a, d in zip(fr.ab, fr.dc)),)}[cert.branch]
     assert min(cert.coeffs) > 0
     assert tuple(sum(c * v[i] for c, v in zip(cert.coeffs, vectors)) for i in range(spec.n)) == x
-
-
-def test_a_planar_witness_clips_its_segment_once(monkeypatch):
-    # the decision clips x's segment for the certificate's intervals; the realization reads it back
-    spec = DivisionSpec.of((1, 1, 1), (1, 2, 6))
-    fr = frame(spec)
-    x = tuple(F(1, 2) * h + F(3, 4) * t for h, t in zip(fr.head, fr.tail))
-    clipped = []
-    segment = quadareas.membership._segment
-    monkeypatch.setattr(quadareas.membership, "_segment", lambda f, t: clipped.append(t) or segment(f, t))
-    out = synthesize_witness(spec, x)
-    assert out.certificate.branch == "degenerate"
-    assert len(clipped) == 1
 
 
 @given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), st.data())
