@@ -1,6 +1,6 @@
 """Algebraic description of the attainable area tuples for a division spec.
 
-The attainable set is a union of positive hulls of five vectors derived from
+The attainable set is a union of positive hulls of four vectors derived from
 the ratio tuples: the two ratio vectors themselves (spanning the face reached
 by parallel-sided quads), the head-cumulant vector (third edge of the branch
 where the apex lies beyond A) and the tail-cumulant vector (apex beyond B).

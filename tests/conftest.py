@@ -1,15 +1,18 @@
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-# No bytecode under src/: a leftover cache changes what a later timing of the package measures.
+# No bytecode under src/ or bench/: a leftover cache changes what a later timing of the package measures.
 # Set before any test module imports quadareas; the CLI tests start their children with a copy of
 # os.environ, so they write none either.
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+# bench/reference.py, the quadareas-free derivations the tests compare against, imports as `reference`.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 settings.register_profile(
     "suite",

@@ -14,7 +14,8 @@ from quadareas import (
     frame,
     hyperplanes,
 )
-from test_kernels import det3, ref_solve2
+import reference
+from test_kernels import det3
 
 
 def rank(rows):
@@ -248,7 +249,7 @@ class TestContinueDegenerate:
             assert all(d == 0 for d in discriminants(spec))
             fr = frame(spec)
             for vec in (fr.ab, fr.dc):
-                sol = ref_solve2(
+                sol = reference.solve(
                     [[fr.head[0], fr.tail[0]], [fr.head[-1], fr.tail[-1]]],
                     [vec[0], vec[-1]],
                 )

@@ -1,22 +1,26 @@
 """The exact kernels against their step-by-step Fraction references.
 
-Each kernel normalises its result once; the references below are the plain
-Fraction forms (one normalisation per operation) they replaced, and every
-property requires identical Fractions.  The stored fixture holds outputs of
-the Fraction implementations and is compared, never rewritten.
+Each kernel normalises its result once.  The documented formulas come from
+``reference`` (bench/reference.py, which shares no code with quadareas); the
+references below are the plain Fraction forms (one normalisation per
+operation) the kernels replaced.  Every property requires identical Fractions.
+The stored fixture holds outputs of the Fraction implementations and is
+compared, never rewritten.
 """
+import ast
 import json
 import random
+import sys
 from fractions import Fraction as F
 from functools import partial
 from itertools import accumulate, permutations
 from math import gcd, lcm
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quadareas
 from quadareas import (
     Certificate,
     ConvexQuad,
@@ -46,7 +50,6 @@ from quadareas import (
     member,
     member_tail,
     member_via_collapse,
-    polygon_area,
     proportional_bounds,
     station_check,
     station_coefficients,
@@ -65,6 +68,7 @@ from quadareas.membership import (
     Interval, _coefficient_verdict, _decide, _pivot_solution, _realization, _segment, _spans,
 )
 from quadareas.witness import _trapezoid
+import reference
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
 # planar witnesses (proportional and skew specs, n = 3-14, grid and 30-digit entries; 30-digit skew
@@ -93,44 +97,6 @@ def inverse3(m):
             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
             for j in range(3)] for i in range(3)]
     return tuple(tuple(cof[j][i] / d for j in range(3)) for i in range(3))
-
-
-def ref_solve2(m, rhs):
-    d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if d == 0:
-        return None
-    x = (rhs[0] * m[1][1] - m[0][1] * rhs[1]) / d
-    y = (m[0][0] * rhs[1] - rhs[0] * m[1][0]) / d
-    return (x, y)
-
-
-def ref_solve3(m, rhs):
-    d = det3(m)
-    if d == 0:
-        return None
-    cols = []
-    for j in range(3):
-        mj = [[rhs[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]
-        cols.append(det3(mj) / d)
-    return tuple(cols)
-
-
-def ref_cumulants(p, p_prime, tail_p=F(0), tail_p_prime=F(0)):
-    """head[i] = -p[i]*p'[i] + p[i]*sum(p'[:i+1]) + p'[i]*sum(p[:i+1]), tail likewise from the end."""
-    n = len(p)
-    head = []
-    acc_p, acc_q = F(0), F(0)
-    for i in range(n):
-        acc_p += p[i]
-        acc_q += p_prime[i]
-        head.append(-p[i] * p_prime[i] + p[i] * acc_q + p_prime[i] * acc_p)
-    tail = [F(0)] * n
-    acc_p, acc_q = tail_p, tail_p_prime
-    for i in range(n - 1, -1, -1):
-        acc_p += p[i]
-        acc_q += p_prime[i]
-        tail[i] = -p[i] * p_prime[i] + p[i] * acc_q + p_prime[i] * acc_p
-    return tuple(head), tuple(tail)
 
 
 def ref_sided_cumulants(p, p_prime):
@@ -166,19 +132,6 @@ def ref_rows(p, q):
     return rows, total_ab, total_dc
 
 
-def ref_discriminants(p, q):
-    return tuple(
-        (p[j - 1] + p[j] + p[j + 1]) * q[j - 1] * q[j + 1] * p[j]
-        - (q[j - 1] + q[j] + q[j + 1]) * p[j - 1] * p[j + 1] * q[j]
-        for j in range(1, len(p) - 1)
-    )
-
-
-def ref_first_pivot(p, q):
-    """1-based index of the first nonzero discriminant, or None."""
-    return next((j + 2 for j, d in enumerate(ref_discriminants(p, q)) if d != 0), None)
-
-
 def int_vector(triple):
     """A rational triple as the int vector (A, B, C, E) over its common denominator E."""
     ints, den = _scaled(triple)
@@ -194,16 +147,21 @@ def assert_primitive(sol):
     assert gcd(*sol) == 1 and sol[3] > 0
 
 
-def ref_combine(fr, a, b, c):
-    """The Fraction combination a*ab + b*dc + c*head that the span check used to compare with x."""
-    return tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, fr.head))
+def as_interval(bounds):
+    """A re-decomposition range (lo, hi) from ``reference.redecomposition`` as an Interval; None stays None."""
+    return None if bounds is None else Interval(*bounds)
+
+
+def xy(points):
+    """Points as the (x, y) tuples of ``reference``."""
+    return [(v.x, v.y) for v in points]
 
 
 def ref_frame_pivot_solution(spec, pivot, x):
     fr = frame(spec)
     cols = (pivot - 2, pivot - 1, pivot)
-    sol = ref_solve3([[fr.ab[c], fr.dc[c], fr.head[c]] for c in cols], [x[c] for c in cols])
-    return sol if ref_combine(fr, *sol) == x else None
+    sol = reference.solve([[fr.ab[c], fr.dc[c], fr.head[c]] for c in cols], [x[c] for c in cols])
+    return sol if reference.combine(sol, (fr.ab, fr.dc, fr.head)) == x else None
 
 
 def ref_pivot_solution(block, x):
@@ -271,7 +229,7 @@ def ref_fold_solutions(spec, x, pivot):
             fr3 = frame(instance.spec3)
             arm = fr3.head if branch == "q1" else fr3.tail
             rows = [[fr3.ab[i], fr3.dc[i], arm[i]] for i in range(3)]
-            folded[branch] = ref_solve3(rows, list(instance.x3))
+            folded[branch] = reference.solve(rows, list(instance.x3))
     return folded
 
 
@@ -289,37 +247,10 @@ def ref_member_via_collapse(spec, x, pivot, mode):
         return Verdict(False, reason="off-subspace")
     else:
         raise DegenerateCollapseError("both folds are planar")
-    if ref_combine(frame(spec), a, b, c) != x:
+    fr = frame(spec)
+    if reference.combine((a, b, c), (fr.ab, fr.dc, fr.head)) != x:
         return Verdict(False, reason="off-subspace")
     return ref_coefficient_verdict(a, b, c, total_ab, total_dc, mode)
-
-
-def ref_independent_pair(u, v):
-    """Two coordinate indices where (u, v) has a nonzero 2x2 minor, or None."""
-    for j in range(1, len(u)):
-        if u[0] * v[j] != u[j] * v[0]:
-            return (0, j)
-    return None
-
-
-def ref_coefficient_interval(ab, dc, arm_vec, x, a, b, arm_is_head):
-    """The planar re-decomposition interval, proportional when ref_independent_pair(ab, dc) is None."""
-    pair = ref_independent_pair(ab, dc)
-    if pair is None:
-        c = a - b if arm_is_head else b - a
-        return Interval(c, c) if c > 0 else None
-    i, j = pair
-    base = ref_solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [x[i], x[j]])
-    slope = ref_solve2([[ab[i], dc[i]], [ab[j], dc[j]]], [arm_vec[i], arm_vec[j]])
-    lo, hi = F(0), None
-    for coef, intercept in zip(slope, base):
-        if coef > 0:
-            hi = intercept / coef if hi is None else min(hi, intercept / coef)
-        elif coef < 0:
-            lo = max(lo, intercept / coef)
-        elif intercept <= 0:
-            return None
-    return Interval(lo, hi) if lo < hi else None
 
 
 def ref_verify_combination(vectors, tails, coeffs, x):
@@ -354,22 +285,22 @@ def ref_member_tail(p, p_prime, x, mode):
     ext_ab, ext_dc = p.prefix + (p.tail_sum,), p_prime.prefix + (p_prime.tail_sum,)
     ext_head, ext_tail = head + (head_tail,), tail + (tail_tail,)
     ext_x = x.prefix + (x.tail_sum,)
-    pivot = ref_first_pivot(ext_ab, ext_dc)
+    pivot = reference.pivot(ext_ab, ext_dc)
     if pivot is None:
-        i, j = ref_independent_pair(ext_head, ext_tail)
-        a, b = ref_solve2([[ext_head[i], ext_tail[i]], [ext_head[j], ext_tail[j]]], [ext_x[i], ext_x[j]])
+        i, j = reference.independent_pair(ext_head, ext_tail)
+        a, b = reference.solve([[ext_head[i], ext_tail[i]], [ext_head[j], ext_tail[j]]], [ext_x[i], ext_x[j]])
         if not ref_verify_combination((head, tail), (head_tail, tail_tail), (a, b), x):
             return verdict(False, reason="off-subspace")
         if a > 0 and b > 0:
             return verdict(True, Certificate(
                 "degenerate",
                 (a, b),
-                ref_coefficient_interval(ext_ab, ext_dc, ext_head, ext_x, a, b, True),
-                ref_coefficient_interval(ext_ab, ext_dc, ext_tail, ext_x, a, b, False),
+                as_interval(reference.redecomposition(ext_ab, ext_dc, ext_head, ext_x, a, b, True)),
+                as_interval(reference.redecomposition(ext_ab, ext_dc, ext_tail, ext_x, a, b, False)),
             ))
         return verdict(False, reason="boundary" if a >= 0 and b >= 0 else "negative-coefficient")
     cols = (pivot - 2, pivot - 1, pivot)
-    a, b, c = ref_solve3([[ext_ab[k], ext_dc[k], ext_head[k]] for k in cols], [ext_x[k] for k in cols])
+    a, b, c = reference.solve([[ext_ab[k], ext_dc[k], ext_head[k]] for k in cols], [ext_x[k] for k in cols])
     if not ref_verify_combination((p.prefix, p_prime.prefix, head), (p.tail_sum, p_prime.tail_sum, head_tail),
                                   (a, b, c), x):
         return verdict(False, reason="off-subspace")
@@ -382,16 +313,16 @@ def ref_member_planar(spec, x):
     if any(v <= 0 for v in x):
         return Verdict(False, reason="non-positive-entry")
     fr = frame(spec)
-    i, j = ref_independent_pair(fr.head, fr.tail)
-    a, b = ref_solve2([[fr.head[i], fr.tail[i]], [fr.head[j], fr.tail[j]]], [x[i], x[j]])
+    i, j = reference.independent_pair(fr.head, fr.tail)
+    a, b = reference.solve([[fr.head[i], fr.tail[i]], [fr.head[j], fr.tail[j]]], [x[i], x[j]])
     if any(a * h + b * t != xi for h, t, xi in zip(fr.head, fr.tail, x)):
         return Verdict(False, reason="off-subspace")
     if a > 0 and b > 0:
         return Verdict(True, Certificate(
             "degenerate",
             (a, b),
-            ref_coefficient_interval(fr.ab, fr.dc, fr.head, x, a, b, True),
-            ref_coefficient_interval(fr.ab, fr.dc, fr.tail, x, a, b, False),
+            as_interval(reference.redecomposition(fr.ab, fr.dc, fr.head, x, a, b, True)),
+            as_interval(reference.redecomposition(fr.ab, fr.dc, fr.tail, x, a, b, False)),
         ))
     return Verdict(False, reason="boundary" if a >= 0 and b >= 0 else "negative-coefficient")
 
@@ -451,7 +382,7 @@ def ref_apex_parameters(fr, x, interval, arm, proportional):
         g = residual[0] / fr.ab[0]
         lam = fr.dc[0] / fr.ab[0]
         return g / 2, g / (2 * lam), c
-    a, b = ref_solve2([[fr.ab[0], fr.dc[0]], [fr.ab[1], fr.dc[1]]], [residual[0], residual[1]])
+    a, b = reference.solve([[fr.ab[0], fr.dc[0]], [fr.ab[1], fr.dc[1]]], [residual[0], residual[1]])
     return a, b, c
 
 
@@ -462,7 +393,8 @@ def ref_face_solution(rows, x, proportional):
         t = l0 * x[0] / (p0 + q0)
         sol = (t, t)
     else:
-        sol = ref_solve2([rows[0][:2], rows[1][:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
+        # reference.solve divides with /, so the int rows go in as Fractions
+        sol = reference.solve([[F(e) for e in row[:2]] for row in rows[:2]], [rows[0][3] * x[0], rows[1][3] * x[1]])
     return sol if _spans(rows, int_vector((*sol, 0)), x, range(0)) else None
 
 
@@ -486,39 +418,6 @@ def ref_apex_quad_q2(spec, p0, p0_prime, scale):
         return Point(v.y, v.x)
 
     return ConvexQuad(swap(base.b), swap(base.a), swap(base.d), swap(base.c))
-
-
-def ref_subdivide(q, spec):
-    def cumulative(ratios):
-        sums = [F(0)]
-        for r in ratios:
-            sums.append(sums[-1] + r)
-        return sums
-
-    sums_ab, sums_dc = cumulative(spec.p), cumulative(spec.p_prime)
-    on_ab = tuple(q.a + (s / sums_ab[-1]) * (q.b - q.a) for s in sums_ab)
-    on_dc = tuple(q.d + (s / sums_dc[-1]) * (q.c - q.d) for s in sums_dc)
-    return on_ab, on_dc
-
-
-def ref_strip_areas(q, spec):
-    """Shoelace over the division points of each strip."""
-    on_ab, on_dc = ref_subdivide(q, spec)
-    return tuple(
-        polygon_area((on_ab[i - 1], on_ab[i], on_dc[i], on_dc[i - 1]))
-        for i in range(1, spec.n + 1)
-    )
-
-
-def ref_is_convex_ccw(a, b, c, d):
-    """is_convex_ccw on Points: four Fraction crosses, each edge built twice."""
-    quad = (a, b, c, d)
-    for i in range(4):
-        u = quad[(i + 1) % 4] - quad[i]
-        v = quad[(i + 2) % 4] - quad[(i + 1) % 4]
-        if u.cross(v) <= 0:
-            return False
-    return True
 
 
 def ref_point_strip_areas(q, spec):
@@ -873,7 +772,7 @@ def vertex_sets(draw):
     if draw(st.booleans()):
         coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
         points = [Point(draw(coord), draw(coord)) for _ in range(4)]
-        return next((list(order) for order in permutations(points) if ref_is_convex_ccw(*order)), points)
+        return next((list(order) for order in permutations(points) if reference.convex_ccw(xy(order))), points)
     vertices = list(draw(specs().flatmap(quads_for)).vertices)
     if draw(st.booleans()):
         vertices = draw(st.permutations(vertices))
@@ -922,6 +821,22 @@ def closed_form_inputs(draw):
 # ---- properties -------------------------------------------------------------
 
 
+def test_the_reference_and_the_package_import_nothing_of_each_other():
+    # the reference imports the standard library alone, so no property compares quadareas with itself
+    def imports(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield (node.module or "").partition(".")[0] if node.level == 0 else "."
+
+    used = set(imports(Path(reference.__file__)))
+    assert "quadareas" not in used and used <= sys.stdlib_module_names
+    bench = {"bench", *(path.stem for path in Path(reference.__file__).parent.glob("*.py"))}
+    package = Path(quadareas.__file__).parent
+    assert [f"{path.name}: {name}" for path in package.rglob("*.py") for name in imports(path) if name in bench] == []
+
+
 class TestInverse3:
     def test_inverse_times_matrix_is_identity(self):
         rng = random.Random(31)
@@ -954,7 +869,7 @@ def test_planar_bordered_solve_matches_the_head_tail_cramer(spec, x0, x1):
     assert minor < 0
     assert _cofactors([row[:3] for row in (*rows[:2], border)])[1] == -s * minor
     fr = frame(spec)
-    coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x0, x1])
+    coeffs = reference.solve([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x0, x1])
     sol = _pivot_solution(f.block, (x0, x1, F(0)))
     assert_primitive(sol)
     assert as_fractions(sol) == span_triple(total_ab, total_dc, *coeffs)
@@ -965,7 +880,7 @@ def test_pivot_solution_matches_fraction_cramer(system):
     rows, x = system
     rhs = [row[3] * v for row, v in zip(rows, x)]
     assert len({v.denominator for v in rhs}) == 3
-    expected = ref_solve3([[F(e) for e in row[:3]] for row in rows], rhs)
+    expected = reference.solve([[F(e) for e in row[:3]] for row in rows], rhs)
     if expected is None:  # a singular block is refused where it is built, so the solve is total
         with pytest.raises(InternalError, match="pivot solve is regular whenever the discriminant is nonzero"):
             _pivot_block(rows, 2)
@@ -1019,14 +934,14 @@ def test_singular_blocks_are_refused_where_they_are_built():
 @given(specs(), st.sampled_from((False, True)), st.data())
 def test_cumulants_match_docstring_formula(spec, with_tails, data):
     tails = (data.draw(ratios()), data.draw(ratios())) if with_tails else (F(0), F(0))
-    assert cumulants(spec.p, spec.p_prime, *tails) == ref_cumulants(spec.p, spec.p_prime, *tails)
+    assert cumulants(spec.p, spec.p_prime, *tails) == reference.cumulants(spec.p, spec.p_prime, *tails)
 
 
 @given(specs())
 def test_discriminants_and_first_pivot_match_reference(spec):
-    expected = ref_discriminants(spec.p, spec.p_prime)
+    expected = reference.discriminants(spec.p, spec.p_prime)
     assert discriminants(spec) == expected
-    pivot = ref_first_pivot(spec.p, spec.p_prime)
+    pivot = reference.pivot(spec.p, spec.p_prime)
     assert _first_pivot(spec.p, spec.p_prime) == pivot
     label = classify(spec)
     assert label.spatial == (pivot is not None)
@@ -1036,9 +951,10 @@ def test_discriminants_and_first_pivot_match_reference(spec):
 @given(specs(), st.data())
 def test_strip_areas_and_division_points_match_shoelace(spec, data):
     quad = data.draw(quads_for(spec))
-    assert strip_areas(quad, spec) == ref_strip_areas(quad, spec) == ref_point_strip_areas(quad, spec)
+    expected = reference.strip_areas(xy(quad.vertices), spec.p, spec.p_prime)
+    assert strip_areas(quad, spec) == expected == ref_point_strip_areas(quad, spec)
     points = subdivide(quad, spec)
-    assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+    assert (xy(points.on_ab), xy(points.on_dc)) == reference.subdivide(xy(quad.vertices), spec.p, spec.p_prime)
 
 
 @settings(max_examples=40)
@@ -1054,7 +970,7 @@ def test_division_points_match_the_reference_at_100_to_300_digits(n, data):
         for q, fixed in ((quad, 1), (tilted(quad), 0)):
             assert [(a.x == b.x) + (a.y == b.y) for a, b in ((q.a, q.b), (q.d, q.c))] == [fixed, fixed]
             points = subdivide(q, spec)
-            assert (points.on_ab, points.on_dc) == ref_subdivide(q, spec)
+            assert (xy(points.on_ab), xy(points.on_dc)) == reference.subdivide(xy(q.vertices), spec.p, spec.p_prime)
 
 
 def tilted(quad):
@@ -1077,14 +993,14 @@ def test_division_points_are_fractions_matching_the_reference(spec, data):
     ]
     for quad in quads:
         points = subdivide(quad, spec)
-        assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+        assert (xy(points.on_ab), xy(points.on_dc)) == reference.subdivide(xy(quad.vertices), spec.p, spec.p_prime)
         assert {type(c) for v in (*points.on_ab, *points.on_dc) for c in (v.x, v.y)} == {F}
 
 
 @settings(max_examples=200)  # a mutated edge denominator flips few signs
 @given(vertex_sets())
 def test_convexity_matches_the_point_reference(vertices):
-    assert is_convex_ccw(*vertices) == ref_is_convex_ccw(*vertices)
+    assert is_convex_ccw(*vertices) == reference.convex_ccw(xy(vertices))
 
 
 @given(specs())
@@ -1179,7 +1095,8 @@ def test_span_check_edge_cases(row, sol, xi, spans):
 @given(specs(), st.data())
 def test_span_check_matches_fraction_combination(spec, data):
     coeffs = tuple(data.draw(ratios(signed=True)) for _ in range(3))
-    x = ref_combine(frame(spec), *coeffs)
+    fr = frame(spec)
+    x = reference.combine(coeffs, (fr.ab, fr.dc, fr.head))
     rows = _factored(spec).rows
     sol = int_vector(coeffs)
     assert _spans(rows, sol, x, range(0))
@@ -1260,7 +1177,8 @@ def test_a_tuple_much_heavier_at_its_head_end_is_decided_and_subdivided_on_the_m
         built.clear()
         out = synthesize_witness(spec, x)
         assert out.certificate == Certificate(branch, (F(1), F(2), F(3)))
-        assert (out.division.on_ab, out.division.on_dc) == ref_subdivide(out.quad, spec)
+        quad, points = out.quad, out.division
+        assert (xy(points.on_ab), xy(points.on_dc)) == reference.subdivide(xy(quad.vertices), spec.p, spec.p_prime)
         assert built == mirrored
 
 
@@ -1298,7 +1216,7 @@ def test_only_coordinates_with_short_operands_are_built_from_integer_partial_sum
     built = []
     monkeypatch.setattr("quadareas.geometry._integer_side_sums", lambda s: built.append(s) or _integer_side_sums(s))
     points = subdivide(quad, spec)
-    assert (points.on_ab, points.on_dc) == ref_subdivide(quad, spec)
+    assert (xy(points.on_ab), xy(points.on_dc)) == reference.subdivide(xy(quad.vertices), spec.p, spec.p_prime)
     assert len(built) == count
 
 
@@ -1374,8 +1292,7 @@ def test_member_tail_accepts_the_strips_and_tail_region_of_a_convex_quad(sequenc
     # AB and DC divided by the prefix ratios and then the tail sums, measured by shoelace; a zero
     # tail sum on one side makes the tail region a triangle (a ratio pair no DivisionSpec holds)
     (p, q), quad = sequences_and_quad
-    ext = SimpleNamespace(p=p.prefix + (p.tail_sum,), p_prime=q.prefix + (q.tail_sum,), n=p.m + 1)
-    *prefix, tail = ref_strip_areas(quad, ext)
+    *prefix, tail = reference.strip_areas(xy(quad.vertices), p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,))
     verdict = member_tail(p, q, TailSummedSequence(tuple(prefix), tail))
     assert verdict.attainable and verdict.prefix_certified
 
@@ -1407,7 +1324,7 @@ def test_tail_triple_discriminant_is_the_extended_rows_determinant(sequences):
     p, q = sequences
     ext_p, ext_q = p.prefix[-2:] + (p.tail_sum,), q.prefix[-2:] + (q.tail_sum,)
     disc = F(*_discriminant(ext_p, ext_q, 1))
-    assert disc == ref_discriminants(ext_p, ext_q)[0]
+    assert disc == reference.discriminants(ext_p, ext_q)[0]
     rows = extended_rows(p, q)[-3:]
     assert disc == -F(det3([row[:3] for row in rows]), rows[0][3] * rows[1][3] * rows[2][3])
 
@@ -1584,7 +1501,7 @@ def test_face_solution_matches_the_span_checked_reference(query):
     fr, proportional = frame(spec), classify(spec).proportional
     f = _factored(spec)
     rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
-    coeffs = ref_solve2([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x[0], x[1]])
+    coeffs = reference.solve([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x[0], x[1]])
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
         # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
@@ -1626,7 +1543,7 @@ def test_face_coordinates_reproduce_the_cumulants(spec, data):
         tailed_ratios(spec, kinds=("continued",)),
     ))
     ext_ab, ext_dc = p.prefix + (p.tail_sum,), q.prefix + (q.tail_sum,)
-    assert ref_first_pivot(ext_ab, ext_dc) is None
+    assert reference.pivot(ext_ab, ext_dc) is None
     head, tail = tail_cumulants(p, q)
     head_tail, tail_tail = cumulant_tail_sums(p, q)
     arms = face_coordinates(_factor(ext_ab, ext_dc))

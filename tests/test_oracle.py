@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import quadareas.oracle
+import reference
 from quadareas import (
     Certificate,
     DegenerateCollapseError,
@@ -65,6 +66,8 @@ class TestSampleParallelFamily:
         assert all(v.reason == "rejected: boundary" for v in report.violations)
         assert report.accepted + len(report.violations) == 100
         assert len(report.violations) > 90  # equal draws are rare but possible
+        # the accepted samples are the equal draws of the documented stream
+        assert report.accepted == reference.strict_parallel_accepted(1, 100)
 
     def test_hand_computed_trapezoid_sample(self):
         spec = DivisionSpec.of((1, 2), (2, 1))
