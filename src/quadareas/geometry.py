@@ -113,16 +113,19 @@ def is_convex_ccw(a: Point, b: Point, c: Point, d: Point) -> bool:
     Each edge is built once; a cross's sign is its numerator's, as every
     denominator is positive, so no Fraction is built.
     """
-    return _convex_ccw("is_convex_ccw", a, b, c, d)
+    return _ccw_edges("is_convex_ccw", a, b, c, d) is not None
 
 
-def _convex_ccw(name: str, a: Point, b: Point, c: Point, d: Point) -> bool:
-    """``is_convex_ccw`` after one isinstance per vertex, refusing a vertex that is not a Point
-    with a message naming the function it was passed to."""
+def _ccw_edges(name: str, a: Point, b: Point, c: Point, d: Point):
+    """The integer edges u = B - A, w = C - D and e = D - A when ``is_convex_ccw`` holds, else None,
+    after one isinstance per vertex, refusing a vertex that is not a Point with a message naming
+    the function it was passed to.  w and e are the check's D - C and A - D, numerators negated."""
     if not (isinstance(a, Point) and isinstance(b, Point) and isinstance(c, Point) and isinstance(d, Point)):
         raise InvalidInputError(f"{name} takes four Points")
     ab, bc, cd, da = _edge(a, b), _edge(b, c), _edge(c, d), _edge(d, a)
-    return all(_cross(e, f)[0] > 0 for e, f in ((ab, bc), (bc, cd), (cd, da), (da, ab)))
+    if not all(_cross(e, f)[0] > 0 for e, f in ((ab, bc), (bc, cd), (cd, da), (da, ab))):
+        return None
+    return ab, (-cd[0], cd[1], -cd[2], cd[3]), (-da[0], da[1], -da[2], da[3])
 
 
 class ConvexQuad(_Frozen):
@@ -134,17 +137,21 @@ class ConvexQuad(_Frozen):
     d: Point
 
     def __post_init__(self):
-        if not _convex_ccw("ConvexQuad", self.a, self.b, self.c, self.d):
+        """Check convexity and keep the integer edges the check built in the quad's own dict,
+        beside the fields repr, eq and hash read, for ``_edges``."""
+        edges = _ccw_edges("ConvexQuad", self.a, self.b, self.c, self.d)
+        if edges is None:
             raise InvalidInputError(
                 "vertices are not a strictly convex counterclockwise quadrilateral"
             )
+        self.__dict__["_edges"] = edges
 
     @classmethod
     def of(cls, a: Point, b: Point, c: Point, d: Point) -> "ConvexQuad":
         """Build a quad, reflecting clockwise input by swapping B and D."""
-        if _convex_ccw("ConvexQuad.of", a, b, c, d):
+        if _ccw_edges("ConvexQuad.of", a, b, c, d) is not None:
             return cls(a, b, c, d)
-        if _convex_ccw("ConvexQuad.of", a, d, c, b):
+        if _ccw_edges("ConvexQuad.of", a, d, c, b) is not None:
             return cls(a, d, c, b)
         raise InvalidInputError("vertices do not form a strictly convex quadrilateral")
 
@@ -198,6 +205,16 @@ class ApexFrame(_Frozen):
 # integer sums built cold, that path is 1.1-1.5x faster below 64 bits, about even from 64 to 191 and
 # slower from 192 bits on at n = 8 and 32, where the ints it multiplies outgrow the Fraction path's.
 _SHORT_BITS = 128
+
+
+def _edges(q: ConvexQuad) -> tuple[tuple[int, int, int, int], ...]:
+    """The integer edges u = B - A, w = C - D and e = D - A of the quad: those its convexity check
+    kept, or, for a quad built without that check (corrupted data), fresh ones."""
+    edges = q.__dict__.get("_edges")
+    if edges is None:
+        a, d = q.a, q.d
+        edges = _edge(a, q.b), _edge(d, q.c), _edge(a, d)
+    return edges
 
 
 def _quad_and_spec(name: str, q, spec) -> None:
@@ -264,10 +281,11 @@ def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
     once per quad, as the crosses share factors with S and T when the quad is
     built from the spec; each strip is then one Fraction over integer sums s, t,
     its sign checked on the int numerator (the common denominator is positive).
+    The edges are those the quad kept from its convexity check.
     """
     _quad_and_spec("strip_areas", q, spec)
     s, t = _integer_side_sums(spec)
-    u, w, e = _edge(q.a, q.b), _edge(q.d, q.c), _edge(q.a, q.d)
+    u, w, e = _edges(q)
     crosses = ((_cross(e, w), 2 * t[-1]), (_cross(e, u), 2 * s[-1]), (_cross(u, w), 2 * s[-1] * t[-1]))
     (ew, eu, uw), den = _scaled([_quotient(cross, scale) for cross, scale in crosses])
     areas = []
@@ -285,14 +303,14 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
     fall outside both divided segments; it landing inside one means the input
     is not a valid convex quadrilateral (guards corrupted data).  It is read in
     ints from the unnormalised integer edges u = B - A, w = C - D and e = D - A
-    that ``strip_areas`` reads: with the side cross u x w = n/den,
+    that the quad kept from its convexity check, as ``strip_areas`` does: with the
+    side cross u x w = n/den,
     t = (e x w)/(u x w) and r = (e x u)/(u x w) are kept as int pairs over
     positive denominators, the segment and branch tests are int comparisons,
     and each returned value is one Fraction.
     """
     _quad_and_spec("apex_of", q, spec)
-    a = q.a
-    u, w, e = _edge(a, q.b), _edge(q.d, q.c), _edge(a, q.d)
+    u, w, e = _edges(q)
     n, den = _cross(u, w)
     if n == 0:
         return ParallelMarker()
@@ -302,7 +320,7 @@ def apex_of(q: ConvexQuad, spec: DivisionSpec):
     rn, rd = sign * eun * den, sign * eud * n  # r = rn/rd, rd > 0: D at 0, C at 1
     if 0 <= tn <= td or 0 <= rn <= rd:
         raise InconsistentQuadError("side lines meet inside a divided segment")
-    ax, ay = a.x, a.y
+    ax, ay = q.a.x, q.a.y
     apex = Point(
         Fraction(ax.numerator * u[1] * td + tn * u[0] * ax.denominator, ax.denominator * u[1] * td),
         Fraction(ay.numerator * u[3] * td + tn * u[2] * ay.denominator, ay.denominator * u[3] * td),

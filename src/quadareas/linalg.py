@@ -8,7 +8,7 @@ returns the numerators and det*den as one primitive int vector (``_primitive``),
 decision passes along.  The solve reads its right-hand side in ints from x's numerators and denominators,
 so it builds no Fraction and does not use ``_scaled``, which puts rationals over one common denominator:
 the ratio triples from which ``cone.hyperplanes`` builds each planar plane, the strip weights of
-``geometry.strip_areas``, a fold's shift and a planar realization's triple.
+``geometry.strip_areas``, a fold's shift and summed coordinate, and a planar realization's triple.
 """
 from __future__ import annotations
 

@@ -17,6 +17,10 @@ Draw stream contract (reproducible across implementations):
 * grid draws map value onto {1/8, 2/8, ..., 64/8}; signed grid draws map onto
   {-64/8, ..., -1/8, 1/8, ..., 64/8}.
 
+The samplers read each draw as its numerator over 8 (``_Stream.eighths`` and
+``signed_eighths``), so affine images and cross tuples are built in ints with
+one Fraction per output coordinate; the values are those of the contract.
+
 Per sample index i, each family draws in this order:
 
 * quads (``sample_convex_quads``): grid p0, p0', scale of the apex quad (branch q1
@@ -34,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cone import classify, discriminants, frame
+from .cone import _factored, classify, discriminants
 from .division import DivisionSpec, _Frozen, _check_spec
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
@@ -56,14 +60,20 @@ class _Stream:
         self.state = (_MULT * self.state + _INC) & _MASK
         return (self.state >> 40) % n
 
+    def eighths(self) -> int:
+        """A grid draw in eighths: one of 1, ..., 64."""
+        return self.next_value(64) + 1
+
+    def signed_eighths(self) -> int:
+        """A signed grid draw in eighths: one of -64, ..., -1, 1, ..., 64."""
+        k = self.next_value(128) - 64
+        return k + 1 if k >= 0 else k
+
     def grid(self) -> Fraction:
-        return Fraction(self.next_value(64) + 1, 8)
+        return Fraction(self.eighths(), 8)
 
     def signed_grid(self) -> Fraction:
-        k = self.next_value(128) - 64
-        if k >= 0:
-            k += 1
-        return Fraction(k, 8)
+        return Fraction(self.signed_eighths(), 8)
 
 
 class Violation(_Frozen):
@@ -104,14 +114,20 @@ class SampleReport(_Frozen):
 
 
 def _affine_image(stream: _Stream, quad: ConvexQuad) -> ConvexQuad:
+    """The quad under x -> M x + t, M and t drawn in eighths: each image coordinate
+    m1*x + m2*y + t, with x = xn/xd and y = yn/yd, is one Fraction over 8*xd*yd."""
     while True:
-        m11, m12, m21, m22 = (stream.grid() for _ in range(4))
-        if m11 * m22 - m12 * m21 > 0:
+        k11, k12, k21, k22 = (stream.eighths() for _ in range(4))
+        if k11 * k22 - k12 * k21 > 0:
             break
-    tx, ty = stream.signed_grid(), stream.signed_grid()
+    kx, ky = stream.signed_eighths(), stream.signed_eighths()
 
     def image(p: Point) -> Point:
-        return Point(m11 * p.x + m12 * p.y + tx, m21 * p.x + m22 * p.y + ty)
+        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        xs, ys, den = xn * yd, yn * xd, xd * yd
+        return Point(
+            Fraction(k11 * xs + k12 * ys + kx * den, 8 * den), Fraction(k21 * xs + k22 * ys + ky * den, 8 * den)
+        )
 
     return ConvexQuad(*(image(v) for v in quad.vertices))
 
@@ -209,22 +225,33 @@ def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
     perturbations, and requires identical verdicts (attainability, branch,
     coefficients, reason) at every usable pivot.  Pivots whose folds are both
     planar cannot decide and are skipped rather than counted as disagreement.
+    x is read from the spec's factored integer rows (P, Q, H, L), ab = P/L,
+    dc = Q/L and head = H/L, with a, b and c in eighths: each coordinate is one
+    Fraction (a*P + b*Q + c*H)/(8*L).  The tail arm is read through the identity
+    head + tail = total_dc*ab + total_ab*dc (``membership._coefficient_verdict``):
+    with total_ab = tan/tad, total_dc = tdn/tdd and s = tad*tdd, its coordinate
+    is ((a*s + c*tdn*tad)*P + (b*s + c*tan*tdd)*Q - c*s*H)/(8*s*L).
     """
     _check_spec("cross_validate", spec)
     if not classify(spec).spatial or spec.n < 4:
         raise InvalidInputError("cross validation applies to spatial specs of length >= 4")
-    fr = frame(spec)
+    f = _factored(spec)
+    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
+    tan, tad, tdn, tdd = total_ab.numerator, total_ab.denominator, total_dc.numerator, total_dc.denominator
     pivots = [i + 2 for i, d in enumerate(discriminants(spec)) if d != 0]
 
     def check(stream: _Stream, index: int) -> Optional[Violation]:
-        a, b, c = stream.grid(), stream.grid(), stream.grid()
+        a, b, c = stream.eighths(), stream.eighths(), stream.eighths()
         kind = index % 5
         if kind == 3:
             c = 0
         elif kind == 4:
             b, c = a, 0
-        arm = fr.tail if kind == 1 else fr.head
-        x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
+        s = 1
+        if kind == 1:  # the tail arm, over s = tad*tdd
+            s = tad * tdd
+            a, b, c = a * s + c * tdn * tad, b * s + c * tan * tdd, -c * s
+        x = tuple(Fraction(a * p + b * q + c * h, 8 * s * den) for p, q, h, den in rows)
         if kind == 2:
             i = stream.next_value(spec.n)
             x = (*x[:i], x[i] + stream.grid(), *x[i + 1:])

@@ -102,7 +102,8 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
 
     branch "q1" sums everything before the pivot into the first coordinate;
     branch "q2" sums everything after it (tail sums included exactly) into the
-    last one.  Every ratio sum is read from the spec's partial sums.  spec3 is built
+    last one, as one Fraction over the lcm of the summed entries' denominators.
+    Every ratio sum is read from the spec's partial sums.  spec3 is built
     once per (pivot, branch) and kept in the spec's dict; a pair's prefix spec is
     built afresh by each call, so its spec3, tail sums included, dies with the call.
     """
@@ -135,10 +136,9 @@ def collapse(spec: SpecLike, x, pivot: int, branch: str) -> CollapsedInstance:
                 (q[k - 1], q[k], sums_dc[-1] - sums_dc[k + 1] + tail_q),
             )
         spec.__dict__[key] = spec3
-    if branch == "q1":
-        x3 = (sum(x[:k], Fraction(0)), x[k], x[k + 1])
-    else:
-        x3 = (x[k - 1], x[k], sum(x[k + 1:], Fraction(0)) + tail_x)
+    nums, den = _scaled(x[:k] if branch == "q1" else (*x[k + 1:], tail_x))
+    summed = Fraction(sum(nums), den)
+    x3 = (summed, x[k], x[k + 1]) if branch == "q1" else (x[k - 1], x[k], summed)
     return CollapsedInstance(spec3, x3, pivot, branch)
 
 

@@ -30,6 +30,7 @@ from quadareas import (
     synthesize_witness,
 )
 from quadareas.division import _side_sums
+from quadareas.geometry import _edge
 from quadareas.witness import _trapezoid
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
@@ -173,6 +174,48 @@ def test_apex_of_matches_the_point_cross_reference(case):
     got, expected = _apex_and_reference(quad, spec)
     assert got == expected
     assert isinstance(got, ParallelMarker) == (family == "trapezoid")
+
+
+def fresh_edges(q):
+    """The integer edges B - A, C - D and D - A of the quad, built afresh."""
+    return _edge(q.a, q.b), _edge(q.d, q.c), _edge(q.a, q.d)
+
+
+def unchecked_copy(q):
+    """The quad's vertices in a quad built without its constructor, so without the kept edges."""
+    copy = ConvexQuad.__new__(ConvexQuad)
+    for name in "abcd":
+        object.__setattr__(copy, name, getattr(q, name))
+    return copy
+
+
+class TestEdgeRecord:
+    """A quad keeps the integer edges its convexity check built; strip_areas and apex_of read them."""
+
+    @given(apex_cases())
+    def test_kept_edges_are_the_fresh_ones(self, case):
+        _, quad, _ = case
+        assert quad.__dict__["_edges"] == fresh_edges(quad)
+        a, b, c, d = quad.vertices
+        reflected = ConvexQuad.of(a, d, c, b)  # clockwise input, B and D swapped back
+        assert reflected.vertices == quad.vertices
+        assert reflected.__dict__["_edges"] == fresh_edges(reflected)
+
+    def test_repr_eq_and_hash_do_not_see_the_edges(self):
+        quad = ConvexQuad(pt(F(1, 3), 0), pt(8, F(-2, 7)), pt(F(5, 2), 4), pt(0, F(9, 5)))
+        copy = unchecked_copy(quad)
+        assert "_edges" in quad.__dict__ and "_edges" not in copy.__dict__
+        assert repr(quad) == repr(copy) == (
+            f"ConvexQuad(a={quad.a!r}, b={quad.b!r}, c={quad.c!r}, d={quad.d!r})"
+        )
+        assert quad == copy and hash(quad) == hash(copy)
+
+    @given(apex_cases())
+    def test_a_quad_without_kept_edges_reads_the_same(self, case):
+        spec, quad, _ = case
+        copy = unchecked_copy(quad)
+        assert strip_areas(copy, spec) == strip_areas(quad, spec)
+        assert apex_of(copy, spec) == apex_of(quad, spec)
 
 
 INSIDE = (InconsistentQuadError, "side lines meet inside a divided segment")

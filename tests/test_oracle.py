@@ -9,18 +9,24 @@ import quadareas.oracle
 import reference
 from quadareas import (
     Certificate,
+    ConvexQuad,
     DegenerateCollapseError,
     DivisionSpec,
     InvalidInputError,
     ParallelMarker,
+    Point,
     Verdict,
+    apex_quad,
+    classify,
     cross_validate,
+    frame,
     member,
     member_via_collapse,
     sample_convex_quads,
     sample_parallel_family,
     strip_areas,
 )
+from quadareas.oracle import _affine_image, _Stream
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
 SPATIAL = DivisionSpec.of((1, 2, 3), (1, 1, 1))
@@ -119,8 +125,11 @@ class TestCrossValidate:
 
 
 def digit_spec(digits, n):
-    """A spec with n digits-long numerators and denominators per side, pinned by (digits, n)."""
+    """A spec with n digits-long numerators and denominators per side, or n grid entries k/8 per side
+    when digits is None, pinned by (digits, n)."""
     rng = random.Random(f"oracle/{digits}/{n}")
+    if digits is None:
+        return DivisionSpec(*(tuple(F(rng.randint(1, 64), 8) for _ in range(n)) for _ in "pq"))
     lo, hi = 10 ** (digits - 1), 10 ** digits
     return DivisionSpec(*(tuple(F(rng.randrange(lo, hi), rng.randrange(lo, hi)) for _ in range(n)) for _ in "pq"))
 
@@ -155,6 +164,70 @@ class TestCoverage:
         verdict = member(spec, x)
         assert verdict.certificate.branch == "q1"
         assert verdict.certificate.coeffs == (s * p0p, s * p0, s)
+
+
+class TestIntegerSamples:
+    """The oracle's samples built in ints against the Fraction expressions they replaced, on the same
+    draw streams: grid and 100-digit specs, n = 4-12."""
+
+    @staticmethod
+    def ref_affine_image(stream, quad):
+        """_affine_image as it was: Fraction draws and each coordinate m11*x + m12*y + tx."""
+        while True:
+            m11, m12, m21, m22 = (stream.grid() for _ in range(4))
+            if m11 * m22 - m12 * m21 > 0:
+                break
+        tx, ty = stream.signed_grid(), stream.signed_grid()
+        return ConvexQuad(*(Point(m11 * v.x + m12 * v.y + tx, m21 * v.x + m22 * v.y + ty) for v in quad.vertices))
+
+    @pytest.mark.parametrize("digits", (None, 100))
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_affine_image_matches_the_fraction_map(self, digits, n):
+        spec = digit_spec(digits, n)
+        for index in range(12):
+            stream = _Stream(n, index)
+            quad = apex_quad(spec, stream.grid(), stream.grid(), stream.grid(), ("q1", "q2")[index % 2])
+            twin = _Stream(n, index)
+            twin.state = stream.state
+            assert _affine_image(stream, quad) == self.ref_affine_image(twin, quad)
+            assert stream.state == twin.state
+
+    @staticmethod
+    def ref_cross_tuple(spec, stream, index):
+        """cross_validate's x as it was: Fraction draws combined over ``frame(spec)``."""
+        fr = frame(spec)
+        a, b, c = stream.grid(), stream.grid(), stream.grid()
+        kind = index % 5
+        if kind == 3:
+            c = 0
+        elif kind == 4:
+            b, c = a, 0
+        arm = fr.tail if kind == 1 else fr.head
+        x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, arm))
+        if kind == 2:
+            i = stream.next_value(spec.n)
+            x = (*x[:i], x[i] + stream.grid(), *x[i + 1:])
+        return x
+
+    @pytest.mark.parametrize("digits", (None, 100))
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_cross_tuple_matches_the_frame_combination(self, digits, n, monkeypatch):
+        """Every index % 5 kind (head and tail arm, the bump, c = 0, b = a), read from the x each
+        sample hands to member; the stand-ins keep the folds out, so no sample is decided."""
+        spec = digit_spec(digits, n)
+        assert classify(spec).spatial
+        drawn = []
+        no = Verdict(False, reason="boundary")
+
+        def recording_member(spec, x, mode="audited"):
+            drawn.append(x)
+            return no
+
+        monkeypatch.setattr(quadareas.oracle, "member", recording_member)
+        monkeypatch.setattr(quadareas.oracle, "member_via_collapse", lambda spec, x, pivot, mode="audited": no)
+        count = 15
+        cross_validate(spec, count, n)
+        assert drawn == [self.ref_cross_tuple(spec, _Stream(n, index), index) for index in range(count)]
 
 
 class TestStoredReports:

@@ -206,6 +206,42 @@ class TestCollapse:
             collapse(spec, (F(1), F(1), F(1), F(1)), 2, "q1")
 
 
+def digit_entry(rng, digits):
+    """A grid entry k/8 when digits is None, else a quotient of two digits-long ints."""
+    if digits is None:
+        return F(rng.randint(1, 64), 8)
+    lo, hi = 10 ** (digits - 1), 10 ** digits
+    return F(rng.randrange(lo, hi), rng.randrange(lo, hi))
+
+
+def ref_x3(x, tail_x, pivot, branch):
+    """collapse's x3 as it was: the summed coordinate a chain of Fraction adds."""
+    k = pivot - 1
+    if branch == "q1":
+        return (sum(x[:k], F(0)), x[k], x[k + 1])
+    return (x[k - 1], x[k], sum(x[k + 1:], F(0)) + tail_x)
+
+
+@pytest.mark.parametrize("digits", (None, 100))
+@pytest.mark.parametrize("n", range(4, 13))
+def test_summed_coordinate_matches_the_fraction_sum(digits, n):
+    """x3's summed coordinate, one Fraction over the lcm of its terms' denominators, is the sum of
+    Fraction adds it replaced, on both branches at every usable pivot, with and without tail sums."""
+    rng = random.Random(f"x3/{digits}/{n}")
+    spec = DivisionSpec(*(tuple(digit_entry(rng, digits) for _ in range(n)) for _ in "pq"))
+    pivots = [j + 2 for j, d in enumerate(discriminants(spec)) if d != 0]
+    assert pivots
+    tails = (digit_entry(rng, digits), digit_entry(rng, digits), digit_entry(rng, digits))
+    pair = (TailSummedSequence(spec.p, tails[0]), TailSummedSequence(spec.p_prime, tails[1]))
+    for _ in range(3):
+        x = tuple(digit_entry(rng, digits) for _ in range(n))
+        for pivot in pivots:
+            for branch in ("q1", "q2"):
+                assert collapse(spec, x, pivot, branch).x3 == ref_x3(x, 0, pivot, branch)
+                tailed = collapse(pair, TailSummedSequence(x, tails[2]), pivot, branch).x3
+                assert tailed == ref_x3(x, tails[2], pivot, branch)
+
+
 class TestFoldEquivalence:
     SPEC = DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1))
 
