@@ -148,11 +148,14 @@ class ConvexQuad(_Frozen):
 
     @classmethod
     def of(cls, a: Point, b: Point, c: Point, d: Point) -> "ConvexQuad":
-        """Build a quad, reflecting clockwise input by swapping B and D."""
-        if _ccw_edges("ConvexQuad.of", a, b, c, d) is not None:
-            return cls(a, b, c, d)
-        if _ccw_edges("ConvexQuad.of", a, d, c, b) is not None:
-            return cls(a, d, c, b)
+        """Build a quad, reflecting clockwise input by swapping B and D.  The quad keeps the edges of
+        the check that passed, as ``__post_init__`` would, so no vertex order is checked twice."""
+        for b, d in ((b, d), (d, b)):
+            edges = _ccw_edges("ConvexQuad.of", a, b, c, d)
+            if edges is not None:
+                quad = object.__new__(cls)
+                quad.__dict__.update(a=a, b=b, c=c, d=d, _edges=edges)
+                return quad
         raise InvalidInputError("vertices do not form a strictly convex quadrilateral")
 
     @classmethod

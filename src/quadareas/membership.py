@@ -17,8 +17,10 @@ decision path, run by ``member`` and ``member_tail``; the folds of
 2. ``_spans`` compares that vector with x at every other row, in ``int`` by
    one exact division per row.  This alone decides whether x lies on the
    span, so no hyperplane is evaluated.
-3. ``_coefficient_verdict`` reads the four facet signs from ints and builds
-   ``Fraction``s only for the certificate.
+3. ``_facets`` reads the four facet signs from ints, the one place that
+   decides attainability: ``_coefficient_verdict`` then picks the branch of a
+   spatial tuple, and a planar tuple inside the cone gets its certificate from
+   ``_segment``.  ``Fraction``s are built only for the certificate's values.
 
 So a decision is O(n) per query and computes no frame and no tail cumulant.
 
@@ -34,7 +36,11 @@ swap, and so do a degenerate certificate's (a, b) and its two intervals.
 A planar certificate's re-decompositions lie on one segment of span triples
 (``_segment``): on skew sides along (alpha, beta, -1), clipped by the four
 facets to an open range of the head coefficient; on proportional ones the
-point a - b.  ``_realization`` picks one point of it, the witness's input.
+point a - b.  The segment is one int kernel, fed x's span triple as an int
+vector and (alpha, beta) from the planar block's cofactors, which returns its
+line and range as int pairs.  ``_decide`` turns the range into the
+certificate's two intervals; ``_realization`` recomputes it from the
+certificate's (a, b) and picks one point of it in ints, the witness's input.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -67,6 +73,8 @@ REASON_OFF_SUBSPACE = "off-subspace"
 REASON_BOUNDARY = "boundary"
 REASON_NEGATIVE = "negative-coefficient"
 REASON_NON_POSITIVE = "non-positive-entry"
+
+_ZERO = Fraction(0)  # the planar solve's border entry and the zero end of a planar interval
 
 
 def _check_mode(mode) -> None:
@@ -122,33 +130,40 @@ class Verdict(_Frozen):
     prefix_certified: bool = False
 
 
+def _facets(a: int, b: int, c: int, total_ab: Fraction, total_dc: Fraction):
+    """(a2, b2, reason) for x = (a*ab + b*dc + c*head)/e, e > 0: a2/(e*tdd) and b2/(e*tad) are the
+    q2 coefficients, from head + tail = total_dc*ab + total_ab*dc with total_ab = tan/tad and
+    total_dc = tdn/tdd.  The attainable set is the open cone whose facet values are a, b, a2 and b2,
+    each read as the sign of its int numerator: reason is None inside it, boundary on its boundary
+    and negative outside.
+    """
+    a2, b2 = a * total_dc.denominator + c * total_dc.numerator, b * total_ab.denominator + c * total_ab.numerator
+    low = min(a, b, a2, b2)
+    return a2, b2, None if low > 0 else REASON_BOUNDARY if low == 0 else REASON_NEGATIVE
+
+
 def _coefficient_verdict(
     a: int, b: int, c: int, e: int, total_ab: Fraction, total_dc: Fraction, mode: Mode
 ) -> Verdict:
     """The verdict for x = (a*ab + b*dc + c*head)/e, e > 0, already checked exactly.
 
-    The q2 coefficients (a2, b2, -c/e) follow from head + tail = total_dc*ab +
-    total_ab*dc: with total_ab = tan/tad and total_dc = tdn/tdd, a2 = (a*tdd +
-    c*tdn)/(e*tdd) and b2 = (b*tad + c*tan)/(e*tad).  The attainable set is the
-    open cone whose four facet values are a, b, a2 and b2, each read as the sign
-    of its int numerator: inside it, the sign of c picks q1, q2 or the parallel
-    ray or face (by mode); on its boundary x is rejected as boundary, outside it
-    as negative.  Fractions are built only for the certificate.
+    Inside the open cone of ``_facets`` the sign of c picks q1, q2 or the parallel ray or face
+    (by mode); strict mode rejects the rest of the face as boundary.  Fractions are built only
+    for the certificate.
     """
-    tad, tdd = total_ab.denominator, total_dc.denominator
-    a2, b2 = a * tdd + c * total_dc.numerator, b * tad + c * total_ab.numerator
-    low = min(a, b, a2, b2)
-    if low > 0:
+    a2, b2, reason = _facets(a, b, c, total_ab, total_dc)
+    if reason is None:
         if c > 0:
             return Verdict(True, Certificate("q1", (Fraction(a, e), Fraction(b, e), Fraction(c, e))))
         if c < 0:
-            q2 = (Fraction(a2, e * tdd), Fraction(b2, e * tad), Fraction(-c, e))
+            q2 = (Fraction(a2, e * total_dc.denominator), Fraction(b2, e * total_ab.denominator), Fraction(-c, e))
             return Verdict(True, Certificate("q2", q2))
         if a == b:
             return Verdict(True, Certificate("ray", (Fraction(a, e),)))
         if mode == "audited":
             return Verdict(True, Certificate("face", (Fraction(a, e), Fraction(b, e))))
-    return Verdict(False, reason=REASON_BOUNDARY if low >= 0 else REASON_NEGATIVE)
+        reason = REASON_BOUNDARY
+    return Verdict(False, reason=reason)
 
 
 def _spans(
@@ -197,50 +212,67 @@ def _pivot_solution(block: _Block, x: tuple[Fraction, ...]):
     return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
 
 
-def _segment(f: _Factored, triple: Sequence[Fraction]):
-    """(lo, hi, at): the open range of head coefficients over x's span triples, and the triple at each.
+def _segment(sol: Sequence[int], minors: Sequence[int], total_ab: Fraction, total_dc: Fraction):
+    """((fa, fb, ua, ub, d), lo, hi): the line of x's span triples ((fa - t*ua)/d, (fb - t*ub)/d, t)
+    and the open range lo < t < hi of head coefficients on it, as int pairs over positive denominators.
 
-    x = A*ab + B*dc + c*head.  On skew ratio vectors head = alpha*ab + beta*dc,
-    solved at rows 0 and 1 once per spec (``f.face``; its cumulants lie in
-    span(ab, dc), so the solve holds at every row), and x's span triples are the
-    line (A + s*alpha, B + s*beta, c - s).  With (F_A, F_B) x's face coordinates,
-    the four facets of ``_coefficient_verdict`` at head coefficient t are F_A - t*alpha, F_B - t*beta,
-    F_A + t*(total_dc - alpha) and F_B + t*(total_ab - beta); head and tail have
-    positive entries, so some facet bounds t above and some below.  On
-    proportional ones c is pinned: lo = hi = c.  With every discriminant zero,
-    ab and dc are proportional at every row exactly when they are at rows 0 and 1.
+    x = (A*ab + B*dc + C*head)/E with ``sol`` = (A, B, C, E), E > 0.  On skew ratio vectors
+    head = alpha*ab + beta*dc, read from the planar block's third cofactor row ``minors`` =
+    (m_a, m_b, m) as alpha = -m_a/m and beta = -m_b/m over the one denominator |m| (the cumulants
+    lie in span(ab, dc), so this holds at every row), and x's span triples are the line
+    (A/E + s*alpha, B/E + s*beta, C/E - s); (fa/d, fb/d) is its point at t = 0, x's face
+    coordinates.  At t the four facets of ``_facets`` are F_A - t*alpha, F_B - t*beta,
+    F_A + t*(total_dc - alpha) and F_B + t*(total_ab - beta), each a positive multiple of
+    v + t*E*k for the ints v and k below, so the bound it sets is -v/(E*k), compared with the
+    others by cross-multiplying.  Head and tail have positive entries, so some facet bounds t
+    above and some below.  On proportional ones (m == 0) c is pinned: the line is x's triple
+    alone and lo = hi = (C, E).
     """
-    big_a, big_b, c = triple
-    if f.face is None:
-        return c, c, lambda _: triple
-    alpha, beta = f.face
-    face = (big_a + c * alpha, big_b + c * beta)
-    facets = tuple(zip(face * 2, (-alpha, -beta, f.total_dc - alpha, f.total_ab - beta)))
-    lo = max(-v / k for v, k in facets if k > 0)
-    hi = min(-v / k for v, k in facets if k < 0)
-    return lo, hi, lambda t: (face[0] - t * alpha, face[1] - t * beta, t)
+    big_a, big_b, c, e = sol
+    m_a, m_b, m = minors
+    if not m:
+        return (big_a, big_b, 0, 0, e), (c, e), (c, e)
+    alpha, beta, den = (m_a, m_b, -m) if m < 0 else (-m_a, -m_b, m)
+    fa, fb = big_a * den + c * alpha, big_b * den + c * beta
+    tad, tdd = total_ab.denominator, total_dc.denominator
+    lo = hi = None
+    for v, k in ((fa, -alpha), (fb, -beta), (fa * tdd, total_dc.numerator * den - alpha * tdd),
+                 (fb * tad, total_ab.numerator * den - beta * tad)):
+        if k > 0:
+            if lo is None or -v * lo[1] > lo[0] * k:
+                lo = (-v, k)
+        elif k < 0 and (hi is None or v * hi[1] < hi[0] * -k):
+            hi = (v, -k)
+    return (fa, fb, alpha * e, beta * e, e * den), (lo[0], lo[1] * e), (hi[0], hi[1] * e)
 
 
 def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     """The q1, q2, face or ray certificate of one re-decomposition of a degenerate certificate.
 
-    x = a*head + b*tail is the span triple (b*total_dc, b*total_ab, a - b); it moves
-    along its segment to c = 0 when that is inside, else to the segment's midpoint.
-    On proportional ratio vectors c = a - b is pinned and the triple is the even
-    split A*P_0 = B*Q_0, as total_dc/total_ab = Q_0/P_0; at c = 0 the face is split
-    equally instead.  Planar verdicts ignore the mode, so the branch is named in
+    x = a*head + b*tail is the span triple (b*total_dc, b*total_ab, a - b), put over one
+    denominator; it moves along its ``_segment`` to c = 0 when that is inside, else to the
+    segment's midpoint, in ints.  On proportional ratio vectors c = a - b is pinned and the
+    triple is the even split A*P_0 = B*Q_0, as total_dc/total_ab = Q_0/P_0; at c = 0 the face
+    is split equally instead.  Planar verdicts ignore the mode, so the branch is named in
     audited mode.
     """
     f = _factored(spec)
     total_ab, total_dc = f.total_ab, f.total_dc
-    a, b = cert.coeffs
-    lo, hi, at = _segment(f, (b * total_dc, b * total_ab, a - b))
-    big_a, big_b, c = at(Fraction(0) if lo < 0 < hi else (lo + hi) / 2)
-    if lo == hi == 0:
+    tan, tad, tdn, tdd = total_ab.numerator, total_ab.denominator, total_dc.numerator, total_dc.denominator
+    (a, b), d = _scaled(cert.coeffs)
+    sol = _primitive((b * tdn * tad, b * tan * tdd, (a - b) * tdd * tad, d * tdd * tad))
+    (fa, fb, ua, ub, den), lo, hi = _segment(sol, f.block.cof[2], total_ab, total_dc)
+    (ln, ld), (hn, hd) = lo, hi
+    if lo != hi:
+        tn, td = (0, 1) if ln < 0 < hn else (ln * hd + hn * ld, 2 * ld * hd)
+        point = (fa * td - tn * ua, fb * td - tn * ub, tn * den, den * td)
+    elif ln:
+        point = sol
+    else:
         p0, q0, _, _ = f.rows[0]
-        big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
-    ints, e = _scaled((big_a, big_b, c))
-    verdict = _coefficient_verdict(*ints, e, total_ab, total_dc, "audited")
+        split = fa * p0 + fb * q0
+        point = (split, split, 0, den * (p0 + q0))
+    verdict = _coefficient_verdict(*point, total_ab, total_dc, "audited")
     invariant(verdict.attainable, "an attainable planar tuple admits a realization")
     return verdict.certificate
 
@@ -248,33 +280,39 @@ def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
 def _decide(f: _Factored, x: tuple[Fraction, ...], mode: Mode) -> Verdict:
     """The verdict for a positive x on a spec's factored rows: the pivot solve, its componentwise
     check on the rows the solve did not use and the coefficient verdict; an attainable planar x
-    (pivot None) is certified by (a, b) with x = a*head + b*tail and its segment's two intervals,
-    the only place it builds the span triple's Fractions.
+    (pivot None) is certified by (a, b) with x = a*head + b*tail and its ``_segment``'s two
+    intervals, with Fractions built only for the coefficients and the interval ends.
 
     The planar solve borders rows 0 and 1 with (T_ab, -T_dc, 0) over the totals' common
     denominator s: on span(head, tail), A*T_ab = B*T_dc holds exactly at x's span triple
     (b*T_dc, b*T_ab, a - b).  With K_i = T_dc*P_i + T_ab*Q_i - H_i = L_i*tail_i, the block's
     determinant is -s*M for the head/tail minor M = H_0*K_1 - K_0*H_1 < 0, so it is regular, as is every
-    block (checked once, in ``cone._pivot_block``).  Planar verdicts ignore the mode.
+    block (checked once, in ``cone._pivot_block``).  Planar verdicts ignore the mode: x is
+    attainable exactly when its four facet values are positive (``_facets``).
     """
     pivot = f.pivot
     if pivot is None:
-        sol = _pivot_solution(f.block, (*x[:2], Fraction(0)))
-        mode, solved = "audited", range(2)
+        sol = _pivot_solution(f.block, (*x[:2], _ZERO))
+        solved = range(2)
     else:
         sol = _pivot_solution(f.block, x)
         solved = range(pivot - 2, pivot + 1)
     if not _spans(f.rows, sol, x, solved):
         return Verdict(False, reason=REASON_OFF_SUBSPACE)
-    verdict = _coefficient_verdict(*sol, f.total_ab, f.total_dc, mode)
-    if pivot is not None or not verdict.attainable:
-        return verdict
-    triple = tuple(Fraction(v, sol[3]) for v in sol[:3])
-    lo, hi, _ = _segment(f, triple)
-    q1 = Interval(max(lo, Fraction(0)), hi) if hi > 0 else None
-    q2 = Interval(max(-hi, Fraction(0)), -lo) if lo < 0 else None
-    b = triple[1] / f.total_ab
-    return Verdict(True, Certificate("degenerate", (triple[2] + b, b), q1, q2))
+    total_ab, total_dc = f.total_ab, f.total_dc
+    if pivot is not None:
+        return _coefficient_verdict(*sol, total_ab, total_dc, mode)
+    big_a, big_b, c, e = sol
+    reason = _facets(big_a, big_b, c, total_ab, total_dc)[2]
+    if reason is not None:
+        return Verdict(False, reason=reason)
+    _, (ln, ld), (hn, hd) = _segment(sol, f.block.cof[2], total_ab, total_dc)
+    q1 = Interval(Fraction(ln, ld) if ln > 0 else _ZERO, Fraction(hn, hd)) if hn > 0 else None
+    q2 = Interval(Fraction(-hn, hd) if hn < 0 else _ZERO, Fraction(-ln, ld)) if ln < 0 else None
+    # x = a*head + b*tail with b = (B/E)/total_ab and a = C/E + b
+    tan, tad = total_ab.numerator, total_ab.denominator
+    coeffs = (Fraction(c * tan + big_b * tad, e * tan), Fraction(big_b * tad, e * tan))
+    return Verdict(True, Certificate("degenerate", coeffs, q1, q2))
 
 
 def member(spec: DivisionSpec, x: Sequence[Fraction], mode: Mode = "audited") -> Verdict:

@@ -29,6 +29,7 @@ from quadareas import (
     subdivide,
     synthesize_witness,
 )
+from quadareas import geometry
 from quadareas.division import _side_sums
 from quadareas.geometry import _edge
 from quadareas.witness import _trapezoid
@@ -200,6 +201,18 @@ class TestEdgeRecord:
         reflected = ConvexQuad.of(a, d, c, b)  # clockwise input, B and D swapped back
         assert reflected.vertices == quad.vertices
         assert reflected.__dict__["_edges"] == fresh_edges(reflected)
+
+    @pytest.mark.parametrize("order, built", (("abcd", 4), ("adcb", 8)))
+    def test_of_checks_each_vertex_order_once_and_keeps_its_edges(self, monkeypatch, order, built):
+        # counterclockwise input builds the four edges of one check, clockwise input those of two
+        quad = ConvexQuad(pt(F(1, 3), 0), pt(8, F(-2, 7)), pt(F(5, 2), 4), pt(0, F(9, 5)))
+        calls = []
+        monkeypatch.setattr(geometry, "_edge", lambda p, r: calls.append(1) or _edge(p, r))
+        of = ConvexQuad.of(*(getattr(quad, name) for name in order))
+        monkeypatch.undo()
+        assert len(calls) == built
+        assert of == quad and of.__dict__ == quad.__dict__
+        assert of.__dict__["_edges"] == fresh_edges(of)
 
     def test_repr_eq_and_hash_do_not_see_the_edges(self):
         quad = ConvexQuad(pt(F(1, 3), 0), pt(8, F(-2, 7)), pt(F(5, 2), 4), pt(0, F(9, 5)))

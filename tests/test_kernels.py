@@ -61,7 +61,7 @@ from quadareas import (
 )
 from quadareas.cli import _describe_payload
 from quadareas.cone import _discriminant, _factor, _factored, _first_pivot, _pivot_block, _rows
-from quadareas.division import _mirror, fraction_tuple
+from quadareas.division import _lighter_at_end, _mirror, fraction_tuple
 from quadareas.geometry import _SHORT_BITS, _integer_side_sums
 from quadareas.linalg import _cofactors, _primitive, _scaled
 from quadareas.membership import (
@@ -169,6 +169,59 @@ def ref_pivot_solution(block, x):
     by ``_scaled``."""
     (r0, r1, r2), den = _scaled([l_c * x[c] for c, l_c in zip(block.cols, block.dens)])
     return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
+
+
+def ref_segment(f, triple):
+    """(lo, hi, at) of a planar record as it was: the open range of head coefficients over the span
+    triples of x = A*ab + B*dc + c*head, (A, B, c) = triple, and the triple at each, in Fractions
+    read from the record's face (alpha, beta); on proportional sides lo = hi = c."""
+    big_a, big_b, c = triple
+    if f.face is None:
+        return c, c, lambda _: triple
+    alpha, beta = f.face
+    face = (big_a + c * alpha, big_b + c * beta)
+    facets = tuple(zip(face * 2, (-alpha, -beta, f.total_dc - alpha, f.total_ab - beta)))
+    lo = max(-v / k for v, k in facets if k > 0)
+    hi = min(-v / k for v, k in facets if k < 0)
+    return lo, hi, lambda t: (face[0] - t * alpha, face[1] - t * beta, t)
+
+
+def ref_planar_decide(f, x):
+    """``_decide`` on a planar record as it was: the coefficient verdict of the bordered solve,
+    thrown away for a degenerate certificate whose intervals come from ``ref_segment``."""
+    sol = _pivot_solution(f.block, (*x[:2], F(0)))
+    if not _spans(f.rows, sol, x, range(2)):
+        return Verdict(False, reason="off-subspace")
+    verdict = _coefficient_verdict(*sol, f.total_ab, f.total_dc, "audited")
+    if not verdict.attainable:
+        return verdict
+    triple = as_fractions(sol)
+    lo, hi, _ = ref_segment(f, triple)
+    q1 = Interval(max(lo, F(0)), hi) if hi > 0 else None
+    q2 = Interval(max(-hi, F(0)), -lo) if lo < 0 else None
+    b = triple[1] / f.total_ab
+    return Verdict(True, Certificate("degenerate", (triple[2] + b, b), q1, q2))
+
+
+def ref_realization(spec, cert):
+    """``_realization`` as it was: the span triple moved along ``ref_segment`` in Fractions, to
+    c = 0 when inside, else to the midpoint, with the proportional even split at c = 0."""
+    f = _factored(spec)
+    total_ab, total_dc = f.total_ab, f.total_dc
+    a, b = cert.coeffs
+    lo, hi, at = ref_segment(f, span_triple(total_ab, total_dc, a, b))
+    big_a, big_b, c = at(F(0) if lo < 0 < hi else (lo + hi) / 2)
+    if lo == hi == 0:
+        p0, q0, _, _ = f.rows[0]
+        big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
+    return _coefficient_verdict(*int_vector((big_a, big_b, c)), total_ab, total_dc, "audited").certificate
+
+
+def segment_of(f, triple):
+    """``_segment`` on a rational triple: (lo, hi) as Fractions and the line of span triples as
+    ``at``, a function of the head coefficient t."""
+    (fa, fb, ua, ub, d), lo, hi = _segment(int_vector(triple), f.block.cof[2], f.total_ab, f.total_dc)
+    return F(*lo), F(*hi), lambda t: (F(fa, d) - t * F(ua, d), F(fb, d) - t * F(ub, d), t)
 
 
 def ref_coefficient_verdict(a, b, c, total_ab, total_dc, mode, prefix_certified=False):
@@ -406,7 +459,7 @@ def span_triple(total_ab, total_dc, a, b):
 def face_coordinates(planar):
     """head's and tail's coordinates over (ab, dc) on a planar record: their span triples moved to
     c = 0; for head, (alpha, beta)."""
-    return [_segment(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))[2](F(0))[:2]
+    return [segment_of(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))[2](F(0))[:2]
             for coeffs in ((F(1), F(0)), (F(0), F(1)))]
 
 
@@ -923,6 +976,52 @@ def test_a_warm_pivot_solution_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert sol == expected == (4, 6, 5, 8)
     assert built == []
+
+
+SKEW3 = DivisionSpec.of((1, 2, "2/11"), (1, 5, 1))  # a planar-skew spec: every discriminant is zero
+
+
+def cumulant_tuple(spec, a, b):
+    """x = a*head + b*tail."""
+    fr = frame(spec)
+    return tuple(a * h + b * t for h, t in zip(fr.head, fr.tail))
+
+
+@pytest.mark.parametrize("a, b", ((1, 2), (5, 1)))  # both intervals, then q1's alone
+def test_a_warm_skew_planar_member_builds_only_the_certificate_fractions(monkeypatch, a, b):
+    x = cumulant_tuple(SKEW3, a, b)
+    expected = member(SKEW3, x)
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    verdict = member(SKEW3, x)
+    monkeypatch.undo()
+    cert = verdict.certificate
+    assert verdict == expected and cert.coeffs == (a, b)
+    # the two coefficients and each interval end that is not the shared zero
+    ends = [end for interval in (cert.q1_interval, cert.q2_interval) if interval for end in (interval.lo, interval.hi)]
+    assert len(built) == 2 + sum(1 for end in ends if end != 0)
+
+    # the realization builds its Fractions in the coefficient verdict alone
+    entered = []
+    verdict_of = quadareas.membership._coefficient_verdict
+
+    def recorded(*args):
+        entered.append(len(built))
+        return verdict_of(*args)
+
+    realized = _realization(SKEW3, cert)
+    monkeypatch.setattr(quadareas.membership, "_coefficient_verdict", recorded)
+    monkeypatch.setattr(F, "__new__", counted)
+    built.clear()
+    assert _realization(SKEW3, cert) == realized
+    monkeypatch.undo()
+    assert entered == [0]
 
 
 def test_singular_blocks_are_refused_where_they_are_built():
@@ -1479,7 +1578,7 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
         # the segment's triple at head coefficient c, or -c on the tail arm, in its verdict's coefficients
         f = _factored(spec)
         total_ab, total_dc = f.total_ab, f.total_dc
-        at = _segment(f, span_triple(total_ab, total_dc, *cert.coeffs))[2]
+        at = segment_of(f, span_triple(total_ab, total_dc, *cert.coeffs))[2]
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
@@ -1505,7 +1604,7 @@ def test_face_solution_matches_the_span_checked_reference(query):
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
         # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
-        at = _segment(f, span_triple(total_ab, total_dc, *coeffs))[2]
+        at = segment_of(f, span_triple(total_ab, total_dc, *coeffs))[2]
         assert at(F(0)) == (*expected, 0)
     if member(spec, x).attainable:
         out = synthesize_witness(spec, x)
@@ -1529,6 +1628,78 @@ def test_realization_reproduces_x_on_its_branch(query):
                "ray": (tuple(a + d for a, d in zip(fr.ab, fr.dc)),)}[cert.branch]
     assert min(cert.coeffs) > 0
     assert tuple(sum(c * v[i] for c, v in zip(cert.coeffs, vectors)) for i in range(spec.n)) == x
+
+
+@given(specs(min_n=3, max_n=10, kinds=("proportional", "planar-skew")), ratios(signed=True), ratios(signed=True),
+       ratios(signed=True))
+def test_segment_matches_the_fraction_reference(spec, big_a, big_b, c):
+    # any span triple, on the spec's record and its mirror's: the range, and the line at its ends,
+    # its midpoint and c = 0 (on proportional sides the line is the triple alone, at c)
+    triple = (big_a, big_b, c)
+    for f in (_factored(spec), _factored(_mirror(spec))):
+        lo, hi, at = ref_segment(f, triple)
+        kernel = segment_of(f, triple)
+        assert kernel[:2] == (lo, hi)
+        for t in ((lo, hi, (lo + hi) / 2, F(0)) if f.face else (c,)):
+            assert kernel[2](t) == at(t)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(("proportional", "planar-skew")).flatmap(planar_mirror_query))
+def test_planar_decide_and_realization_match_the_fraction_reference(query):
+    # each mode, and the mirror's read-back for a tuple lighter at its end
+    spec, x = query
+    if min(x) <= 0:
+        return
+    f, mirrored = _factored(spec), _factored(_mirror(spec))
+    expected = ref_planar_decide(f, x)
+    assert _decide(f, x, "audited") == expected
+    assert _decide(mirrored, x[::-1], "strict") == ref_planar_decide(mirrored, x[::-1])
+    if _lighter_at_end(x[0], x[-1]):
+        expected = read_back(ref_planar_decide(mirrored, x[::-1]))
+    for mode in ("strict", "audited"):
+        assert member(spec, x, mode) == expected
+    if expected.attainable:
+        cert = member(spec, x).certificate
+        assert _realization(spec, cert) == ref_realization(spec, cert)
+
+
+PROPORTIONAL3 = DivisionSpec.of((1, 2, 3), (2, 4, 6))
+RANGE_SHAPES = {  # (spec, a, b, shape of the range) with x = a*head + b*tail
+    "two-sided": (SKEW3, 1, 2, lambda lo, hi: lo < 0 < hi),
+    "q1-only": (SKEW3, 5, 1, lambda lo, hi: 0 <= lo < hi),
+    "q2-only": (SKEW3, 1, 5, lambda lo, hi: lo < hi <= 0),
+    "point-q1": (PROPORTIONAL3, 2, 1, lambda lo, hi: lo == hi > 0),
+    "point-q2": (PROPORTIONAL3, 1, 3, lambda lo, hi: lo == hi < 0),
+    "point-zero": (PROPORTIONAL3, 3, 3, lambda lo, hi: lo == hi == 0),
+}
+
+
+@pytest.mark.parametrize("spec, a, b, shape", RANGE_SHAPES.values(), ids=RANGE_SHAPES)
+def test_each_range_shape_matches_the_fraction_reference(spec, a, b, shape):
+    f = _factored(spec)
+    triple = span_triple(f.total_ab, f.total_dc, F(a), F(b))
+    lo, hi, _ = ref_segment(f, triple)
+    assert shape(lo, hi)
+    assert segment_of(f, triple)[:2] == (lo, hi)
+    x = cumulant_tuple(spec, a, b)
+    verdict = member(spec, x)
+    assert verdict == ref_planar_decide(f, x)
+    assert _realization(spec, verdict.certificate) == ref_realization(spec, verdict.certificate)
+
+
+@pytest.mark.parametrize("spec", (SKEW3, PROPORTIONAL3))
+def test_a_planar_tuple_heavy_at_its_head_is_read_back_from_the_mirror(spec):
+    # a tiny head coefficient puts a 90-digit denominator in x's first entry and none in its last
+    fr = frame(spec)
+    a = F(1, 10 ** 90 + 7)
+    x = cumulant_tuple(spec, a, (1 - a * fr.head[-1]) / fr.tail[-1])
+    assert _lighter_at_end(x[0], x[-1])
+    verdict = member(spec, x)
+    assert verdict.attainable
+    assert verdict == read_back(ref_planar_decide(_factored(_mirror(spec)), x[::-1]))
+    assert verdict == ref_planar_decide(_factored(spec), x)
+    assert _realization(spec, verdict.certificate) == ref_realization(spec, verdict.certificate)
 
 
 @given(specs(min_n=3, max_n=14, kinds=("planar-skew",)), st.data())
