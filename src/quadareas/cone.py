@@ -10,7 +10,7 @@ collapses into a plane.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .division import DivisionSpec, _Frozen, _check_spec, _memoized_on_spec, fraction_tuple, to_fraction
@@ -49,9 +49,10 @@ class CaseLabel(_Frozen):
 
 def _rows(
     p: Sequence[Fraction], q: Sequence[Fraction]
-) -> tuple[tuple[tuple[int, int, int, int], ...], Fraction, Fraction]:
+) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, int], tuple[int, int]]:
     """One integer row (P, Q, H, L) per coordinate, with ab = P/L, dc = Q/L and head = H/L
-    left unnormalised, plus the totals of ab and dc.
+    left unnormalised, plus the totals of ab and dc as (numerator, denominator) int pairs in lowest
+    terms, the denominator positive.
 
     head[i] = p[i]*T + q[i]*S for the running sums S = sum(p[:i+1]) and T = sum(q[:i]), both
     kept in lowest terms and added as ``Fraction`` adds: with g the gcd of the two
@@ -59,7 +60,8 @@ def _rows(
     other's cofactor), then one gcd of t with g puts it in lowest terms.  Row i is read over
     L = T's denominator * q[i]'s * s * d, a multiple of the denominators of p[i], q[i] and
     head[i] of at most as many bits as those of p[i], q[i], S and T together, so it
-    needs no division by either ratio's denominator.
+    needs no division by either ratio's denominator.  The totals are the final running sums,
+    already coprime, so no ``Fraction`` repeats their gcd.
     """
     rows = []
     sn, sd, tn, td = 0, 1, 0, 1
@@ -78,7 +80,7 @@ def _rows(
         tn = tn * (bd // g) + bn * s
         g2 = gcd(tn, g)
         tn, td = tn // g2, s * (bd // g2)
-    return tuple(rows), Fraction(sn, sd), Fraction(tn, td)
+    return tuple(rows), (sn, sd), (tn, td)
 
 
 def cumulants(
@@ -121,9 +123,10 @@ def _discriminant(p: Sequence[Fraction], q: Sequence[Fraction], j: int) -> tuple
     return first - second, b1 * b2 * b3 * d1 * d2 * d3 * b2 * d2
 
 
-def _first_pivot(p: Sequence[Fraction], q: Sequence[Fraction]) -> int | None:
-    """The smallest 1-based index whose discriminant is nonzero, or None when all vanish."""
-    return next((j + 1 for j in range(1, len(p) - 1) if _discriminant(p, q, j)[0] != 0), None)
+def _first_pivot(p: Sequence[Fraction], q: Sequence[Fraction], first: int = 2) -> int | None:
+    """The smallest 1-based index from ``first`` on whose discriminant is nonzero, or None when all
+    of them vanish.  ``_factor`` starts at 3, as it reads pivot 2 from its block."""
+    return next((j + 1 for j in range(first - 1, len(p) - 1) if _discriminant(p, q, j)[0] != 0), None)
 
 
 def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
@@ -149,19 +152,27 @@ class _Block(_Frozen):
     det: int
 
 
-def _pivot_block(rows: Sequence[tuple[int, int, int, int]], pivot: int) -> _Block:
-    """The block of rows pivot-2, pivot-1 and pivot (0-based), regular by construction and checked once here for
-    every spec, mirror, fold and tail pair: a pivot's discriminant is -det/(L*L*L), a planar det is -s*M != 0."""
+def _block(rows: Sequence[tuple[int, int, int, int]], pivot: int) -> _Block:
+    """The block of rows pivot-2, pivot-1 and pivot (0-based), regular or not."""
     cols = (pivot - 2, pivot - 1, pivot)
     cof, det = _cofactors([rows[c][:3] for c in cols])
-    invariant(det != 0, "pivot solve is regular whenever the discriminant is nonzero")
     return _Block(cols, tuple(rows[c][3] for c in cols), cof, det)
 
 
+def _pivot_block(rows: Sequence[tuple[int, int, int, int]], pivot: int) -> _Block:
+    """The ``_block`` at a pivot that the discriminant scan found, or at a planar border, regular by
+    construction and checked once here, for a spec, mirror, fold or tail pair alike: a pivot's
+    discriminant is -det/(L*L*L), a planar det is -s*M != 0."""
+    block = _block(rows, pivot)
+    invariant(block.det != 0, "pivot solve is regular whenever the discriminant is nonzero")
+    return block
+
+
 class _Factored(_Frozen):
-    """Everything a decision reads that depends only on the spec: its integer rows and side
-    totals, its first pivot (None when planar), the block the pivot solve inverts, and on skew
-    planar rows head's face coordinates (alpha, beta), head = alpha*ab + beta*dc, else None.
+    """Everything a decision reads that depends only on the spec: its integer rows, its side
+    totals as (numerator, denominator) int pairs in lowest terms, its first pivot (None when
+    planar), the block the pivot solve inverts, and on skew planar rows head's face coordinates
+    (alpha, beta), head = alpha*ab + beta*dc, else None.
 
     A planar block is rows 0 and 1 bordered by (T_ab, -T_dc, 0, 1), the totals over their
     common denominator; its third row of cofactors is (-alpha, -beta, 1) times the ab/dc minor
@@ -170,8 +181,8 @@ class _Factored(_Frozen):
     """
 
     rows: tuple[tuple[int, int, int, int], ...]
-    total_ab: Fraction
-    total_dc: Fraction
+    total_ab: tuple[int, int]
+    total_dc: tuple[int, int]
     pivot: int | None
     block: _Block
     face: tuple[Fraction, Fraction] | None
@@ -179,13 +190,23 @@ class _Factored(_Frozen):
 
 def _factor(p: Sequence[Fraction], q: Sequence[Fraction]) -> _Factored:
     """The ``_Factored`` record of a valid ratio pair: its ``_rows``, its first pivot and the block
-    at that pivot, or the planar block and head's face coordinates when every discriminant vanishes."""
+    at that pivot, or the planar block and head's face coordinates when every discriminant vanishes.
+
+    The block at rows 0-2 is built first: the first triple's discriminant is -det/(L_0*L_1*L_2), so
+    a nonzero det makes 2 the first pivot and that block the record's, with no discriminant
+    evaluated.  Only a zero det (or n = 2) runs the discriminant scan, from pivot 3 on.
+    """
     rows, total_ab, total_dc = _rows(p, q)
-    pivot = _first_pivot(p, q)
+    if len(rows) > 2:
+        block = _block(rows, 2)
+        if block.det:
+            return _Factored(rows, total_ab, total_dc, 2, block, None)
+    pivot = _first_pivot(p, q, 3)
     if pivot is not None:
         return _Factored(rows, total_ab, total_dc, pivot, _pivot_block(rows, pivot), None)
-    (ta, td), _ = _scaled((total_ab, total_dc))
-    block = _pivot_block((*rows[:2], (ta, -td, 0, 1)), 2)
+    (tan, tad), (tdn, tdd) = total_ab, total_dc
+    s = lcm(tad, tdd)
+    block = _pivot_block((*rows[:2], (tan * (s // tad), -tdn * (s // tdd), 0, 1)), 2)
     minor_a, minor_b, minor = block.cof[2]
     face = (Fraction(-minor_a, minor), Fraction(-minor_b, minor)) if minor else None
     return _Factored(rows, total_ab, total_dc, None, block, face)

@@ -1,9 +1,9 @@
 """Tiny exact linear algebra in ints: the 3x3 cofactor kernel, integer scaling and primitive vectors.
 
 Every decision is one Cramer solve on the cofactors of a 3x3 integer block (``membership._pivot_solution``
-on ``cone._pivot_block``, which ``cone.hyperplanes`` reads too); the block's cofactors are tuples, built
+on ``cone._block``, which ``cone.hyperplanes`` reads too); the block's cofactors are tuples, built
 once per spec, mirror, tail-summed pair and fold and kept in its ``cone._Factored`` record.  Every block
-is regular by construction, checked once where ``cone._pivot_block`` builds it, so the solve is total and
+is regular by construction, checked once where ``cone._factor`` builds it, so the solve is total and
 returns the numerators and det*den as one primitive int vector (``_primitive``), the value the whole
 decision passes along.  The solve reads its right-hand side in ints from x's numerators and denominators,
 so it builds no Fraction and does not use ``_scaled``, which puts rationals over one common denominator:

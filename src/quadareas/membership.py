@@ -7,7 +7,7 @@ decision path, run by ``member`` and ``member_tail``; the folds of
 ``member_via_collapse`` reuse its first two steps.
 
 1. ``_pivot_solution``: Cramer's rule on the cofactors of the record's x-free
-   block, regular by construction (checked once, in ``cone._pivot_block``),
+   block, regular by construction (checked once, where ``cone._factor`` builds it),
    with the right-hand side L_c*x_c read in ints from x's numerators and
    denominators (one gcd per row and one lcm, no Fraction), gives the
    primitive int vector (A, B, C, E), E > 0, with
@@ -17,7 +17,8 @@ decision path, run by ``member`` and ``member_tail``; the folds of
 2. ``_spans`` compares that vector with x at every other row, in ``int`` by
    one exact division per row.  This alone decides whether x lies on the
    span, so no hyperplane is evaluated.
-3. ``_facets`` reads the four facet signs from ints, the one place that
+3. ``_facets`` reads the four facet signs from ints, the side totals among
+   them as the record's (numerator, denominator) pairs, the one place that
    decides attainability: ``_coefficient_verdict`` then picks the branch of a
    spatial tuple, and a planar tuple inside the cone gets its certificate from
    ``_segment``.  ``Fraction``s are built only for the certificate's values.
@@ -130,20 +131,21 @@ class Verdict(_Frozen):
     prefix_certified: bool = False
 
 
-def _facets(a: int, b: int, c: int, total_ab: Fraction, total_dc: Fraction):
+def _facets(a: int, b: int, c: int, total_ab: tuple[int, int], total_dc: tuple[int, int]):
     """(a2, b2, reason) for x = (a*ab + b*dc + c*head)/e, e > 0: a2/(e*tdd) and b2/(e*tad) are the
-    q2 coefficients, from head + tail = total_dc*ab + total_ab*dc with total_ab = tan/tad and
-    total_dc = tdn/tdd.  The attainable set is the open cone whose facet values are a, b, a2 and b2,
-    each read as the sign of its int numerator: reason is None inside it, boundary on its boundary
-    and negative outside.
+    q2 coefficients, from head + tail = total_dc*ab + total_ab*dc with the totals read as the
+    record's int pairs total_ab = (tan, tad) and total_dc = (tdn, tdd).  The attainable set is the
+    open cone whose facet values are a, b, a2 and b2, each read as the sign of its int numerator:
+    reason is None inside it, boundary on its boundary and negative outside.
     """
-    a2, b2 = a * total_dc.denominator + c * total_dc.numerator, b * total_ab.denominator + c * total_ab.numerator
+    (tan, tad), (tdn, tdd) = total_ab, total_dc
+    a2, b2 = a * tdd + c * tdn, b * tad + c * tan
     low = min(a, b, a2, b2)
     return a2, b2, None if low > 0 else REASON_BOUNDARY if low == 0 else REASON_NEGATIVE
 
 
 def _coefficient_verdict(
-    a: int, b: int, c: int, e: int, total_ab: Fraction, total_dc: Fraction, mode: Mode
+    a: int, b: int, c: int, e: int, total_ab: tuple[int, int], total_dc: tuple[int, int], mode: Mode
 ) -> Verdict:
     """The verdict for x = (a*ab + b*dc + c*head)/e, e > 0, already checked exactly.
 
@@ -156,7 +158,7 @@ def _coefficient_verdict(
         if c > 0:
             return Verdict(True, Certificate("q1", (Fraction(a, e), Fraction(b, e), Fraction(c, e))))
         if c < 0:
-            q2 = (Fraction(a2, e * total_dc.denominator), Fraction(b2, e * total_ab.denominator), Fraction(-c, e))
+            q2 = (Fraction(a2, e * total_dc[1]), Fraction(b2, e * total_ab[1]), Fraction(-c, e))
             return Verdict(True, Certificate("q2", q2))
         if a == b:
             return Verdict(True, Certificate("ray", (Fraction(a, e),)))
@@ -197,7 +199,7 @@ def _pivot_solution(block: _Block, x: tuple[Fraction, ...]):
     gives the three numerators over det*den; the four are divided by their one gcd.
     Each L_c*x_c is read in ints from x_c = xn/xd as (L_c/g)*xn over xd/g, g = gcd(L_c, xd), the
     lowest terms a Fraction product would take, so the solve builds no Fraction.
-    The block is regular by construction (``cone._pivot_block`` checks it once), so the solve is total.
+    The block is regular by construction (``cone._factor`` checks it once), so the solve is total.
     ``_decide`` also solves the planar case with it, on rows 0 and 1 and a border row.
     """
     (k0, k1, k2), (l0, l1, l2) = block.cols, block.dens
@@ -212,7 +214,7 @@ def _pivot_solution(block: _Block, x: tuple[Fraction, ...]):
     return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
 
 
-def _segment(sol: Sequence[int], minors: Sequence[int], total_ab: Fraction, total_dc: Fraction):
+def _segment(sol: Sequence[int], minors: Sequence[int], total_ab: tuple[int, int], total_dc: tuple[int, int]):
     """((fa, fb, ua, ub, d), lo, hi): the line of x's span triples ((fa - t*ua)/d, (fb - t*ub)/d, t)
     and the open range lo < t < hi of head coefficients on it, as int pairs over positive denominators.
 
@@ -234,10 +236,9 @@ def _segment(sol: Sequence[int], minors: Sequence[int], total_ab: Fraction, tota
         return (big_a, big_b, 0, 0, e), (c, e), (c, e)
     alpha, beta, den = (m_a, m_b, -m) if m < 0 else (-m_a, -m_b, m)
     fa, fb = big_a * den + c * alpha, big_b * den + c * beta
-    tad, tdd = total_ab.denominator, total_dc.denominator
+    (tan, tad), (tdn, tdd) = total_ab, total_dc
     lo = hi = None
-    for v, k in ((fa, -alpha), (fb, -beta), (fa * tdd, total_dc.numerator * den - alpha * tdd),
-                 (fb * tad, total_ab.numerator * den - beta * tad)):
+    for v, k in ((fa, -alpha), (fb, -beta), (fa * tdd, tdn * den - alpha * tdd), (fb * tad, tan * den - beta * tad)):
         if k > 0:
             if lo is None or -v * lo[1] > lo[0] * k:
                 lo = (-v, k)
@@ -258,7 +259,7 @@ def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     """
     f = _factored(spec)
     total_ab, total_dc = f.total_ab, f.total_dc
-    tan, tad, tdn, tdd = total_ab.numerator, total_ab.denominator, total_dc.numerator, total_dc.denominator
+    (tan, tad), (tdn, tdd) = total_ab, total_dc
     (a, b), d = _scaled(cert.coeffs)
     sol = _primitive((b * tdn * tad, b * tan * tdd, (a - b) * tdd * tad, d * tdd * tad))
     (fa, fb, ua, ub, den), lo, hi = _segment(sol, f.block.cof[2], total_ab, total_dc)
@@ -287,7 +288,7 @@ def _decide(f: _Factored, x: tuple[Fraction, ...], mode: Mode) -> Verdict:
     denominator s: on span(head, tail), A*T_ab = B*T_dc holds exactly at x's span triple
     (b*T_dc, b*T_ab, a - b).  With K_i = T_dc*P_i + T_ab*Q_i - H_i = L_i*tail_i, the block's
     determinant is -s*M for the head/tail minor M = H_0*K_1 - K_0*H_1 < 0, so it is regular, as is every
-    block (checked once, in ``cone._pivot_block``).  Planar verdicts ignore the mode: x is
+    block (checked once, in ``cone._factor``).  Planar verdicts ignore the mode: x is
     attainable exactly when its four facet values are positive (``_facets``).
     """
     pivot = f.pivot
@@ -310,7 +311,7 @@ def _decide(f: _Factored, x: tuple[Fraction, ...], mode: Mode) -> Verdict:
     q1 = Interval(Fraction(ln, ld) if ln > 0 else _ZERO, Fraction(hn, hd)) if hn > 0 else None
     q2 = Interval(Fraction(-hn, hd) if hn < 0 else _ZERO, Fraction(-ln, ld)) if ln < 0 else None
     # x = a*head + b*tail with b = (B/E)/total_ab and a = C/E + b
-    tan, tad = total_ab.numerator, total_ab.denominator
+    tan, tad = total_ab
     coeffs = (Fraction(c * tan + big_b * tad, e * tan), Fraction(big_b * tad, e * tan))
     return Verdict(True, Certificate("degenerate", coeffs, q1, q2))
 

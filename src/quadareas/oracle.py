@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cone import _factored, classify, discriminants
+from .cone import _discriminant, _factored, classify
 from .division import DivisionSpec, _Frozen, _check_spec
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
@@ -223,22 +223,22 @@ def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
 
     Draws positive combinations hitting every branch plus off-span
     perturbations, and requires identical verdicts (attainability, branch,
-    coefficients, reason) at every usable pivot.  Pivots whose folds are both
+    coefficients, reason) at every usable pivot, an index whose discriminant's
+    int numerator is nonzero (``cone._discriminant``).  Pivots whose folds are both
     planar cannot decide and are skipped rather than counted as disagreement.
     x is read from the spec's factored integer rows (P, Q, H, L), ab = P/L,
     dc = Q/L and head = H/L, with a, b and c in eighths: each coordinate is one
     Fraction (a*P + b*Q + c*H)/(8*L).  The tail arm is read through the identity
     head + tail = total_dc*ab + total_ab*dc (``membership._coefficient_verdict``):
-    with total_ab = tan/tad, total_dc = tdn/tdd and s = tad*tdd, its coordinate
-    is ((a*s + c*tdn*tad)*P + (b*s + c*tan*tdd)*Q - c*s*H)/(8*s*L).
+    with the record's int pairs total_ab = (tan, tad), total_dc = (tdn, tdd) and
+    s = tad*tdd, its coordinate is ((a*s + c*tdn*tad)*P + (b*s + c*tan*tdd)*Q - c*s*H)/(8*s*L).
     """
     _check_spec("cross_validate", spec)
     if not classify(spec).spatial or spec.n < 4:
         raise InvalidInputError("cross validation applies to spatial specs of length >= 4")
     f = _factored(spec)
-    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
-    tan, tad, tdn, tdd = total_ab.numerator, total_ab.denominator, total_dc.numerator, total_dc.denominator
-    pivots = [i + 2 for i, d in enumerate(discriminants(spec)) if d != 0]
+    rows, (tan, tad), (tdn, tdd) = f.rows, f.total_ab, f.total_dc
+    pivots = [j + 1 for j in range(1, spec.n - 1) if _discriminant(spec.p, spec.p_prime, j)[0] != 0]
 
     def check(stream: _Stream, index: int) -> Optional[Violation]:
         a, b, c = stream.eighths(), stream.eighths(), stream.eighths()

@@ -335,17 +335,24 @@ SKEW8 = ("--p", "1,2,5/11,513/1969,3192/5549,228/1457,2052/4559,304/1067", "--pp
 
 class TestInvariants:
     def test_failed_invariant_is_an_internal_error_with_exit_code_4(self, capsys, monkeypatch):
-        # the one regularity check is where cone._pivot_block builds a block: report a zero determinant
-        cofactors = quadareas.cone._cofactors
+        # a block past the first triple is checked where cone._pivot_block builds it: report a zero
+        # determinant.  The spec's first discriminant vanishes and its pivot is 3, so the scan asks for the
+        # spatial block at 3; a planar record would ask for its bordered block at 2.
+        sides, late = ((1, 1, 1, 1), (1, 1, 1, 2)), ("--p", "1,1,1,1", "--pp", "1,1,1,2", "--x", "1,2,3,4")
+        assert quadareas.classify(DivisionSpec.of(*sides)).pivot == 3
+        cofactors, pivot_block, asked = quadareas.cone._cofactors, quadareas.cone._pivot_block, []
         monkeypatch.setattr(quadareas.cone, "_cofactors", lambda m: (cofactors(m)[0], 0))
+        monkeypatch.setattr(quadareas.cone, "_pivot_block", lambda rows, pivot: (
+            asked.append(pivot) or pivot_block(rows, pivot)))
         with pytest.raises(InternalError, match="pivot solve is regular"):
-            member(DivisionSpec.of((1, 2, 3), (1, 1, 1)), (F(3), F(8), F(16)))
+            member(DivisionSpec.of(*sides), (F(1), F(2), F(3), F(4)))
+        assert asked == [3]
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member_via_collapse(DivisionSpec.of((1, 2, 3, 4), (1, 1, 1, 1)), (F(1),) * 4, 2)
         p, pp, x = (TailSummedSequence.parse(text) for text in SPATIAL_TAILED[1::2])
         with pytest.raises(InternalError, match="pivot solve is regular"):
             member_tail(p, pp, x)
-        for argv in (("--p", "1,2,3", "--pp", "1,1,1", "--x", "3,8,16"), SPATIAL_TAILED):
+        for argv in (late, SPATIAL_TAILED):
             code, out, err = run(capsys, "member", *argv)
             assert code == 4 and out == ""
             assert err == (

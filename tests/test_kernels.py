@@ -18,7 +18,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import quadareas
 from quadareas import (
@@ -180,7 +180,8 @@ def ref_segment(f, triple):
         return c, c, lambda _: triple
     alpha, beta = f.face
     face = (big_a + c * alpha, big_b + c * beta)
-    facets = tuple(zip(face * 2, (-alpha, -beta, f.total_dc - alpha, f.total_ab - beta)))
+    total_ab, total_dc = totals(f)
+    facets = tuple(zip(face * 2, (-alpha, -beta, total_dc - alpha, total_ab - beta)))
     lo = max(-v / k for v, k in facets if k > 0)
     hi = min(-v / k for v, k in facets if k < 0)
     return lo, hi, lambda t: (face[0] - t * alpha, face[1] - t * beta, t)
@@ -199,7 +200,7 @@ def ref_planar_decide(f, x):
     lo, hi, _ = ref_segment(f, triple)
     q1 = Interval(max(lo, F(0)), hi) if hi > 0 else None
     q2 = Interval(max(-hi, F(0)), -lo) if lo < 0 else None
-    b = triple[1] / f.total_ab
+    b = triple[1] / F(*f.total_ab)
     return Verdict(True, Certificate("degenerate", (triple[2] + b, b), q1, q2))
 
 
@@ -207,14 +208,13 @@ def ref_realization(spec, cert):
     """``_realization`` as it was: the span triple moved along ``ref_segment`` in Fractions, to
     c = 0 when inside, else to the midpoint, with the proportional even split at c = 0."""
     f = _factored(spec)
-    total_ab, total_dc = f.total_ab, f.total_dc
     a, b = cert.coeffs
-    lo, hi, at = ref_segment(f, span_triple(total_ab, total_dc, a, b))
+    lo, hi, at = ref_segment(f, span_triple(*totals(f), a, b))
     big_a, big_b, c = at(F(0) if lo < 0 < hi else (lo + hi) / 2)
     if lo == hi == 0:
         p0, q0, _, _ = f.rows[0]
         big_a = big_b = (big_a * p0 + big_b * q0) / (p0 + q0)
-    return _coefficient_verdict(*int_vector((big_a, big_b, c)), total_ab, total_dc, "audited").certificate
+    return _coefficient_verdict(*int_vector((big_a, big_b, c)), f.total_ab, f.total_dc, "audited").certificate
 
 
 def segment_of(f, triple):
@@ -451,6 +451,16 @@ def ref_face_solution(rows, x, proportional):
     return sol if _spans(rows, int_vector((*sol, 0)), x, range(0)) else None
 
 
+def totals(f):
+    """A record's side totals, kept as (numerator, denominator) int pairs, as Fractions."""
+    return F(*f.total_ab), F(*f.total_dc)
+
+
+def as_pair(v):
+    """A Fraction as the (numerator, denominator) int pair that the kernels read a side total as."""
+    return v.numerator, v.denominator
+
+
 def span_triple(total_ab, total_dc, a, b):
     """x = a*head + b*tail as a*ab + b*dc + c*head coefficients: (b*total_dc, b*total_ab, a - b)."""
     return b * total_dc, b * total_ab, a - b
@@ -459,7 +469,7 @@ def span_triple(total_ab, total_dc, a, b):
 def face_coordinates(planar):
     """head's and tail's coordinates over (ab, dc) on a planar record: their span triples moved to
     c = 0; for head, (alpha, beta)."""
-    return [segment_of(planar, span_triple(planar.total_ab, planar.total_dc, *coeffs))[2](F(0))[:2]
+    return [segment_of(planar, span_triple(*totals(planar), *coeffs))[2](F(0))[:2]
             for coeffs in ((F(1), F(0)), (F(0), F(1)))]
 
 
@@ -589,6 +599,24 @@ def specs(draw, min_n=2, max_n=12, kinds=("planar-prefix", "spatial", "proportio
                 except NoValidContinuationError:
                     q[i] /= 2
     return DivisionSpec(tuple(p), tuple(q))
+
+
+@st.composite
+def pivot_specs(draw):
+    """Specs for the first pivot: drawn spatial, proportional, planar-skew and planar-prefix ones,
+    spatial ones with 100-digit entries, and a proportional prefix of three or more entries followed
+    by drawn ones, whose first discriminant vanishes while a later one need not."""
+    kind = draw(st.sampled_from(("drawn", "100-digit", "proportional prefix")))
+    if kind == "drawn":
+        return draw(specs(kinds=("spatial", "proportional", "planar-skew", "planar-prefix")))
+    if kind == "100-digit":
+        n = draw(st.integers(3, 10))
+        p, q = ([draw(ratios(big=True, digits=(100, 100))) for _ in range(n)] for _ in "pq")
+        return DivisionSpec(tuple(p), tuple(q))
+    prefix = draw(specs(min_n=3, max_n=8, kinds=("proportional",)))
+    extra = draw(st.integers(1, 4))
+    p, q = ((*side, *(draw(ratios()) for _ in range(extra))) for side in (prefix.p, prefix.p_prime))
+    return DivisionSpec(p, q)
 
 
 @st.composite
@@ -913,7 +941,7 @@ def test_planar_bordered_solve_matches_the_head_tail_cramer(spec, x0, x1):
     # bordered block's determinant is -s*M, with s the totals' common denominator and M < 0 the
     # head/tail minor at rows 0 and 1 (K_i = L_i*tail_i)
     f = _factored(spec)
-    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
+    rows, (total_ab, total_dc) = f.rows, totals(f)
     (ta, td), s = _scaled((total_ab, total_dc))
     border = (ta, -td, 0, 1)
     assert f.pivot is None and f.block == _pivot_block((*rows[:2], border), 2)
@@ -1047,6 +1075,41 @@ def test_discriminants_and_first_pivot_match_reference(spec):
     assert label.pivot == pivot
 
 
+@given(pivot_specs())
+def test_factored_pivot_matches_the_reference(spec):
+    # the first triple's block, when regular, gives pivot 2; otherwise the scan from pivot 3 on
+    assert _factor(spec.p, spec.p_prime).pivot == reference.pivot(spec.p, spec.p_prime)
+
+
+@given(pivot_specs())
+def test_the_first_triple_block_is_minus_its_discriminant_times_its_denominators(spec):
+    assume(spec.n >= 3)
+    block = quadareas.cone._block(_factored(spec).rows, 2)
+    l0, l1, l2 = block.dens
+    assert block.cols == (0, 1, 2)
+    assert block.det == -reference.discriminants(spec.p, spec.p_prime)[0] * l0 * l1 * l2
+
+
+def test_a_cold_spatial_factor_builds_no_fraction_and_evaluates_no_discriminant(monkeypatch):
+    # pivot 2 is read from the block at rows 0-2; a spec whose first discriminant vanishes scans on
+    grid = DivisionSpec.of((1, 2, "3/2", "5/4"), (3, "1/2", 2, "7/8"))
+    rng = random.Random(3)
+    big = DivisionSpec(*(tuple(F(rng.randrange(10 ** 99, 10 ** 100), rng.randrange(10 ** 99, 10 ** 100))
+                               for _ in range(8)) for _ in "pq"))
+    late = DivisionSpec.of((1, 1, 1, 1), (1, 1, 1, 2))
+    expected = {spec: _factor(spec.p, spec.p_prime) for spec in (grid, big, late)}
+    new, discriminant = F.__new__, quadareas.cone._discriminant
+    for spec, pivot in ((grid, 2), (big, 2), (late, 3)):
+        built, evaluated = [], []
+        monkeypatch.setattr(F, "__new__", lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+        monkeypatch.setattr(quadareas.cone, "_discriminant", lambda *args: evaluated.append(args[2]) or discriminant(*args))
+        f = _factor(spec.p, spec.p_prime)
+        monkeypatch.undo()
+        assert f == expected[spec] and f.pivot == pivot
+        assert built == []
+        assert evaluated == ([] if pivot == 2 else [2])
+
+
 @given(specs(), st.data())
 def test_strip_areas_and_division_points_match_shoelace(spec, data):
     quad = data.draw(quads_for(spec))
@@ -1105,10 +1168,10 @@ def test_convexity_matches_the_point_reference(vertices):
 @given(specs())
 def test_factored_rows_match_frame(spec):
     fr, f = frame(spec), _factored(spec)
-    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
+    rows = f.rows
     assert [(F(p, d), F(q, d), F(h, d)) for p, q, h, d in rows] == list(zip(fr.ab, fr.dc, fr.head))
     assert all(d > 0 for *_, d in rows)
-    assert (total_ab, total_dc) == (sum(spec.p), sum(spec.p_prime))
+    assert (f.total_ab, f.total_dc) == (as_pair(sum(spec.p)), as_pair(sum(spec.p_prime)))
 
 
 @given(specs(kinds=("spatial", "proportional", "planar-prefix", "planar-skew")), ratios(), st.sampled_from(
@@ -1125,7 +1188,8 @@ def test_rows_match_the_lcm_reference(spec, extra, extended):
         p, q = (tail, *p[::-1]), (tail * q[-1] / p[-1], *q[::-1])
     rows, total_ab, total_dc = _rows(p, q)
     ref, ref_ab, ref_dc = ref_rows(p, q)
-    assert (total_ab, total_dc) == (ref_ab, ref_dc) == (sum(p), sum(q))
+    assert (F(*total_ab), F(*total_dc)) == (ref_ab, ref_dc) == (sum(p), sum(q))
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in (total_ab, total_dc))  # in lowest terms
     assert [tuple(F(v, den) for v in row) for *row, den in rows] == [
         tuple(F(v, den) for v in row) for *row, den in ref]
     assert all(den > 0 for *_, den in rows)
@@ -1359,9 +1423,10 @@ def test_a_bump_at_every_coordinate_is_off_the_span(p, pp):
 
 
 @given(coefficient_triples(), st.sampled_from(("strict", "audited")), st.booleans())
+@example((F(3), F(5), F(-1), F(3, 2), F(5, 4)), "audited", False)  # q2, which the 40 drawn triples miss
 def test_coefficient_verdict_matches_the_two_region_reference(triple, mode, prefix_certified):
     # member_tail sets prefix_certified on the kernel's verdict; the reference still takes it
-    kernel = _coefficient_verdict(*int_vector(triple[:3]), *triple[3:], mode)
+    kernel = _coefficient_verdict(*int_vector(triple[:3]), *map(as_pair, triple[3:]), mode)
     verdict = Verdict(kernel.attainable, kernel.certificate, kernel.reason, prefix_certified=prefix_certified)
     assert verdict == ref_coefficient_verdict(*triple, mode, prefix_certified)
 
@@ -1577,12 +1642,11 @@ def test_apex_parameters_match_the_frame_based_reference(spec, a, b):
     if not proportional:
         # the segment's triple at head coefficient c, or -c on the tail arm, in its verdict's coefficients
         f = _factored(spec)
-        total_ab, total_dc = f.total_ab, f.total_dc
-        at = segment_of(f, span_triple(total_ab, total_dc, *cert.coeffs))[2]
+        at = segment_of(f, span_triple(*totals(f), *cert.coeffs))[2]
         for sign, interval, params in zip((1, -1), intervals, expected):
             if interval is not None:
                 c = interval.lo if interval.is_point else (interval.lo + interval.hi) / 2
-                verdict = _coefficient_verdict(*int_vector(at(sign * c)), total_ab, total_dc, "audited")
+                verdict = _coefficient_verdict(*int_vector(at(sign * c)), f.total_ab, f.total_dc, "audited")
                 assert verdict.certificate.coeffs == params
     out = synthesize_witness(spec, x)
     if out.construction.startswith("apex"):
@@ -1599,12 +1663,12 @@ def test_face_solution_matches_the_span_checked_reference(query):
     spec, x, _ = query
     fr, proportional = frame(spec), classify(spec).proportional
     f = _factored(spec)
-    rows, total_ab, total_dc = f.rows, f.total_ab, f.total_dc
+    rows = f.rows
     coeffs = reference.solve([[fr.head[0], fr.tail[0]], [fr.head[1], fr.tail[1]]], [x[0], x[1]])
     expected = ref_face_solution(rows, x, proportional)
     if not proportional and expected is not None:
         # at c = 0 the span triple of x = a*head + b*tail is x's face coordinates
-        at = segment_of(f, span_triple(total_ab, total_dc, *coeffs))[2]
+        at = segment_of(f, span_triple(*totals(f), *coeffs))[2]
         assert at(F(0)) == (*expected, 0)
     if member(spec, x).attainable:
         out = synthesize_witness(spec, x)
@@ -1678,7 +1742,7 @@ RANGE_SHAPES = {  # (spec, a, b, shape of the range) with x = a*head + b*tail
 @pytest.mark.parametrize("spec, a, b, shape", RANGE_SHAPES.values(), ids=RANGE_SHAPES)
 def test_each_range_shape_matches_the_fraction_reference(spec, a, b, shape):
     f = _factored(spec)
-    triple = span_triple(f.total_ab, f.total_dc, F(a), F(b))
+    triple = span_triple(*totals(f), F(a), F(b))
     lo, hi, _ = ref_segment(f, triple)
     assert shape(lo, hi)
     assert segment_of(f, triple)[:2] == (lo, hi)

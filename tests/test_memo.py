@@ -109,15 +109,16 @@ class TestStaleMemo:
 class TestBuiltOnce:
     def test_a_second_call_on_the_same_pair_builds_nothing(self, monkeypatch):
         built = Counter()
-        for name in ("_rows", "_first_pivot"):
+        # the pivot search is the block at rows 0-2, regular here, so no discriminant scan runs
+        for name in ("_rows", "_block", "_first_pivot"):
             monkeypatch.setattr(cone, name, lambda *args, _fn=getattr(cone, name), _name=name: (
                 built.update([_name]) or _fn(*args)))
         p, pp = TailSummedSequence.of((1, 2, 3, 4), 2), TailSummedSequence.of((1, 1, 1, 1), 1)
         x = TailSummedSequence.of((1, 2, 3, 4), 5)
         first = member_tail(p, pp, x)
-        assert built == {"_rows": 1, "_first_pivot": 1}
+        assert built == {"_rows": 1, "_block": 1}
         again = (member_tail(p, pp, x), member_tail(p, fresh(pp), fresh(x), "strict"))
-        assert built == {"_rows": 1, "_first_pivot": 1}
+        assert built == {"_rows": 1, "_block": 1}
         assert again[0] == again[1] == first
 
 
@@ -303,8 +304,8 @@ class TestOneRecord:
             assert label.proportional == spec.proportional()
 
     def test_only_cone_builds_decision_records(self):
-        # every record and block comes from cone._factor, where _pivot_block checks its regularity once
-        builders = {"_Factored", "_Block", "_pivot_block"}
+        # every record and block comes from cone._factor, which checks each block's regularity once
+        builders = {"_Factored", "_Block", "_block", "_pivot_block"}
         sources = sorted(Path(cone.__file__).parent.glob("*.py"))
         assert Path(cone.__file__) in sources
         calls = [

@@ -91,6 +91,15 @@ MUTANTS = (
            "                return quad",
            "return cls(a, b, c, d)",
            (G + "TestEdgeRecord::test_of_checks_each_vertex_order_once_and_keeps_its_edges",)),
+    # side totals as int pairs and the first pivot read from the block at rows 0-2
+    Mutant("src/quadareas/cone.py", "if block.det:", "if block.det > 0:",
+           (K + "test_factored_pivot_matches_the_reference",)),
+    Mutant("src/quadareas/membership.py", "a2, b2 = a * tdd + c * tdn, b * tad + c * tan",
+           "a2, b2 = a * tdd + c * tdn, b * tan + c * tad",
+           (K + "test_coefficient_verdict_matches_the_two_region_reference",)),
+    Mutant("src/quadareas/cone.py", "return tuple(rows), (sn, sd), (tn, td)",
+           "return tuple(rows), (sn, sd), (tn * bd - bn * td, td * bd)",
+           (K + "test_rows_match_the_lcm_reference",)),
 )
 
 
