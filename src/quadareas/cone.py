@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .division import DivisionSpec, _Frozen, _check_spec, _memoized_on_spec, fraction_tuple, to_fraction
 from .errors import InvalidInputError, NoValidContinuationError, invariant
-from .linalg import _cofactors, _scaled
+from .linalg import _cofactors, _cross, _scaled
 
 
 class ConeFrame(_Frozen):
@@ -123,12 +123,6 @@ def _discriminant(p: Sequence[Fraction], q: Sequence[Fraction], j: int) -> tuple
     return first - second, b1 * b2 * b3 * d1 * d2 * d3 * b2 * d2
 
 
-def _first_pivot(p: Sequence[Fraction], q: Sequence[Fraction], first: int = 2) -> int | None:
-    """The smallest 1-based index from ``first`` on whose discriminant is nonzero, or None when all
-    of them vanish.  ``_factor`` starts at 3, as it reads pivot 2 from its block."""
-    return next((j + 1 for j in range(first - 1, len(p) - 1) if _discriminant(p, q, j)[0] != 0), None)
-
-
 def discriminants(spec: DivisionSpec) -> tuple[Fraction, ...]:
     """The discriminant chain, one value per interior index (empty for n = 2)."""
     _check_spec("discriminants", spec)
@@ -169,15 +163,16 @@ def _pivot_block(rows: Sequence[tuple[int, int, int, int]], pivot: int) -> _Bloc
 
 
 class _Factored(_Frozen):
-    """Everything a decision reads that depends only on the spec: its integer rows, its side
-    totals as (numerator, denominator) int pairs in lowest terms, its first pivot (None when
-    planar), the block the pivot solve inverts, and on skew planar rows head's face coordinates
-    (alpha, beta), head = alpha*ab + beta*dc, else None.
+    """Everything a decision reads that depends only on the spec: its integer rows, its side totals as
+    (numerator, denominator) int pairs in lowest terms, its first pivot (None when planar), the block the
+    pivot solve inverts, and on planar rows the conic, else None.
 
-    A planar block is rows 0 and 1 bordered by (T_ab, -T_dc, 0, 1), the totals over their
-    common denominator; its third row of cofactors is (-alpha, -beta, 1) times the ab/dc minor
-    P_0*Q_1 - P_1*Q_0 at rows 0 and 1.  With every discriminant zero, ab and dc are proportional at
-    every row exactly when they are at rows 0 and 1, so the face is None exactly on proportional sides.
+    A planar block is rows 0 and 1 bordered by (T_ab, -T_dc, 0, 1), the totals over their common
+    denominator; its third row of cofactors, rows 0 x 1, is the conic (alpha, beta, gamma), the one
+    encoding of the planar case: head = a*ab + b*dc telescopes to S_k*T_k = a*S_k + b*T_k at every
+    division point (S_k, T_k), so alpha*S_k + beta*T_k + gamma*S_k*T_k = 0 with (alpha, beta, gamma) =
+    (-a, -b, 1) times the ab/dc minor P_0*Q_1 - P_1*Q_0.  With every discriminant zero, ab and dc are
+    proportional at every row exactly when they are at rows 0 and 1, so gamma = 0 exactly on proportional sides.
     """
 
     rows: tuple[tuple[int, int, int, int], ...]
@@ -185,48 +180,46 @@ class _Factored(_Frozen):
     total_dc: tuple[int, int]
     pivot: int | None
     block: _Block
-    face: tuple[Fraction, Fraction] | None
+    conic: tuple[int, int, int] | None
 
 
 def _factor(p: Sequence[Fraction], q: Sequence[Fraction]) -> _Factored:
-    """The ``_Factored`` record of a valid ratio pair: its ``_rows``, its first pivot and the block
-    at that pivot, or the planar block and head's face coordinates when every discriminant vanishes.
+    """The ``_Factored`` record of a valid ratio pair, built with no Fraction: its ``_rows``, its first pivot
+    and the block at that pivot, or the planar block and its conic when every discriminant vanishes.
 
     The block at rows 0-2 is built first: the first triple's discriminant is -det/(L_0*L_1*L_2), so
     a nonzero det makes 2 the first pivot and that block the record's, with no discriminant
-    evaluated.  Only a zero det (or n = 2) runs the discriminant scan, from pivot 3 on.
+    evaluated.  Only a zero det (or n = 2) scans the discriminants, from interior index 2 on.
     """
     rows, total_ab, total_dc = _rows(p, q)
     if len(rows) > 2:
         block = _block(rows, 2)
         if block.det:
             return _Factored(rows, total_ab, total_dc, 2, block, None)
-    pivot = _first_pivot(p, q, 3)
-    if pivot is not None:
-        return _Factored(rows, total_ab, total_dc, pivot, _pivot_block(rows, pivot), None)
+    for j in range(2, len(rows) - 1):
+        if _discriminant(p, q, j)[0]:
+            return _Factored(rows, total_ab, total_dc, j + 1, _pivot_block(rows, j + 1), None)
     (tan, tad), (tdn, tdd) = total_ab, total_dc
     s = lcm(tad, tdd)
     block = _pivot_block((*rows[:2], (tan * (s // tad), -tdn * (s // tdd), 0, 1)), 2)
-    minor_a, minor_b, minor = block.cof[2]
-    face = (Fraction(-minor_a, minor), Fraction(-minor_b, minor)) if minor else None
-    return _Factored(rows, total_ab, total_dc, None, block, face)
+    return _Factored(rows, total_ab, total_dc, None, block, block.cof[2])
 
 
 @_memoized_on_spec
 def _factored(spec: DivisionSpec) -> _Factored:
     """The spec's ``_Factored`` record, built once per spec: the one source of its rows, totals,
-    pivot, block and face for ``classify``, ``_planes`` and every decision."""
+    pivot, block and conic for ``classify``, ``_planes`` and every decision."""
     return _factor(spec.p, spec.p_prime)
 
 
 def classify(spec: DivisionSpec) -> CaseLabel:
     """Spatial with the smallest usable pivot, else planar with a proportionality flag: a view, kept by no memo,
-    of the spec's ``_factored`` record, whose planar face is None exactly when ab and dc are proportional."""
+    of the spec's ``_factored`` record, whose planar conic has gamma = 0 exactly when ab and dc are proportional."""
     _check_spec("classify", spec)
     f = _factored(spec)
     if f.pivot is not None:
         return CaseLabel(spatial=True, pivot=f.pivot)
-    return CaseLabel(spatial=False, proportional=f.face is None)
+    return CaseLabel(spatial=False, proportional=not f.conic[2])
 
 
 def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
@@ -252,7 +245,8 @@ def hyperplanes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
 @_memoized_on_spec
 def _planes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     """``hyperplanes`` of the spec, its case read from the spec's ``_factored`` record as ``classify``
-    reads it: spatial exactly when the record has a pivot, proportional exactly when it has no face."""
+    reads it: spatial exactly when the record has a pivot, proportional exactly when its conic's gamma
+    is 0.  A skew plane is the ``_cross`` of the scaled ab and dc triples."""
     n = spec.n
     f = _factored(spec)
     supported = []  # (coordinates, coefficients) of each plane
@@ -270,11 +264,10 @@ def _planes(spec: DivisionSpec) -> tuple[tuple[int, ...], ...]:
     else:
         for j in range(1, n - 1):
             (u, v, w), _ = _scaled(spec.p[j - 1:j + 2])
-            if f.face is None:
+            if not f.conic[2]:
                 coeffs = ((v + w) * v * w, -(u + 2 * v + w) * u * w, (u + v) * u * v)
             else:
-                (a, b, c), _ = _scaled(spec.p_prime[j - 1:j + 2])
-                coeffs = (v * c - w * b, w * a - u * c, u * b - v * a)
+                coeffs = _cross((u, v, w), _scaled(spec.p_prime[j - 1:j + 2])[0])
             supported.append(((j - 1, j, j + 1), coeffs))
     planes = []
     for support, coeffs in supported:
@@ -301,23 +294,23 @@ def continue_degenerate(
 ) -> Fraction:
     """The unique positive next AB ratio keeping the discriminant chain at zero.
 
-    Given equal-length prefixes of positive ratios with no pivot (every
-    discriminant vanishes) and the next DC ratio, returns the forced next AB
-    ratio; raises InvalidInputError for any other prefixes and
-    NoValidContinuationError when no positive value works.
+    Given equal-length prefixes of positive ratios with no pivot (every discriminant vanishes) and the
+    next DC ratio, returns the forced next AB ratio S' - S, which keeps the next division point
+    (S', T' = T + next) on the prefix's conic (``_Factored``); raises InvalidInputError for any other
+    prefixes and NoValidContinuationError when no positive value works.
     """
-    p = fraction_tuple(p)
-    p_prime = fraction_tuple(p_prime)
+    p, p_prime = fraction_tuple(p), fraction_tuple(p_prime)
     next_p_prime = to_fraction(next_p_prime)
     DivisionSpec(p, p_prime)  # positive prefixes of one length, at least two
     if next_p_prime <= 0:
         raise InvalidInputError("the next ratio must be positive")
-    if _first_pivot(p, p_prime) is not None:
+    f = _factor(p, p_prime)
+    if f.pivot is not None:
         raise InvalidInputError("prefix discriminants must all vanish")
-    # the last discriminant is affine in the next AB ratio t; its pairs at t = 0 and 1 share a denominator
-    q = (*p_prime[-2:], next_p_prime)
-    d0, _ = _discriminant((*p[-2:], Fraction(0)), q, 1)
-    d1, _ = _discriminant((*p[-2:], Fraction(1)), q, 1)
-    if d1 >= d0:
+    alpha, beta, gamma = f.conic
+    t = Fraction(*f.total_dc) + next_p_prime  # T'; S' solves (alpha + gamma*T')*S' + beta*T' = 0
+    weight = alpha + gamma * t
+    ratio = -beta * t / weight - Fraction(*f.total_ab) if weight else 0
+    if ratio <= 0:
         raise NoValidContinuationError("no positive continuation exists for this next ratio")
-    return Fraction(d0, d0 - d1)
+    return ratio

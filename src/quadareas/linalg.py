@@ -1,4 +1,4 @@
-"""Tiny exact linear algebra in ints: the 3x3 cofactor kernel, integer scaling and primitive vectors.
+"""Tiny exact linear algebra in ints: the cross product, 3x3 cofactors, integer scaling and primitive vectors.
 
 Every decision is one Cramer solve on the cofactors of a 3x3 integer block (``membership._pivot_solution``
 on ``cone._block``, which ``cone.hyperplanes`` reads too); the block's cofactors are tuples, built
@@ -31,10 +31,14 @@ def _primitive(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in values)
 
 
+def _cross(u: Sequence, v: Sequence) -> tuple:
+    """The cross product u x v of two 3-vectors, the package's only one."""
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+
+
 def _cofactors(m: Sequence[Sequence]) -> tuple[tuple[tuple, ...], int]:
-    """(cof, det): cof[i][j], the cofactor of entry (i, j) of a 3x3 matrix in the cyclic form
-    that needs no signs, as tuples, and the determinant expanded along row 0."""
-    cof = tuple(tuple(m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                      - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-                      for j in range(3)) for i in range(3))
+    """(cof, det): the cofactors of a 3x3 matrix as tuples, row i the cross product of the other two rows in
+    cyclic order (cof[2] = m[0] x m[1]), and the determinant m[0] . cof[0]."""
+    cof = (_cross(m[1], m[2]), _cross(m[2], m[0]), _cross(m[0], m[1]))
     return cof, sum(e * f for e, f in zip(m[0], cof[0]))

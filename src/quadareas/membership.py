@@ -17,11 +17,11 @@ decision path, run by ``member`` and ``member_tail``; the folds of
 2. ``_spans`` compares that vector with x at every other row, in ``int`` by
    one exact division per row.  This alone decides whether x lies on the
    span, so no hyperplane is evaluated.
-3. ``_facets`` reads the four facet signs from ints, the side totals among
-   them as the record's (numerator, denominator) pairs, the one place that
-   decides attainability: ``_coefficient_verdict`` then picks the branch of a
-   spatial tuple, and a planar tuple inside the cone gets its certificate from
-   ``_segment``.  ``Fraction``s are built only for the certificate's values.
+3. ``_facets`` reads the signs of the four facets a, b, a + c*T and b + c*S
+   (``_facet_values``, in ints), the one place that decides attainability:
+   ``_coefficient_verdict`` then picks the branch of a spatial tuple, and a
+   planar tuple inside the cone gets its certificate from ``_segment``.
+   ``Fraction``s are built only for the certificate's values.
 
 So a decision is O(n) per query and computes no frame and no tail cumulant.
 
@@ -38,10 +38,10 @@ A planar certificate's re-decompositions lie on one segment of span triples
 (``_segment``): on skew sides along (alpha, beta, -1), clipped by the four
 facets to an open range of the head coefficient; on proportional ones the
 point a - b.  The segment is one int kernel, fed x's span triple as an int
-vector and (alpha, beta) from the planar block's cofactors, which returns its
-line and range as int pairs.  ``_decide`` turns the range into the
-certificate's two intervals; ``_realization`` recomputes it from the
-certificate's (a, b) and picks one point of it in ints, the witness's input.
+vector and the record's planar conic, which returns its line and range as int
+pairs.  ``_decide`` turns the range into the certificate's two intervals;
+``_realization`` recomputes it from the certificate's (a, b) and picks one
+point of it in ints, the witness's input.
 
 Two semantics are offered for parallel-sided realizations:
 
@@ -131,17 +131,23 @@ class Verdict(_Frozen):
     prefix_certified: bool = False
 
 
-def _facets(a: int, b: int, c: int, total_ab: tuple[int, int], total_dc: tuple[int, int]):
-    """(a2, b2, reason) for x = (a*ab + b*dc + c*head)/e, e > 0: a2/(e*tdd) and b2/(e*tad) are the
-    q2 coefficients, from head + tail = total_dc*ab + total_ab*dc with the totals read as the
-    record's int pairs total_ab = (tan, tad) and total_dc = (tdn, tdd).  The attainable set is the
-    open cone whose facet values are a, b, a2 and b2, each read as the sign of its int numerator:
-    reason is None inside it, boundary on its boundary and negative outside.
-    """
+def _facet_values(a: int, b: int, c: int, total_ab: tuple[int, int], total_dc: tuple[int, int]):
+    """The four facets a, b, a + c*T and b + c*S of x = (a*ab + b*dc + c*head)/e, e > 0, as ints
+    (a, b, a2, b2) of the same signs, with the totals read as the record's int pairs
+    total_ab = (tan, tad) and total_dc = (tdn, tdd); linear in (a, b, c)."""
     (tan, tad), (tdn, tdd) = total_ab, total_dc
-    a2, b2 = a * tdd + c * tdn, b * tad + c * tan
-    low = min(a, b, a2, b2)
-    return a2, b2, None if low > 0 else REASON_BOUNDARY if low == 0 else REASON_NEGATIVE
+    return a, b, a * tdd + c * tdn, b * tad + c * tan
+
+
+def _facets(a: int, b: int, c: int, total_ab: tuple[int, int], total_dc: tuple[int, int]):
+    """(a2, b2, reason) for x = (a*ab + b*dc + c*head)/e, e > 0: a2/(e*tdd) and b2/(e*tad), the last two
+    ``_facet_values``, are the q2 coefficients, from head + tail = total_dc*ab + total_ab*dc.  The attainable
+    set is the open cone of positive facet values: reason is None inside it, boundary on its boundary and
+    negative outside.
+    """
+    values = _facet_values(a, b, c, total_ab, total_dc)
+    low = min(values)
+    return values[2], values[3], None if low > 0 else REASON_BOUNDARY if low == 0 else REASON_NEGATIVE
 
 
 def _coefficient_verdict(
@@ -214,31 +220,29 @@ def _pivot_solution(block: _Block, x: tuple[Fraction, ...]):
     return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
 
 
-def _segment(sol: Sequence[int], minors: Sequence[int], total_ab: tuple[int, int], total_dc: tuple[int, int]):
+def _segment(sol: Sequence[int], conic: Sequence[int], total_ab: tuple[int, int], total_dc: tuple[int, int]):
     """((fa, fb, ua, ub, d), lo, hi): the line of x's span triples ((fa - t*ua)/d, (fb - t*ub)/d, t)
     and the open range lo < t < hi of head coefficients on it, as int pairs over positive denominators.
 
     x = (A*ab + B*dc + C*head)/E with ``sol`` = (A, B, C, E), E > 0.  On skew ratio vectors
-    head = alpha*ab + beta*dc, read from the planar block's third cofactor row ``minors`` =
-    (m_a, m_b, m) as alpha = -m_a/m and beta = -m_b/m over the one denominator |m| (the cumulants
-    lie in span(ab, dc), so this holds at every row), and x's span triples are the line
-    (A/E + s*alpha, B/E + s*beta, C/E - s); (fa/d, fb/d) is its point at t = 0, x's face
-    coordinates.  At t the four facets of ``_facets`` are F_A - t*alpha, F_B - t*beta,
-    F_A + t*(total_dc - alpha) and F_B + t*(total_ab - beta), each a positive multiple of
-    v + t*E*k for the ints v and k below, so the bound it sets is -v/(E*k), compared with the
-    others by cross-multiplying.  Head and tail have positive entries, so some facet bounds t
-    above and some below.  On proportional ones (m == 0) c is pinned: the line is x's triple
-    alone and lo = hi = (C, E).
+    head = alpha*ab + beta*dc, read from the record's ``conic`` (m_a, m_b, m) as alpha = -m_a/m and
+    beta = -m_b/m over the one denominator |m| (the cumulants lie in span(ab, dc), so this holds at every
+    row), and x's span triples are the line (A/E + s*alpha, B/E + s*beta, C/E - s); (fa/d, fb/d) is its
+    point at t = 0, x's face coordinates.  At t its ``_facet_values`` are positive multiples of those of
+    (fa, fb, 0) plus t*E times those of (-alpha, -beta, |m|): each is v + t*E*k for ints v and k, so it
+    bounds t by -v/(E*k), compared with the others by cross-multiplying.  Head and tail have positive
+    entries, so some facet bounds t above and some below.  On proportional ones (m == 0) c is
+    pinned: the line is x's triple alone and lo = hi = (C, E).
     """
     big_a, big_b, c, e = sol
-    m_a, m_b, m = minors
+    m_a, m_b, m = conic
     if not m:
         return (big_a, big_b, 0, 0, e), (c, e), (c, e)
     alpha, beta, den = (m_a, m_b, -m) if m < 0 else (-m_a, -m_b, m)
     fa, fb = big_a * den + c * alpha, big_b * den + c * beta
-    (tan, tad), (tdn, tdd) = total_ab, total_dc
     lo = hi = None
-    for v, k in ((fa, -alpha), (fb, -beta), (fa * tdd, tdn * den - alpha * tdd), (fb * tad, tan * den - beta * tad)):
+    for v, k in zip(_facet_values(fa, fb, 0, total_ab, total_dc),
+                    _facet_values(-alpha, -beta, den, total_ab, total_dc)):
         if k > 0:
             if lo is None or -v * lo[1] > lo[0] * k:
                 lo = (-v, k)
@@ -262,7 +266,7 @@ def _realization(spec: DivisionSpec, cert: Certificate) -> Certificate:
     (tan, tad), (tdn, tdd) = total_ab, total_dc
     (a, b), d = _scaled(cert.coeffs)
     sol = _primitive((b * tdn * tad, b * tan * tdd, (a - b) * tdd * tad, d * tdd * tad))
-    (fa, fb, ua, ub, den), lo, hi = _segment(sol, f.block.cof[2], total_ab, total_dc)
+    (fa, fb, ua, ub, den), lo, hi = _segment(sol, f.conic, total_ab, total_dc)
     (ln, ld), (hn, hd) = lo, hi
     if lo != hi:
         tn, td = (0, 1) if ln < 0 < hn else (ln * hd + hn * ld, 2 * ld * hd)
@@ -307,7 +311,7 @@ def _decide(f: _Factored, x: tuple[Fraction, ...], mode: Mode) -> Verdict:
     reason = _facets(big_a, big_b, c, total_ab, total_dc)[2]
     if reason is not None:
         return Verdict(False, reason=reason)
-    _, (ln, ld), (hn, hd) = _segment(sol, f.block.cof[2], total_ab, total_dc)
+    _, (ln, ld), (hn, hd) = _segment(sol, f.conic, total_ab, total_dc)
     q1 = Interval(Fraction(ln, ld) if ln > 0 else _ZERO, Fraction(hn, hd)) if hn > 0 else None
     q2 = Interval(Fraction(-hn, hd) if hn < 0 else _ZERO, Fraction(-ln, ld)) if ln < 0 else None
     # x = a*head + b*tail with b = (B/E)/total_ab and a = C/E + b

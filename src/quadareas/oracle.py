@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cone import _discriminant, _factored, classify
+from .cone import _discriminant, _factored
 from .division import DivisionSpec, _Frozen, _check_spec
 from .errors import DegenerateCollapseError, InvalidInputError
 from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
@@ -234,9 +234,9 @@ def cross_validate(spec: DivisionSpec, count: int, seed: int) -> SampleReport:
     s = tad*tdd, its coordinate is ((a*s + c*tdn*tad)*P + (b*s + c*tan*tdd)*Q - c*s*H)/(8*s*L).
     """
     _check_spec("cross_validate", spec)
-    if not classify(spec).spatial or spec.n < 4:
-        raise InvalidInputError("cross validation applies to spatial specs of length >= 4")
     f = _factored(spec)
+    if f.pivot is None or spec.n < 4:
+        raise InvalidInputError("cross validation applies to spatial specs of length >= 4")
     rows, (tan, tad), (tdn, tdd) = f.rows, f.total_ab, f.total_dc
     pivots = [j + 1 for j in range(1, spec.n - 1) if _discriminant(spec.p, spec.p_prime, j)[0] != 0]
 

@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     InvalidPivotError,
 )
-from .linalg import _cofactors, _primitive, _scaled
+from .linalg import _cross, _primitive, _scaled
 from .membership import (
     Mode,
     REASON_NON_POSITIVE,
@@ -257,22 +257,21 @@ def extend_solution(
 ) -> Fraction:
     """The unique next coordinate keeping (x1, x2, x_{i+1}) dependent on the ratio rows.
 
-    Returns the x_{i+1} that makes the 3x3 determinant with rows
-    (p1, p2, p_{i+1}), (p'1, p'2, p'_{i+1}), (x1, x2, x_{i+1}) vanish, by its
-    third row's cofactors; needs the first two ratio columns to be independent.
+    Returns the x_{i+1} that makes the 3x3 determinant with rows (p1, p2, p_{i+1}), (p'1, p'2, p'_{i+1}),
+    (x1, x2, x_{i+1}) vanish, n0*x1 + n1*x2 + n2*x_{i+1} = 0 with n the cross product of the first two rows;
+    needs the first two ratio columns to be independent, n2 != 0.
     """
-    p = fraction_tuple(p)
-    p_prime = fraction_tuple(p_prime)
+    p, p_prime = fraction_tuple(p), fraction_tuple(p_prime)
     x1, x2 = to_fraction(x1), to_fraction(x2)
     DivisionSpec(p, p_prime)  # positive ratio tuples of one length
     if isinstance(i, bool) or not isinstance(i, int):
         raise InvalidInputError(f"index must be an integer, got {i!r}")
     if i < 2 or i >= len(p):
         raise InvalidInputError("index out of range for the extension formula")
-    cof, _ = _cofactors(((p[0], p[1], p[i]), (p_prime[0], p_prime[1], p_prime[i]), (x1, x2, 0)))
-    if cof[2][2] == 0:
+    n0, n1, n2 = _cross((p[0], p[1], p[i]), (p_prime[0], p_prime[1], p_prime[i]))
+    if n2 == 0:
         raise DegenerateDenominatorError("the first two ratio columns are proportional")
-    return -(cof[2][0] * x1 + cof[2][1] * x2) / cof[2][2]
+    return -(n0 * x1 + n1 * x2) / n2
 
 
 class StationCoefficients(_Frozen):

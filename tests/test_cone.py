@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,11 @@ from quadareas import (
     discriminants,
     frame,
     hyperplanes,
+    member,
 )
+from quadareas.cone import _factored
 import reference
-from test_kernels import det3
+from test_kernels import det3, ratios, specs
 
 
 def rank(rows):
@@ -271,3 +274,97 @@ class TestContinueDegenerate:
     def test_rejects_non_degenerate_prefix(self):
         with pytest.raises(InvalidInputError):
             continue_degenerate((F(1), F(2), F(3)), (F(1), F(1), F(1)), F(1))
+
+
+# spatial, proportional, skew and planar-prefix specs, each kind drawn on its own, with grid or 30-300-digit entries
+each_kind = pytest.mark.parametrize("kind", ("spatial", "proportional", "planar-skew", "planar-prefix"))
+
+
+def division_points(spec):
+    """(S_k, T_k) for k = 0..n: the partial sums of ab and dc, added as plain Fractions."""
+    return list(zip(accumulate(spec.p, initial=F(0)), accumulate(spec.p_prime, initial=F(0))))
+
+
+def lifted(spec):
+    """The division points lifted to (S_k, T_k, S_k*T_k)."""
+    return [(s, t, s * t) for s, t in division_points(spec)]
+
+
+def cross(u, v):
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def on_conic(conic, point):
+    """alpha*S + beta*T + gamma*S*T at a lifted point (S, T, S*T)."""
+    return sum(c * v for c, v in zip(conic, point)) == 0
+
+
+class TestConicIdentities:
+    """The attainable set in the partial sums S_k and T_k of the two sides (ROADMAP item 11)."""
+
+    @each_kind
+    @given(data=st.data())
+    def test_the_cumulants_telescope_to_products_of_partial_sums(self, kind, data):
+        spec = data.draw(specs(max_n=10, kinds=(kind,)))
+        fr = frame(spec)
+        points = division_points(spec)
+        s, t = points[-1]
+        for k in range(1, spec.n + 1):
+            (s0, t0), (s1, t1) = points[k - 1], points[k]
+            assert fr.head[k - 1] == s1 * t1 - s0 * t0
+            assert fr.tail[k - 1] == (s - s0) * (t - t0) - (s - s1) * (t - t1)
+
+    @each_kind
+    @given(data=st.data(), arm=st.sampled_from(("head", "tail", "face", "ray")), a=ratios(big=False),
+           b=ratios(big=False), c=ratios(big=False))
+    def test_a_certificate_reads_every_partial_sum_of_x_from_the_division_points(self, kind, data, arm, a, b, c):
+        # spatial: x = a*ab + b*dc + c*arm, with c = 0 on the face and a = b on the ray; planar: a*head + b*tail
+        spec = data.draw(specs(max_n=10, kinds=(kind,)))
+        fr = frame(spec)
+        if classify(spec).spatial:
+            b = a if arm == "ray" else b
+            vector = {"head": fr.head, "tail": fr.tail}.get(arm, fr.ab)
+            c = c if arm in ("head", "tail") else 0
+            x = tuple(a * u + b * v + c * w for u, v, w in zip(fr.ab, fr.dc, vector))
+            branches = {"head": "q1", "tail": "q2", "face": "ray" if a == b else "face", "ray": "ray"}
+        else:
+            x = tuple(a * h + b * t for h, t in zip(fr.head, fr.tail))
+            branches = dict.fromkeys(("head", "tail", "face", "ray"), "degenerate")
+        cert = member(spec, x).certificate
+        assert cert.branch == branches[arm]
+        points = division_points(spec)
+        s, t = points[-1]
+        for (sk, tk), xk in zip(points, accumulate(x, initial=F(0))):
+            head_sum, tail_sum = sk * tk, s * t - (s - sk) * (t - tk)
+            if cert.branch == "degenerate":
+                expected = cert.coeffs[0] * head_sum + cert.coeffs[1] * tail_sum
+            else:
+                ca, cb, cc = {"q1": cert.coeffs, "q2": cert.coeffs, "face": (*cert.coeffs, 0),
+                              "ray": (*cert.coeffs * 2, 0)}[cert.branch]
+                expected = ca * sk + cb * tk + cc * (tail_sum if cert.branch == "q2" else head_sum)
+            assert xk == expected
+
+    @each_kind
+    @given(data=st.data())
+    def test_the_planar_conic_holds_every_division_point(self, kind, data):
+        spec = data.draw(specs(max_n=10, kinds=(kind,)))
+        # the conic through the origin and the first two division points, from the lifted points alone
+        points = lifted(spec)
+        through = cross(points[1], points[2])
+        f = _factored(spec)
+        if f.pivot is None:
+            assert any(f.conic) and cross(f.conic, through) == (0, 0, 0)
+            assert all(on_conic(f.conic, point) for point in points)
+            assert (f.conic[2] == 0) == spec.proportional()
+        else:
+            assert not all(on_conic(through, point) for point in points)
+
+    @each_kind
+    @given(data=st.data())
+    def test_a_discriminant_vanishes_exactly_when_four_lifted_points_are_affinely_dependent(self, kind, data):
+        spec = data.draw(specs(max_n=10, kinds=(kind,)))
+        points = lifted(spec)
+        for j, delta in enumerate(discriminants(spec), start=2):  # the 1-based interior index
+            base, *rest = points[j - 2:j + 2]
+            dependent = det3([[u - v for u, v in zip(point, base)] for point in rest]) == 0
+            assert (delta == 0) == dependent

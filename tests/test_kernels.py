@@ -60,7 +60,7 @@ from quadareas import (
     to_fraction,
 )
 from quadareas.cli import _describe_payload
-from quadareas.cone import _discriminant, _factor, _factored, _first_pivot, _pivot_block, _rows
+from quadareas.cone import _discriminant, _factor, _factored, _pivot_block, _rows
 from quadareas.division import _lighter_at_end, _mirror, fraction_tuple
 from quadareas.geometry import _SHORT_BITS, _integer_side_sums
 from quadareas.linalg import _cofactors, _primitive, _scaled
@@ -171,25 +171,30 @@ def ref_pivot_solution(block, x):
     return _primitive((*(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in zip(*block.cof)), block.det * den))
 
 
-def ref_segment(f, triple):
-    """(lo, hi, at) of a planar record as it was: the open range of head coefficients over the span
+def ref_segment(spec, triple):
+    """(lo, hi, at) of a planar spec as it was: the open range of head coefficients over the span
     triples of x = A*ab + B*dc + c*head, (A, B, c) = triple, and the triple at each, in Fractions
-    read from the record's face (alpha, beta); on proportional sides lo = hi = c."""
+    read from head's face coordinates (alpha, beta), head = alpha*ab + beta*dc, solved by Cramer's
+    rule on the frame's rows 0 and 1; on proportional sides lo = hi = c."""
     big_a, big_b, c = triple
-    if f.face is None:
+    fr = frame(spec)
+    (p0, p1), (q0, q1), (h0, h1) = fr.ab[:2], fr.dc[:2], fr.head[:2]
+    det = p0 * q1 - p1 * q0
+    if det == 0:
         return c, c, lambda _: triple
-    alpha, beta = f.face
+    alpha, beta = (h0 * q1 - q0 * h1) / det, (p0 * h1 - h0 * p1) / det
     face = (big_a + c * alpha, big_b + c * beta)
-    total_ab, total_dc = totals(f)
+    total_ab, total_dc = sum(fr.ab), sum(fr.dc)
     facets = tuple(zip(face * 2, (-alpha, -beta, total_dc - alpha, total_ab - beta)))
     lo = max(-v / k for v, k in facets if k > 0)
     hi = min(-v / k for v, k in facets if k < 0)
     return lo, hi, lambda t: (face[0] - t * alpha, face[1] - t * beta, t)
 
 
-def ref_planar_decide(f, x):
-    """``_decide`` on a planar record as it was: the coefficient verdict of the bordered solve,
+def ref_planar_decide(spec, x):
+    """``_decide`` on a planar spec's record as it was: the coefficient verdict of the bordered solve,
     thrown away for a degenerate certificate whose intervals come from ``ref_segment``."""
+    f = _factored(spec)
     sol = _pivot_solution(f.block, (*x[:2], F(0)))
     if not _spans(f.rows, sol, x, range(2)):
         return Verdict(False, reason="off-subspace")
@@ -197,7 +202,7 @@ def ref_planar_decide(f, x):
     if not verdict.attainable:
         return verdict
     triple = as_fractions(sol)
-    lo, hi, _ = ref_segment(f, triple)
+    lo, hi, _ = ref_segment(spec, triple)
     q1 = Interval(max(lo, F(0)), hi) if hi > 0 else None
     q2 = Interval(max(-hi, F(0)), -lo) if lo < 0 else None
     b = triple[1] / F(*f.total_ab)
@@ -209,7 +214,7 @@ def ref_realization(spec, cert):
     c = 0 when inside, else to the midpoint, with the proportional even split at c = 0."""
     f = _factored(spec)
     a, b = cert.coeffs
-    lo, hi, at = ref_segment(f, span_triple(*totals(f), a, b))
+    lo, hi, at = ref_segment(spec, span_triple(*totals(f), a, b))
     big_a, big_b, c = at(F(0) if lo < 0 < hi else (lo + hi) / 2)
     if lo == hi == 0:
         p0, q0, _, _ = f.rows[0]
@@ -220,7 +225,7 @@ def ref_realization(spec, cert):
 def segment_of(f, triple):
     """``_segment`` on a rational triple: (lo, hi) as Fractions and the line of span triples as
     ``at``, a function of the head coefficient t."""
-    (fa, fb, ua, ub, d), lo, hi = _segment(int_vector(triple), f.block.cof[2], f.total_ab, f.total_dc)
+    (fa, fb, ua, ub, d), lo, hi = _segment(int_vector(triple), f.conic, f.total_ab, f.total_dc)
     return F(*lo), F(*hi), lambda t: (F(fa, d) - t * F(ua, d), F(fb, d) - t * F(ub, d), t)
 
 
@@ -544,10 +549,10 @@ def ref_extend_solution(p, p_prime, x1, x2, i):
 def ref_continue_degenerate(p, p_prime, next_p_prime):
     """continue_degenerate as it was: the root of the last discriminant written out in the next AB ratio."""
     p, p_prime, next_p_prime = fraction_tuple(p), fraction_tuple(p_prime), to_fraction(next_p_prime)
-    DivisionSpec(p, p_prime)
+    spec = DivisionSpec(p, p_prime)
     if next_p_prime <= 0:
         raise InvalidInputError("the next ratio must be positive")
-    if _first_pivot(p, p_prime) is not None:
+    if _factored(spec).pivot is not None:
         raise InvalidInputError("prefix discriminants must all vanish")
     numerator = p_prime[-2] * next_p_prime * p[-1] * (p[-2] + p[-1])
     denominator = (p_prime[-2] + p_prime[-1] + next_p_prime) * p[-2] * p_prime[-1] \
@@ -589,15 +594,18 @@ def specs(draw, min_n=2, max_n=12, kinds=("planar-prefix", "spatial", "proportio
         q = [draw(ratios(big)) for _ in range(n)]
     if kind in ("planar-prefix", "planar-skew"):
         # a skew start, then zero discriminants up to a drawn length (all of it
-        # for planar-skew); a smaller next ratio always continues
+        # for planar-skew); a smaller next ratio always continues, so a broken
+        # continuation fails the draw instead of halving forever
         q[1] += q[0] * p[1] / p[0]
         for i in range(2, n if kind == "planar-skew" else draw(st.integers(min(3, n), n))):
-            while True:
+            for _ in range(64):
                 try:
                     p[i] = continue_degenerate(p[:i], q[:i], q[i])
                     break
                 except NoValidContinuationError:
                     q[i] /= 2
+            else:
+                raise AssertionError("no positive continuation in 64 halvings of the next ratio")
     return DivisionSpec(tuple(p), tuple(q))
 
 
@@ -1069,7 +1077,7 @@ def test_discriminants_and_first_pivot_match_reference(spec):
     expected = reference.discriminants(spec.p, spec.p_prime)
     assert discriminants(spec) == expected
     pivot = reference.pivot(spec.p, spec.p_prime)
-    assert _first_pivot(spec.p, spec.p_prime) == pivot
+    assert _factored(spec).pivot == pivot
     label = classify(spec)
     assert label.spatial == (pivot is not None)
     assert label.pivot == pivot
@@ -1108,6 +1116,25 @@ def test_a_cold_spatial_factor_builds_no_fraction_and_evaluates_no_discriminant(
         assert f == expected[spec] and f.pivot == pivot
         assert built == []
         assert evaluated == ([] if pivot == 2 else [2])
+
+
+COLD_FACTOR_SPECS = {
+    "planar-skew": DivisionSpec.of((1, 1, 1, "1/2"), (1, 2, 6, 12)),
+    "planar-proportional": DivisionSpec.of(("3/2", "2/3", 5), ("9/4", 1, "15/2")),
+    "spatial": DivisionSpec.of((1, 2, "3/2", "5/4"), (3, "1/2", 2, "7/8")),
+}
+
+
+@pytest.mark.parametrize("kind, spec", COLD_FACTOR_SPECS.items(), ids=COLD_FACTOR_SPECS)
+def test_a_cold_factor_builds_no_fraction(monkeypatch, kind, spec):
+    # the planar conic is the block's int cofactor row, so a planar record builds no Fraction either
+    expected = _factor(spec.p, spec.p_prime)
+    built, new = [], F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+    f = _factor(spec.p, spec.p_prime)
+    monkeypatch.undo()
+    assert f == expected and built == []
+    assert classify(spec).kind == kind
 
 
 @given(specs(), st.data())
@@ -1700,11 +1727,12 @@ def test_segment_matches_the_fraction_reference(spec, big_a, big_b, c):
     # any span triple, on the spec's record and its mirror's: the range, and the line at its ends,
     # its midpoint and c = 0 (on proportional sides the line is the triple alone, at c)
     triple = (big_a, big_b, c)
-    for f in (_factored(spec), _factored(_mirror(spec))):
-        lo, hi, at = ref_segment(f, triple)
+    for planar in (spec, _mirror(spec)):
+        f = _factored(planar)
+        lo, hi, at = ref_segment(planar, triple)
         kernel = segment_of(f, triple)
         assert kernel[:2] == (lo, hi)
-        for t in ((lo, hi, (lo + hi) / 2, F(0)) if f.face else (c,)):
+        for t in ((lo, hi, (lo + hi) / 2, F(0)) if f.conic[2] else (c,)):
             assert kernel[2](t) == at(t)
 
 
@@ -1715,12 +1743,12 @@ def test_planar_decide_and_realization_match_the_fraction_reference(query):
     spec, x = query
     if min(x) <= 0:
         return
-    f, mirrored = _factored(spec), _factored(_mirror(spec))
-    expected = ref_planar_decide(f, x)
-    assert _decide(f, x, "audited") == expected
-    assert _decide(mirrored, x[::-1], "strict") == ref_planar_decide(mirrored, x[::-1])
+    mirror = _mirror(spec)
+    expected = ref_planar_decide(spec, x)
+    assert _decide(_factored(spec), x, "audited") == expected
+    assert _decide(_factored(mirror), x[::-1], "strict") == ref_planar_decide(mirror, x[::-1])
     if _lighter_at_end(x[0], x[-1]):
-        expected = read_back(ref_planar_decide(mirrored, x[::-1]))
+        expected = read_back(ref_planar_decide(mirror, x[::-1]))
     for mode in ("strict", "audited"):
         assert member(spec, x, mode) == expected
     if expected.attainable:
@@ -1743,12 +1771,12 @@ RANGE_SHAPES = {  # (spec, a, b, shape of the range) with x = a*head + b*tail
 def test_each_range_shape_matches_the_fraction_reference(spec, a, b, shape):
     f = _factored(spec)
     triple = span_triple(*totals(f), F(a), F(b))
-    lo, hi, _ = ref_segment(f, triple)
+    lo, hi, _ = ref_segment(spec, triple)
     assert shape(lo, hi)
     assert segment_of(f, triple)[:2] == (lo, hi)
     x = cumulant_tuple(spec, a, b)
     verdict = member(spec, x)
-    assert verdict == ref_planar_decide(f, x)
+    assert verdict == ref_planar_decide(spec, x)
     assert _realization(spec, verdict.certificate) == ref_realization(spec, verdict.certificate)
 
 
@@ -1761,8 +1789,8 @@ def test_a_planar_tuple_heavy_at_its_head_is_read_back_from_the_mirror(spec):
     assert _lighter_at_end(x[0], x[-1])
     verdict = member(spec, x)
     assert verdict.attainable
-    assert verdict == read_back(ref_planar_decide(_factored(_mirror(spec)), x[::-1]))
-    assert verdict == ref_planar_decide(_factored(spec), x)
+    assert verdict == read_back(ref_planar_decide(_mirror(spec), x[::-1]))
+    assert verdict == ref_planar_decide(spec, x)
     assert _realization(spec, verdict.certificate) == ref_realization(spec, verdict.certificate)
 
 

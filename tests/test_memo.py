@@ -110,7 +110,7 @@ class TestBuiltOnce:
     def test_a_second_call_on_the_same_pair_builds_nothing(self, monkeypatch):
         built = Counter()
         # the pivot search is the block at rows 0-2, regular here, so no discriminant scan runs
-        for name in ("_rows", "_block", "_first_pivot"):
+        for name in ("_rows", "_block", "_discriminant"):
             monkeypatch.setattr(cone, name, lambda *args, _fn=getattr(cone, name), _name=name: (
                 built.update([_name]) or _fn(*args)))
         p, pp = TailSummedSequence.of((1, 2, 3, 4), 2), TailSummedSequence.of((1, 1, 1, 1), 1)

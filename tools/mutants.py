@@ -11,11 +11,14 @@ so a stale row is updated or removed, never skipped.  It then copies ``src/``,
 ``tests/``, ``bench/`` and ``pyproject.toml`` to a temporary directory, runs
 all the named tests there once unmutated (they must pass), and for each row
 applies the edit, runs only that row's tests with pytest, one process at a
-time, and restores the file.  A row is killed when pytest fails.  The exit
-status is 0 when every row is killed, 1 otherwise.
+time, and restores the file.  A row is killed when pytest fails; a run that
+outlasts ``TIMEOUT_S`` is stopped and counts as surviving, since a hang is not
+a failing test.  The exit status is 0 when every row is killed, 1 otherwise.
 
 The script uses the standard library alone and lives outside pytest's
-``testpaths``, so the test suite does not collect it.
+``testpaths``, so the test suite does not collect it; ``tests/test_mutants.py``
+checks that every row is current (its old string occurs once, and each named
+test is collected), so a change that breaks a row fails the suite at once.
 """
 from __future__ import annotations
 
@@ -94,29 +97,55 @@ MUTANTS = (
     # side totals as int pairs and the first pivot read from the block at rows 0-2
     Mutant("src/quadareas/cone.py", "if block.det:", "if block.det > 0:",
            (K + "test_factored_pivot_matches_the_reference",)),
-    Mutant("src/quadareas/membership.py", "a2, b2 = a * tdd + c * tdn, b * tad + c * tan",
-           "a2, b2 = a * tdd + c * tdn, b * tan + c * tad",
+    Mutant("src/quadareas/membership.py", "return a, b, a * tdd + c * tdn, b * tad + c * tan",
+           "return a, b, a * tad + c * tdn, b * tdd + c * tan",
            (K + "test_coefficient_verdict_matches_the_two_region_reference",)),
     Mutant("src/quadareas/cone.py", "return tuple(rows), (sn, sd), (tn, td)",
            "return tuple(rows), (sn, sd), (tn * bd - bn * td, td * bd)",
            (K + "test_rows_match_the_lcm_reference",)),
+    # one cross product, and the planar conic as the one encoding of the planar case
+    Mutant("src/quadareas/linalg.py", "u2 * v0 - u0 * v2", "u0 * v2 - u2 * v0",
+           (K + "test_pivot_solution_matches_fraction_cramer",)),
+    Mutant("src/quadareas/cone.py", "proportional=not f.conic[2]", "proportional=bool(f.conic[2])",
+           ("tests/test_cone.py::TestClassify::test_planar_proportional",)),
+    # a fixed-input test: the strategies that halve the next ratio until continue_degenerate
+    # succeeds never finish when every continuation is refused
+    Mutant("src/quadareas/cone.py", "ratio = -beta * t / weight", "ratio = beta * t / weight",
+           ("tests/test_cone.py::TestContinueDegenerate::test_known_continuations",)),
 )
 
+TIMEOUT_S = 300  # far above any row's tests; a run that takes longer has hung
 
-def passes(where: Path, tests) -> bool:
+
+def passes(where: Path, tests) -> bool | None:
+    """True when the tests pass, False when they fail, None when they run past ``TIMEOUT_S``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                         cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                             cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                             timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     return run.returncode == 0
+
+
+def stale(rows) -> list[str]:
+    """One message for each numbered row whose old string does not occur exactly once in its file."""
+    messages = []
+    for i, row in rows:
+        found = (ROOT / row.file).read_text().count(row.old)
+        if found != 1:
+            messages.append(f"row {i}: the old string occurs {found} times in {row.file}, not once; "
+                            "update or remove the row")
+    return messages
 
 
 def main(argv: list[str]) -> int:
     numbers = [int(a) for a in argv] or list(range(1, len(MUTANTS) + 1))
     rows = [(i, MUTANTS[i - 1]) for i in numbers]
-    for i, row in rows:
-        found = (ROOT / row.file).read_text().count(row.old)
-        if found != 1:
-            sys.exit(f"row {i}: the old string occurs {found} times in {row.file}, not once; update or remove the row")
+    messages = stale(rows)
+    if messages:
+        sys.exit("\n".join(messages))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         where = Path(tmp)
         for name in COPIED:
@@ -126,16 +155,17 @@ def main(argv: list[str]) -> int:
                 shutil.copy(ROOT / name, where / name)
         named = sorted({test for _, row in rows for test in row.tests})
         if not passes(where, named):
-            sys.exit("the named tests fail on the unmutated checkout; fix them before auditing")
+            sys.exit("the named tests fail or hang on the unmutated checkout; fix them before auditing")
         survived = 0
         for i, row in rows:
             path = where / row.file
             text = path.read_text()
             path.write_text(text.replace(row.old, row.new))
-            killed = not passes(where, row.tests)
+            outcome = passes(where, row.tests)
             path.write_text(text)
-            survived += not killed
-            print(f"{i:3}  {'killed  ' if killed else 'SURVIVED'}  {row.file}: {row.old.splitlines()[0]}", flush=True)
+            survived += outcome is not False
+            label = {False: "killed  ", True: "SURVIVED", None: "TIMEOUT "}[outcome]
+            print(f"{i:3}  {label}  {row.file}: {row.old.splitlines()[0]}", flush=True)
     print(f"{len(rows) - survived} of {len(rows)} killed")
     return 1 if survived else 0
 
