@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .division import (
@@ -82,15 +82,18 @@ def polygon_area(vertices: Sequence[Point]) -> Fraction:
     return twice / 2
 
 
-def _edge(p: Point, r: Point) -> tuple[int, int, int, int]:
-    """r - p as (x numerator, x denominator, y numerator, y denominator), unnormalised: no gcd."""
-    px, py, rx, ry = p.x, p.y, r.x, r.y
-    return (
-        rx.numerator * px.denominator - px.numerator * rx.denominator,
-        rx.denominator * px.denominator,
-        ry.numerator * py.denominator - py.numerator * ry.denominator,
-        ry.denominator * py.denominator,
-    )
+def _vertex(p: Point) -> tuple[int, int, int, int]:
+    """The point's lowest-terms ints (x numerator, x denominator, y numerator, y denominator)."""
+    x, y = p.x, p.y
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _edge(p: tuple[int, int, int, int], r: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """r - p from two vertices' ints (``_vertex``) as (x numerator, x denominator, y numerator,
+    y denominator), unnormalised: no gcd."""
+    pxn, pxd, pyn, pyd = p
+    rxn, rxd, ryn, ryd = r
+    return rxn * pxd - pxn * rxd, rxd * pxd, ryn * pyd - pyn * ryd, ryd * pyd
 
 
 def _cross(e: tuple[int, int, int, int], f: tuple[int, int, int, int]) -> tuple[int, int]:
@@ -107,25 +110,28 @@ def _cross(e: tuple[int, int, int, int], f: tuple[int, int, int, int]) -> tuple[
     return e[0] * f[2] * e[3] * f[1] - e[2] * f[0] * e[1] * f[3], e[1] * e[3] * f[1] * f[3]
 
 
-def is_convex_ccw(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the four consecutive cross products are all strictly positive.
+def _convex_edges(a, b, c, d):
+    """The convexity kernel, on four vertices' ints (``_vertex``): the integer edges u = B - A,
+    w = C - D and e = D - A when the four consecutive cross products are all strictly positive, else
+    None.  A cross's sign is its numerator's, as every denominator is positive, so no Fraction is
+    built; w and e are the check's D - C and A - D, numerators negated."""
+    ab, bc, cd, da = _edge(a, b), _edge(b, c), _edge(c, d), _edge(d, a)
+    if _cross(ab, bc)[0] > 0 and _cross(bc, cd)[0] > 0 and _cross(cd, da)[0] > 0 and _cross(da, ab)[0] > 0:
+        return ab, (-cd[0], cd[1], -cd[2], cd[3]), (-da[0], da[1], -da[2], da[3])
+    return None
 
-    Each edge is built once; a cross's sign is its numerator's, as every
-    denominator is positive, so no Fraction is built.
-    """
-    return _ccw_edges("is_convex_ccw", a, b, c, d) is not None
 
-
-def _ccw_edges(name: str, a: Point, b: Point, c: Point, d: Point):
-    """The integer edges u = B - A, w = C - D and e = D - A when ``is_convex_ccw`` holds, else None,
-    after one isinstance per vertex, refusing a vertex that is not a Point with a message naming
-    the function it was passed to.  w and e are the check's D - C and A - D, numerators negated."""
+def _vertices(name: str, a: Point, b: Point, c: Point, d: Point):
+    """The four points' ints (``_vertex``), each read once, after one isinstance per vertex,
+    refusing a vertex that is not a Point with a message naming the function it was passed to."""
     if not (isinstance(a, Point) and isinstance(b, Point) and isinstance(c, Point) and isinstance(d, Point)):
         raise InvalidInputError(f"{name} takes four Points")
-    ab, bc, cd, da = _edge(a, b), _edge(b, c), _edge(c, d), _edge(d, a)
-    if not all(_cross(e, f)[0] > 0 for e, f in ((ab, bc), (bc, cd), (cd, da), (da, ab))):
-        return None
-    return ab, (-cd[0], cd[1], -cd[2], cd[3]), (-da[0], da[1], -da[2], da[3])
+    return _vertex(a), _vertex(b), _vertex(c), _vertex(d)
+
+
+def is_convex_ccw(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff the four consecutive cross products are all strictly positive."""
+    return _convex_edges(*_vertices("is_convex_ccw", a, b, c, d)) is not None
 
 
 class ConvexQuad(_Frozen):
@@ -139,7 +145,7 @@ class ConvexQuad(_Frozen):
     def __post_init__(self):
         """Check convexity and keep the integer edges the check built in the quad's own dict,
         beside the fields repr, eq and hash read, for ``_edges``."""
-        edges = _ccw_edges("ConvexQuad", self.a, self.b, self.c, self.d)
+        edges = _convex_edges(*_vertices("ConvexQuad", self.a, self.b, self.c, self.d))
         if edges is None:
             raise InvalidInputError(
                 "vertices are not a strictly convex counterclockwise quadrilateral"
@@ -149,9 +155,11 @@ class ConvexQuad(_Frozen):
     @classmethod
     def of(cls, a: Point, b: Point, c: Point, d: Point) -> "ConvexQuad":
         """Build a quad, reflecting clockwise input by swapping B and D.  The quad keeps the edges of
-        the check that passed, as ``__post_init__`` would, so no vertex order is checked twice."""
-        for b, d in ((b, d), (d, b)):
-            edges = _ccw_edges("ConvexQuad.of", a, b, c, d)
+        the check that passed, as ``__post_init__`` would, so no vertex order is checked twice and
+        each vertex is read once."""
+        va, vb, vc, vd = _vertices("ConvexQuad.of", a, b, c, d)
+        for b, d, vb, vd in ((b, d, vb, vd), (d, b, vd, vb)):
+            edges = _convex_edges(va, vb, vc, vd)
             if edges is not None:
                 quad = object.__new__(cls)
                 quad.__dict__.update(a=a, b=b, c=c, d=d, _edges=edges)
@@ -206,7 +214,8 @@ class ApexFrame(_Frozen):
 # A varying coordinate whose start, step and side total have denominators of fewer bits than this in all
 # is built from integer partial sums.  Timed per coordinate on apex quads and trapezoids at n = 8-128, the
 # integer sums built cold, that path is 1.1-1.5x faster below 64 bits, about even from 64 to 191 and
-# slower from 192 bits on at n = 8 and 32, where the ints it multiplies outgrow the Fraction path's.
+# slower from 192 bits on at n = 8 and 32, where the ints it multiplies outgrow the Fraction path's.  The
+# witness builders read the same cutoff for their corners (``witness._short``).
 _SHORT_BITS = 128
 
 
@@ -215,8 +224,8 @@ def _edges(q: ConvexQuad) -> tuple[tuple[int, int, int, int], ...]:
     kept, or, for a quad built without that check (corrupted data), fresh ones."""
     edges = q.__dict__.get("_edges")
     if edges is None:
-        a, d = q.a, q.d
-        edges = _edge(a, q.b), _edge(d, q.c), _edge(a, d)
+        a, b, c, d = map(_vertex, q.vertices)
+        edges = _edge(a, b), _edge(d, c), _edge(a, d)
     return edges
 
 
@@ -260,15 +269,6 @@ def subdivide(q: ConvexQuad, spec: DivisionSpec) -> DivisionPoints:
     return DivisionPoints(side(q.a, q.b, 0), side(q.d, q.c, 1))
 
 
-def _quotient(cross: tuple[int, int], scale: int) -> Fraction:
-    """cross / scale as one Fraction.  The numerator's common factor with scale
-    is divided out first: it is large when the quad is built from the spec, and
-    the gcd that normalises the rest then runs on smaller ints."""
-    num, den = cross
-    g = gcd(num, scale)
-    return Fraction(num // g, den * (scale // g))
-
-
 @_memoized_on_spec
 def _integer_side_sums(spec: DivisionSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Each side's partial ratio sums as ints, from 0 to the total, over the lcm of its ratios' denominators."""
@@ -279,18 +279,26 @@ def strip_areas(q: ConvexQuad, spec: DivisionSpec) -> tuple[Fraction, ...]:
     """Exact strip areas in closed form: with u = B - A, w = C - D, e = D - A and
     side fractions alpha_k = s_k/S (AB) and delta_k = t_k/T (DC), twice strip k is
     (delta_{k-1} - delta_k)*(e x w) + (alpha_{k-1} - alpha_k)*(e x u)
-    + (alpha_k*delta_k - alpha_{k-1}*delta_{k-1})*(u x w).  Each weight is one
-    Fraction from a cross of the integer edges over its side totals, normalised
-    once per quad, as the crosses share factors with S and T when the quad is
-    built from the spec; each strip is then one Fraction over integer sums s, t,
-    its sign checked on the int numerator (the common denominator is positive).
+    + (alpha_k*delta_k - alpha_{k-1}*delta_{k-1})*(u x w).  Each weight, a cross
+    of the integer edges over its scale 2T, 2S or 2ST, is reduced in ints: the
+    cross numerator's common factor with the scale goes first, as it is large
+    when the quad is built from the spec, so the gcd that normalises the rest
+    runs on smaller ints.  The three weights are put over the lcm of their
+    denominators; each strip is then one Fraction over integer sums s, t, its
+    sign checked on the int numerator (the common denominator is positive).
     The edges are those the quad kept from its convexity check.
     """
     _quad_and_spec("strip_areas", q, spec)
     s, t = _integer_side_sums(spec)
     u, w, e = _edges(q)
-    crosses = ((_cross(e, w), 2 * t[-1]), (_cross(e, u), 2 * s[-1]), (_cross(u, w), 2 * s[-1] * t[-1]))
-    (ew, eu, uw), den = _scaled([_quotient(cross, scale) for cross, scale in crosses])
+    weights = []
+    for (n, d), scale in ((_cross(e, w), 2 * t[-1]), (_cross(e, u), 2 * s[-1]), (_cross(u, w), 2 * s[-1] * t[-1])):
+        g = gcd(n, scale)
+        n, d = n // g, d * (scale // g)
+        g = gcd(n, d)
+        weights.append((n // g, d // g))
+    den = lcm(*(d for _, d in weights))
+    ew, eu, uw = (n * (den // d) for n, d in weights)
     areas = []
     for k in range(1, spec.n + 1):
         numerator = (t[k - 1] - t[k]) * ew + (s[k - 1] - s[k]) * eu + (s[k] * t[k] - s[k - 1] * t[k - 1]) * uw

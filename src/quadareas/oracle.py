@@ -17,9 +17,13 @@ Draw stream contract (reproducible across implementations):
 * grid draws map value onto {1/8, 2/8, ..., 64/8}; signed grid draws map onto
   {-64/8, ..., -1/8, 1/8, ..., 64/8}.
 
-The samplers read each draw as its numerator over 8 (``_Stream.eighths`` and
-``signed_eighths``), so affine images and cross tuples are built in ints with
-one Fraction per output coordinate; the values are those of the contract.
+The draw values are those of the contract, and no draw builds a Fraction.  The
+samplers read a draw that enters an int formula (an affine map, a cross tuple)
+as its numerator over 8 (``_Stream.eighths`` and ``signed_eighths``), and a
+draw handed to a builder (``apex_quad``, ``_trapezoid``) as its Fraction from
+one module tuple of the grid values (``grid`` and ``signed_grid``), whose ints
+the builder reads; so each quad is built with one Fraction per corner
+coordinate.
 
 Per sample index i, each family draws in this order:
 
@@ -41,7 +45,7 @@ from typing import Callable, Optional
 from .cone import _discriminant, _factored
 from .division import DivisionSpec, _Frozen, _check_spec
 from .errors import DegenerateCollapseError, InvalidInputError
-from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, apex_of, strip_areas
+from .geometry import ApexFrame, ConvexQuad, ParallelMarker, Point, _vertex, apex_of, strip_areas
 from .membership import Mode, Verdict, _check_mode, member
 from .reduction import member_via_collapse
 from .witness import _trapezoid, apex_quad
@@ -50,6 +54,9 @@ _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+# the signed grid values -64/8, ..., -1/8, 1/8, ..., 64/8, built once: a signed grid draw v reads
+# _GRID[v], a grid draw v reads _GRID[64 + v]
+_GRID = tuple(Fraction(k, 8) for k in (*range(-64, 0), *range(1, 65)))
 
 
 class _Stream:
@@ -70,10 +77,10 @@ class _Stream:
         return k + 1 if k >= 0 else k
 
     def grid(self) -> Fraction:
-        return Fraction(self.eighths(), 8)
+        return _GRID[64 + self.next_value(64)]
 
     def signed_grid(self) -> Fraction:
-        return Fraction(self.signed_eighths(), 8)
+        return _GRID[self.next_value(128)]
 
 
 class Violation(_Frozen):
@@ -123,7 +130,7 @@ def _affine_image(stream: _Stream, quad: ConvexQuad) -> ConvexQuad:
     kx, ky = stream.signed_eighths(), stream.signed_eighths()
 
     def image(p: Point) -> Point:
-        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        xn, xd, yn, yd = _vertex(p)
         xs, ys, den = xn * yd, yn * xd, xd * yd
         return Point(
             Fraction(k11 * xs + k12 * ys + kx * den, 8 * den), Fraction(k21 * xs + k22 * ys + ky * den, 8 * den)
@@ -133,17 +140,15 @@ def _affine_image(stream: _Stream, quad: ConvexQuad) -> ConvexQuad:
 
 
 def _certificate_matches(verdict: Verdict, geo: ApexFrame) -> Optional[str]:
-    """None when the certificate agrees with the geometric apex data, else a reason."""
+    """None when the certificate agrees with the geometric apex data, else a reason.  The
+    coefficients must be scale*p0', scale*p0 and scale, each compared by cross-multiplication."""
     cert = verdict.certificate
-    expected = (
-        geo.scale * geo.p0_prime,
-        geo.scale * geo.p0,
-        geo.scale,
-    )
     if cert.branch != "degenerate":  # every attainable planar verdict is degenerate
         if cert.branch != geo.branch:
             return f"branch {cert.branch} != geometric {geo.branch}"
-        if cert.coeffs != expected:
+        sn, sd = geo.scale.numerator, geo.scale.denominator
+        if any(c.numerator * sd * f.denominator != sn * f.numerator * c.denominator
+               for c, f in zip(cert.coeffs, (geo.p0_prime, geo.p0, 1))):
             return "certificate coefficients differ from the apex parameters"
         return None
     interval = cert.q1_interval if geo.branch == "q1" else cert.q2_interval

@@ -16,7 +16,7 @@ from typing import Sequence
 from .cone import frame
 from .division import DivisionSpec, _Frozen, _check_spec, _side_sums, to_fraction
 from .errors import InvalidInputError, NotAttainableError
-from .geometry import ApexFrame, ConvexQuad, DivisionPoints, Point, subdivide
+from .geometry import _SHORT_BITS, ApexFrame, ConvexQuad, DivisionPoints, Point, subdivide
 from .membership import Certificate, Mode, _check_mode, _realization, member
 
 _ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every corner on an axis or on the trapezoid's top
@@ -48,6 +48,13 @@ def apex_areas(frame_data: ApexFrame, spec: DivisionSpec) -> tuple[Fraction, ...
     )
 
 
+def _short(*dens: int) -> bool:
+    """True when the denominators have fewer than ``_SHORT_BITS`` bits in all: the builders then
+    compute each vertex coordinate as one int pair, one Fraction each; longer operands (every
+    big-digit witness) keep the Fraction arithmetic, whose gcds run on smaller ints."""
+    return sum(map(int.bit_length, dens)) < _SHORT_BITS
+
+
 def apex_quad(
     spec: DivisionSpec,
     p0: Fraction,
@@ -55,16 +62,26 @@ def apex_quad(
     scale: Fraction,
     branch: str = "q1",
 ) -> ConvexQuad:
-    """Canonical apex quad for the given parameters; convex for all positive inputs."""
+    """Canonical apex quad for the given parameters; convex for all positive inputs.
+
+    Its corners lie at 2*p0 and 2*(p0 + S) on one axis and at scale*p0' and
+    scale*(p0' + T) on the other, S and T the side totals; with short
+    denominators (``_short``) each is one Fraction of ints."""
     _check_spec("apex_quad", spec)
     if branch not in ("q1", "q2"):
         raise InvalidInputError("branch must be 'q1' or 'q2'")
     p0, p0_prime, scale = to_fraction(p0), to_fraction(p0_prime), to_fraction(scale)
-    if p0 <= 0 or p0_prime <= 0 or scale <= 0:
+    (pn, pd), (qn, qd), (cn, cd) = p0.as_integer_ratio(), p0_prime.as_integer_ratio(), scale.as_integer_ratio()
+    if pn <= 0 or qn <= 0 or cn <= 0:  # a Fraction's denominator is positive
         raise InvalidInputError("apex parameters must be strictly positive")
     total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
-    near_ab, far_ab = 2 * p0, 2 * (p0 + total_ab)
-    near_dc, far_dc = scale * p0_prime, scale * (p0_prime + total_dc)
+    (sn, sd), (tn, td) = total_ab.as_integer_ratio(), total_dc.as_integer_ratio()
+    if _short(pd, qd, cd, sd, td):
+        near_ab, far_ab = Fraction(2 * pn, pd), Fraction(2 * (pn * sd + sn * pd), pd * sd)
+        near_dc, far_dc = Fraction(cn * qn, cd * qd), Fraction(cn * (qn * td + tn * qd), cd * qd * td)
+    else:
+        near_ab, far_ab = 2 * p0, 2 * (p0 + total_ab)
+        near_dc, far_dc = scale * p0_prime, scale * (p0_prime + total_dc)
     if branch == "q1":
         return ConvexQuad(Point(near_ab, _ZERO), Point(far_ab, _ZERO), Point(_ZERO, far_dc), Point(_ZERO, near_dc))
     # the q1 quad of the reversed spec with its axes swapped
@@ -73,14 +90,17 @@ def apex_quad(
 
 def _trapezoid(spec: DivisionSpec, mu: Fraction, mu_prime: Fraction, offset: Fraction = _ZERO) -> ConvexQuad:
     """Height-one trapezoid with side scalings mu and mu', its top side shifted by offset;
-    strips (mu*ab_i + mu'*dc_i)/2."""
+    strips (mu*ab_i + mu'*dc_i)/2.  Its corners off the axes' origin lie at mu*S and
+    offset + mu'*T, S and T the side totals; with short denominators (``_short``) each is one
+    Fraction of ints."""
     total_ab, total_dc = (sums[-1] for sums in _side_sums(spec))
-    return ConvexQuad(
-        Point(_ZERO, _ZERO),
-        Point(mu * total_ab, _ZERO),
-        Point(offset + mu_prime * total_dc, _ONE),
-        Point(offset, _ONE),
-    )
+    (mn, md), (qn, qd), (on, od) = mu.as_integer_ratio(), mu_prime.as_integer_ratio(), offset.as_integer_ratio()
+    (sn, sd), (tn, td) = total_ab.as_integer_ratio(), total_dc.as_integer_ratio()
+    if _short(md, qd, od, sd, td):
+        b, c = Fraction(mn * sn, md * sd), Fraction(on * qd * td + qn * tn * od, od * qd * td)
+    else:
+        b, c = mu * total_ab, offset + mu_prime * total_dc
+    return ConvexQuad(Point(_ZERO, _ZERO), Point(b, _ZERO), Point(c, _ONE), Point(offset, _ONE))
 
 
 def synthesize_witness(

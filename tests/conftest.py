@@ -28,6 +28,20 @@ def grid_fraction(rng, lo=1, hi=64, den=8) -> Fraction:
     return Fraction(rng.randint(lo, hi), den)
 
 
+def continued(p, q, nxt):
+    """(next AB ratio, next DC ratio) continuing the zero discriminants of the ratios p and q: the DC ratio
+    nxt is halved until ``continue_degenerate`` succeeds, as a smaller next ratio always continues, at most
+    64 times, so that a broken continuation fails the draw instead of halving forever."""
+    from quadareas import NoValidContinuationError, continue_degenerate
+
+    for _ in range(64):
+        try:
+            return continue_degenerate(p, q, nxt), nxt
+        except NoValidContinuationError:
+            nxt /= 2
+    raise AssertionError("no positive continuation in 64 halvings of the next ratio")
+
+
 def random_spec_cls():
     from quadareas import DivisionSpec
 

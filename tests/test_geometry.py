@@ -31,7 +31,7 @@ from quadareas import (
 )
 from quadareas import geometry
 from quadareas.division import _side_sums
-from quadareas.geometry import _edge
+from quadareas.geometry import _edge, _vertex
 from quadareas.witness import _trapezoid
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
@@ -178,8 +178,13 @@ def test_apex_of_matches_the_point_cross_reference(case):
 
 
 def fresh_edges(q):
-    """The integer edges B - A, C - D and D - A of the quad, built afresh."""
-    return _edge(q.a, q.b), _edge(q.d, q.c), _edge(q.a, q.d)
+    """The integer edges B - A, C - D and D - A of the quad, built afresh from its vertices' ints, and
+    equal, as rationals, to the Point differences."""
+    a, b, c, d = (_vertex(v) for v in q.vertices)
+    edges = _edge(a, b), _edge(d, c), _edge(a, d)
+    for (xn, xd, yn, yd), (p, r) in zip(edges, ((q.a, q.b), (q.d, q.c), (q.a, q.d))):
+        assert (F(xn, xd), F(yn, yd)) == (r.x - p.x, r.y - p.y)
+    return edges
 
 
 def unchecked_copy(q):

@@ -70,6 +70,8 @@ from quadareas.membership import (
 from quadareas.witness import _trapezoid
 import reference
 
+from conftest import continued
+
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "kernel_outputs.json").read_text())
 # planar witnesses (proportional and skew specs, n = 3-14, grid and 30-digit entries; 30-digit skew
 # specs stop at n = 6, as a skew chain's continued entries grow with n), q2 apex quads, and station
@@ -593,19 +595,10 @@ def specs(draw, min_n=2, max_n=12, kinds=("planar-prefix", "spatial", "proportio
     else:
         q = [draw(ratios(big)) for _ in range(n)]
     if kind in ("planar-prefix", "planar-skew"):
-        # a skew start, then zero discriminants up to a drawn length (all of it
-        # for planar-skew); a smaller next ratio always continues, so a broken
-        # continuation fails the draw instead of halving forever
+        # a skew start, then zero discriminants up to a drawn length (all of it for planar-skew)
         q[1] += q[0] * p[1] / p[0]
         for i in range(2, n if kind == "planar-skew" else draw(st.integers(min(3, n), n))):
-            for _ in range(64):
-                try:
-                    p[i] = continue_degenerate(p[:i], q[:i], q[i])
-                    break
-                except NoValidContinuationError:
-                    q[i] /= 2
-            else:
-                raise AssertionError("no positive continuation in 64 halvings of the next ratio")
+            p[i], q[i] = continued(p[:i], q[:i], q[i])
     return DivisionSpec(tuple(p), tuple(q))
 
 
@@ -733,12 +726,7 @@ def tailed_ratios(draw, spec, kinds=("both", "in ratio", "continued", "p only", 
     if kind == "in ratio":
         t_q = t_p * spec.p_prime[0] / spec.p[0]
     elif kind == "continued" and not classify(spec).spatial:
-        while True:
-            try:
-                t_p = continue_degenerate(spec.p, spec.p_prime, t_q)
-                break
-            except NoValidContinuationError:
-                t_q /= 2
+        t_p, t_q = continued(spec.p, spec.p_prime, t_q)
     elif kind == "p only":
         t_q = F(0)
     elif kind == "q only":
@@ -767,12 +755,7 @@ def singular_q1_fold_queries(draw):
     k = draw(st.integers(1, spec.n - 2))  # 0-based pivot
     # the fold (sum before k, k, k + 1) is planar when p[k + 1] continues it degenerately
     fold_p, fold_q = (sum(p[:k], F(0)), p[k]), (sum(q[:k], F(0)), q[k])
-    while True:
-        try:
-            p[k + 1] = continue_degenerate(fold_p, fold_q, q[k + 1])
-            break
-        except NoValidContinuationError:
-            q[k + 1] /= 2
+    p[k + 1], q[k + 1] = continued(fold_p, fold_q, q[k + 1])
     spec = DivisionSpec(tuple(p), tuple(q))
     assume(discriminants(spec)[k - 1] != 0)
     fr = frame(spec)
@@ -893,12 +876,7 @@ def closed_form_inputs(draw):
         chain = draw(st.integers(2, min(m, 9 if digits is None else 5)))
         q[1] += q[0] * p[1] / p[0]
         for j in range(2, chain):
-            while True:
-                try:
-                    p[j] = continue_degenerate(p[:j], q[:j], q[j])
-                    break
-                except NoValidContinuationError:
-                    q[j] /= 2
+            p[j], q[j] = continued(p[:j], q[:j], q[j])
     if draw(st.integers(0, 7)) == 0:
         k = draw(st.integers(0, m - 1))
         p[k] = draw(st.sampled_from((F(0), -p[k])))
@@ -1572,12 +1550,7 @@ def test_planar_hyperplanes_match_the_fraction_reference(kind, digits, lengths):
             q = [v * F(rng.randint(1, 64), 8) for v in p]
             q[1] += q[0] * p[1] / p[0]
             for i in range(2, n):
-                while True:
-                    try:
-                        p[i] = continue_degenerate(p[:i], q[:i], q[i])
-                        break
-                    except NoValidContinuationError:
-                        q[i] /= 2
+                p[i], q[i] = continued(p[:i], q[:i], q[i])
         spec = DivisionSpec(tuple(p), tuple(q))
         assert classify(spec).kind == kind
         assert hyperplanes(spec) == ref_planar_hyperplanes(spec)

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from quadareas import (
-    DivisionSpec, InvalidPivotError, NoValidContinuationError, QuadAreasError, TailSummedSequence, classify, collapse,
-    continue_degenerate, cumulants, discriminants, hyperplanes, member, member_tail, member_via_collapse, station_check,
-    synthesize_witness,
+    DivisionSpec, InvalidPivotError, QuadAreasError, TailSummedSequence, classify, collapse, cumulants, discriminants,
+    hyperplanes, member, member_tail, member_via_collapse, station_check, synthesize_witness,
 )
 from quadareas import cone, division, geometry, reduction
 from quadareas.division import _Frozen
 from quadareas.membership import _decide
 
+from conftest import continued
 from test_kernels import ratios
 from test_reduction import seq_combo
 
@@ -193,12 +193,7 @@ def memo_specs(draw, kinds=("spatial", "proportional", "planar-skew", "big-digit
     if kind == "planar-skew":
         q[1] += q[0] * p[1] / p[0]
         for i in range(2, n):
-            while True:
-                try:
-                    p[i] = continue_degenerate(p[:i], q[:i], q[i])
-                    break
-                except NoValidContinuationError:
-                    q[i] /= 2
+            p[i], q[i] = continued(p[:i], q[:i], q[i])
     return kind, DivisionSpec(tuple(p), tuple(q))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import quadareas.oracle
+import quadareas.witness
 import reference
 from quadareas import (
     Certificate,
@@ -16,6 +17,7 @@ from quadareas import (
     ParallelMarker,
     Point,
     Verdict,
+    apex_of,
     apex_quad,
     classify,
     cross_validate,
@@ -26,7 +28,10 @@ from quadareas import (
     sample_parallel_family,
     strip_areas,
 )
-from quadareas.oracle import _affine_image, _Stream
+from quadareas.oracle import _affine_image, _certificate_matches, _Stream
+from quadareas.witness import _trapezoid
+
+from test_geometry import fresh_edges
 
 UNIT = DivisionSpec.of((1, 1, 1), (1, 1, 1))
 SPATIAL = DivisionSpec.of((1, 2, 3), (1, 1, 1))
@@ -180,17 +185,89 @@ class TestIntegerSamples:
         tx, ty = stream.signed_grid(), stream.signed_grid()
         return ConvexQuad(*(Point(m11 * v.x + m12 * v.y + tx, m21 * v.x + m22 * v.y + ty) for v in quad.vertices))
 
+    @staticmethod
+    def ref_apex_quad(spec, p0, p0_prime, scale, branch):
+        """apex_quad as it was: each corner by Fraction arithmetic."""
+        total_ab, total_dc = sum(spec.p), sum(spec.p_prime)
+        near_ab, far_ab = 2 * p0, 2 * (p0 + total_ab)
+        near_dc, far_dc = scale * p0_prime, scale * (p0_prime + total_dc)
+        if branch == "q1":
+            return ConvexQuad(Point(near_ab, 0), Point(far_ab, 0), Point(0, far_dc), Point(0, near_dc))
+        return ConvexQuad(Point(0, far_ab), Point(0, near_ab), Point(near_dc, 0), Point(far_dc, 0))
+
+    @staticmethod
+    def ref_trapezoid(spec, mu, mu_prime, offset):
+        """_trapezoid as it was: each corner by Fraction arithmetic."""
+        total_ab, total_dc = sum(spec.p), sum(spec.p_prime)
+        return ConvexQuad(Point(0, 0), Point(mu * total_ab, 0), Point(offset + mu_prime * total_dc, 1), Point(offset, 1))
+
+    def test_grid_draws_are_the_contract_eighths(self):
+        stream, twin = _Stream(5, 0), _Stream(5, 0)
+        for _ in range(500):
+            assert stream.grid() == F(twin.eighths(), 8) and stream.signed_grid() == F(twin.signed_eighths(), 8)
+
+    @pytest.mark.parametrize("cutoff", (None, 1 << 30, 0), ids=("rule", "ints", "fractions"))
     @pytest.mark.parametrize("digits", (None, 100))
     @pytest.mark.parametrize("n", range(4, 13))
-    def test_affine_image_matches_the_fraction_map(self, digits, n):
+    def test_samples_match_the_fraction_builders(self, digits, n, cutoff, monkeypatch):
+        """Apex quads of both branches, their affine images and trapezoids from the draw streams, with
+        each builder's form chosen by the size rule or forced either way; the quads keep the edges
+        ``_edge`` builds from their vertices."""
+        if cutoff is not None:
+            monkeypatch.setattr(quadareas.witness, "_SHORT_BITS", cutoff)
         spec = digit_spec(digits, n)
         for index in range(12):
+            stream, twin = _Stream(n, index), _Stream(n, index)
+            branch = ("q1", "q2")[index % 2]
+            quad = apex_quad(spec, stream.grid(), stream.grid(), stream.grid(), branch)
+            assert quad == self.ref_apex_quad(spec, *(F(twin.eighths(), 8) for _ in range(3)), branch)
+            image = _affine_image(stream, quad)
+            assert image == self.ref_affine_image(twin, quad)
+            trapezoid = _trapezoid(spec, stream.grid(), stream.grid(), stream.signed_grid())
+            mu, mu_prime, offset = F(twin.eighths(), 8), F(twin.eighths(), 8), F(twin.signed_eighths(), 8)
+            assert trapezoid == self.ref_trapezoid(spec, mu, mu_prime, offset)
+            assert stream.state == twin.state
+            assert all(q.__dict__["_edges"] == fresh_edges(q) for q in (quad, image, trapezoid))
+
+    @pytest.mark.parametrize("digits", (None, 100))
+    @pytest.mark.parametrize("n", (4, 8, 12))
+    def test_certificate_matches_as_the_fraction_products(self, digits, n):
+        """On each apex sample's certificate and on certificates perturbed from it (a coefficient bumped
+        or doubled, the first two swapped), the cross-multiplied comparison decides as the Fraction
+        products scale*p0', scale*p0 and scale did."""
+        spec = digit_spec(digits, n)
+        for index in range(8):
             stream = _Stream(n, index)
             quad = apex_quad(spec, stream.grid(), stream.grid(), stream.grid(), ("q1", "q2")[index % 2])
-            twin = _Stream(n, index)
-            twin.state = stream.state
-            assert _affine_image(stream, quad) == self.ref_affine_image(twin, quad)
-            assert stream.state == twin.state
+            geo = apex_of(quad, spec)
+            cert = member(spec, strip_areas(quad, spec)).certificate
+            products = (geo.scale * geo.p0_prime, geo.scale * geo.p0, geo.scale)
+            assert cert.coeffs == products
+            a, b, c = cert.coeffs
+            bump = F(1, 8)
+            for coeffs in ((a, b, c), (b, a, c), (a + bump, b, c), (a, b + bump, c), (a, b, c + bump),
+                           (2 * a, 2 * b, 2 * c), (a, b, 2 * c)):
+                got = _certificate_matches(Verdict(True, Certificate(cert.branch, coeffs)), geo)
+                assert (got is None) == (coeffs == products)
+
+    @pytest.mark.parametrize("n", (4, 8, 12))
+    def test_a_sample_builds_one_fraction_per_corner_coordinate(self, n, monkeypatch):
+        """On a warm grid spec an apex sample builds n + 12 Fractions: its 4 corner coordinates off the
+        axes, n strip areas, the 5 values of the apex frame and 3 certificate coefficients, and its
+        affine image 8 more; a trapezoid sample builds n + 4: 2 corners, n strip areas and 2 face
+        coefficients.  The draws and the certificate comparison build none."""
+        spec = digit_spec(None, n)
+        count = 6
+        sample_convex_quads(spec, count, 1), sample_parallel_family(spec, count, 1)  # the spec's memos
+        built, new = [], F.__new__
+        monkeypatch.setattr(F, "__new__", lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+        quads = sample_convex_quads(spec, count, 1)
+        in_quads = len(built)
+        parallel = sample_parallel_family(spec, count, 1)
+        monkeypatch.undo()
+        assert quads.accepted == parallel.accepted == count
+        assert in_quads == count * (n + 12) + 8 * (count // 3)
+        assert len(built) - in_quads == count * (n + 4)
 
     @staticmethod
     def ref_cross_tuple(spec, stream, index):

@@ -12,12 +12,10 @@ from quadareas import (
     DivisionSpec,
     InvalidInputError,
     InvalidPivotError,
-    NoValidContinuationError,
     TailSummedSequence,
     Verdict,
     classify,
     collapse,
-    continue_degenerate,
     cumulant_tail_sums,
     discriminants,
     extend_solution,
@@ -33,6 +31,8 @@ from quadareas import (
     tail_cumulants,
 )
 
+from conftest import continued
+
 GEO = TailSummedSequence.of((1, F(1, 2), F(1, 4)), F(1, 4))
 UNIT3 = TailSummedSequence.of((1, 1, 1))
 
@@ -46,12 +46,7 @@ def random_spec(rng, kind, n):
     if kind == "skew":
         q[1] += q[0] * p[1] / p[0]
         for i in range(2, n):
-            while True:  # a smaller next ratio always continues the zero discriminants
-                try:
-                    p[i] = continue_degenerate(p[:i], q[:i], q[i])
-                    break
-                except NoValidContinuationError:
-                    q[i] /= 2
+            p[i], q[i] = continued(p[:i], q[:i], q[i])
     return DivisionSpec(tuple(p), tuple(q))
 
 

@@ -59,7 +59,7 @@ MUTANTS = (
     # oracle samples in ints and the quad's kept edges
     Mutant("src/quadareas/oracle.py", "Fraction(k11 * xs + k12 * ys + kx * den, 8 * den)",
            "Fraction(k11 * xs + k21 * ys + kx * den, 8 * den)",
-           (O + "TestIntegerSamples::test_affine_image_matches_the_fraction_map",)),
+           (O + "TestIntegerSamples::test_samples_match_the_fraction_builders",)),
     Mutant("src/quadareas/oracle.py", "a, b, c = a * s + c * tdn * tad, b * s + c * tan * tdd, -c * s",
            "a, b, c = a * s + c * tan * tdd, b * s + c * tdn * tad, -c * s",
            (O + "TestIntegerSamples::test_cross_tuple_matches_the_frame_combination",)),
@@ -67,8 +67,8 @@ MUTANTS = (
            ("tests/test_reduction.py::test_summed_coordinate_matches_the_fraction_sum",)),
     Mutant("src/quadareas/geometry.py", "return ab, (-cd[0], cd[1], -cd[2], cd[3]),", "return ab, cd,",
            (G + "TestEdgeRecord::test_kept_edges_are_the_fresh_ones",)),
-    Mutant("src/quadareas/geometry.py", "_edge(a, q.b), _edge(d, q.c), _edge(a, d)",
-           "_edge(a, q.b), _edge(d, q.c), _edge(d, a)",
+    Mutant("src/quadareas/geometry.py", "_edge(a, b), _edge(d, c), _edge(a, d)",
+           "_edge(a, b), _edge(d, c), _edge(d, a)",
            (G + "TestEdgeRecord::test_a_quad_without_kept_edges_reads_the_same",)),
     # the mirror read-back of a degenerate certificate
     Mutant("src/quadareas/membership.py", "cert.coeffs[::-1], cert.q2_interval, cert.q1_interval",
@@ -112,6 +112,14 @@ MUTANTS = (
     # succeeds never finish when every continuation is refused
     Mutant("src/quadareas/cone.py", "ratio = -beta * t / weight", "ratio = beta * t / weight",
            ("tests/test_cone.py::TestContinueDegenerate::test_known_continuations",)),
+    # the builders' int corners, the one convexity kernel and the cross-multiplied certificate check
+    Mutant("src/quadareas/witness.py", "far_ab = Fraction(2 * pn, pd), Fraction(2 * (pn * sd + sn * pd), pd * sd)",
+           "far_ab = Fraction(2 * pn, pd), Fraction(2 * (pn * td + tn * pd), pd * td)",
+           (O + "TestIntegerSamples::test_samples_match_the_fraction_builders",)),
+    Mutant("src/quadareas/geometry.py", "return rxn * pxd - pxn * rxd, rxd * pxd,", "return pxn * rxd - rxn * pxd, rxd * pxd,",
+           (G + "TestEdgeRecord::test_kept_edges_are_the_fresh_ones",)),
+    Mutant("src/quadareas/oracle.py", "(geo.p0_prime, geo.p0, 1)", "(geo.p0, geo.p0_prime, 1)",
+           (O + "TestIntegerSamples::test_certificate_matches_as_the_fraction_products",)),
 )
 
 TIMEOUT_S = 300  # far above any row's tests; a run that takes longer has hung
